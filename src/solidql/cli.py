@@ -38,7 +38,7 @@ from .linking import (
     augment_dataset,
     build_sft_dataset,
 )
-from .retrieval import build_index, load_index, save_index
+from .retrieval import build_index, load_index, read_index_header, save_index
 from .schema import load_tables_json
 from .sql.parser import parse_sql
 from .sql.refs import extract_schema_refs
@@ -171,10 +171,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     out_path = Path(config.output)
     if out_path.exists() and not args.force:
-        existing = load_index(out_path)
-        if existing.provider_id != embedder.provider_id:
+        existing = read_index_header(out_path)["provider_id"]
+        if existing != embedder.provider_id:
             raise ConfigError(
-                f"index {out_path} was built with provider {existing.provider_id!r}, "
+                f"index {out_path} was built with provider {existing!r}, "
                 f"current provider is {embedder.provider_id!r}; use --force to rebuild"
             )
 

@@ -152,26 +152,16 @@ def run_round2(
     question skeleton; an extraction failure falls back to the round-1
     SQL. Both paths set flags on the context.
     """
-    if round1_sql:
-        examples = retrieve_by_sql_skeleton(
-            round1_sql,
-            index,
-            config.n_examples,
-            embedder=embedder,
-            fallback_skeleton=context.q_skeleton,
-            exclude_question=context.question,
-        )
-        if examples.fallback is not None:
-            context.flags.add(FLAG_ROUND2_RETRIEVAL_FALLBACK)
-    else:
+    examples = retrieve_by_sql_skeleton(
+        round1_sql,
+        index,
+        config.n_examples,
+        embedder=embedder,
+        fallback_skeleton=context.q_skeleton,
+        exclude_question=context.question,
+    )
+    if examples.fallback is not None:
         context.flags.add(FLAG_ROUND2_RETRIEVAL_FALLBACK)
-        examples = retrieve_by_question_skeleton(
-            context.q_skeleton,
-            index,
-            config.n_examples,
-            embedder,
-            exclude_question=context.question,
-        )
     prompt = build_prompt(
         context.question,
         context.schema,

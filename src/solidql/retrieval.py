@@ -2,25 +2,35 @@
 
 Round 1 ranks candidates by cosine similarity between question-skeleton
 embeddings; round 2 re-ranks by edit distance between SQL skeleton
-parse trees. Both are exact scans over the pool, ties broken by pool
-index, so rankings are total orders and stable across runs.
+parse trees. Both rankings are exact and break ties by pool index, so
+they are total orders and stable across runs.
+
+Round 1 scans the whole pool, but takes each dot product over the
+target's non-zero buckets only. Round 2 scores each distinct skeleton
+once, in ascending order of a label-multiset lower bound on its
+distance, and stops when that bound exceeds the n-th best distance
+found so far. It does not stop on a bound equal to that distance,
+since an unscored candidate at that distance with a lower pool index
+would rank ahead of it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
+import math
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .embeddings import EmbeddingProvider, cosine_similarity
-from .errors import ParseError, ZeroVectorError
+from .embeddings import EmbeddingProvider
+from .errors import ParseError
 from .gateway import ChatRequest, LlmGateway
 from .schema import SchemaSubset
-from .skeleton import SqlSkeleton, tree_edit_distance
+from .skeleton import LabelBag, LabelBags, SqlSkeleton, label_lower_bound, tree_edit_distance
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +47,59 @@ class ExamplePair:
     pool_index: int
 
 
+@dataclass(frozen=True)
+class SkeletonGroup:
+    """Pool entries that share one SQL skeleton text, in pool order."""
+
+    skeleton: SqlSkeleton
+    labels: LabelBag
+    members: tuple[ExamplePair, ...]
+
+
 @dataclass
 class RetrievalIndex:
+    """The pool plus search data that the first retrieval builds from it.
+
+    Each cached view is a function of the pool alone, so threads racing
+    to build one build equal copies. The pool must not change once a
+    retrieval has run on the index.
+    """
+
     pool: list[ExamplePair]
     provider_id: str
     dimension: int
-    built_at: float = field(default_factory=time.time)
 
     def __len__(self) -> int:
         return len(self.pool)
+
+    @cached_property
+    def label_bags(self) -> LabelBags:
+        """Bit numbering of the label occurrences in the pool's skeletons."""
+        return LabelBags(pair.s_skeleton.tree for pair in self.pool)
+
+    @cached_property
+    def skeleton_groups(self) -> list[SkeletonGroup]:
+        """The pool grouped by SQL skeleton text, in order of first member."""
+        groups: dict[str, list[ExamplePair]] = {}
+        for pair in self.pool:
+            groups.setdefault(pair.s_skeleton.text, []).append(pair)
+        bag = self.label_bags.bag
+        return [
+            SkeletonGroup(members[0].s_skeleton, bag(members[0].s_skeleton.tree), tuple(members))
+            for members in groups.values()
+        ]
+
+    @cached_property
+    def squared_norms(self) -> list[float]:
+        """‖v‖² of each pool embedding, summed as ``cosine_similarity`` sums it."""
+        return [_squared_norm(pair.q_embedding) for pair in self.pool]
+
+
+def _squared_norm(vector: Sequence[float]) -> float:
+    total = 0.0
+    for value in vector:
+        total += value * value
+    return total
 
 
 @dataclass
@@ -184,17 +238,25 @@ def retrieve_by_question_skeleton(
     if n < 1:
         raise ValueError("n must be >= 1")
     target = embedder.embed([target_skeleton])[0]
+    dimension = len(target)
+    target_norm = _squared_norm(target)
+    # For finite vectors the skipped terms are ±0.0 and leave the dot
+    # product bit-identical to cosine_similarity's full sum.
+    terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
     scored: list[tuple[float, int, ExamplePair]] = []
-    for pair in index.pool:
-        if exclude_question is not None and pair.question == exclude_question:
+    for pair, norm in zip(index.pool, index.squared_norms):
+        if pair.question == exclude_question:
             continue
-        try:
-            similarity = cosine_similarity(target, pair.q_embedding)
-        except ZeroVectorError:
+        vector = pair.q_embedding
+        if len(vector) != dimension or not dimension:
+            raise ValueError(f"dimension mismatch: {dimension} vs {len(vector)}")
+        if target_norm == 0.0 or norm == 0.0:
             continue
-        scored.append((-similarity, pair.pool_index, pair))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return RetrievalResult([pair for _, _, pair in scored[:n]], mode="question")
+        dot = 0.0
+        for bucket, value in terms:
+            dot += value * vector[bucket]
+        scored.append((-(dot / math.sqrt(target_norm * norm)), pair.pool_index, pair))
+    return RetrievalResult([pair for _, _, pair in heapq.nsmallest(n, scored)], mode="question")
 
 
 def retrieve_by_sql_skeleton(
@@ -223,14 +285,23 @@ def retrieve_by_sql_skeleton(
             fallback_skeleton, index, n, embedder, exclude_question=exclude_question
         )
         return RetrievalResult(result.pairs, mode="question", fallback="question")
-    scored: list[tuple[int, int, ExamplePair]] = []
-    for pair in index.pool:
-        if exclude_question is not None and pair.question == exclude_question:
+    target_labels = index.label_bags.bag(target.tree)
+    ranked = sorted(
+        (label_lower_bound(target_labels, group.labels), group.members[0].pool_index, group)
+        for group in index.skeleton_groups
+    )
+    best: list[tuple[int, int, ExamplePair]] = []
+    for bound, _, group in ranked:
+        if len(best) == n and bound > best[-1][0]:
+            break  # no later group can come closer than the n-th best
+        members = [pair for pair in group.members if pair.question != exclude_question]
+        if not members:
             continue
-        distance = tree_edit_distance(target, pair.s_skeleton)
-        scored.append((distance, pair.pool_index, pair))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return RetrievalResult([pair for _, _, pair in scored[:n]], mode="sql")
+        distance = tree_edit_distance(target, group.skeleton)
+        best.extend((distance, pair.pool_index, pair) for pair in members)
+        best.sort()
+        del best[n:]
+    return RetrievalResult([pair for _, _, pair in best], mode="sql")
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +383,12 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
                 )
                 + "\n"
             )
+
+
+def read_index_header(path: str | Path) -> dict:
+    """The header line of a saved index: ``provider_id`` and ``dimension``."""
+    with Path(path).open(encoding="utf-8") as handle:
+        return json.loads(handle.readline())
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

@@ -15,6 +15,7 @@ unit costs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .sql.nodes import (
     COLUMN_ALIAS,
@@ -106,6 +107,61 @@ def skeleton_similarity(a: SqlSkeleton, b: SqlSkeleton) -> float:
     return 1.0 - distance / (a.node_count + b.node_count)
 
 
+class LabelBag(NamedTuple):
+    """A tree's node-label multiset: its size and a bit mask (see ``LabelBags``)."""
+
+    size: int
+    mask: int
+
+
+class LabelBags:
+    """Numbers label occurrences so that label multisets become bit masks.
+
+    The k-th node carrying a label, for every k and label found in the
+    trees given, gets its own bit. The size of the intersection of two
+    multisets is then the popcount of the AND of their masks. ``bag``
+    leaves out occurrences that have no bit, but counts them in the
+    size; no mask of the given trees has them either, so intersections
+    with those masks are exact.
+    """
+
+    def __init__(self, trees: Iterable[Node]) -> None:
+        self._bits: dict[tuple[str, int], int] = {}
+        for tree in trees:
+            for occurrence in _label_occurrences(tree):
+                self._bits.setdefault(occurrence, len(self._bits))
+
+    def bag(self, tree: Node) -> LabelBag:
+        mask = 0
+        size = 0
+        for occurrence in _label_occurrences(tree):
+            size += 1
+            bit = self._bits.get(occurrence)
+            if bit is not None:
+                mask |= 1 << bit
+        return LabelBag(size, mask)
+
+
+def _label_occurrences(tree: Node) -> Iterator[tuple[str, int]]:
+    seen: dict[str, int] = {}
+    for node in tree.walk():
+        label = node.label
+        k = seen.get(label, 0)
+        seen[label] = k + 1
+        yield label, k
+
+
+def label_lower_bound(a: LabelBag, b: LabelBag) -> int:
+    """max(|A∖B|, |B∖A|) over two trees' label multisets.
+
+    A mapping between the trees pairs at most min(|A|, |B|) nodes and
+    keeps at most |A ∩ B| of them unrelabeled, so the unit-cost edit
+    distance is at least max(|A|, |B|) − |A ∩ B| (the histogram filter
+    of Kailing et al., EDBT 2004). It is never below ||A| − |B||.
+    """
+    return max(a.size, b.size) - (a.mask & b.mask).bit_count()
+
+
 def node_edit_distance(a: Node, b: Node) -> int:
     """Zhang–Shasha ordered-tree edit distance with unit costs."""
     la, labels_a = _postorder(a)
@@ -166,28 +222,45 @@ def _subtree_distance(
     joff = lb[j] - 1
     rows = i - la[i] + 2
     cols = j - lb[j] + 2
-    fd = [[0] * cols for _ in range(rows)]
-    for x in range(1, rows):
-        fd[x][0] = fd[x - 1][0] + 1
-    for y in range(1, cols):
-        fd[0][y] = fd[0][y - 1] + 1
+    # forest-distance column left of each column's leftmost leaf; 0 on j's leftmost path
+    leaf_cols = [0] + [lb[by] - 1 - joff for by in range(joff + 1, j + 1)]
+    fd = [list(range(cols))]
     for x in range(1, rows):
         ax = x + ioff
-        for y in range(1, cols):
-            by = y + joff
-            if la[ax] == la[i] and lb[by] == lb[j]:
-                relabel = 0 if labels_a[ax] == labels_b[by] else 1
-                fd[x][y] = min(
-                    fd[x - 1][y] + 1,
-                    fd[x][y - 1] + 1,
-                    fd[x - 1][y - 1] + relabel,
-                )
-                treedist[ax][by] = fd[x][y]
-            else:
-                p = la[ax] - 1 - ioff
-                q = lb[by] - 1 - joff
-                fd[x][y] = min(
-                    fd[x - 1][y] + 1,
-                    fd[x][y - 1] + 1,
-                    fd[p][q] + treedist[ax][by],
-                )
+        lax = la[ax]
+        prev = fd[x - 1]
+        tree_row = treedist[ax]
+        left = x
+        row = [left]
+        if lax == la[i]:
+            label = labels_a[ax]
+            diag = prev[0]
+            for y in range(1, cols):
+                up = prev[y]
+                q = leaf_cols[y]
+                by = y + joff
+                if q:
+                    best = q + tree_row[by]  # fd[0][q] == q
+                else:
+                    best = diag + (label != labels_b[by])
+                if up < left:  # best = min(best, up + 1, left + 1)
+                    left = up
+                if left + 1 < best:
+                    best = left + 1
+                if not q:
+                    tree_row[by] = best
+                row.append(best)
+                left = best
+                diag = up
+        else:
+            leaf_row = fd[lax - 1 - ioff]
+            for y in range(1, cols):
+                up = prev[y]
+                best = leaf_row[leaf_cols[y]] + tree_row[y + joff]
+                if up < left:
+                    left = up
+                if left + 1 < best:
+                    best = left + 1
+                row.append(best)
+                left = best
+        fd.append(row)

@@ -117,50 +117,59 @@ def test_criterion_04_metric_axioms():
 
 
 def test_criterion_05_retrieval_oracle():
-    """Both retrieval modes equal a brute-force scan on a 200-item pool."""
+    """Both retrieval modes equal a brute-force scan on a 2,000-item pool."""
     rng = random.Random(505)
     pool_pairs = []
-    while len(pool_pairs) < 200:
+    while len(pool_pairs) < 2000:
         sql = random_statement(rng)
         question = f"question variant {len(pool_pairs)} about {sql.split('FROM', 1)[1].split()[0]}"
         pool_pairs.append((question, sql))
     embedder = HashedBagOfTokens()
     index = build_index(pool_pairs, embedder)
-    assert len(index) == 200
+    assert len(index) == 2000
+    ns = (1, 3, 7, 9)
 
+    # (target, excluded question); the excluded one is a pool item's own
     targets_q = [
-        "question variant about singers",
-        "how many things are there",
-        "what are the names of all items",
-        "question variant 17 about concert",
+        ("question variant about singers", None),
+        ("how many things are there", None),
+        ("what are the names of all items", None),
+        ("question variant 17 about concert", None),
+        (pool_pairs[17][0], pool_pairs[17][0]),
     ]
     targets_sql = [
-        "SELECT name FROM singer WHERE age > 30",
-        "SELECT count(*) FROM concert GROUP BY year",
-        pool_pairs[3][1],
-        "SELECT a FROM t WHERE b IN (SELECT c FROM u) ORDER BY a DESC LIMIT 5",
+        ("SELECT name FROM singer WHERE age > 30", None),
+        ("SELECT count(*) FROM concert GROUP BY year", None),
+        (pool_pairs[3][1], None),
+        (pool_pairs[3][1], pool_pairs[3][0]),
+        ("SELECT a FROM t WHERE b IN (SELECT c FROM u) ORDER BY a DESC LIMIT 5", None),
     ]
     checks = 0
-    for n in (1, 3, 7, 9):
-        for target in targets_q:
-            got = [p.pool_index for p in
-                   retrieve_by_question_skeleton(target, index, n, embedder)]
-            expected = brute_force_question_ranking(
-                embedder.embed([target])[0], index.pool, n
-            )
-            assert got == expected, (n, target)
+    for target, excluded in targets_q:
+        expected = brute_force_question_ranking(
+            embedder.embed([target])[0], index.pool, len(index), exclude_question=excluded
+        )
+        for n in ns:
+            got = [p.pool_index for p in retrieve_by_question_skeleton(
+                target, index, n, embedder, exclude_question=excluded)]
+            assert got == expected[:n], (n, target, excluded)
             checks += 1
-        for sql in targets_sql:
+    distances_by_sql: dict[str, list[tuple[int, int]]] = {}
+    for sql, excluded in targets_sql:
+        if sql not in distances_by_sql:
             target_skeleton = SqlSkeleton.from_sql(sql)
-            distances = [
+            distances_by_sql[sql] = [
                 (pair.pool_index, tree_edit_distance(target_skeleton, pair.s_skeleton))
                 for pair in index.pool
             ]
-            expected = brute_force_sql_ranking(distances, n)
-            got = [p.pool_index for p in retrieve_by_sql_skeleton(sql, index, n)]
-            assert got == expected, (n, sql)
+        excluded_indices = {p.pool_index for p in index.pool if p.question == excluded}
+        for n in ns:
+            expected = brute_force_sql_ranking(distances_by_sql[sql], n, excluded_indices)
+            got = [p.pool_index for p in retrieve_by_sql_skeleton(
+                sql, index, n, exclude_question=excluded)]
+            assert got == expected, (n, sql, excluded)
             checks += 1
-    report("retrieval-oracle", f"{checks} rankings agree, N in {{1,3,7,9}}, pool 200")
+    report("retrieval-oracle", f"{checks} rankings agree, N in {{1,3,7,9}}, pool 2000")
 
 
 def test_criterion_06_linking_ground_truth(schemas, linking_labels):

@@ -126,6 +126,26 @@ def test_cmd_index_refuses_provider_mismatch(workspace, capsys):
     assert "provider" in capsys.readouterr().err
 
 
+def test_cmd_index_checks_existing_output_by_header_only(workspace, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "index.jsonl"
+    shutil.copy(workspace / "index.jsonl", path)
+
+    def refuse_full_load(*args, **kwargs):
+        raise AssertionError("the existing index was loaded in full")
+
+    monkeypatch.setattr("solidql.cli.load_index", refuse_full_load)
+    monkeypatch.setattr("solidql.retrieval.load_index", refuse_full_load)
+    code = main([
+        "index",
+        "--dataset", str(workspace / "shop_pool.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--output", str(path),
+    ])
+    assert code == 0
+    assert "pool size: 5" in capsys.readouterr().out
+    assert path.read_bytes() == (workspace / "index.jsonl").read_bytes()
+
+
 def test_cmd_run_replay_twice_is_byte_identical(workspace):
     outputs = []
     for name in ("run_a.jsonl", "run_b.jsonl"):

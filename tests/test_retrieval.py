@@ -162,6 +162,70 @@ def test_question_ranking_matches_brute_force(small_index):
     assert [p.pool_index for p in got] == expected
 
 
+class FixedEmbedder:
+    """Returns a scripted vector per text."""
+
+    provider_id = "fixed"
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.dimension = len(next(iter(vectors.values())))
+
+    def embed(self, texts):
+        return [list(self.vectors[text]) for text in texts]
+
+
+def fixed_index(vectors):
+    embedder = FixedEmbedder(vectors)
+    pairs = [(text, f"SELECT c{i} FROM t") for i, text in enumerate(vectors) if text != "target"]
+    return build_index(pairs, embedder), embedder
+
+
+def test_question_zero_norm_target_returns_nothing():
+    index, embedder = fixed_index({
+        "target": (0.0, 0.0, 0.0),
+        "one": (1.0, 0.0, 2.0),
+        "two": (0.0, 3.0, 0.0),
+    })
+    assert len(retrieve_by_question_skeleton("target", index, 3, embedder)) == 0
+
+
+def test_question_zero_norm_pool_item_is_skipped():
+    index, embedder = fixed_index({
+        "target": (1.0, 0.0, 1.0),
+        "zero": (0.0, 0.0, 0.0),
+        "near": (1.0, 0.0, 0.5),
+        "far": (0.0, 1.0, 0.0),
+    })
+    got = [p.question for p in retrieve_by_question_skeleton("target", index, 5, embedder)]
+    assert got == ["near", "far"]
+
+
+def test_question_dimension_mismatch_raises():
+    index, _ = fixed_index({"one": (1.0, 0.0), "two": (0.0, 1.0)})
+    with pytest.raises(ValueError):
+        retrieve_by_question_skeleton("target", index, 2, FixedEmbedder({"target": (1.0, 0.0, 1.0)}))
+
+
+def test_question_exclusion_matches_brute_force():
+    rng = random.Random(9)
+    vectors = {"target": tuple(rng.choice((0.0, 0.0, 1.0, 2.0, -0.5)) for _ in range(8))}
+    names = [f"item {a}{b}" for a in "abcdef" for b in "abcdefghij"]  # digits would be masked
+    for name in names:
+        vectors[name] = tuple(rng.choice((0.0, 0.0, 0.25, 1.0, 3.0, -1.0)) for _ in range(8))
+    index, embedder = fixed_index(vectors)
+    for excluded in (None, names[0], names[17], names[-1]):
+        for n in (1, 3, 7, 9):
+            got = retrieve_by_question_skeleton(
+                "target", index, n, embedder, exclude_question=excluded
+            )
+            expected = brute_force_question_ranking(
+                vectors["target"], index.pool, n, exclude_question=excluded
+            )
+            assert [p.pool_index for p in got] == expected
+            assert all(p.question != excluded for p in got)
+
+
 def test_sql_identity_ranked_first(small_index):
     index, embedder = small_index
     result = retrieve_by_sql_skeleton("SELECT name FROM singer", index, 3)

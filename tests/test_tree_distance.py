@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from solidql.skeleton import SqlSkeleton, node_edit_distance, tree_edit_distance
+from solidql.skeleton import (
+    LabelBags,
+    SqlSkeleton,
+    label_lower_bound,
+    node_edit_distance,
+    tree_edit_distance,
+)
 from solidql.sql.nodes import Node
 
 from support import oracle_tree_distance, random_statement, random_tree
@@ -60,3 +67,47 @@ def test_metric_axioms_sample():
         for y in trees[:6]:
             for z in trees[:6]:
                 assert node_edit_distance(x, z) <= node_edit_distance(x, y) + node_edit_distance(y, z)
+
+
+def _bound_and_multiset_formula(a: Node, b: Node) -> tuple[int, int]:
+    bags = LabelBags([a, b])
+    bound = label_lower_bound(bags.bag(a), bags.bag(b))
+    labels_a = Counter(node.label for node in a.walk())
+    labels_b = Counter(node.label for node in b.walk())
+    common = sum((labels_a & labels_b).values())
+    return bound, max(a.size(), b.size()) - common
+
+
+def test_label_lower_bound_below_oracle_on_random_trees():
+    rng = random.Random(45)
+    for _ in range(300):
+        a = random_tree(rng, max_nodes=8)
+        b = random_tree(rng, max_nodes=8)
+        bound, formula = _bound_and_multiset_formula(a, b)
+        assert bound == formula
+        assert abs(a.size() - b.size()) <= bound <= oracle_tree_distance(a, b)
+
+
+def test_label_lower_bound_below_oracle_on_skeletons():
+    rng = random.Random(46)
+    skeletons = [SqlSkeleton.from_sql(random_statement(rng)) for _ in range(200)]
+    small = [s for s in skeletons if s.node_count <= 8][:8]
+    assert len(small) >= 6
+    for a in small:
+        for b in small:
+            bound, formula = _bound_and_multiset_formula(a.tree, b.tree)
+            assert bound == formula
+            assert bound <= oracle_tree_distance(a.tree, b.tree)
+    for a, b in zip(skeletons[::2], skeletons[1::2]):
+        bound, formula = _bound_and_multiset_formula(a.tree, b.tree)
+        assert bound == formula
+        assert bound <= tree_edit_distance(a, b)
+
+
+def test_label_bags_leave_out_unnumbered_occurrences():
+    known = Node("n", "A", (Node("n", "B"),))
+    bags = LabelBags([known])
+    other = Node("n", "A", (Node("n", "C"), Node("n", "A")))
+    bag = bags.bag(other)
+    assert bag.size == 3
+    assert label_lower_bound(bags.bag(known), bag) == node_edit_distance(known, other) == 2
