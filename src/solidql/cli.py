@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .config import RunConfig
+from .config import MODES, PREDICTORS, RunConfig
 from .data import (
     load_dataset,
     triplets_from_dataset,
@@ -29,7 +29,7 @@ from .data import (
 )
 from .embeddings import make_embedder
 from .errors import ConfigError, ProviderError, ReplayMiss, SolidQlError
-from .evaluation import evaluate, robustness_check, database_path, write_report
+from .evaluation import evaluate, write_report
 from .gateway import HttpChatProvider, LlmGateway, TranscriptStore
 from .linking import (
     GatewayLinkingPredictor,
@@ -68,12 +68,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", dest="model_id", help="SQL-generation model id")
         p.add_argument("--linking-model", dest="linking_model_id", help="linking model id")
         p.add_argument("--embedder", help="'hashed' or 'remote:<model>'")
-        p.add_argument("--predictor", choices=("oracle", "gateway"), help="linking predictor")
+        p.add_argument("--predictor", choices=PREDICTORS, help="linking predictor")
         p.add_argument("--examples", dest="n_examples", type=int, help="examples per prompt (N)")
         p.add_argument("--rounds", type=int, choices=(1, 2), help="generation rounds")
         p.add_argument("--no-focus", dest="focus_enabled", action="store_const", const=False,
                        help="drop the focus line from prompts")
-        p.add_argument("--mode", choices=("live", "record", "replay"), help="gateway mode")
+        p.add_argument("--mode", choices=MODES, help="gateway mode")
         p.add_argument("--workers", type=int, help="parallel workers")
 
     p_sft = sub.add_parser("build-sft", help="augment triplets and emit the SFT dataset")
@@ -240,40 +240,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"alignment mismatch: {len(dataset)} dataset items, {len(results)} predictions"
         )
-    report = evaluate(
-        dataset,
-        [r.final_sql for r in results],
-        config.databases,
-        flags=[r.flags for r in results],
-        timeout=config.timeout,
-    )
-    print(report.table())
-
-    robustness_failures = 0
+    for i, (item, result) in enumerate(zip(dataset, results)):
+        if (result.db_id, result.question) != (item["db_id"], item["question"]):
+            raise ConfigError(
+                f"alignment mismatch at item {i}: prediction for "
+                f"({result.db_id!r}, {result.question!r}), dataset has "
+                f"({item['db_id']!r}, {item['question']!r})"
+            )
+    perturbed = None
     if args.robustness:
         perturbed = pl.read_results(args.robustness)
         if len(perturbed) != len(results):
             raise ConfigError(
                 f"robustness alignment mismatch: {len(results)} clean vs {len(perturbed)} perturbed"
             )
-        passed = 0
-        for i, (clean, pert) in enumerate(zip(results, perturbed)):
-            if clean.db_id != pert.db_id:
+        for i, (item, pert) in enumerate(zip(dataset, perturbed)):
+            if pert.db_id != item["db_id"]:
                 raise ConfigError(
                     f"robustness pair {i} targets different databases: "
-                    f"{clean.db_id!r} vs {pert.db_id!r}"
+                    f"{item['db_id']!r} vs {pert.db_id!r}"
                 )
-            db = database_path(config.databases, clean.db_id)
-            verdict = robustness_check(clean.final_sql, pert.final_sql, db, config.timeout)
-            passed += bool(verdict)
-        robustness_failures = len(results) - passed
-        rate = 100.0 * passed / len(results) if results else 0.0
-        print(f"{'robustness':>10}  {rate:.1f}")
+    report = evaluate(
+        dataset,
+        [r.final_sql for r in results],
+        config.databases,
+        flags=[r.flags for r in results],
+        timeout=config.timeout,
+        perturbed=None if perturbed is None else [r.final_sql for r in perturbed],
+    )
+    print(report.table())
 
     if config.output:
         write_report(report, config.output)
     ex_failures = sum(1 for r in report.records if not r.excluded and not r.ex)
     em_failures = sum(1 for r in report.records if not r.excluded and not r.em)
+    robustness_failures = sum(not verdict for verdict in report.robustness or ())
     if ex_failures or em_failures or robustness_failures or report.excluded:
         return EXIT_FAILURES
     return EXIT_OK

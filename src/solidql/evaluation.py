@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
-import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -29,6 +29,7 @@ from .sql.render import render_sql
 logger = logging.getLogger(__name__)
 
 FLOAT_DECIMALS = 6  # comparison tolerance convention
+PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
 
 
 @dataclass(frozen=True)
@@ -73,23 +74,23 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0) -> ResultT
         connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     except sqlite3.Error as exc:
         raise ExecError(f"cannot open database {path}: {exc}") from exc
-    timed_out = threading.Event()
+    deadline = time.monotonic() + timeout
+    timed_out = False
 
-    def interrupt() -> None:
-        timed_out.set()
-        connection.interrupt()
+    def past_deadline() -> bool:
+        nonlocal timed_out
+        timed_out = time.monotonic() > deadline
+        return timed_out
 
-    timer = threading.Timer(timeout, interrupt)
-    timer.start()
+    connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
     try:
         cursor = connection.execute(sql)
         rows = tuple(tuple(row) for row in cursor.fetchall())
     except sqlite3.Error as exc:
-        if timed_out.is_set():
+        if timed_out:
             raise ExecTimeout(f"query exceeded {timeout:.0f}s") from exc
         raise ExecError(str(exc)) from exc
     finally:
-        timer.cancel()
         connection.close()
     return ResultTable(rows=rows, ordered=has_top_level_order_by(sql))
 
@@ -167,6 +168,21 @@ def tables_match(pred: ResultTable, gold: ResultTable) -> bool:
     return sorted(pred_rows) == sorted(gold_rows)
 
 
+def _execute_and_compare(
+    db_path: str | Path, sql: str, reference: ResultTable, timeout: float
+) -> tuple[ResultTable | None, bool, str | None]:
+    """Run ``sql`` and compare its table with ``reference``.
+
+    Returns the table (None when execution failed), whether it matches
+    under the reference's order semantics, and the execution error.
+    """
+    try:
+        table = execute_sql(db_path, sql, timeout)
+    except ExecError as exc:
+        return None, False, str(exc)
+    return table, tables_match(table, reference), None
+
+
 def execution_match(
     pred_sql: str, gold_sql: str, db_path: str | Path, timeout: float = 30.0
 ) -> bool:
@@ -175,11 +191,7 @@ def execution_match(
     A failing predicted statement scores False rather than raising.
     """
     gold = execute_sql(db_path, gold_sql, timeout)
-    try:
-        pred = execute_sql(db_path, pred_sql, timeout)
-    except ExecError:
-        return False
-    return tables_match(pred, gold)
+    return _execute_and_compare(db_path, pred_sql, gold, timeout)[1]
 
 
 def canonical_sql(sql: str) -> str:
@@ -213,14 +225,22 @@ def robustness_check(final_sql_clean: str, final_sql_perturbed: str,
                      db_path: str | Path, timeout: float = 30.0) -> RobustnessVerdict:
     """True iff the clean and perturbed runs access the database identically."""
     try:
-        clean = execute_sql(db_path, final_sql_clean, timeout)
+        clean, error = execute_sql(db_path, final_sql_clean, timeout), None
     except ExecError as exc:
-        return RobustnessVerdict(False, f"clean SQL failed: {exc}")
-    try:
-        perturbed = execute_sql(db_path, final_sql_perturbed, timeout)
-    except ExecError as exc:
-        return RobustnessVerdict(False, f"perturbed SQL failed: {exc}")
-    if tables_match(perturbed, clean):
+        clean, error = None, str(exc)
+    return _robustness_verdict(clean, error, final_sql_perturbed, db_path, timeout)
+
+
+def _robustness_verdict(clean: ResultTable | None, clean_error: str | None,
+                        final_sql_perturbed: str, db_path: str | Path,
+                        timeout: float) -> RobustnessVerdict:
+    """Verdict for a perturbed statement against the clean run's outcome."""
+    if clean is None:
+        return RobustnessVerdict(False, f"clean SQL failed: {clean_error}")
+    _, passed, error = _execute_and_compare(db_path, final_sql_perturbed, clean, timeout)
+    if error is not None:
+        return RobustnessVerdict(False, f"perturbed SQL failed: {error}")
+    if passed:
         return RobustnessVerdict(True)
     return RobustnessVerdict(False, "result tables differ")
 
@@ -238,6 +258,7 @@ class EvalReport:
     scored: int
     excluded: int
     flag_counts: dict[str, int] = field(default_factory=dict)
+    robustness: list[RobustnessVerdict] | None = None  # printed, not written
 
     def to_dict(self) -> dict:
         return {
@@ -259,6 +280,10 @@ class EvalReport:
         ]
         for flag, count in sorted(self.flag_counts.items()):
             lines.append(f"{flag:>24}  {count}")
+        if self.robustness is not None:
+            passed = sum(map(bool, self.robustness))
+            rate = 100.0 * passed / len(self.robustness) if self.robustness else 0.0
+            lines.append(f"{'robustness':>10}  {rate:.1f}")
         return "\n".join(lines)
 
 
@@ -269,14 +294,21 @@ def evaluate(
     *,
     flags: Sequence[Sequence[str]] | None = None,
     timeout: float = 30.0,
+    perturbed: Sequence[str] | None = None,
 ) -> EvalReport:
     """Score aligned (dataset, predictions); length mismatch is fatal.
 
     Items whose gold SQL fails to execute are excluded from the
-    percentages and counted separately.
+    percentages and counted separately. With ``perturbed`` (the final
+    SQL of a paired run on perturbed questions), each item also gets a
+    :func:`robustness_check` verdict, reusing the prediction's result
+    table; excluded items count toward robustness too.
     """
     if len(dataset) != len(predictions):
         raise ValueError(f"{len(dataset)} dataset items vs {len(predictions)} predictions")
+    if perturbed is not None and len(perturbed) != len(predictions):
+        raise ValueError(f"{len(predictions)} predictions vs {len(perturbed)} perturbed")
+    robustness: list[RobustnessVerdict] | None = [] if perturbed is not None else None
     records: list[EvalRecord] = []
     flag_counts: dict[str, int] = {}
     ex_hits = 0
@@ -293,6 +325,8 @@ def evaluate(
         except ExecError as exc:
             excluded += 1
             logger.warning("excluding item %d (gold SQL failed): %s", i, exc)
+            if robustness is not None:
+                robustness.append(robustness_check(pred_sql, perturbed[i], db_path, timeout))
             records.append(
                 EvalRecord(
                     question=item["question"],
@@ -307,13 +341,9 @@ def evaluate(
                 )
             )
             continue
-        error = None
-        try:
-            pred_table = execute_sql(db_path, pred_sql, timeout)
-            ex = tables_match(pred_table, gold_table)
-        except ExecError as exc:
-            ex = False
-            error = str(exc)
+        pred_table, ex, error = _execute_and_compare(db_path, pred_sql, gold_table, timeout)
+        if robustness is not None:
+            robustness.append(_robustness_verdict(pred_table, error, perturbed[i], db_path, timeout))
         em = exact_match(pred_sql, item["query"])
         scored += 1
         ex_hits += ex
@@ -339,6 +369,7 @@ def evaluate(
         scored=scored,
         excluded=excluded,
         flag_counts=flag_counts,
+        robustness=robustness,
     )
 
 

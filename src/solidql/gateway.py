@@ -25,11 +25,10 @@ from typing import Callable, Protocol
 
 import requests
 
+from .config import MODES
 from .errors import ConfigError, ProviderError, RateLimited, ReplayMiss
 
 logger = logging.getLogger(__name__)
-
-MODES = ("live", "record", "replay")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +24,7 @@ from .linking import LinkingPredictor, predict_linking
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
     EmbeddingProvider,
+    ExamplePair,
     RetrievalIndex,
     extract_question_skeleton,
     retrieve_by_question_skeleton,
@@ -39,17 +40,6 @@ FLAG_ROUND2_EXTRACT = "round2_extract_error"
 FLAG_ROUND2_RETRIEVAL_FALLBACK = "round2_retrieval_fallback"
 FLAG_ROUND1_ERROR = "round1_error"
 FLAG_ROUND2_ERROR = "round2_error"
-
-
-@dataclass
-class RoundContext:
-    """State carried from round 1 into round 2."""
-
-    question: str
-    schema: DatabaseSchema
-    linked: SchemaSubset
-    q_skeleton: str
-    flags: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -89,93 +79,30 @@ class PipelineResult:
         )
 
 
-def _generate(prompt_system: str, prompt_user: str, gateway: LlmGateway, config: RunConfig) -> str:
+def _generate(
+    question: str,
+    schema: DatabaseSchema,
+    linked: SchemaSubset,
+    examples: list[ExamplePair],
+    gateway: LlmGateway,
+    config: RunConfig,
+) -> str | None:
+    """Prompt with ``examples``, complete once, and extract the SQL.
+
+    Returns None when the completion holds no statement.
+    """
+    prompt = build_prompt(question, schema, linked, examples, focus_enabled=config.focus_enabled)
     request = ChatRequest(
         model_id=config.model_id,
-        messages=(("system", prompt_system), ("user", prompt_user)),
+        messages=(("system", prompt.system), ("user", prompt.user)),
         temperature=0.0,
         max_tokens=config.max_tokens,
     )
-    return gateway.complete(request)
-
-
-def run_round1(
-    question: str,
-    schema: DatabaseSchema,
-    predictor: LinkingPredictor,
-    index: RetrievalIndex,
-    gateway: LlmGateway,
-    embedder: EmbeddingProvider,
-    config: RunConfig,
-) -> tuple[str, RoundContext]:
-    """Link the schema, mask the question, retrieve, and generate once.
-
-    Returns the candidate SQL (empty on extraction failure, flagged) and
-    the context reused by round 2.
-    """
-    linked = predict_linking(question, schema, predictor)
-    skeleton = extract_question_skeleton(question, linked, gateway, config.linking_model)
-    context = RoundContext(question=question, schema=schema, linked=linked, q_skeleton=skeleton.text)
-    if skeleton.used_fallback:
-        context.flags.add(FLAG_SKELETON_FALLBACK)
-    examples = retrieve_by_question_skeleton(
-        skeleton.text, index, config.n_examples, embedder, exclude_question=question
-    )
-    prompt = build_prompt(
-        question,
-        schema,
-        linked,
-        examples.pairs,
-        focus_enabled=config.focus_enabled,
-        round_no=1,
-    )
-    completion = _generate(prompt.system, prompt.user, gateway, config)
-    try:
-        sql = parse_sql_from_completion(completion)
-    except ExtractError:
-        context.flags.add(FLAG_ROUND1_EXTRACT)
-        return "", context
-    return sql, context
-
-
-def run_round2(
-    round1_sql: str,
-    context: RoundContext,
-    index: RetrievalIndex,
-    gateway: LlmGateway,
-    embedder: EmbeddingProvider,
-    config: RunConfig,
-) -> str:
-    """Re-retrieve by SQL-skeleton distance and generate the final SQL.
-
-    An empty or unparseable round-1 statement degrades retrieval to the
-    question skeleton; an extraction failure falls back to the round-1
-    SQL. Both paths set flags on the context.
-    """
-    examples = retrieve_by_sql_skeleton(
-        round1_sql,
-        index,
-        config.n_examples,
-        embedder=embedder,
-        fallback_skeleton=context.q_skeleton,
-        exclude_question=context.question,
-    )
-    if examples.fallback is not None:
-        context.flags.add(FLAG_ROUND2_RETRIEVAL_FALLBACK)
-    prompt = build_prompt(
-        context.question,
-        context.schema,
-        context.linked,
-        examples.pairs,
-        focus_enabled=config.focus_enabled,
-        round_no=2,
-    )
-    completion = _generate(prompt.system, prompt.user, gateway, config)
+    completion = gateway.complete(request)
     try:
         return parse_sql_from_completion(completion)
     except ExtractError:
-        context.flags.add(FLAG_ROUND2_EXTRACT)
-        return round1_sql
+        return None
 
 
 def run_item(
@@ -189,31 +116,57 @@ def run_item(
 ) -> PipelineResult:
     """Run one question through the configured number of rounds.
 
-    A hard round-2 failure (provider down after retries) falls back to
-    the round-1 SQL with a flag; a replay miss propagates, since a
-    replayed run is expected to be hermetic.
+    Round 1 links the schema, masks the question and retrieves by
+    question skeleton; round 2 re-retrieves by SQL-skeleton distance to
+    the round-1 SQL, or by question skeleton when that SQL does not
+    parse. A round-1 extraction failure leaves empty SQL; a round-2
+    extraction failure or a hard round-2 failure (provider down after
+    retries) keeps the round-1 SQL. Each of these sets a flag. A replay
+    miss propagates, since a replayed run is expected to be hermetic.
     """
-    round1_sql, context = run_round1(question, schema, predictor, index, gateway, embedder, config)
+    flags: set[str] = set()
+    linked = predict_linking(question, schema, predictor)
+    skeleton = extract_question_skeleton(question, linked, gateway, config.linking_model)
+    if skeleton.used_fallback:
+        flags.add(FLAG_SKELETON_FALLBACK)
+    examples = retrieve_by_question_skeleton(
+        skeleton.text, index, config.n_examples, embedder, exclude_question=question
+    )
+    round1_sql = _generate(question, schema, linked, examples.pairs, gateway, config)
+    if round1_sql is None:
+        flags.add(FLAG_ROUND1_EXTRACT)
+        round1_sql = ""
     round2_sql = ""
-    final_sql = round1_sql
     if config.rounds == 2:
         try:
-            round2_sql = run_round2(round1_sql, context, index, gateway, embedder, config)
-            final_sql = round2_sql
+            examples = retrieve_by_sql_skeleton(
+                round1_sql,
+                index,
+                config.n_examples,
+                embedder=embedder,
+                fallback_skeleton=skeleton.text,
+                exclude_question=question,
+            )
+            if examples.fallback is not None:
+                flags.add(FLAG_ROUND2_RETRIEVAL_FALLBACK)
+            round2_sql = _generate(question, schema, linked, examples.pairs, gateway, config)
+            if round2_sql is None:
+                flags.add(FLAG_ROUND2_EXTRACT)
+                round2_sql = round1_sql
         except ReplayMiss:
             raise
         except Exception as exc:
             logger.warning("round 2 failed for %r: %s", question[:60], exc)
-            context.flags.add(FLAG_ROUND2_ERROR)
+            flags.add(FLAG_ROUND2_ERROR)
     return PipelineResult(
         question=question,
         db_id=schema.db_id,
-        linked=context.linked,
-        q_skeleton=context.q_skeleton,
+        linked=linked,
+        q_skeleton=skeleton.text,
         round1_sql=round1_sql,
         round2_sql=round2_sql,
-        final_sql=final_sql,
-        flags=tuple(sorted(context.flags)),
+        final_sql=round2_sql or round1_sql,
+        flags=tuple(sorted(flags)),
     )
 
 

@@ -30,18 +30,9 @@ def load_template(name: str) -> Template:
 
 
 @dataclass(frozen=True)
-class PromptMeta:
-    db_id: str
-    round: int
-    n_examples: int
-    focus_enabled: bool
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     system: str
     user: str
-    meta: PromptMeta
 
 
 def serialize_focus(subset: SchemaSubset) -> str:
@@ -72,7 +63,6 @@ def build_prompt(
     examples: list[ExamplePair] | tuple[ExamplePair, ...],
     *,
     focus_enabled: bool = True,
-    round_no: int = 1,
 ) -> PromptBundle:
     """Assemble the SQL-generation prompt.
 
@@ -94,13 +84,7 @@ def build_prompt(
         question=question,
     )
     system = load_template("sql_system_v1").template
-    meta = PromptMeta(
-        db_id=schema.db_id,
-        round=round_no,
-        n_examples=len(examples),
-        focus_enabled=focus_enabled,
-    )
-    return PromptBundle(system=system, user=user, meta=meta)
+    return PromptBundle(system=system, user=user)
 
 
 _FENCE_RE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.IGNORECASE | re.DOTALL)

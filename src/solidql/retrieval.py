@@ -107,7 +107,6 @@ class RetrievalResult(Sequence):
     """Ranked examples plus how they were obtained."""
 
     pairs: list[ExamplePair]
-    mode: str  # "question" or "sql"
     fallback: str | None = None
 
     def __len__(self) -> int:
@@ -256,7 +255,7 @@ def retrieve_by_question_skeleton(
         for bucket, value in terms:
             dot += value * vector[bucket]
         scored.append((-(dot / math.sqrt(target_norm * norm)), pair.pool_index, pair))
-    return RetrievalResult([pair for _, _, pair in heapq.nsmallest(n, scored)], mode="question")
+    return RetrievalResult([pair for _, _, pair in heapq.nsmallest(n, scored)])
 
 
 def retrieve_by_sql_skeleton(
@@ -280,11 +279,11 @@ def retrieve_by_sql_skeleton(
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
         if embedder is None or fallback_skeleton is None:
-            return RetrievalResult([], mode="sql", fallback="question")
+            return RetrievalResult([], fallback="question")
         result = retrieve_by_question_skeleton(
             fallback_skeleton, index, n, embedder, exclude_question=exclude_question
         )
-        return RetrievalResult(result.pairs, mode="question", fallback="question")
+        return RetrievalResult(result.pairs, fallback="question")
     target_labels = index.label_bags.bag(target.tree)
     ranked = sorted(
         (label_lower_bound(target_labels, group.labels), group.members[0].pool_index, group)
@@ -301,7 +300,7 @@ def retrieve_by_sql_skeleton(
         best.extend((distance, pair.pool_index, pair) for pair in members)
         best.sort()
         del best[n:]
-    return RetrievalResult([pair for _, _, pair in best], mode="sql")
+    return RetrievalResult([pair for _, _, pair in best])
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +392,7 @@ def read_index_header(path: str | Path) -> dict:
 
 def load_index(path: str | Path) -> RetrievalIndex:
     path = Path(path)
+    skeletons: dict[str, SqlSkeleton] = {}  # equal texts share one parse
     with path.open(encoding="utf-8") as handle:
         header = json.loads(handle.readline())
         pool: list[ExamplePair] = []
@@ -401,13 +401,16 @@ def load_index(path: str | Path) -> RetrievalIndex:
             if not line:
                 continue
             record = json.loads(line)
+            text = record["s_skeleton"]
+            if text not in skeletons:
+                skeletons[text] = SqlSkeleton.from_text(text)
             pool.append(
                 ExamplePair(
                     question=record["question"],
                     sql=record["sql"],
                     q_skeleton=record["q_skeleton"],
                     q_embedding=tuple(record["q_embedding"]),
-                    s_skeleton=SqlSkeleton.from_text(record["s_skeleton"]),
+                    s_skeleton=skeletons[text],
                     pool_index=record["pool_index"],
                 )
             )

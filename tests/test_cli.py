@@ -228,6 +228,52 @@ def test_cmd_eval_robustness_pairing(workspace, databases_root, capsys):
     assert "robustness  100.0" in capsys.readouterr().out
 
 
+def test_cmd_eval_robustness_failing_pair_exits_one(workspace, databases_root, tmp_path, capsys):
+    results = [json.loads(line) for line in (workspace / "run_eval.jsonl").read_text().splitlines()]
+    results[1]["final_sql"] = "SELECT count(*) FROM employee"  # 4 employees, 3 shops
+    perturbed = tmp_path / "perturbed.jsonl"
+    perturbed.write_text("\n".join(json.dumps(r) for r in results) + "\n")
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        "--predictions", str(workspace / "run_eval.jsonl"),
+        "--robustness", str(perturbed),
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "EX  100.0" in out
+    assert "robustness  80.0" in out
+
+
+def test_cmd_eval_refuses_misaligned_items(workspace, databases_root, tmp_path, capsys):
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()
+
+    def eval_with(predictions, robustness):
+        files = []
+        for name, edit in (("clean.jsonl", predictions), ("perturbed.jsonl", robustness)):
+            results = [json.loads(line) for line in lines]
+            results[2].update(edit)
+            path = tmp_path / name
+            path.write_text("\n".join(json.dumps(r) for r in results) + "\n")
+            files.append(str(path))
+        return main([
+            "eval",
+            "--dataset", str(workspace / "shop_dataset.json"),
+            "--databases", str(databases_root),
+            "--predictions", files[0],
+            "--robustness", files[1],
+        ])
+
+    assert eval_with({"db_id": "concert_singer"}, {}) == 2
+    assert "alignment mismatch at item 2" in capsys.readouterr().err
+    assert eval_with({"question": "Another question?"}, {}) == 2
+    assert eval_with({}, {"db_id": "concert_singer"}) == 2
+    assert "robustness pair 2 targets different databases" in capsys.readouterr().err
+    # only perturbed questions may differ
+    assert eval_with({}, {"question": "A reworded question?"}) == 0
+
+
 def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_path):
     short = tmp_path / "short.jsonl"
     lines = (workspace / "run_eval.jsonl").read_text().splitlines()

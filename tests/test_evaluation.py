@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from solidql.errors import ExecError, ExecTimeout
@@ -41,6 +43,22 @@ def test_fixture_filter(concert_db):
 
 def test_timeout_interrupts(concert_db):
     # cross join explosion; 1e10 rows would take far longer than 0.2 s
+    slow = (
+        "SELECT count(*) FROM singer a, singer b, singer c, singer d, singer e, "
+        "singer f, singer g, singer h, singer i, singer j, singer k, singer l"
+    )
+    with pytest.raises(ExecTimeout):
+        execute_sql(concert_db, slow, timeout=0.2)
+
+
+def test_execute_sql_starts_no_thread(concert_db, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("execute_sql started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert execute_sql(concert_db, "SELECT count(*) FROM singer").rows == ((5,),)
+    with pytest.raises(ExecError):
+        execute_sql(concert_db, "SELECT zzz FROM singer")
     slow = (
         "SELECT count(*) FROM singer a, singer b, singer c, singer d, singer e, "
         "singer f, singer g, singer h, singer i, singer j, singer k, singer l"
@@ -192,6 +210,31 @@ def test_evaluate_excludes_bad_gold(databases_root):
 def test_evaluate_length_mismatch_fatal(databases_root):
     with pytest.raises(ValueError):
         evaluate([{"question": "q", "db_id": "shop", "query": "SELECT 1"}], [], databases_root)
+    with pytest.raises(ValueError):
+        evaluate([{"question": "q", "db_id": "shop", "query": "SELECT 1"}], ["SELECT 1"],
+                 databases_root, perturbed=[])
+
+
+def test_evaluate_robustness_matches_robustness_check(databases_root, concert_db):
+    # (gold, clean prediction, perturbed prediction)
+    triples = [
+        ("SELECT name FROM singer", "SELECT name FROM singer", "select  name from singer ;"),
+        ("SELECT name FROM singer", "SELECT zzz FROM singer", "SELECT name FROM singer"),
+        ("SELECT broken FROM nowhere", "SELECT name FROM singer", "SELECT name FROM singer"),
+        ("SELECT count(*) FROM concert", "SELECT count(*) FROM concert", "SELECT count(*) FROM singer"),
+        ("SELECT age FROM singer", "SELECT age FROM singer ORDER BY age", "SELECT age FROM singer ORDER BY age DESC"),
+        ("SELECT age FROM singer", "SELECT age FROM singer", "SELECT zzz FROM singer"),
+        ("SELECT broken FROM nowhere", "SELECT zzz FROM singer", "SELECT name FROM singer"),
+    ]
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold}
+               for i, (gold, _, _) in enumerate(triples)]
+    clean = [c for _, c, _ in triples]
+    perturbed = [p for _, _, p in triples]
+    report = evaluate(dataset, clean, databases_root, perturbed=perturbed)
+    assert report.robustness == [robustness_check(c, p, concert_db) for c, p in zip(clean, perturbed)]
+    assert [bool(v) for v in report.robustness] == [True, False, True, False, False, False, False]
+    assert report.table().splitlines()[-1] == "robustness  28.6"
+    assert report.to_dict() == evaluate(dataset, clean, databases_root).to_dict()
 
 
 def test_report_totals_equal_verdict_sums(databases_root):

@@ -13,13 +13,12 @@ from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.linking import OracleLinkingPredictor
 from solidql.pipeline import (
     FLAG_ROUND1_EXTRACT,
+    FLAG_ROUND2_EXTRACT,
     FLAG_ROUND2_RETRIEVAL_FALLBACK,
     PipelineResult,
     ProgressLedger,
     run_batch,
     run_item,
-    run_round1,
-    run_round2,
     write_results,
 )
 from solidql.retrieval import build_index
@@ -67,12 +66,12 @@ def components(schemas, shop_dataset, fixture_index, provider):
 
 def test_round1_uses_scripted_sql(components):
     schema, predictor, index, gateway, embedder, config = components
-    sql, context = run_round1(
+    result = run_item(
         "How many shops are there?", schema, predictor, index, gateway, embedder, config
     )
-    assert sql == "SELECT count(*) FROM shop"
-    assert context.q_skeleton == "How many _ are there?"
-    assert not context.flags
+    assert result.round1_sql == "SELECT count(*) FROM shop"
+    assert result.q_skeleton == "How many _ are there?"
+    assert not result.flags
 
 
 def test_round1_empty_subset_drops_focus_line(components, provider):
@@ -82,49 +81,60 @@ def test_round1_empty_subset_drops_focus_line(components, provider):
         def predict(self, question, schema):
             return SchemaSubset()
 
-    sql, context = run_round1(
+    result = run_item(
         "How many shops are there?", schema, EmptyPredictor(), index, gateway, embedder, config
     )
-    assert sql == "SELECT count(*) FROM shop"
+    assert result.round1_sql == "SELECT count(*) FROM shop"
     generation_prompts = [p for p in provider.prompts if "Return a single SQL" in p]
-    assert generation_prompts
+    assert len(generation_prompts) == 2
     assert all("focus on" not in p for p in generation_prompts)
 
 
 def test_round1_extract_error_flags_and_continues(components, provider):
     schema, predictor, index, gateway, embedder, config = components
-    provider.generations["What are the names of all employees?"] = "no sql here at all"
-    sql, context = run_round1(
-        "What are the names of all employees?", schema, predictor, index, gateway, embedder, config
-    )
-    assert sql == ""
-    assert FLAG_ROUND1_EXTRACT in context.flags
+    question = "What are the names of all employees?"
+    provider.generations[question] = ["no sql here at all", "SELECT name FROM employee"]
+    result = run_item(question, schema, predictor, index, gateway, embedder, config)
+    assert result.round1_sql == ""
+    assert FLAG_ROUND1_EXTRACT in result.flags
+    # round 2 still runs, retrieving by question skeleton
+    assert FLAG_ROUND2_RETRIEVAL_FALLBACK in result.flags
+    assert result.final_sql == result.round2_sql == "SELECT name FROM employee"
 
 
 def test_round2_reranks_by_sql_and_prefers_verbatim_pool_member(components, provider, shop_pool):
     schema, predictor, index, gateway, embedder, config = components
+    question = "What are the names of employees older than 40?"
     pool_sql = shop_pool[2]["query"]  # SELECT name FROM employee WHERE age < 35
-    sql, context = run_round1(
-        "What are the names of employees older than 40?", schema, predictor, index,
-        gateway, embedder, config,
-    )
-    assert sql == "SELECT name FROM employee WHERE age > 40"
-    final = run_round2(pool_sql, context, index, gateway, embedder, config)
+    provider.generations[question] = [pool_sql, "SELECT name FROM employee WHERE age > 40"]
+    result = run_item(question, schema, predictor, index, gateway, embedder, config)
+    assert result.round1_sql == pool_sql
     round2_prompt = provider.prompts[-1]
     first_q = round2_prompt.index(shop_pool[2]["question"])
     for other in (0, 1, 3, 4):
         if shop_pool[other]["question"] in round2_prompt:
             assert first_q < round2_prompt.index(shop_pool[other]["question"])
-    assert final == "SELECT name FROM employee WHERE age > 40"
+    assert result.final_sql == "SELECT name FROM employee WHERE age > 40"
+    assert not result.flags
 
 
-def test_round2_falls_back_to_question_retrieval_on_bad_sql(components):
+def test_round2_falls_back_to_question_retrieval_on_bad_sql(components, provider):
     schema, predictor, index, gateway, embedder, config = components
-    _, context = run_round1(
-        "How many shops are there?", schema, predictor, index, gateway, embedder, config
-    )
-    run_round2("SELEC broken FORM x", context, index, gateway, embedder, config)
-    assert FLAG_ROUND2_RETRIEVAL_FALLBACK in context.flags
+    question = "How many shops are there?"
+    provider.generations[question] = ["SELECT broken FORM x", "SELECT count(*) FROM shop"]
+    result = run_item(question, schema, predictor, index, gateway, embedder, config)
+    assert result.round1_sql == "SELECT broken FORM x"
+    assert result.flags == (FLAG_ROUND2_RETRIEVAL_FALLBACK,)
+    assert result.final_sql == "SELECT count(*) FROM shop"
+
+
+def test_round2_extract_error_keeps_round1_sql(components, provider):
+    schema, predictor, index, gateway, embedder, config = components
+    question = "How many shops are there?"
+    provider.generations[question] = ["SELECT count(*) FROM shop", "no sql here at all"]
+    result = run_item(question, schema, predictor, index, gateway, embedder, config)
+    assert result.flags == (FLAG_ROUND2_EXTRACT,)
+    assert result.final_sql == result.round2_sql == result.round1_sql == "SELECT count(*) FROM shop"
 
 
 def test_rounds_one_skips_round_two(components, provider):

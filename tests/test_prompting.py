@@ -101,17 +101,6 @@ def test_prompt_ends_with_output_directive(shop_schema):
     assert bundle.user.rstrip().endswith("Return a single SQL statement and nothing else.")
 
 
-def test_meta_fields(shop_schema, example_pairs):
-    linked = SchemaSubset.build(["shop"], [])
-    bundle = build_prompt(
-        "q", shop_schema, linked, example_pairs, focus_enabled=False, round_no=2
-    )
-    assert bundle.meta.db_id == "shop"
-    assert bundle.meta.round == 2
-    assert bundle.meta.n_examples == 2
-    assert bundle.meta.focus_enabled is False
-
-
 @pytest.mark.parametrize(
     ("completion", "expected"),
     [

@@ -301,6 +301,30 @@ def test_save_load_round_trip(tmp_path, small_index):
         assert a.s_skeleton.tree == b.s_skeleton.tree
 
 
+def test_load_parses_each_distinct_skeleton_once(tmp_path, small_index, monkeypatch):
+    from solidql.skeleton import SqlSkeleton
+
+    index, _ = small_index
+    path = tmp_path / "idx.jsonl"
+    save_index(index, path)
+    parsed: list[str] = []
+    from_text = SqlSkeleton.from_text.__func__
+
+    def counting(cls, text):
+        parsed.append(text)
+        return from_text(cls, text)
+
+    monkeypatch.setattr(SqlSkeleton, "from_text", classmethod(counting))
+    loaded = load_index(path)
+    texts = [pair.s_skeleton.text for pair in index.pool]
+    assert len(set(texts)) < len(texts)  # the pool repeats skeletons
+    assert sorted(parsed) == sorted(set(texts))
+    assert [a.s_skeleton for a in loaded.pool] == [b.s_skeleton for b in index.pool]
+    by_text = {}
+    for pair in loaded.pool:
+        assert by_text.setdefault(pair.s_skeleton.text, pair.s_skeleton) is pair.s_skeleton
+
+
 def test_index_uses_gateway_skeletons_with_linked_context(schemas):
     provider = FakeChatProvider(
         skeletons={"what are the names of singers": "what are the _ of _"}
