@@ -28,7 +28,7 @@ from .data import (
     write_sft_records,
 )
 from .embeddings import make_embedder
-from .errors import ConfigError, ProviderError, ReplayMiss, SolidQlError
+from .errors import ConfigError, CorruptFileError, ProviderError, ReplayMiss, SolidQlError
 from .evaluation import evaluate, write_report
 from .gateway import HttpChatProvider, LlmGateway, TranscriptStore
 from .linking import (
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ProviderError, ReplayMiss) as exc:
+    except (CorruptFileError, ProviderError, ReplayMiss) as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except (OSError, SolidQlError, ValueError) as exc:

@@ -63,5 +63,9 @@ class ExecTimeout(ExecError):
     """SQL execution exceeded the per-query timeout."""
 
 
+class CorruptFileError(SolidQlError):
+    """A ledger or transcript file has a malformed line that no interrupted append explains."""
+
+
 class ConfigError(SolidQlError):
     """A run configuration is unusable (bad value, mismatched artifacts)."""

@@ -27,6 +27,7 @@ import requests
 
 from .config import MODES
 from .errors import ConfigError, ProviderError, RateLimited, ReplayMiss
+from .jsonl import JsonLines
 
 logger = logging.getLogger(__name__)
 
@@ -68,26 +69,26 @@ class Transcript:
     recorded_at: str
 
 
+def _transcript_of(record: dict) -> Transcript:
+    return Transcript(
+        request_hash=record["hash"],
+        response=record["response"],
+        provider=record.get("provider", ""),
+        recorded_at=record.get("recorded_at", ""),
+    )
+
+
 class TranscriptStore:
     """Append-only line-delimited store of request/response transcripts."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._transcripts: dict[str, Transcript] = {}
-        if self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._transcripts[record["hash"]] = Transcript(
-                        request_hash=record["hash"],
-                        response=record["response"],
-                        provider=record.get("provider", ""),
-                        recorded_at=record.get("recorded_at", ""),
-                    )
+        self._file = JsonLines(self.path)
+        self._transcripts: dict[str, Transcript] = {
+            transcript.request_hash: transcript
+            for transcript in self._file.records(_transcript_of)
+        }
 
     def __len__(self) -> int:
         return len(self._transcripts)
@@ -115,9 +116,7 @@ class TranscriptStore:
                 "provider": transcript.provider,
                 "recorded_at": transcript.recorded_at,
             }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            self._file.append(json.dumps(entry, sort_keys=True))
 
 
 class ChatProvider(Protocol):

@@ -1,0 +1,84 @@
+"""Append-only JSON-lines files that survive a crash mid-append.
+
+Each record is one JSON value on one line. A crash while appending can
+leave a final line without its newline. Reading drops such a line, with
+a warning, when it does not decode, and the next append first cuts the
+file back to the end of the last whole line, so the new record cannot
+glue onto the torn one. A line that does not decode anywhere else is
+corruption that no interrupted append explains, and is fatal.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+from pathlib import Path
+from typing import Any, Callable, Iterator, TypeVar
+
+from .errors import CorruptFileError
+
+logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+
+
+class JsonLines:
+    """One JSON-lines file: ``records`` reads it, ``append`` adds a line.
+
+    The caller serializes appends.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._cut: int | None = None  # byte length to truncate to before the next append
+        self._prefix = b""  # written before the next append's line
+
+    def records(self, parse: Callable[[Any], T]) -> Iterator[T]:
+        """``parse`` of each non-blank line's JSON value, in file order.
+
+        Raises ``CorruptFileError``, naming the file and the line, for a
+        line that does not decode, unless it is an unterminated final
+        line, and for a value that ``parse`` rejects with ``KeyError``,
+        ``TypeError`` or ``ValueError``.
+        """
+        self._cut, self._prefix = None, b""
+        if not self.path.exists():
+            return
+        offset = 0
+        with self.path.open("rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                whole = raw.endswith(b"\n")
+                if raw.strip():
+                    try:
+                        value = json.loads(raw.decode("utf-8"))
+                    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                        if whole:
+                            raise self._corrupt(number, exc) from None
+                        logger.warning(
+                            "%s, line %d: dropping a torn final line (%d bytes)",
+                            self.path, number, len(raw),
+                        )
+                        self._cut = offset
+                        return
+                    try:
+                        record = parse(value)
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise self._corrupt(number, exc) from None
+                    if not whole:
+                        self._prefix = b"\n"
+                    yield record
+                elif not whole:
+                    self._cut = offset
+                offset += len(raw)
+
+    def _corrupt(self, number: int, exc: Exception) -> CorruptFileError:
+        return CorruptFileError(f"{self.path}, line {number}: malformed record ({exc!r})")
+
+    def append(self, line: str) -> None:
+        """Write one serialized record and its newline at the end of the file."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("ab") as handle:
+            if self._cut is not None:
+                handle.truncate(self._cut)
+            handle.write(self._prefix + line.encode("utf-8") + b"\n")
+        self._cut, self._prefix = None, b""

@@ -20,6 +20,7 @@ from typing import Sequence
 from .config import RunConfig
 from .errors import ExtractError, ReplayMiss
 from .gateway import ChatRequest, LlmGateway
+from .jsonl import JsonLines
 from .linking import LinkingPredictor, predict_linking
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
@@ -181,29 +182,24 @@ class ProgressLedger:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._file = JsonLines(self.path)
 
     def load(self) -> dict[int, PipelineResult]:
-        done: dict[int, PipelineResult] = {}
-        if not self.path.exists():
-            return done
-        with self.path.open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                done[entry["index"]] = PipelineResult.from_dict(entry["result"])
-        return done
+        """Completed items by index; a torn final line is dropped (see ``JsonLines``)."""
+        return dict(
+            self._file.records(
+                lambda entry: (entry["index"], PipelineResult.from_dict(entry["result"]))
+            )
+        )
 
     def append(self, index: int, result: PipelineResult) -> None:
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"index": index, "result": result.to_dict()}) + "\n")
+            self._file.append(json.dumps({"index": index, "result": result.to_dict()}))
 
     def clear(self) -> None:
         if self.path.exists():
             self.path.unlink()
+        self._file = JsonLines(self.path)
 
 
 def run_batch(

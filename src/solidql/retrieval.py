@@ -7,11 +7,15 @@ they are total orders and stable across runs.
 
 Round 1 scans the whole pool, but takes each dot product over the
 target's non-zero buckets only. Round 2 scores each distinct skeleton
-once, in ascending order of a label-multiset lower bound on its
-distance, and stops when that bound exceeds the n-th best distance
-found so far. It does not stop on a bound equal to that distance,
-since an unscored candidate at that distance with a lower pool index
-would rank ahead of it.
+at most once, visiting them in ascending order of (label-multiset lower
+bound on the distance, first pool index). Once n candidates are held,
+it stops at the first skeleton whose (bound, first pool index) exceeds
+the n-th best (distance, pool index): every later member is farther
+away, or as far and later in the pool, so none can rank ahead of it.
+A skeleton before that point is scored only if its traversal-string
+lower bound is within the cutoff it has to beat: the n-th best
+distance, or one less when all its members come after the n-th best in
+the pool.
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ from .embeddings import EmbeddingProvider
 from .errors import ParseError
 from .gateway import ChatRequest, LlmGateway
 from .schema import SchemaSubset
-from .skeleton import LabelBag, LabelBags, SqlSkeleton, label_lower_bound, tree_edit_distance
+from .skeleton import (
+    LabelBag,
+    LabelBags,
+    SqlSkeleton,
+    compile_tree,
+    label_lower_bound,
+    traversal_lower_bound,
+    tree_edit_distance,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -284,19 +296,26 @@ def retrieve_by_sql_skeleton(
             fallback_skeleton, index, n, embedder, exclude_question=exclude_question
         )
         return RetrievalResult(result.pairs, fallback="question")
+    target_tree = compile_tree(target.tree)
     target_labels = index.label_bags.bag(target.tree)
     ranked = sorted(
         (label_lower_bound(target_labels, group.labels), group.members[0].pool_index, group)
         for group in index.skeleton_groups
     )
     best: list[tuple[int, int, ExamplePair]] = []
-    for bound, _, group in ranked:
-        if len(best) == n and bound > best[-1][0]:
-            break  # no later group can come closer than the n-th best
+    for bound, first, group in ranked:
+        if len(best) == n and (bound, first) > best[-1][:2]:
+            break  # every later member is farther, or as far and later in the pool
         members = [pair for pair in group.members if pair.question != exclude_question]
         if not members:
             continue
-        distance = tree_edit_distance(target, group.skeleton)
+        tree = compile_tree(group.skeleton.tree)
+        if len(best) == n:
+            # a member ranks ahead of the n-th best only within this distance
+            limit = best[-1][0] - (members[0].pool_index > best[-1][1])
+            if traversal_lower_bound(target_tree, tree, limit) > limit:
+                continue
+        distance = tree_edit_distance(target_tree, tree)
         best.extend((distance, pair.pool_index, pair) for pair in members)
         best.sort()
         del best[n:]

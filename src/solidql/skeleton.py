@@ -9,13 +9,14 @@ text rendering can be parsed back into an equal tree.
 Structural similarity is the edit distance between skeleton trees:
 the minimum number of node insertions, deletions, and relabelings that
 turns one ordered tree into the other (Zhang–Shasha dynamic program,
-unit costs).
+unit costs). Two cheap lower bounds on it let a search skip trees: the
+label-multiset bound and the traversal-string bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .sql.nodes import (
     COLUMN_ALIAS,
@@ -96,9 +97,13 @@ def _restore_placeholders(node: Node) -> Node:
 # ----------------------------------------------------------------------
 
 
-def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton) -> int:
-    """Minimum unit-cost edit script length between two skeletons."""
-    return node_edit_distance(a.tree, b.tree)
+def tree_edit_distance(a: SqlSkeleton | CompiledTree, b: SqlSkeleton | CompiledTree) -> int:
+    """Minimum unit-cost edit script length between two skeletons.
+
+    Either side may be given as a ``CompiledTree``, so that a tree
+    compared with many others is compiled once.
+    """
+    return _zhang_shasha(_compiled(a), _compiled(b))
 
 
 def skeleton_similarity(a: SqlSkeleton, b: SqlSkeleton) -> float:
@@ -162,40 +167,116 @@ def label_lower_bound(a: LabelBag, b: LabelBag) -> int:
     return max(a.size, b.size) - (a.mask & b.mask).bit_count()
 
 
-def node_edit_distance(a: Node, b: Node) -> int:
-    """Zhang–Shasha ordered-tree edit distance with unit costs."""
-    la, labels_a = _postorder(a)
-    lb, labels_b = _postorder(b)
-    n, m = len(labels_a), len(labels_b)
-    keyroots_a = _keyroots(la)
-    keyroots_b = _keyroots(lb)
-    # treedist[i][j]: distance between subtrees rooted at postorder i, j
-    treedist = [[0] * m for _ in range(n)]
+class CompiledTree(NamedTuple):
+    """The label sequences and postorder indices that the distances read."""
 
-    for ka in keyroots_a:
-        for kb in keyroots_b:
-            _subtree_distance(ka, kb, la, lb, labels_a, labels_b, treedist)
-    return treedist[n - 1][m - 1]
+    preorder: list[str]  # labels in preorder
+    postorder: list[str]  # labels in postorder
+    leftmost: list[int]  # postorder index of each node's leftmost leaf, in postorder
+    keyroots: list[int]
 
 
-def _postorder(root: Node) -> tuple[list[int], list[str]]:
-    """Leftmost-leaf indices and labels, both in postorder."""
+def compile_tree(root: Node) -> CompiledTree:
+    """The arrays ``tree_edit_distance`` and ``traversal_lower_bound`` read."""
+    preorder: list[str] = []
+    postorder: list[str] = []
     leftmost: list[int] = []
-    labels: list[str] = []
 
     def visit(node: Node) -> int:
+        label = node.label
+        preorder.append(label)
         first_leaf: int | None = None
         for child in node.children:
             child_leaf = visit(child)
             if first_leaf is None:
                 first_leaf = child_leaf
-        index = len(labels)
+        index = len(postorder)
         leftmost.append(index if first_leaf is None else first_leaf)
-        labels.append(node.label)
+        postorder.append(label)
         return leftmost[index]
 
     visit(root)
-    return leftmost, labels
+    return CompiledTree(preorder, postorder, leftmost, _keyroots(leftmost))
+
+
+def _compiled(skeleton: SqlSkeleton | CompiledTree) -> CompiledTree:
+    return skeleton if isinstance(skeleton, CompiledTree) else compile_tree(skeleton.tree)
+
+
+def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
+    """min(limit + 1, the larger unit-cost string edit distance of the
+    two trees' preorder label sequences and of their postorder ones).
+
+    An edit of a tree is at most one edit of each traversal string, so
+    either string distance is a lower bound on the tree edit distance
+    (Guha et al., SIGMOD 2002). ``limit`` lets both be computed in a
+    band and abandoned early; see ``bounded_string_distance``.
+    """
+    # postorder first: on generated skeletons it rules out more pairs
+    distance = bounded_string_distance(a.postorder, b.postorder, limit)
+    if distance > limit:
+        return distance
+    return max(distance, bounded_string_distance(a.preorder, b.preorder, limit))
+
+
+def bounded_string_distance(s: Sequence[str], t: Sequence[str], limit: int) -> int:
+    """min(limit + 1, unit-cost edit distance between ``s`` and ``t``).
+
+    Only cells with |i − j| ≤ limit are filled: an alignment that leaves
+    that band makes more than ``limit`` insertions or deletions. Cells
+    outside it count as limit + 1, which keeps every filled cell at or
+    above its exact value and exact whenever that value is within the
+    limit. The search stops at the first row whose cells all exceed the
+    limit, since no cell of a later row is less than the least of them.
+    """
+    cap = limit + 1
+    n, m = len(s), len(t)
+    if abs(n - m) >= cap:
+        return cap
+    prev = [j if j < cap else cap for j in range(m + 1)]
+    for i in range(1, n + 1):
+        row = [cap] * (m + 1)
+        if i < cap:
+            row[0] = i
+        first = max(1, i - limit)
+        least = left = row[first - 1]
+        diag = prev[first - 1]
+        label = s[i - 1]
+        for j in range(first, min(m, i + limit) + 1):
+            up = prev[j]
+            best = diag + (label != t[j - 1])
+            if up < left:  # best = min(best, up + 1, left + 1)
+                left = up
+            if left + 1 < best:
+                best = left + 1
+            if best > cap:
+                best = cap
+            row[j] = left = best
+            diag = up
+            if best < least:
+                least = best
+        if least >= cap:
+            return cap
+        prev = row
+    return prev[m]
+
+
+def node_edit_distance(a: Node, b: Node) -> int:
+    """Zhang–Shasha ordered-tree edit distance with unit costs."""
+    return _zhang_shasha(compile_tree(a), compile_tree(b))
+
+
+def _zhang_shasha(a: CompiledTree, b: CompiledTree) -> int:
+    la, labels_a = a.leftmost, a.postorder
+    lb, labels_b = b.leftmost, b.postorder
+    n, m = len(labels_a), len(labels_b)
+    # treedist[i][j]: distance between subtrees rooted at postorder i, j
+    treedist = [[0] * m for _ in range(n)]
+
+    for ka in a.keyroots:
+        for kb in b.keyroots:
+            _subtree_distance(ka, kb, la, lb, labels_a, labels_b, treedist)
+    return treedist[n - 1][m - 1]
 
 
 def _keyroots(leftmost: list[int]) -> list[int]:

@@ -202,6 +202,32 @@ def test_cmd_eval_all_gold_is_perfect(workspace, databases_root, capsys):
     assert "EM  100.0" in out
 
 
+def test_cmd_run_corrupt_ledger_exits_environment(workspace, tmp_path, capsys):
+    output = tmp_path / "out.jsonl"
+    ledger = output.with_suffix(".progress.jsonl")
+    ledger.write_text('\n{broken\n{"index": 1, "result": {}}\n')
+    code = run_cli(workspace, "run", "--mode", "replay", "--output", str(output))
+    assert code == 3
+    assert f"{ledger}, line 2" in capsys.readouterr().err
+
+
+def test_cmd_run_corrupt_transcripts_exit_environment(workspace, tmp_path, capsys):
+    transcripts = tmp_path / "transcripts.jsonl"
+    lines = (workspace / "transcripts.jsonl").read_text().splitlines(keepends=True)
+    transcripts.write_text("".join(lines[:2]) + "{broken\n" + "".join(lines[2:]))
+    code = main([
+        "run",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--index", str(workspace / "index.jsonl"),
+        "--transcripts", str(transcripts),
+        "--mode", "replay",
+        "--output", str(tmp_path / "out.jsonl"),
+    ])
+    assert code == 3
+    assert f"{transcripts}, line 3" in capsys.readouterr().err
+
+
 def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_path):
     results = [json.loads(line) for line in (workspace / "run_eval.jsonl").read_text().splitlines()]
     results[0]["final_sql"] = "SELECT age FROM employee"  # wrong column

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from solidql.errors import ConfigError, ProviderError, RateLimited, ReplayMiss
+from solidql.errors import ConfigError, CorruptFileError, ProviderError, RateLimited, ReplayMiss
 from solidql.gateway import (
     ChatRequest,
     HttpChatProvider,
@@ -54,6 +54,34 @@ def test_replay_returns_stored_response_byte_exactly(tmp_path):
     # a fresh store instance reads the same bytes back
     reloaded = TranscriptStore(tmp_path / "t.jsonl")
     assert LlmGateway(mode="replay", store=reloaded).complete(request) == "SELECT 1"
+
+
+def test_store_drops_a_torn_final_line_and_records_after_it(tmp_path, caplog):
+    path = tmp_path / "t.jsonl"
+    TranscriptStore(path).record(make_request("a"), "SELECT 1", "fake")
+    whole = path.read_bytes()
+    path.write_bytes(whole + '{"hash": "é'.encode()[:-1])  # torn inside a UTF-8 character
+
+    with caplog.at_level("WARNING"):
+        store = TranscriptStore(path)
+    assert len(store) == 1
+    assert "line 2" in caplog.text and str(path) in caplog.text
+    store.record(make_request("b"), "SELECT 2", "fake")
+    assert path.read_bytes().startswith(whole) and path.read_bytes().count(b"\n") == 2
+    replay = LlmGateway(mode="replay", store=TranscriptStore(path))
+    assert replay.complete(make_request("a")) == "SELECT 1"
+    assert replay.complete(make_request("b")) == "SELECT 2"
+
+
+def test_store_malformed_line_mid_file_is_fatal(tmp_path):
+    path = tmp_path / "t.jsonl"
+    store = TranscriptStore(path)
+    store.record(make_request("a"), "SELECT 1", "fake")
+    good = path.read_bytes()
+    for damaged in (good + b"{not json\n" + good, good + b"{not json\n"):
+        path.write_bytes(damaged)
+        with pytest.raises(CorruptFileError, match=r"t\.jsonl, line 2"):
+            TranscriptStore(path)
 
 
 def test_replay_miss_raises(tmp_path):
@@ -175,6 +203,7 @@ def scripted_server():
     yield start
     for server in servers:
         server.shutdown()
+        server.server_close()
 
 
 def test_retry_succeeds_after_three_429s(scripted_server):

@@ -8,7 +8,7 @@ import pytest
 
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
-from solidql.errors import ReplayMiss
+from solidql.errors import CorruptFileError, ReplayMiss
 from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.linking import OracleLinkingPredictor
 from solidql.pipeline import (
@@ -235,6 +235,68 @@ def test_ledger_resume_skips_completed_items(components, schemas, shop_dataset, 
     )
     assert provider.calls.count("generate") == before
     assert [r.to_dict() for r in again] == [r.to_dict() for r in results]
+
+
+def _ledger_result(sql: str) -> PipelineResult:
+    return PipelineResult(
+        question="q", db_id="shop", linked=SchemaSubset(), q_skeleton="",
+        round1_sql=sql, round2_sql=sql, final_sql=sql, flags=(),
+    )
+
+
+def test_ledger_drops_a_torn_final_line_and_appends_after_it(tmp_path, caplog):
+    path = tmp_path / "progress.jsonl"
+    ledger = ProgressLedger(path)
+    ledger.append(0, _ledger_result("SELECT 0"))
+    ledger.append(1, _ledger_result("SELECT 1"))
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"index": 2, "result": {"quest')  # killed mid-append
+
+    resumed = ProgressLedger(path)
+    with caplog.at_level("WARNING"):
+        assert sorted(resumed.load()) == [0, 1]
+    assert "line 3" in caplog.text and str(path) in caplog.text
+    assert path.read_bytes().startswith(whole)  # loading alone leaves the file alone
+    resumed.append(2, _ledger_result("SELECT 2"))
+    assert path.read_bytes().startswith(whole) and path.read_bytes().count(b"\n") == 3
+    assert {i: r.final_sql for i, r in ProgressLedger(path).load().items()} == {
+        0: "SELECT 0", 1: "SELECT 1", 2: "SELECT 2"
+    }
+
+
+def test_ledger_cleared_after_a_torn_load_starts_empty(tmp_path):
+    path = tmp_path / "progress.jsonl"
+    ledger = ProgressLedger(path)
+    ledger.append(0, _ledger_result("SELECT 0"))
+    path.write_bytes(path.read_bytes() + b'{"index": 1')
+    assert list(ledger.load()) == [0]
+    ledger.clear()
+    ledger.append(2, _ledger_result("SELECT 2"))
+    assert path.read_bytes().startswith(b'{"index": 2')
+    assert list(ProgressLedger(path).load()) == [2]
+
+
+def test_ledger_keeps_an_unterminated_final_record(tmp_path):
+    path = tmp_path / "progress.jsonl"
+    ProgressLedger(path).append(0, _ledger_result("SELECT 0"))
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    ledger = ProgressLedger(path)
+    assert list(ledger.load()) == [0]
+    ledger.append(1, _ledger_result("SELECT 1"))
+    assert sorted(ProgressLedger(path).load()) == [0, 1]
+
+
+def test_ledger_malformed_line_mid_file_is_fatal(tmp_path):
+    path = tmp_path / "progress.jsonl"
+    ledger = ProgressLedger(path)
+    ledger.append(0, _ledger_result("SELECT 0"))
+    path.write_bytes(path.read_bytes() + b"{not json\n")
+    ledger.append(2, _ledger_result("SELECT 2"))
+    with pytest.raises(CorruptFileError, match=r"progress\.jsonl, line 2"):
+        ProgressLedger(path).load()
+    path.write_bytes(b'{"index": 0}\n')  # decodes, but is no ledger entry
+    with pytest.raises(CorruptFileError, match=r"progress\.jsonl, line 1"):
+        ProgressLedger(path).load()
 
 
 def test_replay_batch_is_byte_reproducible(schemas, shop_dataset, fixture_index, provider, tmp_path):

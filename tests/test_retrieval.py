@@ -257,6 +257,55 @@ def test_sql_ranking_matches_brute_force(small_index):
     assert [p.pool_index for p in got] == expected
 
 
+def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
+    from solidql import retrieval
+    from solidql.skeleton import SqlSkeleton, tree_edit_distance
+
+    statements = [
+        "SELECT a FROM t",  # the target's skeleton, shared with pool item 7
+        "SELECT count(a) FROM t",  # six skeletons at distance 1 ...
+        "SELECT DISTINCT a FROM t",
+        "SELECT max(a) FROM t",
+        "SELECT * FROM t",
+        "SELECT a, b FROM t",
+        "SELECT min(b) FROM u",
+        "SELECT b FROM u",
+        "SELECT count(b) FROM u",
+        "SELECT a FROM t WHERE b = 1",
+        "SELECT sum(a) FROM t",  # ... and a seventh, later in the pool
+    ]
+    index = build_index([(f"question {i}", sql) for i, sql in enumerate(statements)], HashedBagOfTokens())
+    target = SqlSkeleton.from_sql("SELECT c FROM v")
+    distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+    assert sorted(d for _, d in distances).count(1) == 8
+    distinct = len({p.s_skeleton.text for p in index.pool})
+
+    visits = {"scored": 0, "filtered": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            visits[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(retrieval, "tree_edit_distance", counting("scored", tree_edit_distance))
+    monkeypatch.setattr(
+        retrieval, "traversal_lower_bound", counting("filtered", retrieval.traversal_lower_bound)
+    )
+    for excluded in (None, 0):  # question 0 is the first member of the target's group
+        exclude = None if excluded is None else f"question {excluded}"
+        skip = () if excluded is None else (excluded,)
+        for n in range(1, len(statements) + 1):
+            visits.update(scored=0, filtered=0)
+            got = retrieve_by_sql_skeleton("SELECT c FROM v", index, n, exclude_question=exclude)
+            assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
+            if n == 2:
+                # The second best is at distance 1 or better, so the seven
+                # distance-1 skeletons after it are neither scored nor checked.
+                assert visits["scored"] + visits["filtered"] <= 2 < distinct
+
+
 # ----------------------------------------------------------------------
 # index build and persistence
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Edit distance against the exhaustive mapping oracle, plus metric axioms."""
+"""Edit distance against the exhaustive mapping oracle, metric axioms and lower bounds."""
 
 from __future__ import annotations
 
@@ -8,8 +8,11 @@ from collections import Counter
 from solidql.skeleton import (
     LabelBags,
     SqlSkeleton,
+    bounded_string_distance,
+    compile_tree,
     label_lower_bound,
     node_edit_distance,
+    traversal_lower_bound,
     tree_edit_distance,
 )
 from solidql.sql.nodes import Node
@@ -111,3 +114,61 @@ def test_label_bags_leave_out_unnumbered_occurrences():
     bag = bags.bag(other)
     assert bag.size == 3
     assert label_lower_bound(bags.bag(known), bag) == node_edit_distance(known, other) == 2
+
+
+def _string_distance(s, t) -> int:
+    """Unit-cost edit distance by the full, unbanded dynamic program."""
+    row = list(range(len(t) + 1))
+    for i, x in enumerate(s, 1):
+        prev, row = row, [i]
+        for j, y in enumerate(t, 1):
+            row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (x != y)))
+    return row[-1]
+
+
+def _traversal_bound(a: Node, b: Node) -> int:
+    ta, tb = compile_tree(a), compile_tree(b)
+    return traversal_lower_bound(ta, tb, len(ta.preorder) + len(tb.preorder))
+
+
+def test_traversal_strings_are_the_tree_orders():
+    tree = Node("n", "A", (Node("n", "B", (Node("n", "C"),)), Node("n", "D")))
+    compiled = compile_tree(tree)
+    assert compiled.preorder == ["n:A", "n:B", "n:C", "n:D"]
+    assert compiled.postorder == ["n:C", "n:B", "n:D", "n:A"]
+
+
+def test_traversal_lower_bound_below_oracle_on_random_trees():
+    rng = random.Random(47)
+    for _ in range(300):
+        a = random_tree(rng, max_nodes=8)
+        b = random_tree(rng, max_nodes=8)
+        ta, tb = compile_tree(a), compile_tree(b)
+        exact = max(
+            _string_distance(ta.preorder, tb.preorder), _string_distance(ta.postorder, tb.postorder)
+        )
+        assert _traversal_bound(a, b) == exact <= oracle_tree_distance(a, b)
+
+
+def test_traversal_lower_bound_below_tree_edit_distance_on_skeletons():
+    rng = random.Random(48)
+    skeletons = [SqlSkeleton.from_sql(random_statement(rng)) for _ in range(200)]
+    for a, b in zip(skeletons[::2], skeletons[1::2]):
+        distance = tree_edit_distance(a, b)
+        assert _traversal_bound(a.tree, b.tree) <= distance
+        ta, tb = compile_tree(a.tree), compile_tree(b.tree)
+        assert tree_edit_distance(ta, tb) == tree_edit_distance(ta, b) == distance
+        for limit in range(-1, 7):
+            assert traversal_lower_bound(ta, tb, limit) == min(_traversal_bound(a.tree, b.tree), limit + 1)
+
+
+def test_banded_string_distance_agrees_with_full_distance():
+    rng = random.Random(49)
+    for _ in range(1500):
+        s = [rng.choice("ABC") for _ in range(rng.randint(0, 10))]
+        t = [rng.choice("ABC") for _ in range(rng.randint(0, 10))]
+        full = _string_distance(s, t)
+        for limit in range(-1, 7):
+            banded = bounded_string_distance(s, t, limit)
+            assert (banded > limit) == (full > limit)
+            assert banded == min(full, limit + 1)
