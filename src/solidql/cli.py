@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
@@ -96,16 +97,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
+    """The config file, overridden by each given flag whose dest names a ``RunConfig`` field."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "dataset", "tables", "databases", "index_path", "transcripts", "output",
-            "model_id", "linking_model_id", "embedder", "predictor", "n_examples",
-            "rounds", "focus_enabled", "mode", "workers",
-        )
-    }
-    return config.merged(**overrides)
+    return config.merged(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def require(config: RunConfig, *names: str) -> None:

@@ -68,13 +68,3 @@ def write_sft_records(records: Sequence[SftRecord], path: str | Path) -> None:
                 + "\n"
             )
 
-
-def read_sft_records(path: str | Path) -> list[SftRecord]:
-    records = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                data = json.loads(line)
-                records.append(SftRecord(data["instruction"], data["input"], data["output"]))
-    return records

@@ -168,19 +168,12 @@ def tables_match(pred: ResultTable, gold: ResultTable) -> bool:
     return sorted(pred_rows) == sorted(gold_rows)
 
 
-def _execute_and_compare(
-    db_path: str | Path, sql: str, reference: ResultTable, timeout: float
-) -> tuple[ResultTable | None, bool, str | None]:
-    """Run ``sql`` and compare its table with ``reference``.
-
-    Returns the table (None when execution failed), whether it matches
-    under the reference's order semantics, and the execution error.
-    """
+def _run(db_path: str | Path, sql: str, timeout: float) -> tuple[ResultTable | None, str | None]:
+    """The statement's result table, or None and the execution error."""
     try:
-        table = execute_sql(db_path, sql, timeout)
+        return execute_sql(db_path, sql, timeout), None
     except ExecError as exc:
-        return None, False, str(exc)
-    return table, tables_match(table, reference), None
+        return None, str(exc)
 
 
 def execution_match(
@@ -191,7 +184,8 @@ def execution_match(
     A failing predicted statement scores False rather than raising.
     """
     gold = execute_sql(db_path, gold_sql, timeout)
-    return _execute_and_compare(db_path, pred_sql, gold, timeout)[1]
+    pred, _ = _run(db_path, pred_sql, timeout)
+    return pred is not None and tables_match(pred, gold)
 
 
 def canonical_sql(sql: str) -> str:
@@ -224,10 +218,7 @@ class RobustnessVerdict:
 def robustness_check(final_sql_clean: str, final_sql_perturbed: str,
                      db_path: str | Path, timeout: float = 30.0) -> RobustnessVerdict:
     """True iff the clean and perturbed runs access the database identically."""
-    try:
-        clean, error = execute_sql(db_path, final_sql_clean, timeout), None
-    except ExecError as exc:
-        clean, error = None, str(exc)
+    clean, error = _run(db_path, final_sql_clean, timeout)
     return _robustness_verdict(clean, error, final_sql_perturbed, db_path, timeout)
 
 
@@ -237,10 +228,10 @@ def _robustness_verdict(clean: ResultTable | None, clean_error: str | None,
     """Verdict for a perturbed statement against the clean run's outcome."""
     if clean is None:
         return RobustnessVerdict(False, f"clean SQL failed: {clean_error}")
-    _, passed, error = _execute_and_compare(db_path, final_sql_perturbed, clean, timeout)
-    if error is not None:
+    perturbed, error = _run(db_path, final_sql_perturbed, timeout)
+    if perturbed is None:
         return RobustnessVerdict(False, f"perturbed SQL failed: {error}")
-    if passed:
+    if tables_match(perturbed, clean):
         return RobustnessVerdict(True)
     return RobustnessVerdict(False, "result tables differ")
 
@@ -298,11 +289,12 @@ def evaluate(
 ) -> EvalReport:
     """Score aligned (dataset, predictions); length mismatch is fatal.
 
-    Items whose gold SQL fails to execute are excluded from the
-    percentages and counted separately. With ``perturbed`` (the final
-    SQL of a paired run on perturbed questions), each item also gets a
-    :func:`robustness_check` verdict, reusing the prediction's result
-    table; excluded items count toward robustness too.
+    Each item runs its gold statement and its prediction once. Items
+    whose gold SQL fails to execute are excluded from the percentages
+    and counted separately. With ``perturbed`` (the final SQL of a
+    paired run on perturbed questions), each item also gets the
+    :func:`robustness_check` verdict, computed against the prediction's
+    result table; excluded items count toward robustness too.
     """
     if len(dataset) != len(predictions):
         raise ValueError(f"{len(dataset)} dataset items vs {len(predictions)} predictions")
@@ -320,13 +312,13 @@ def evaluate(
         item_flags = tuple(flags[i]) if flags is not None else ()
         for flag in item_flags:
             flag_counts[flag] = flag_counts.get(flag, 0) + 1
-        try:
-            gold_table = execute_sql(db_path, item["query"], timeout)
-        except ExecError as exc:
+        gold_table, gold_error = _run(db_path, item["query"], timeout)
+        pred_table, error = _run(db_path, pred_sql, timeout)
+        if robustness is not None:
+            robustness.append(_robustness_verdict(pred_table, error, perturbed[i], db_path, timeout))
+        if gold_table is None:
             excluded += 1
-            logger.warning("excluding item %d (gold SQL failed): %s", i, exc)
-            if robustness is not None:
-                robustness.append(robustness_check(pred_sql, perturbed[i], db_path, timeout))
+            logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
             records.append(
                 EvalRecord(
                     question=item["question"],
@@ -335,15 +327,13 @@ def evaluate(
                     pred_sql=pred_sql,
                     ex=False,
                     em=False,
-                    error=f"gold execution failed: {exc}",
+                    error=f"gold execution failed: {gold_error}",
                     excluded=True,
                     flags=item_flags,
                 )
             )
             continue
-        pred_table, ex, error = _execute_and_compare(db_path, pred_sql, gold_table, timeout)
-        if robustness is not None:
-            robustness.append(_robustness_verdict(pred_table, error, perturbed[i], db_path, timeout))
+        ex = pred_table is not None and tables_match(pred_table, gold_table)
         em = exact_match(pred_sql, item["query"])
         scored += 1
         ex_hits += ex

@@ -61,60 +61,40 @@ def request_hash(request: ChatRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Transcript:
-    request_hash: str
-    response: str
-    provider: str
-    recorded_at: str
-
-
-def _transcript_of(record: dict) -> Transcript:
-    return Transcript(
-        request_hash=record["hash"],
-        response=record["response"],
-        provider=record.get("provider", ""),
-        recorded_at=record.get("recorded_at", ""),
-    )
-
-
 class TranscriptStore:
-    """Append-only line-delimited store of request/response transcripts."""
+    """Append-only line-delimited store of request/response transcripts.
+
+    Each line also keeps the request, the provider and the time of
+    recording; only the responses are held in memory, by request hash.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._file = JsonLines(self.path)
-        self._transcripts: dict[str, Transcript] = {
-            transcript.request_hash: transcript
-            for transcript in self._file.records(_transcript_of)
-        }
+        self._responses: dict[str, str] = dict(
+            self._file.records(lambda record: (record["hash"], record["response"]))
+        )
 
     def __len__(self) -> int:
-        return len(self._transcripts)
+        return len(self._responses)
 
     def lookup(self, digest: str) -> str | None:
-        transcript = self._transcripts.get(digest)
-        return transcript.response if transcript else None
+        return self._responses.get(digest)
 
     def record(self, request: ChatRequest, response: str, provider: str) -> None:
         digest = request_hash(request)
-        transcript = Transcript(
-            request_hash=digest,
-            response=response,
-            provider=provider,
-            recorded_at=datetime.now(timezone.utc).isoformat(),
-        )
+        recorded_at = datetime.now(timezone.utc).isoformat()
         with self._lock:
-            if digest in self._transcripts:
+            if digest in self._responses:
                 return
-            self._transcripts[digest] = transcript
+            self._responses[digest] = response
             entry = {
                 "hash": digest,
                 "request": canonical_request(request),
                 "response": response,
-                "provider": transcript.provider,
-                "recorded_at": transcript.recorded_at,
+                "provider": provider,
+                "recorded_at": recorded_at,
             }
             self._file.append(json.dumps(entry, sort_keys=True))
 

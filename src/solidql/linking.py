@@ -23,8 +23,6 @@ from .sql.refs import extract_schema_refs
 
 logger = logging.getLogger(__name__)
 
-ORIGINS = ("original", "rewrite1", "rewrite2")
-
 
 @dataclass(frozen=True)
 class Triplet:

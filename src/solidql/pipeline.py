@@ -119,7 +119,7 @@ def run_item(
 
     Round 1 links the schema, masks the question and retrieves by
     question skeleton; round 2 re-retrieves by SQL-skeleton distance to
-    the round-1 SQL, or by question skeleton when that SQL does not
+    the round-1 SQL, or reuses round 1's examples when that SQL does not
     parse. A round-1 extraction failure leaves empty SQL; a round-2
     extraction failure or a hard round-2 failure (provider down after
     retries) keeps the round-1 SQL. Each of these sets a flag. A replay
@@ -144,8 +144,7 @@ def run_item(
                 round1_sql,
                 index,
                 config.n_examples,
-                embedder=embedder,
-                fallback_skeleton=skeleton.text,
+                fallback_examples=examples.pairs,
                 exclude_question=question,
             )
             if examples.fallback is not None:
@@ -216,7 +215,8 @@ def run_batch(
 
     Per-item failures are recorded as flags and never abort the batch;
     a :class:`ReplayMiss` does abort, because a replay run is expected
-    to be hermetic. Completed items found in the ledger are not re-run.
+    to be hermetic, and items not yet started then never start.
+    Completed items found in the ledger are not re-run.
     """
     done = ledger.load() if ledger is not None else {}
     if done:
@@ -255,8 +255,12 @@ def run_batch(
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(work, i) for i in pending]
-            for future in futures:
-                future.result()
+            try:
+                for future in futures:
+                    future.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # items not yet started never run
+                raise
 
     ordered = [results[i] for i in range(len(dataset))]
     flag_totals: dict[str, int] = {}

@@ -275,27 +275,21 @@ def retrieve_by_sql_skeleton(
     index: RetrievalIndex,
     n: int,
     *,
-    embedder: EmbeddingProvider | None = None,
-    fallback_skeleton: str | None = None,
+    fallback_examples: Sequence[ExamplePair] = (),
     exclude_question: str | None = None,
 ) -> RetrievalResult:
     """Top-n pool entries by ascending parse-tree edit distance.
 
-    If the round-1 SQL does not parse, falls back to question-skeleton
-    retrieval (when an embedder and skeleton are supplied) and tags the
-    result with ``fallback="question"``.
+    If the round-1 SQL does not parse, returns ``fallback_examples``
+    (the caller's question-skeleton retrieval) tagged with
+    ``fallback="question"``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     try:
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
-        if embedder is None or fallback_skeleton is None:
-            return RetrievalResult([], fallback="question")
-        result = retrieve_by_question_skeleton(
-            fallback_skeleton, index, n, embedder, exclude_question=exclude_question
-        )
-        return RetrievalResult(result.pairs, fallback="question")
+        return RetrievalResult(list(fallback_examples), fallback="question")
     target_tree = compile_tree(target.tree)
     target_labels = index.label_bags.bag(target.tree)
     ranked = sorted(

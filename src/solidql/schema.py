@@ -100,15 +100,6 @@ class DatabaseSchema:
     def table_names(self) -> list[str]:
         return [t.name.lower() for t in self.tables]
 
-    def tables_with_column(self, column: str) -> list[str]:
-        """Lowercased names of tables declaring ``column``, in declared order."""
-        wanted = column.lower()
-        return [
-            t.name.lower()
-            for t in self.tables
-            if wanted in {c.name.lower() for c in t.columns}
-        ]
-
 
 @dataclass(frozen=True)
 class SchemaSubset:

@@ -55,11 +55,11 @@ class SqlSkeleton:
     def from_text(cls, text: str) -> "SqlSkeleton":
         """Re-read a skeleton from its own rendering.
 
-        Value placeholders parse as identifiers, so they are folded back
-        into literal leaves after parsing; the result is structurally
-        equal to the skeleton that produced the text.
+        Skeletonizing a rendering gives back the skeleton that produced
+        it: value placeholders parse as column references, which the
+        mask folds back into literal leaves.
         """
-        return cls.from_tree(_restore_placeholders(parse_sql(text)))
+        return cls.from_sql(text)
 
 
 def extract_sql_skeleton(ast: Node) -> SqlSkeleton:
@@ -83,13 +83,6 @@ def _mask(node: Node) -> Node:
     if kind == COLUMN_ALIAS:
         return Node(COLUMN_ALIAS, COLUMN_PLACEHOLDER, children)
     return Node(kind, node.text, children)
-
-
-def _restore_placeholders(node: Node) -> Node:
-    children = tuple(_restore_placeholders(child) for child in node.children)
-    if node.text == VALUE_PLACEHOLDER and node.kind == COLUMN_REF:
-        return Node(LITERAL, VALUE_PLACEHOLDER, children)
-    return Node(node.kind, node.text, children)
 
 
 # ----------------------------------------------------------------------

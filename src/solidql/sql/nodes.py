@@ -58,8 +58,6 @@ JOIN = "join"
 QUERY_KINDS = (QUERY, SUBQUERY)
 SET_OPS = ("union", "union all", "intersect", "except")
 
-CLAUSE_ORDER = ("select", "from", "where", "group_by", "having", "order_by", "limit")
-
 
 @dataclass(frozen=True)
 class Node:
@@ -72,10 +70,6 @@ class Node:
         """Label used for structural comparison and edit costs."""
         return f"{self.kind}:{self.text}"
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def walk(self) -> Iterator["Node"]:
         """Yield the node and all descendants in preorder."""
         yield self
@@ -85,22 +79,12 @@ class Node:
     def size(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def find(self, kind: str) -> Iterator["Node"]:
-        return (n for n in self.walk() if n.kind == kind)
-
     def clause(self, name: str) -> "Node | None":
         """Return the direct clause child with the given name, if any."""
         for child in self.children:
             if child.kind == CLAUSE and child.text == name:
                 return child
         return None
-
-    def replace(self, *, text: str | None = None, children: tuple["Node", ...] | None = None) -> "Node":
-        return Node(
-            self.kind,
-            self.text if text is None else text,
-            self.children if children is None else children,
-        )
 
 
 def normalize_identifier(raw: str) -> str:

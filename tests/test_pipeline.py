@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -21,7 +23,7 @@ from solidql.pipeline import (
     run_item,
     write_results,
 )
-from solidql.retrieval import build_index
+from solidql.retrieval import build_index, retrieve_by_question_skeleton
 from solidql.schema import SchemaSubset
 
 from support import FakeChatProvider
@@ -118,14 +120,23 @@ def test_round2_reranks_by_sql_and_prefers_verbatim_pool_member(components, prov
     assert not result.flags
 
 
-def test_round2_falls_back_to_question_retrieval_on_bad_sql(components, provider):
+def test_round2_falls_back_to_question_retrieval_on_bad_sql(components, provider, monkeypatch):
     schema, predictor, index, gateway, embedder, config = components
+    rankings = []
+
+    def counting(*args, **kwargs):
+        rankings.append(args[0])
+        return retrieve_by_question_skeleton(*args, **kwargs)
+
+    monkeypatch.setattr("solidql.pipeline.retrieve_by_question_skeleton", counting)
+    monkeypatch.setattr("solidql.retrieval.retrieve_by_question_skeleton", counting)
     question = "How many shops are there?"
     provider.generations[question] = ["SELECT broken FORM x", "SELECT count(*) FROM shop"]
     result = run_item(question, schema, predictor, index, gateway, embedder, config)
     assert result.round1_sql == "SELECT broken FORM x"
     assert result.flags == (FLAG_ROUND2_RETRIEVAL_FALLBACK,)
     assert result.final_sql == "SELECT count(*) FROM shop"
+    assert rankings == ["How many _ are there?"]  # round 2 reuses round 1's examples
 
 
 def test_round2_extract_error_keeps_round1_sql(components, provider):
@@ -207,6 +218,30 @@ def test_batch_replay_miss_aborts(schemas, shop_dataset, fixture_index, tmp_path
         run_batch(
             shop_dataset, schemas, predictor, fixture_index, gateway, HashedBagOfTokens(), config
         )
+
+
+def test_batch_replay_miss_cancels_queued_items(schemas, shop_dataset, fixture_index, monkeypatch):
+    workers = 4
+    calls = []
+    lock = threading.Lock()
+
+    def fake_run_item(*args):
+        with lock:
+            calls.append(args[0])
+            first = len(calls) == 1
+        if not first:
+            time.sleep(0.02)  # still running when the first miss aborts the batch
+        raise ReplayMiss("no transcript")
+
+    monkeypatch.setattr("solidql.pipeline.run_item", fake_run_item)
+    predictor = OracleLinkingPredictor.from_records(shop_dataset)
+    config = RunConfig(mode="replay", workers=workers)
+    with pytest.raises(ReplayMiss):
+        run_batch(
+            [shop_dataset[0]] * 200, schemas, predictor, fixture_index,
+            LlmGateway(mode="live", provider=lambda request: ""), HashedBagOfTokens(), config,
+        )
+    assert len(calls) <= workers + 1
 
 
 def test_ledger_resume_skips_completed_items(components, schemas, shop_dataset, provider, tmp_path):

@@ -235,12 +235,14 @@ def test_sql_identity_ranked_first(small_index):
 
 def test_sql_malformed_falls_back_to_question_mode(small_index):
     index, embedder = small_index
+    round1 = retrieve_by_question_skeleton("what are the _ of _", index, 3, embedder)
     result = retrieve_by_sql_skeleton(
-        "SELEC name FORM singer", index, 3,
-        embedder=embedder, fallback_skeleton="what are the _ of _",
+        "SELEC name FORM singer", index, 3, fallback_examples=round1.pairs
     )
     assert result.fallback == "question"
     assert len(result) == 3
+    assert result.pairs == round1.pairs
+    assert retrieve_by_sql_skeleton("SELEC name FORM singer", index, 3).pairs == []
 
 
 def test_sql_ranking_matches_brute_force(small_index):

@@ -59,9 +59,12 @@ def test_skeleton_text_reparses_to_equal_tree(parser_corpus):
 
 
 def test_skeletonization_idempotent(parser_corpus):
-    for item in parser_corpus:
-        skeleton = SqlSkeleton.from_sql(item["query"])
+    rng = random.Random(17)
+    generated = [sql for _ in range(100) for sql in random_statement_pair(rng)]
+    for sql in [item["query"] for item in parser_corpus] + generated:
+        skeleton = SqlSkeleton.from_sql(sql)
         again = extract_sql_skeleton(parse_sql(skeleton.text))
+        assert again.tree == skeleton.tree, sql
         assert again.tree == SqlSkeleton.from_text(skeleton.text).tree
         assert SqlSkeleton.from_sql(skeleton.text).text == skeleton.text
 
