@@ -9,7 +9,8 @@ independently:
   eval        score predictions (EX/EM) and optionally check robustness
 
 Exit codes: 0 success, 1 evaluation ran but found failures, 2 usage or
-config error, 3 environment error (providers, replay misses).
+config error, 3 environment error (providers, replay misses, corrupt
+ledger, transcript or index files).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .linking import (
     build_sft_dataset,
 )
 from .retrieval import build_index, load_index, read_index_header, save_index
-from .schema import load_tables_json
+from .schema import item_schemas, load_tables_json
 from .sql.parser import parse_sql
 from .sql.refs import extract_schema_refs
 
@@ -159,8 +160,8 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     config = make_config(args)
     require(config, "dataset", "tables", "output")
-    schemas = load_tables_json(config.tables)
     dataset = load_dataset(config.dataset)
+    schemas = item_schemas(dataset, load_tables_json(config.tables))
     embedder = make_embedder(config.embedder)
 
     out_path = Path(config.output)
@@ -173,8 +174,7 @@ def cmd_index(args: argparse.Namespace) -> int:
             )
 
     linked = []
-    for record in dataset:
-        schema = schemas[record["db_id"]]
+    for record, schema in zip(dataset, schemas):
         try:
             linked.append(extract_schema_refs(parse_sql(record["query"]), schema))
         except SolidQlError:

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .linking import SftRecord, Triplet
-from .schema import DatabaseSchema
+from .schema import DatabaseSchema, item_schemas
 
 
 def load_dataset(path: str | Path) -> list[dict]:
@@ -23,17 +23,15 @@ def load_dataset(path: str | Path) -> list[dict]:
 def triplets_from_dataset(
     dataset: Sequence[dict], schemas: dict[str, DatabaseSchema]
 ) -> list[Triplet]:
-    triplets = []
-    for record in dataset:
-        triplets.append(
-            Triplet(
-                question=record["question"],
-                schema=schemas[record["db_id"]],
-                gold_sql=record["query"],
-                origin=record.get("origin", "original"),
-            )
+    return [
+        Triplet(
+            question=record["question"],
+            schema=schema,
+            gold_sql=record["query"],
+            origin=record.get("origin", "original"),
         )
-    return triplets
+        for record, schema in zip(dataset, item_schemas(dataset, schemas))
+    ]
 
 
 def write_augmented_dataset(triplets: Sequence[Triplet], path: str | Path) -> None:

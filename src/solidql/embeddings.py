@@ -13,8 +13,6 @@ import os
 import re
 from typing import Protocol, Sequence
 
-import requests
-
 from .errors import ConfigError, ProviderError, ZeroVectorError
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -61,6 +59,8 @@ class RemoteEmbeddings:
         self.dimension = 0  # discovered on first call
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        import requests  # only a live provider needs the HTTP stack
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

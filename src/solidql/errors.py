@@ -64,7 +64,11 @@ class ExecTimeout(ExecError):
 
 
 class CorruptFileError(SolidQlError):
-    """A ledger or transcript file has a malformed line that no interrupted append explains."""
+    """A ledger, transcript or retrieval index file has a malformed line.
+
+    For the append-only files, a torn final line is an interrupted
+    append, not corruption.
+    """
 
 
 class ConfigError(SolidQlError):

@@ -23,8 +23,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
 from .config import MODES
 from .errors import ConfigError, ProviderError, RateLimited, ReplayMiss
 from .jsonl import JsonLines
@@ -132,6 +130,8 @@ class HttpChatProvider:
         return cls(api_base, os.environ.get("SOLIDQL_API_KEY", ""), **kwargs)
 
     def __call__(self, request: ChatRequest) -> str:
+        import requests  # only a live provider needs the HTTP stack
+
         payload = {
             "model": request.model_id,
             "messages": [{"role": role, "content": text} for role, text in request.messages],

@@ -31,7 +31,7 @@ from .retrieval import (
     retrieve_by_question_skeleton,
     retrieve_by_sql_skeleton,
 )
-from .schema import DatabaseSchema, SchemaSubset, format_subset, parse_subset
+from .schema import DatabaseSchema, SchemaSubset, format_subset, item_schemas, parse_subset
 
 logger = logging.getLogger(__name__)
 
@@ -216,8 +216,10 @@ def run_batch(
     Per-item failures are recorded as flags and never abort the batch;
     a :class:`ReplayMiss` does abort, because a replay run is expected
     to be hermetic, and items not yet started then never start.
-    Completed items found in the ledger are not re-run.
+    Completed items found in the ledger are not re-run. A dataset with
+    a ``db_id`` missing from ``schemas`` is refused before any item runs.
     """
+    item_schema = item_schemas(dataset, schemas)
     done = ledger.load() if ledger is not None else {}
     if done:
         logger.info("resuming: %d of %d items already complete", len(done), len(dataset))
@@ -225,10 +227,9 @@ def run_batch(
 
     def work(i: int) -> None:
         item = dataset[i]
-        schema = schemas[item["db_id"]]
         try:
             result = run_item(
-                item["question"], schema, predictor, index, gateway, embedder, config
+                item["question"], item_schema[i], predictor, index, gateway, embedder, config
             )
         except ReplayMiss:
             raise

@@ -31,20 +31,23 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .embeddings import EmbeddingProvider
-from .errors import ParseError
+from .errors import ConfigError, CorruptFileError, ParseError
 from .gateway import ChatRequest, LlmGateway
 from .schema import SchemaSubset
 from .skeleton import (
     LabelBag,
     LabelBags,
     SqlSkeleton,
-    compile_tree,
+    compile_postorder,
     label_lower_bound,
     traversal_lower_bound,
     tree_edit_distance,
 )
 
 logger = logging.getLogger(__name__)
+
+# 2: each record carries its SQL skeleton compiled (s_postorder, s_leftmost)
+INDEX_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class RetrievalIndex:
     @cached_property
     def label_bags(self) -> LabelBags:
         """Bit numbering of the label occurrences in the pool's skeletons."""
-        return LabelBags(pair.s_skeleton.tree for pair in self.pool)
+        return LabelBags(pair.s_skeleton.compiled.postorder for pair in self.pool)
 
     @cached_property
     def skeleton_groups(self) -> list[SkeletonGroup]:
@@ -97,7 +100,9 @@ class RetrievalIndex:
             groups.setdefault(pair.s_skeleton.text, []).append(pair)
         bag = self.label_bags.bag
         return [
-            SkeletonGroup(members[0].s_skeleton, bag(members[0].s_skeleton.tree), tuple(members))
+            SkeletonGroup(
+                members[0].s_skeleton, bag(members[0].s_skeleton.compiled.postorder), tuple(members)
+            )
             for members in groups.values()
         ]
 
@@ -290,8 +295,7 @@ def retrieve_by_sql_skeleton(
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
         return RetrievalResult(list(fallback_examples), fallback="question")
-    target_tree = compile_tree(target.tree)
-    target_labels = index.label_bags.bag(target.tree)
+    target_labels = index.label_bags.bag(target.compiled.postorder)
     ranked = sorted(
         (label_lower_bound(target_labels, group.labels), group.members[0].pool_index, group)
         for group in index.skeleton_groups
@@ -303,13 +307,12 @@ def retrieve_by_sql_skeleton(
         members = [pair for pair in group.members if pair.question != exclude_question]
         if not members:
             continue
-        tree = compile_tree(group.skeleton.tree)
         if len(best) == n:
             # a member ranks ahead of the n-th best only within this distance
             limit = best[-1][0] - (members[0].pool_index > best[-1][1])
-            if traversal_lower_bound(target_tree, tree, limit) > limit:
+            if traversal_lower_bound(target.compiled, group.skeleton.compiled, limit) > limit:
                 continue
-        distance = tree_edit_distance(target_tree, tree)
+        distance = tree_edit_distance(target, group.skeleton)
         best.extend((distance, pair.pool_index, pair) for pair in members)
         best.sort()
         del best[n:]
@@ -369,18 +372,27 @@ def build_index(
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    """Write the index: one header line, then one JSON record per example."""
+    """Write the index: one header line, then one JSON record per example.
+
+    A record stores its SQL skeleton as text and compiled: the postorder
+    labels and each node's leftmost leaf, so loading needs no parse.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(
             json.dumps(
-                {"provider_id": index.provider_id, "dimension": index.dimension},
+                {
+                    "provider_id": index.provider_id,
+                    "dimension": index.dimension,
+                    "format": INDEX_FORMAT,
+                },
                 sort_keys=True,
             )
             + "\n"
         )
         for pair in index.pool:
+            compiled = pair.s_skeleton.compiled
             handle.write(
                 json.dumps(
                     {
@@ -389,6 +401,8 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
                         "q_skeleton": pair.q_skeleton,
                         "q_embedding": list(pair.q_embedding),
                         "s_skeleton": pair.s_skeleton.text,
+                        "s_postorder": compiled.postorder,
+                        "s_leftmost": compiled.leftmost,
                         "pool_index": pair.pool_index,
                     },
                     sort_keys=True,
@@ -398,36 +412,63 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 
 def read_index_header(path: str | Path) -> dict:
-    """The header line of a saved index: ``provider_id`` and ``dimension``."""
+    """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``."""
     with Path(path).open(encoding="utf-8") as handle:
         return json.loads(handle.readline())
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
+    """Read an index that ``save_index`` wrote.
+
+    Records with equal skeleton texts share one ``SqlSkeleton``, built
+    from the stored arrays without parsing SQL. An index of another
+    format raises ``ConfigError``. ``CorruptFileError``, naming the file
+    and the line, is raised for a line that does not decode, a record
+    missing a field or out of pool order, and skeleton arrays that do
+    not describe a tree or differ between records of one text.
+    """
     path = Path(path)
-    skeletons: dict[str, SqlSkeleton] = {}  # equal texts share one parse
+    skeletons: dict[str, SqlSkeleton] = {}
+    pool: list[ExamplePair] = []
+    number = 1
     with path.open(encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        pool: list[ExamplePair] = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            text = record["s_skeleton"]
-            if text not in skeletons:
-                skeletons[text] = SqlSkeleton.from_text(text)
-            pool.append(
-                ExamplePair(
-                    question=record["question"],
-                    sql=record["sql"],
-                    q_skeleton=record["q_skeleton"],
-                    q_embedding=tuple(record["q_embedding"]),
-                    s_skeleton=skeletons[text],
-                    pool_index=record["pool_index"],
+        try:
+            header = json.loads(handle.readline())
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
+            if header.get("format") != INDEX_FORMAT:
+                raise ConfigError(
+                    f"{path} is a retrieval index of format {header.get('format', 1)}, "
+                    f"not {INDEX_FORMAT}; rebuild with `solidql index`"
                 )
-            )
-    for expected, pair in enumerate(pool):
-        if pair.pool_index != expected:
-            raise ValueError(f"index corrupted: pool_index {pair.pool_index} at row {expected}")
-    return RetrievalIndex(pool=pool, provider_id=header["provider_id"], dimension=header["dimension"])
+            provider_id, dimension = header["provider_id"], header["dimension"]
+            for number, line in enumerate(handle, 2):
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                text = record["s_skeleton"]
+                postorder, leftmost = record["s_postorder"], record["s_leftmost"]
+                skeleton = skeletons.get(text)
+                if skeleton is None:
+                    skeleton = SqlSkeleton(text, compile_postorder(postorder, leftmost))
+                    skeletons[text] = skeleton
+                elif (postorder, leftmost) != (
+                    skeleton.compiled.postorder, skeleton.compiled.leftmost
+                ):
+                    raise ValueError(f"skeleton {text!r} is stored with two different trees")
+                if record["pool_index"] != len(pool):
+                    raise ValueError(f"pool_index {record['pool_index']!r} at row {len(pool)}")
+                pool.append(
+                    ExamplePair(
+                        question=record["question"],
+                        sql=record["sql"],
+                        q_skeleton=record["q_skeleton"],
+                        q_embedding=tuple(record["q_embedding"]),
+                        s_skeleton=skeleton,
+                        pool_index=len(pool),
+                    )
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            message = f"{path}, line {number}: malformed index record ({exc!r})"
+            raise CorruptFileError(message) from None
+    return RetrievalIndex(pool=pool, provider_id=provider_id, dimension=dimension)

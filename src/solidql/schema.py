@@ -14,9 +14,9 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 logger = logging.getLogger(__name__)
 
@@ -208,6 +208,25 @@ def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
         schemas[schema.db_id] = schema
     logger.info("loaded %d schemas from %s", len(schemas), path)
     return schemas
+
+
+def item_schemas(
+    dataset: Sequence[dict], schemas: Mapping[str, DatabaseSchema]
+) -> list[DatabaseSchema]:
+    """The schema of each dataset item, in item order.
+
+    Raises ``ConfigError`` naming the first item whose ``db_id`` has no
+    schema, so that a command refuses the dataset before doing any work.
+    """
+    found = []
+    for i, item in enumerate(dataset):
+        schema = schemas.get(item["db_id"])
+        if schema is None:
+            raise ConfigError(
+                f"dataset item {i}: db_id {item['db_id']!r} is not in the tables file"
+            )
+        found.append(schema)
+    return found
 
 
 # ----------------------------------------------------------------------

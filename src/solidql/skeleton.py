@@ -15,7 +15,8 @@ label-multiset bound and the traversal-string bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .sql.nodes import (
@@ -36,15 +37,27 @@ VALUE_PLACEHOLDER = "_V_"
 
 @dataclass(frozen=True)
 class SqlSkeleton:
-    """Placeholder-normalized parse tree plus its canonical rendering."""
+    """A skeleton's canonical rendering and its compiled tree.
 
-    tree: Node
+    The compiled form is all that distances and bounds read; the parse
+    tree is re-read from ``text`` on demand.
+    """
+
     text: str
-    node_count: int
+    compiled: CompiledTree = field(hash=False)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.compiled.postorder)
+
+    @property
+    def tree(self) -> Node:
+        """The placeholder-normalized parse tree, parsed from ``text``."""
+        return _mask(parse_sql(self.text))
 
     @classmethod
     def from_tree(cls, tree: Node) -> "SqlSkeleton":
-        return cls(tree=tree, text=render_sql(tree), node_count=tree.size())
+        return cls(text=render_sql(tree), compiled=compile_tree(tree))
 
     @classmethod
     def from_sql(cls, sql: str) -> "SqlSkeleton":
@@ -90,13 +103,9 @@ def _mask(node: Node) -> Node:
 # ----------------------------------------------------------------------
 
 
-def tree_edit_distance(a: SqlSkeleton | CompiledTree, b: SqlSkeleton | CompiledTree) -> int:
-    """Minimum unit-cost edit script length between two skeletons.
-
-    Either side may be given as a ``CompiledTree``, so that a tree
-    compared with many others is compiled once.
-    """
-    return _zhang_shasha(_compiled(a), _compiled(b))
+def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton) -> int:
+    """Minimum unit-cost edit script length between two skeletons."""
+    return _zhang_shasha(a.compiled, b.compiled)
 
 
 def skeleton_similarity(a: SqlSkeleton, b: SqlSkeleton) -> float:
@@ -115,6 +124,7 @@ class LabelBag(NamedTuple):
 class LabelBags:
     """Numbers label occurrences so that label multisets become bit masks.
 
+    A tree is given as the sequence of its node labels, in any order.
     The k-th node carrying a label, for every k and label found in the
     trees given, gets its own bit. The size of the intersection of two
     multisets is then the popcount of the AND of their masks. ``bag``
@@ -123,16 +133,16 @@ class LabelBags:
     with those masks are exact.
     """
 
-    def __init__(self, trees: Iterable[Node]) -> None:
+    def __init__(self, trees: Iterable[Sequence[str]]) -> None:
         self._bits: dict[tuple[str, int], int] = {}
-        for tree in trees:
-            for occurrence in _label_occurrences(tree):
+        for labels in trees:
+            for occurrence in _label_occurrences(labels):
                 self._bits.setdefault(occurrence, len(self._bits))
 
-    def bag(self, tree: Node) -> LabelBag:
+    def bag(self, labels: Sequence[str]) -> LabelBag:
         mask = 0
         size = 0
-        for occurrence in _label_occurrences(tree):
+        for occurrence in _label_occurrences(labels):
             size += 1
             bit = self._bits.get(occurrence)
             if bit is not None:
@@ -140,10 +150,9 @@ class LabelBags:
         return LabelBag(size, mask)
 
 
-def _label_occurrences(tree: Node) -> Iterator[tuple[str, int]]:
+def _label_occurrences(labels: Iterable[str]) -> Iterator[tuple[str, int]]:
     seen: dict[str, int] = {}
-    for node in tree.walk():
-        label = node.label
+    for label in labels:
         k = seen.get(label, 0)
         seen[label] = k + 1
         yield label, k
@@ -161,7 +170,11 @@ def label_lower_bound(a: LabelBag, b: LabelBag) -> int:
 
 
 class CompiledTree(NamedTuple):
-    """The label sequences and postorder indices that the distances read."""
+    """The label sequences and postorder indices that the distances read.
+
+    Labels are interned, so equal labels of different trees are one
+    string object.
+    """
 
     preorder: list[str]  # labels in preorder
     postorder: list[str]  # labels in postorder
@@ -176,7 +189,7 @@ def compile_tree(root: Node) -> CompiledTree:
     leftmost: list[int] = []
 
     def visit(node: Node) -> int:
-        label = node.label
+        label = sys.intern(node.label)
         preorder.append(label)
         first_leaf: int | None = None
         for child in node.children:
@@ -192,8 +205,38 @@ def compile_tree(root: Node) -> CompiledTree:
     return CompiledTree(preorder, postorder, leftmost, _keyroots(leftmost))
 
 
-def _compiled(skeleton: SqlSkeleton | CompiledTree) -> CompiledTree:
-    return skeleton if isinstance(skeleton, CompiledTree) else compile_tree(skeleton.tree)
+def compile_postorder(postorder: Sequence[str], leftmost: Sequence[int]) -> CompiledTree:
+    """The compiled tree with these postorder labels and leftmost leaves.
+
+    Derives the preorder and the keyroots in O(n) without building the
+    tree. Raises ``ValueError`` when the arrays do not describe one
+    tree: their lengths differ, a leftmost index is not in [0, i], or
+    the subtrees they span do not nest under the last node; and
+    ``TypeError`` when a label is not a string.
+    """
+    n = len(postorder)
+    if not n or len(leftmost) != n:
+        raise ValueError(f"{n} postorder labels but {len(leftmost)} leftmost indices")
+    for i, first in enumerate(leftmost):
+        if type(first) is not int or not 0 <= first <= i:
+            raise ValueError(f"leftmost[{i}] = {first!r} is outside [0, {i}]")
+    if leftmost[-1]:
+        raise ValueError("the last node does not span the tree")
+    postorder = [sys.intern(label) for label in postorder]
+    leftmost = list(leftmost)
+    preorder: list[str] = []
+    stack = [n - 1]
+    while stack:
+        i = stack.pop()
+        preorder.append(postorder[i])
+        first = leftmost[i]
+        child = i - 1
+        while child >= first:  # the children of i, right to left
+            stack.append(child)
+            child = leftmost[child] - 1
+        if child != first - 1:
+            raise ValueError(f"the subtrees under node {i} do not nest")
+    return CompiledTree(preorder, postorder, leftmost, _keyroots(leftmost))
 
 
 def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:

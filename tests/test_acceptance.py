@@ -25,6 +25,7 @@ from solidql.retrieval import (
     load_index,
     retrieve_by_question_skeleton,
     retrieve_by_sql_skeleton,
+    save_index,
 )
 from solidql.schema import DatabaseSchema, SchemaSubset, Table, Column
 from solidql.skeleton import SqlSkeleton, node_edit_distance, tree_edit_distance
@@ -116,8 +117,9 @@ def test_criterion_04_metric_axioms():
     report("metric-axioms", f"{triples} triples, 0 violations")
 
 
-def test_criterion_05_retrieval_oracle():
-    """Both retrieval modes equal a brute-force scan on a 2,000-item pool."""
+def test_criterion_05_retrieval_oracle(tmp_path):
+    """Both retrieval modes equal a brute-force scan on a 2,000-item pool;
+    round 2 also on the pool saved and loaded back."""
     rng = random.Random(505)
     pool_pairs = []
     while len(pool_pairs) < 2000:
@@ -127,6 +129,8 @@ def test_criterion_05_retrieval_oracle():
     embedder = HashedBagOfTokens()
     index = build_index(pool_pairs, embedder)
     assert len(index) == 2000
+    save_index(index, tmp_path / "index.jsonl")
+    loaded = load_index(tmp_path / "index.jsonl")
     ns = (1, 3, 7, 9)
 
     # (target, excluded question); the excluded one is a pool item's own
@@ -165,11 +169,12 @@ def test_criterion_05_retrieval_oracle():
         excluded_indices = {p.pool_index for p in index.pool if p.question == excluded}
         for n in ns:
             expected = brute_force_sql_ranking(distances_by_sql[sql], n, excluded_indices)
-            got = [p.pool_index for p in retrieve_by_sql_skeleton(
-                sql, index, n, exclude_question=excluded)]
-            assert got == expected, (n, sql, excluded)
-            checks += 1
-    report("retrieval-oracle", f"{checks} rankings agree, N in {{1,3,7,9}}, pool 2000")
+            for searched in (index, loaded):
+                got = [p.pool_index for p in retrieve_by_sql_skeleton(
+                    sql, searched, n, exclude_question=excluded)]
+                assert got == expected, (n, sql, excluded, searched is loaded)
+                checks += 1
+    report("retrieval-oracle", f"{checks} rankings agree, N in {{1,3,7,9}}, pool 2000, built and loaded")
 
 
 def test_criterion_06_linking_ground_truth(schemas, linking_labels):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import solidql
 from solidql.cli import main
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
@@ -226,6 +230,126 @@ def test_cmd_run_corrupt_transcripts_exit_environment(workspace, tmp_path, capsy
     ])
     assert code == 3
     assert f"{transcripts}, line 3" in capsys.readouterr().err
+
+
+def _replace_line(lines, number, text):
+    lines[number - 1] = text
+    return number
+
+
+def _edit_record(lines, number, drop=(), **fields):
+    record = json.loads(lines[number - 1])
+    record.update(fields)
+    for key in drop:
+        del record[key]
+    return _replace_line(lines, number, json.dumps(record))
+
+
+def _swap_first_records(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+    return 2
+
+
+def _repeat_first_text(lines):
+    first, second = json.loads(lines[1]), json.loads(lines[2])
+    assert first["s_postorder"] != second["s_postorder"]
+    return _edit_record(lines, 3, s_skeleton=first["s_skeleton"])
+
+
+# each edit of a saved index returns the line number the error must name
+INDEX_CORRUPTIONS = {
+    "undecodable header": lambda lines: _replace_line(lines, 1, "{broken"),
+    "undecodable record": lambda lines: _replace_line(lines, 3, "{broken"),
+    "record missing a field": lambda lines: _edit_record(lines, 4, drop=("sql",)),
+    "pool order": _swap_first_records,
+    "array lengths differ": lambda lines: _edit_record(lines, 2, s_postorder=["a", "b"], s_leftmost=[0]),
+    "leftmost leaf after its node": lambda lines: _edit_record(
+        lines, 2, s_postorder=["a", "b"], s_leftmost=[0, 2]),
+    "subtrees do not nest": lambda lines: _edit_record(
+        lines, 2, s_postorder=["a", "b", "c", "d"], s_leftmost=[0, 0, 1, 0]),
+    "one text, two trees": _repeat_first_text,
+}
+
+
+@pytest.mark.parametrize("corruption", INDEX_CORRUPTIONS)
+def test_cmd_run_corrupt_index_exits_environment(workspace, tmp_path, capsys, corruption):
+    lines = (workspace / "index.jsonl").read_text().splitlines()
+    number = INDEX_CORRUPTIONS[corruption](lines)
+    index = tmp_path / "index.jsonl"
+    index.write_text("\n".join(lines) + "\n")
+    code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                   "--output", str(tmp_path / "out.jsonl"))
+    assert code == 3
+    assert f"{index}, line {number}: malformed index record" in capsys.readouterr().err
+
+
+def test_cmd_run_refuses_index_of_older_format(workspace, tmp_path, capsys):
+    lines = (workspace / "index.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["format"]
+    records = [json.loads(line) for line in lines[1:]]
+    for record in records:
+        del record["s_postorder"], record["s_leftmost"]
+    index = tmp_path / "index.jsonl"
+    index.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+    code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                   "--output", str(tmp_path / "out.jsonl"))
+    assert code == 2
+    assert "rebuild with `solidql index`" in capsys.readouterr().err
+
+
+def _unknown_db_dataset(source, tmp_path):
+    dataset = json.loads(source.read_text())
+    dataset[1]["db_id"] = "no_such_db"
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(dataset))
+    return path
+
+
+def test_cmd_run_unknown_db_id_exits_two(workspace, tmp_path, capsys):
+    dataset = _unknown_db_dataset(workspace / "shop_dataset.json", tmp_path)
+    output = tmp_path / "out.jsonl"
+    code = run_cli(workspace, "run", "--mode", "replay", "--predictor", "oracle",
+                   "--dataset", str(dataset), "--output", str(output))
+    assert code == 2
+    assert "dataset item 1: db_id 'no_such_db'" in capsys.readouterr().err
+    assert not output.exists() and not output.with_suffix(".progress.jsonl").exists()
+
+
+def test_cmd_index_unknown_db_id_exits_two(workspace, tmp_path, capsys):
+    dataset = _unknown_db_dataset(workspace / "shop_pool.json", tmp_path)
+    output = tmp_path / "index.jsonl"
+    code = main(["index", "--dataset", str(dataset), "--tables", str(workspace / "tables.json"),
+                 "--output", str(output)])
+    assert code == 2
+    assert "dataset item 1: db_id 'no_such_db'" in capsys.readouterr().err
+    assert not output.exists()
+
+
+def test_offline_commands_never_import_the_http_stack(workspace, databases_root, tmp_path):
+    commands = [
+        ["index", "--dataset", str(workspace / "shop_pool.json"),
+         "--tables", str(workspace / "tables.json"), "--output", str(tmp_path / "index.jsonl")],
+        ["run", "--dataset", str(workspace / "shop_dataset.json"),
+         "--tables", str(workspace / "tables.json"), "--index", str(tmp_path / "index.jsonl"),
+         "--transcripts", str(workspace / "transcripts.jsonl"), "--mode", "replay",
+         "--output", str(tmp_path / "results.jsonl")],
+        ["eval", "--dataset", str(workspace / "shop_dataset.json"),
+         "--databases", str(databases_root), "--predictions", str(tmp_path / "results.jsonl")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from solidql.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'requests': 'requests' in sys.modules}))\n"
+    )
+    src = str(Path(solidql.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                               capture_output=True, text=True, env=env, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    outcome = json.loads(completed.stdout.splitlines()[-1])
+    assert outcome == {"codes": [0, 0, 0], "requests": False}
 
 
 def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_path):

@@ -349,31 +349,34 @@ def test_save_load_round_trip(tmp_path, small_index):
         assert (a.question, a.sql, a.q_skeleton, a.q_embedding, a.pool_index) == (
             b.question, b.sql, b.q_skeleton, b.q_embedding, b.pool_index
         )
-        assert a.s_skeleton.tree == b.s_skeleton.tree
+        assert a.s_skeleton == b.s_skeleton
 
 
-def test_load_parses_each_distinct_skeleton_once(tmp_path, small_index, monkeypatch):
-    from solidql.skeleton import SqlSkeleton
+def test_load_builds_skeletons_without_parsing(tmp_path, small_index, monkeypatch):
+    import solidql.skeleton
+    import solidql.sql.parser
 
     index, _ = small_index
     path = tmp_path / "idx.jsonl"
     save_index(index, path)
-    parsed: list[str] = []
-    from_text = SqlSkeleton.from_text.__func__
 
-    def counting(cls, text):
-        parsed.append(text)
-        return from_text(cls, text)
+    def refuse(sql):
+        raise AssertionError(f"load_index parsed {sql!r}")
 
-    monkeypatch.setattr(SqlSkeleton, "from_text", classmethod(counting))
+    monkeypatch.setattr(solidql.skeleton, "parse_sql", refuse)
+    monkeypatch.setattr(solidql.sql.parser, "parse_sql", refuse)
     loaded = load_index(path)
+    monkeypatch.undo()
     texts = [pair.s_skeleton.text for pair in index.pool]
     assert len(set(texts)) < len(texts)  # the pool repeats skeletons
-    assert sorted(parsed) == sorted(set(texts))
-    assert [a.s_skeleton for a in loaded.pool] == [b.s_skeleton for b in index.pool]
+    for a, b in zip(loaded.pool, index.pool):
+        assert (a.s_skeleton.text, a.s_skeleton.compiled) == (b.s_skeleton.text, b.s_skeleton.compiled)
     by_text = {}
     for pair in loaded.pool:
         assert by_text.setdefault(pair.s_skeleton.text, pair.s_skeleton) is pair.s_skeleton
+    again = tmp_path / "again.jsonl"
+    save_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_index_uses_gateway_skeletons_with_linked_context(schemas):

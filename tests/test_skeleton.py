@@ -39,11 +39,10 @@ def test_skeleton_text(sql, expected):
 def test_no_original_identifiers_survive(parser_corpus):
     for item in parser_corpus:
         skeleton = SqlSkeleton.from_sql(item["query"])
-        for node in skeleton.tree.walk():
-            if node.kind in (TABLE_REF, COLUMN_REF, LITERAL):
-                assert node.text in PLACEHOLDERS, (item["query"], node)
-            elif node.kind in ("table-alias", "column-alias"):
-                assert node.text in PLACEHOLDERS
+        for label in skeleton.compiled.preorder:
+            kind, _, text = label.partition(":")
+            if kind in (TABLE_REF, COLUMN_REF, LITERAL, "table-alias", "column-alias"):
+                assert text in PLACEHOLDERS, (item["query"], label)
 
 
 def test_function_names_not_masked():
@@ -55,7 +54,7 @@ def test_function_names_not_masked():
 def test_skeleton_text_reparses_to_equal_tree(parser_corpus):
     for item in parser_corpus:
         skeleton = SqlSkeleton.from_sql(item["query"])
-        assert SqlSkeleton.from_text(skeleton.text).tree == skeleton.tree
+        assert SqlSkeleton.from_text(skeleton.text) == skeleton  # text and compiled tree
 
 
 def test_skeletonization_idempotent(parser_corpus):
@@ -64,8 +63,8 @@ def test_skeletonization_idempotent(parser_corpus):
     for sql in [item["query"] for item in parser_corpus] + generated:
         skeleton = SqlSkeleton.from_sql(sql)
         again = extract_sql_skeleton(parse_sql(skeleton.text))
-        assert again.tree == skeleton.tree, sql
-        assert again.tree == SqlSkeleton.from_text(skeleton.text).tree
+        assert again == skeleton, sql
+        assert again == SqlSkeleton.from_text(skeleton.text)
         assert SqlSkeleton.from_sql(skeleton.text).text == skeleton.text
 
 
@@ -87,7 +86,7 @@ def test_similarity_identity_and_bounds():
     for a, b in zip(skeletons, skeletons[1:]):
         score = skeleton_similarity(a, b)
         assert 0.0 <= score <= 1.0
-        if a.tree != b.tree:
+        if a.compiled != b.compiled:
             assert score < 1.0
 
 

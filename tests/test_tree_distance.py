@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
+
 from solidql.skeleton import (
     LabelBags,
     SqlSkeleton,
     bounded_string_distance,
+    compile_postorder,
     compile_tree,
     label_lower_bound,
     node_edit_distance,
@@ -73,8 +76,9 @@ def test_metric_axioms_sample():
 
 
 def _bound_and_multiset_formula(a: Node, b: Node) -> tuple[int, int]:
-    bags = LabelBags([a, b])
-    bound = label_lower_bound(bags.bag(a), bags.bag(b))
+    labels = [compile_tree(a).postorder, compile_tree(b).postorder]
+    bags = LabelBags(labels)
+    bound = label_lower_bound(bags.bag(labels[0]), bags.bag(labels[1]))
     labels_a = Counter(node.label for node in a.walk())
     labels_b = Counter(node.label for node in b.walk())
     common = sum((labels_a & labels_b).values())
@@ -109,11 +113,12 @@ def test_label_lower_bound_below_oracle_on_skeletons():
 
 def test_label_bags_leave_out_unnumbered_occurrences():
     known = Node("n", "A", (Node("n", "B"),))
-    bags = LabelBags([known])
+    bags = LabelBags([compile_tree(known).postorder])
     other = Node("n", "A", (Node("n", "C"), Node("n", "A")))
-    bag = bags.bag(other)
+    bag = bags.bag(compile_tree(other).preorder)  # any order of the labels
     assert bag.size == 3
-    assert label_lower_bound(bags.bag(known), bag) == node_edit_distance(known, other) == 2
+    assert label_lower_bound(bags.bag(compile_tree(known).postorder), bag) == 2
+    assert node_edit_distance(known, other) == 2
 
 
 def _string_distance(s, t) -> int:
@@ -156,10 +161,36 @@ def test_traversal_lower_bound_below_tree_edit_distance_on_skeletons():
     for a, b in zip(skeletons[::2], skeletons[1::2]):
         distance = tree_edit_distance(a, b)
         assert _traversal_bound(a.tree, b.tree) <= distance
-        ta, tb = compile_tree(a.tree), compile_tree(b.tree)
-        assert tree_edit_distance(ta, tb) == tree_edit_distance(ta, b) == distance
+        ta, tb = a.compiled, b.compiled
+        assert (ta, tb) == (compile_tree(a.tree), compile_tree(b.tree))
         for limit in range(-1, 7):
             assert traversal_lower_bound(ta, tb, limit) == min(_traversal_bound(a.tree, b.tree), limit + 1)
+
+
+def test_compile_postorder_rebuilds_the_compiled_tree():
+    rng = random.Random(50)
+    trees = [random_tree(rng, max_nodes=12) for _ in range(300)]
+    trees += [SqlSkeleton.from_sql(random_statement(rng)).tree for _ in range(100)]
+    for tree in trees:
+        compiled = compile_tree(tree)
+        assert compile_postorder(compiled.postorder, compiled.leftmost) == compiled
+
+
+@pytest.mark.parametrize(
+    "postorder, leftmost",
+    [
+        ([], []),  # no tree
+        (["a", "b"], [0]),  # lengths differ
+        (["a", "b"], [0, 2]),  # leftmost[1] after node 1
+        (["a", "b"], [0, -1]),
+        (["a", "b"], [0, 1]),  # two roots
+        (["a", "b", "c", "d"], [0, 0, 1, 0]),  # node 1's subtree sticks out of node 2's
+        (["a", "b"], [0, 0.0]),  # not an index
+    ],
+)
+def test_compile_postorder_refuses_arrays_that_are_no_tree(postorder, leftmost):
+    with pytest.raises(ValueError):
+        compile_postorder(postorder, leftmost)
 
 
 def test_banded_string_distance_agrees_with_full_distance():
