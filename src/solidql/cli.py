@@ -10,7 +10,7 @@ independently:
 
 Exit codes: 0 success, 1 evaluation ran but found failures, 2 usage or
 config error, 3 environment error (providers, replay misses, corrupt
-ledger, transcript or index files).
+ledger, transcript, index or results files).
 """
 
 from __future__ import annotations
@@ -120,12 +120,7 @@ def make_gateway(config: RunConfig) -> LlmGateway:
     provider = None
     if config.mode in ("live", "record"):
         provider = HttpChatProvider.from_env()
-    return LlmGateway(
-        mode=config.mode,
-        store=store,
-        provider=provider,
-        max_concurrent=config.max_concurrent_requests,
-    )
+    return LlmGateway(mode=config.mode, store=store, provider=provider)
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +238,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     perturbed = None
     if args.robustness:
+        if not Path(args.robustness).exists():
+            raise ConfigError(f"robustness file not found: {args.robustness}")
         perturbed = pl.read_results(args.robustness)
         if len(perturbed) != len(results):
             raise ConfigError(
@@ -266,12 +263,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if config.output:
         write_report(report, config.output)
-    ex_failures = sum(1 for r in report.records if not r.excluded and not r.ex)
-    em_failures = sum(1 for r in report.records if not r.excluded and not r.em)
-    robustness_failures = sum(not verdict for verdict in report.robustness or ())
-    if ex_failures or em_failures or robustness_failures or report.excluded:
-        return EXIT_FAILURES
-    return EXIT_OK
+    return EXIT_FAILURES if report.failed else EXIT_OK
 
 
 COMMANDS = {

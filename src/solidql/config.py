@@ -29,7 +29,6 @@ class RunConfig:
     focus_enabled: bool = True
     mode: str = "replay"
     workers: int = 4
-    max_concurrent_requests: int | None = None  # None: bounded by workers
     max_tokens: int = 512
     timeout: float = 30.0
 

@@ -14,7 +14,7 @@ def load_dataset(path: str | Path) -> list[dict]:
     """Load a benchmark dataset: a JSON array of question/db_id/query items."""
     records = json.loads(Path(path).read_text(encoding="utf-8"))
     for i, record in enumerate(records):
-        for key in ("question", "db_id"):
+        for key in ("question", "db_id", "query"):
             if key not in record:
                 raise ValueError(f"dataset item {i} is missing {key!r}")
     return records

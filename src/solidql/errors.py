@@ -64,7 +64,7 @@ class ExecTimeout(ExecError):
 
 
 class CorruptFileError(SolidQlError):
-    """A ledger, transcript or retrieval index file has a malformed line.
+    """A ledger, transcript, results or retrieval index file has a malformed line.
 
     For the append-only files, a torn final line is an interrupted
     append, not corruption.

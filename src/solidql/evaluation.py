@@ -3,9 +3,10 @@
 EX compares the result tables of predicted and gold SQL on the target
 SQLite database: rows as a multiset, each row canonicalized by sorting
 its values so column order never matters, and row order enforced only
-when the gold statement has a top-level ORDER BY. EM is whole-statement
-equality after canonical re-rendering (lowercase identifiers/keywords,
-collapsed whitespace, no trailing semicolon).
+when the gold statement has a top-level ORDER BY. That is decided by a
+scan of the statement's text, so executing a statement never parses it.
+EM is whole-statement equality after canonical re-rendering (lowercase
+identifiers/keywords, collapsed whitespace, no trailing semicolon).
 
 Queries run on read-only connections with a per-query timeout; LLM
 output can be pathological.
@@ -15,14 +16,15 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ExecError, ExecTimeout, ParseError
-from .sql.nodes import OPERATOR
 from .sql.parser import parse_sql
 from .sql.render import render_sql
 
@@ -95,46 +97,34 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0) -> ResultT
     return ResultTable(rows=rows, ordered=has_top_level_order_by(sql))
 
 
+# One token per match: a quoted span ('…', "…", `…` or […], possibly
+# unterminated), a comment, a word, or any other single character.
+_TOKEN = re.compile(
+    r"""'[^']*'?|"[^"]*"?|`[^`]*`?|\[[^\]]*\]?|--[^\n]*|/\*.*?(?:\*/|\Z)|\w+|\S""",
+    re.DOTALL,
+)
+
+
 def has_top_level_order_by(sql: str) -> bool:
-    """True when the statement's outermost query carries ORDER BY."""
-    try:
-        tree = parse_sql(sql)
-    except ParseError:
-        return _order_by_token_scan(sql)
-    node = tree
-    while node.kind == OPERATOR:  # a trailing ORDER BY parses into the last operand
-        node = node.children[-1]
-    return node.clause("order_by") is not None
+    """True when the statement's outermost query carries ORDER BY.
 
-
-def _order_by_token_scan(sql: str) -> bool:
-    """Depth-aware scan for ORDER BY; tolerant of untokenizable input."""
+    One scan of the text: quoted spans and comments are skipped, and the
+    first ``order`` ``by`` word pair outside all parentheses decides.
+    Any text is accepted, including statements the parser rejects.
+    """
     depth = 0
     previous = ""
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            end = sql.find("'", i + 1)
-            i = n if end == -1 else end + 1
+    for match in _TOKEN.finditer(sql):
+        token = match.group().lower()
+        if token.startswith(("--", "/*")):
             continue
-        if ch == "(":
+        if token == "(":
             depth += 1
-        elif ch == ")":
+        elif token == ")":
             depth -= 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j].lower()
-            if depth == 0:
-                if previous == "order" and word == "by":
-                    return True
-                previous = word
-            i = j
-            continue
-        i += 1
+        elif depth == 0 and previous == "order" and token == "by":
+            return True
+        previous = token if depth == 0 else ""
     return False
 
 
@@ -243,13 +233,40 @@ def _robustness_verdict(clean: ResultTable | None, clean_error: str | None,
 
 @dataclass
 class EvalReport:
+    """Per-item records; every total is computed from them."""
+
     records: list[EvalRecord]
-    ex_pct: float
-    em_pct: float
-    scored: int
-    excluded: int
-    flag_counts: dict[str, int] = field(default_factory=dict)
     robustness: list[RobustnessVerdict] | None = None  # printed, not written
+
+    @property
+    def scored(self) -> int:
+        return sum(not record.excluded for record in self.records)
+
+    @property
+    def excluded(self) -> int:
+        return len(self.records) - self.scored
+
+    # An excluded record has ex = em = False, so these sums count scored items only.
+    @property
+    def ex_pct(self) -> float:
+        scored = self.scored
+        return 100.0 * sum(record.ex for record in self.records) / scored if scored else 0.0
+
+    @property
+    def em_pct(self) -> float:
+        scored = self.scored
+        return 100.0 * sum(record.em for record in self.records) / scored if scored else 0.0
+
+    @property
+    def flag_counts(self) -> dict[str, int]:
+        """Items carrying each flag, by flag name."""
+        return dict(sorted(Counter(f for record in self.records for f in record.flags).items()))
+
+    @property
+    def failed(self) -> bool:
+        """True when any item is excluded, misses EX or EM, or fails robustness."""
+        missed = any(r.excluded or not (r.ex and r.em) for r in self.records)
+        return missed or not all(self.robustness or ())
 
     def to_dict(self) -> dict:
         return {
@@ -258,7 +275,7 @@ class EvalReport:
             "excluded": self.excluded,
             "ex_pct": self.ex_pct,
             "em_pct": self.em_pct,
-            "flag_counts": dict(sorted(self.flag_counts.items())),
+            "flag_counts": self.flag_counts,
         }
 
     def table(self) -> str:
@@ -269,7 +286,7 @@ class EvalReport:
             f"{'EX':>10}  {self.ex_pct:.1f}",
             f"{'EM':>10}  {self.em_pct:.1f}",
         ]
-        for flag, count in sorted(self.flag_counts.items()):
+        for flag, count in self.flag_counts.items():
             lines.append(f"{flag:>24}  {count}")
         if self.robustness is not None:
             passed = sum(map(bool, self.robustness))
@@ -302,42 +319,20 @@ def evaluate(
         raise ValueError(f"{len(predictions)} predictions vs {len(perturbed)} perturbed")
     robustness: list[RobustnessVerdict] | None = [] if perturbed is not None else None
     records: list[EvalRecord] = []
-    flag_counts: dict[str, int] = {}
-    ex_hits = 0
-    em_hits = 0
-    scored = 0
-    excluded = 0
     for i, (item, pred_sql) in enumerate(zip(dataset, predictions)):
         db_path = database_path(databases_root, item["db_id"])
-        item_flags = tuple(flags[i]) if flags is not None else ()
-        for flag in item_flags:
-            flag_counts[flag] = flag_counts.get(flag, 0) + 1
         gold_table, gold_error = _run(db_path, item["query"], timeout)
         pred_table, error = _run(db_path, pred_sql, timeout)
         if robustness is not None:
             robustness.append(_robustness_verdict(pred_table, error, perturbed[i], db_path, timeout))
-        if gold_table is None:
-            excluded += 1
+        excluded = gold_table is None
+        if excluded:
             logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
-            records.append(
-                EvalRecord(
-                    question=item["question"],
-                    db_id=item["db_id"],
-                    gold_sql=item["query"],
-                    pred_sql=pred_sql,
-                    ex=False,
-                    em=False,
-                    error=f"gold execution failed: {gold_error}",
-                    excluded=True,
-                    flags=item_flags,
-                )
-            )
-            continue
-        ex = pred_table is not None and tables_match(pred_table, gold_table)
-        em = exact_match(pred_sql, item["query"])
-        scored += 1
-        ex_hits += ex
-        em_hits += em
+            ex = em = False
+            error = f"gold execution failed: {gold_error}"
+        else:
+            ex = pred_table is not None and tables_match(pred_table, gold_table)
+            em = exact_match(pred_sql, item["query"])
         records.append(
             EvalRecord(
                 question=item["question"],
@@ -347,20 +342,11 @@ def evaluate(
                 ex=ex,
                 em=em,
                 error=error,
-                flags=item_flags,
+                excluded=excluded,
+                flags=tuple(flags[i]) if flags is not None else (),
             )
         )
-    ex_pct = 100.0 * ex_hits / scored if scored else 0.0
-    em_pct = 100.0 * em_hits / scored if scored else 0.0
-    return EvalReport(
-        records=records,
-        ex_pct=ex_pct,
-        em_pct=em_pct,
-        scored=scored,
-        excluded=excluded,
-        flag_counts=flag_counts,
-        robustness=robustness,
-    )
+    return EvalReport(records=records, robustness=robustness)
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:

@@ -183,7 +183,6 @@ class LlmGateway:
         mode: str = "replay",
         store: TranscriptStore | None = None,
         provider: ChatProvider | Callable[[ChatRequest], str] | None = None,
-        max_concurrent: int | None = None,
     ) -> None:
         if mode not in MODES:
             raise ConfigError(f"unknown gateway mode {mode!r}")
@@ -194,13 +193,8 @@ class LlmGateway:
         self.mode = mode
         self.store = store
         self.provider = provider
-        self._semaphore = threading.Semaphore(max_concurrent) if max_concurrent else None
-        self.calls = 0
-        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
-        with self._lock:
-            self.calls += 1
         digest = request_hash(request)
         if self.mode == "replay":
             response = self.store.lookup(digest)
@@ -211,11 +205,7 @@ class LlmGateway:
             cached = self.store.lookup(digest)
             if cached is not None:
                 return cached
-        if self._semaphore is not None:
-            with self._semaphore:
-                response = self.provider(request)
-        else:
-            response = self.provider(request)
+        response = self.provider(request)
         if self.mode == "record":
             provider_name = getattr(self.provider, "name", type(self.provider).__name__)
             self.store.record(request, response, provider_name)

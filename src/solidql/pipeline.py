@@ -225,13 +225,18 @@ def run_batch(
         logger.info("resuming: %d of %d items already complete", len(done), len(dataset))
     results: dict[int, PipelineResult] = dict(done)
 
+    stop = threading.Event()  # set once the batch is aborting; later items never start
+
     def work(i: int) -> None:
+        if stop.is_set():
+            return
         item = dataset[i]
         try:
             result = run_item(
                 item["question"], item_schema[i], predictor, index, gateway, embedder, config
             )
         except ReplayMiss:
+            stop.set()
             raise
         except Exception as exc:
             logger.warning("item %d failed: %s", i, exc)
@@ -260,7 +265,7 @@ def run_batch(
                 for future in futures:
                     future.result()
             except BaseException:
-                pool.shutdown(cancel_futures=True)  # items not yet started never run
+                stop.set()
                 raise
 
     ordered = [results[i] for i in range(len(dataset))]
@@ -282,10 +287,5 @@ def write_results(results: Sequence[PipelineResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[PipelineResult]:
-    results: list[PipelineResult] = []
-    with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                results.append(PipelineResult.from_dict(json.loads(line)))
-    return results
+    """The results in ``path``; a malformed line raises ``CorruptFileError`` (see ``JsonLines``)."""
+    return list(JsonLines(path).records(PipelineResult.from_dict))

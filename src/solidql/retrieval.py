@@ -249,25 +249,26 @@ def retrieve_by_question_skeleton(
 
     Ties break toward the lower pool index; candidates whose similarity
     is undefined (zero-norm embedding) are skipped; the pool entry whose
-    question equals ``exclude_question`` is never returned.
+    question equals ``exclude_question`` is never returned. A target
+    embedding whose length is not the index's dimension raises
+    ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = embedder.embed([target_skeleton])[0]
-    dimension = len(target)
+    if len(target) != index.dimension:
+        raise ValueError(f"dimension mismatch: {len(target)} vs index {index.dimension}")
     target_norm = _squared_norm(target)
+    if target_norm == 0.0:
+        return RetrievalResult([])
     # For finite vectors the skipped terms are ±0.0 and leave the dot
     # product bit-identical to cosine_similarity's full sum.
     terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
     scored: list[tuple[float, int, ExamplePair]] = []
     for pair, norm in zip(index.pool, index.squared_norms):
-        if pair.question == exclude_question:
+        if pair.question == exclude_question or norm == 0.0:
             continue
         vector = pair.q_embedding
-        if len(vector) != dimension or not dimension:
-            raise ValueError(f"dimension mismatch: {dimension} vs {len(vector)}")
-        if target_norm == 0.0 or norm == 0.0:
-            continue
         dot = 0.0
         for bucket, value in terms:
             dot += value * vector[bucket]
@@ -336,7 +337,8 @@ def build_index(
 
     ``linked`` optionally supplies the linked subset per item as masking
     context. Items whose SQL does not parse are skipped and logged.
-    Rebuilding from identical inputs yields an identical index.
+    Embeddings of mixed lengths raise ``ValueError``. Rebuilding from
+    identical inputs yields an identical index.
     """
     kept: list[tuple[str, str, str, SqlSkeleton]] = []
     skipped = 0
@@ -353,6 +355,8 @@ def build_index(
 
     embeddings = embedder.embed([item[2] for item in kept]) if kept else []
     dimension = embedder.dimension or (len(embeddings[0]) if embeddings else 0)
+    if any(len(vector) != dimension for vector in embeddings):
+        raise ValueError(f"embeddings of mixed lengths; expected {dimension}")
     pool = [
         ExamplePair(
             question=question,
@@ -424,8 +428,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
     from the stored arrays without parsing SQL. An index of another
     format raises ``ConfigError``. ``CorruptFileError``, naming the file
     and the line, is raised for a line that does not decode, a record
-    missing a field or out of pool order, and skeleton arrays that do
-    not describe a tree or differ between records of one text.
+    missing a field or out of pool order, a ``q_embedding`` that is not
+    ``dimension`` numbers, and skeleton arrays that do not describe a
+    tree or differ between records of one text.
     """
     path = Path(path)
     skeletons: dict[str, SqlSkeleton] = {}
@@ -458,12 +463,16 @@ def load_index(path: str | Path) -> RetrievalIndex:
                     raise ValueError(f"skeleton {text!r} is stored with two different trees")
                 if record["pool_index"] != len(pool):
                     raise ValueError(f"pool_index {record['pool_index']!r} at row {len(pool)}")
+                embedding = record["q_embedding"]
+                if len(embedding) != dimension:
+                    raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
+                sum(embedding)  # TypeError unless every value is a number
                 pool.append(
                     ExamplePair(
                         question=record["question"],
                         sql=record["sql"],
                         q_skeleton=record["q_skeleton"],
-                        q_embedding=tuple(record["q_embedding"]),
+                        q_embedding=tuple(embedding),
                         s_skeleton=skeleton,
                         pool_index=len(pool),
                     )

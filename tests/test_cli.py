@@ -250,6 +250,11 @@ def _swap_first_records(lines):
     return 2
 
 
+def _embedding_not_numbers(lines):
+    vector = json.loads(lines[2])["q_embedding"]
+    return _edit_record(lines, 3, q_embedding=[str(value) for value in vector])
+
+
 def _repeat_first_text(lines):
     first, second = json.loads(lines[1]), json.loads(lines[2])
     assert first["s_postorder"] != second["s_postorder"]
@@ -268,6 +273,8 @@ INDEX_CORRUPTIONS = {
     "subtrees do not nest": lambda lines: _edit_record(
         lines, 2, s_postorder=["a", "b", "c", "d"], s_leftmost=[0, 0, 1, 0]),
     "one text, two trees": _repeat_first_text,
+    "embedding of another length": lambda lines: _edit_record(lines, 2, q_embedding=[1.0] * 10),
+    "embedding not numbers": _embedding_not_numbers,
 }
 
 
@@ -366,6 +373,47 @@ def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_
     assert code == 1
 
 
+# each edit of a results file returns the line number the error must name
+PREDICTION_CORRUPTIONS = {
+    "undecodable line": lambda lines: _replace_line(lines, 3, "{broken"),
+    "line missing final_sql": lambda lines: _edit_record(lines, 2, drop=("final_sql",)),
+}
+
+
+@pytest.mark.parametrize("corruption", PREDICTION_CORRUPTIONS)
+def test_cmd_eval_malformed_predictions_exit_environment(
+    workspace, databases_root, tmp_path, capsys, corruption
+):
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()
+    number = PREDICTION_CORRUPTIONS[corruption](lines)
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("\n".join(lines) + "\n")
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        "--predictions", str(predictions),
+    ])
+    assert code == 3
+    assert f"{predictions}, line {number}: malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "index"])
+def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_path, capsys, command):
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    del dataset[1]["query"]
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(dataset))
+    if command == "eval":
+        argv = ["eval", "--databases", str(databases_root),
+                "--predictions", str(workspace / "run_eval.jsonl")]
+    else:
+        argv = ["index", "--tables", str(workspace / "tables.json"),
+                "--output", str(tmp_path / "index.jsonl")]
+    assert main([*argv, "--dataset", str(path)]) == 2
+    assert "dataset item 1 is missing 'query'" in capsys.readouterr().err
+
+
 def test_cmd_eval_robustness_pairing(workspace, databases_root, capsys):
     code = main([
         "eval",
@@ -424,17 +472,30 @@ def test_cmd_eval_refuses_misaligned_items(workspace, databases_root, tmp_path, 
     assert eval_with({}, {"question": "A reworded question?"}) == 0
 
 
-def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_path):
+def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_path, capsys):
     short = tmp_path / "short.jsonl"
+    torn = tmp_path / "torn.jsonl"
     lines = (workspace / "run_eval.jsonl").read_text().splitlines()
     short.write_text("\n".join(lines[:2]) + "\n")
+    torn.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:20])  # a crash mid-append
+    for predictions in (short, torn):
+        code = main([
+            "eval",
+            "--dataset", str(workspace / "shop_dataset.json"),
+            "--databases", str(databases_root),
+            "--predictions", str(predictions),
+        ])
+        assert code == 2
+        assert "alignment mismatch" in capsys.readouterr().err
     code = main([
         "eval",
         "--dataset", str(workspace / "shop_dataset.json"),
         "--databases", str(databases_root),
-        "--predictions", str(short),
+        "--predictions", str(workspace / "run_eval.jsonl"),
+        "--robustness", str(tmp_path / "missing.jsonl"),
     ])
     assert code == 2
+    assert "robustness file not found" in capsys.readouterr().err
 
 
 def test_cmd_build_sft_counts_and_determinism(workspace, capsys):
@@ -518,7 +579,8 @@ def test_config_file_with_flag_overrides(workspace, tmp_path):
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"datasets": "typo.json"}))
-    code = main(["--config", str(config_path), "run"])
-    assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for key in ("datasets", "max_concurrent_requests"):  # a typo; a removed key
+        config_path.write_text(json.dumps({key: 2}))
+        code = main(["--config", str(config_path), "run"])
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err

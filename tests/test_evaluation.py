@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -18,6 +19,10 @@ from solidql.evaluation import (
     tables_match,
     write_report,
 )
+from solidql.sql.nodes import OPERATOR
+from solidql.sql.parser import parse_sql
+
+from support import random_statement
 
 
 def test_execute_select_one(concert_db):
@@ -69,13 +74,61 @@ def test_execute_sql_starts_no_thread(concert_db, monkeypatch):
 
 def test_order_by_detection():
     assert has_top_level_order_by("SELECT a FROM t ORDER BY a")
+    assert has_top_level_order_by("select a from t order\n  by a")
     assert not has_top_level_order_by("SELECT a FROM t")
     assert not has_top_level_order_by(
         "SELECT a FROM t WHERE b IN (SELECT c FROM u ORDER BY c)"
     )
     assert has_top_level_order_by("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1")
-    # unparseable input falls back to a token scan
+    # text the parser rejects is scanned all the same
     assert has_top_level_order_by("SELECT weird !! FROM t ORDER BY x")
+    assert has_top_level_order_by("SELECT a || b FROM t WHERE c = ? ORDER BY a")
+    # quoted spans and comments hide what they hold
+    assert not has_top_level_order_by("SELECT 'order by' FROM t")
+    assert not has_top_level_order_by('SELECT "order by" FROM t')
+    assert not has_top_level_order_by("SELECT a AS `order by` FROM t")
+    assert not has_top_level_order_by("SELECT a AS [order by] FROM t")
+    assert not has_top_level_order_by("SELECT a FROM t -- ORDER BY a")
+    assert not has_top_level_order_by("SELECT a FROM t /* ORDER BY a */")
+    assert not has_top_level_order_by("SELECT a FROM t WHERE b = 'order by")
+    assert has_top_level_order_by("SELECT a FROM t -- (\nORDER BY a")
+    assert has_top_level_order_by("SELECT a FROM t ORDER /* ( */ BY a")
+    assert has_top_level_order_by("SELECT a FROM t WHERE b = 'it''s (' ORDER BY a")
+    assert not has_top_level_order_by("SELECT a FROM t WHERE b = 'it''s order by'")
+    assert has_top_level_order_by('SELECT "a)" FROM t ORDER BY 1')
+    assert has_top_level_order_by("SELECT [a(] FROM t ORDER BY 1")
+    assert not has_top_level_order_by("SELECT (a) order, by FROM t")
+
+
+def _parse_tree_order_by(sql: str) -> bool:
+    """Reference: the outermost query, or a compound's last operand, has ORDER BY."""
+    node = parse_sql(sql)
+    while node.kind == OPERATOR:  # a trailing ORDER BY parses into the last operand
+        node = node.children[-1]
+    return node.clause("order_by") is not None
+
+
+def test_order_by_scan_agrees_with_the_parse_tree(parser_corpus):
+    rng = random.Random(2018)
+    statements = [item["query"] for item in parser_corpus]
+    statements += [random_statement(rng) for _ in range(2000)]
+    assert any(_parse_tree_order_by(sql) for sql in statements)
+    assert not all(_parse_tree_order_by(sql) for sql in statements)
+    for sql in statements:
+        assert has_top_level_order_by(sql) == _parse_tree_order_by(sql), sql
+
+
+def test_execute_sql_never_parses(concert_db, monkeypatch):
+    def refuse(sql):
+        raise RuntimeError("execute_sql parsed a statement")
+
+    monkeypatch.setattr("solidql.evaluation.parse_sql", refuse)
+    table = execute_sql(concert_db, "SELECT name FROM singer ORDER BY age")
+    assert len(table.rows) == 5 and table.ordered
+    table = execute_sql(
+        concert_db, "SELECT name FROM singer WHERE age IN (SELECT age FROM singer ORDER BY age)"
+    )
+    assert len(table.rows) == 5 and not table.ordered
 
 
 def test_execution_match_identity(concert_db):

@@ -116,29 +116,6 @@ def test_mode_requirements():
         LlmGateway(mode="weird")
 
 
-def test_concurrent_request_limit_is_enforced(tmp_path):
-    import time
-    from concurrent.futures import ThreadPoolExecutor
-
-    active = []
-    peak = []
-    lock = threading.Lock()
-
-    def slow_provider(request):
-        with lock:
-            active.append(1)
-            peak.append(len(active))
-        time.sleep(0.02)
-        with lock:
-            active.pop()
-        return "ok"
-
-    gateway = LlmGateway(mode="live", provider=slow_provider, max_concurrent=2)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda i: gateway.complete(make_request(f"m{i}")), range(16)))
-    assert max(peak) <= 2
-
-
 def test_concurrent_recording_keeps_store_valid(tmp_path):
     from concurrent.futures import ThreadPoolExecutor
 

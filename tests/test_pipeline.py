@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -228,9 +227,6 @@ def test_batch_replay_miss_cancels_queued_items(schemas, shop_dataset, fixture_i
     def fake_run_item(*args):
         with lock:
             calls.append(args[0])
-            first = len(calls) == 1
-        if not first:
-            time.sleep(0.02)  # still running when the first miss aborts the batch
         raise ReplayMiss("no transcript")
 
     monkeypatch.setattr("solidql.pipeline.run_item", fake_run_item)
@@ -241,7 +237,7 @@ def test_batch_replay_miss_cancels_queued_items(schemas, shop_dataset, fixture_i
             [shop_dataset[0]] * 200, schemas, predictor, fixture_index,
             LlmGateway(mode="live", provider=lambda request: ""), HashedBagOfTokens(), config,
         )
-    assert len(calls) <= workers + 1
+    assert len(calls) <= workers
 
 
 def test_ledger_resume_skips_completed_items(components, schemas, shop_dataset, provider, tmp_path):

@@ -205,6 +205,8 @@ def test_question_dimension_mismatch_raises():
     index, _ = fixed_index({"one": (1.0, 0.0), "two": (0.0, 1.0)})
     with pytest.raises(ValueError):
         retrieve_by_question_skeleton("target", index, 2, FixedEmbedder({"target": (1.0, 0.0, 1.0)}))
+    with pytest.raises(ValueError):
+        fixed_index({"one": (1.0, 0.0), "two": (0.0, 1.0, 1.0)})
 
 
 def test_question_exclusion_matches_brute_force():
