@@ -11,12 +11,23 @@ from .schema import DatabaseSchema, item_schemas
 
 
 def load_dataset(path: str | Path) -> list[dict]:
-    """Load a benchmark dataset: a JSON array of question/db_id/query items."""
+    """Load a benchmark dataset: a JSON array of question/db_id/query items.
+
+    Raises ``ValueError``, naming the file or the item, unless the file
+    holds a JSON array of objects whose ``question``, ``db_id`` and
+    ``query`` are strings.
+    """
     records = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise ValueError(f"{path} holds a JSON {type(records).__name__}, not an array of items")
     for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"dataset item {i} is a JSON {type(record).__name__}, not an object")
         for key in ("question", "db_id", "query"):
             if key not in record:
                 raise ValueError(f"dataset item {i} is missing {key!r}")
+            if not isinstance(record[key], str):
+                raise ValueError(f"dataset item {i} has a {key!r} that is not a string")
     return records
 
 

@@ -42,6 +42,10 @@ FLAG_ROUND2_RETRIEVAL_FALLBACK = "round2_retrieval_fallback"
 FLAG_ROUND1_ERROR = "round1_error"
 FLAG_ROUND2_ERROR = "round2_error"
 
+_TEXT_FIELDS = (
+    "question", "db_id", "linked", "q_skeleton", "round1_sql", "round2_sql", "final_sql"
+)
+
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -68,6 +72,15 @@ class PipelineResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineResult":
+        """Inverse of ``to_dict``. Raises ``KeyError`` for a missing field,
+        ``TypeError`` for a field of the wrong type and ``ValueError`` for
+        a ``linked`` text that is not a schema subset."""
+        for key in _TEXT_FIELDS:
+            if not isinstance(data[key], str):
+                raise TypeError(f"{key!r} is {type(data[key]).__name__}, not a string")
+        flags = data["flags"]
+        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+            raise TypeError(f"'flags' is not a list of strings: {flags!r}")
         return cls(
             question=data["question"],
             db_id=data["db_id"],
@@ -76,7 +89,7 @@ class PipelineResult:
             round1_sql=data["round1_sql"],
             round2_sql=data["round2_sql"],
             final_sql=data["final_sql"],
-            flags=tuple(data["flags"]),
+            flags=tuple(flags),
         )
 
 

@@ -6,16 +6,22 @@ parse trees. Both rankings are exact and break ties by pool index, so
 they are total orders and stable across runs.
 
 Round 1 scans the whole pool, but takes each dot product over the
-target's non-zero buckets only. Round 2 scores each distinct skeleton
-at most once, visiting them in ascending order of (label-multiset lower
-bound on the distance, first pool index). Once n candidates are held,
-it stops at the first skeleton whose (bound, first pool index) exceeds
-the n-th best (distance, pool index): every later member is farther
-away, or as far and later in the pool, so none can rank ahead of it.
-A skeleton before that point is scored only if its traversal-string
-lower bound is within the cutoff it has to beat: the n-th best
-distance, or one less when all its members come after the n-th best in
-the pool.
+target's non-zero buckets only. Round 2 is a multi-step k-nearest-
+neighbour search (Seidl & Kriegel, SIGMOD 1998) over the distinct
+skeletons. A min-heap holds them keyed by (lower bound on the distance,
+first pool index). Skeletons enter it in size rings outward from the
+target's node count, ring r holding those with r more or fewer nodes:
+the label-multiset bound is at least r there, so ring r is pushed only
+once the head's key reaches r. A skeleton's first pop replaces its
+label bound by its traversal-string bound; if that is larger, it goes
+back into the heap under the larger key, and otherwise, as on its
+second pop, it is scored with the exact tree edit distance. Once n
+candidates are held, the search stops at the first key that exceeds the
+n-th best (distance, pool index): every later member is farther away,
+or as far and later in the pool, so none can rank ahead of it. A first
+pop then also drops the skeleton if its traversal bound exceeds the
+cutoff it has to beat: the n-th best distance, or one less when all its
+members come after the n-th best in the pool.
 """
 
 from __future__ import annotations
@@ -93,18 +99,20 @@ class RetrievalIndex:
         return LabelBags(pair.s_skeleton.compiled.postorder for pair in self.pool)
 
     @cached_property
-    def skeleton_groups(self) -> list[SkeletonGroup]:
-        """The pool grouped by SQL skeleton text, in order of first member."""
+    def skeleton_groups(self) -> dict[int, list[SkeletonGroup]]:
+        """The pool grouped by SQL skeleton text, keyed by the skeleton's
+        node count; each size's groups are in order of first member."""
         groups: dict[str, list[ExamplePair]] = {}
         for pair in self.pool:
             groups.setdefault(pair.s_skeleton.text, []).append(pair)
         bag = self.label_bags.bag
-        return [
-            SkeletonGroup(
-                members[0].s_skeleton, bag(members[0].s_skeleton.compiled.postorder), tuple(members)
-            )
-            for members in groups.values()
-        ]
+        by_size: dict[int, list[SkeletonGroup]] = {}
+        for members in groups.values():
+            skeleton = members[0].s_skeleton
+            labels = bag(skeleton.compiled.postorder)
+            group = SkeletonGroup(skeleton, labels, tuple(members))
+            by_size.setdefault(labels.size, []).append(group)
+        return by_size
 
     @cached_property
     def squared_norms(self) -> list[float]:
@@ -296,25 +304,55 @@ def retrieve_by_sql_skeleton(
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
         return RetrievalResult(list(fallback_examples), fallback="question")
+    by_size = index.skeleton_groups
     target_labels = index.label_bags.bag(target.compiled.postorder)
-    ranked = sorted(
-        (label_lower_bound(target_labels, group.labels), group.members[0].pool_index, group)
-        for group in index.skeleton_groups
-    )
+    size = target_labels.size
+    last_ring = max((abs(other - size) for other in by_size), default=-1)
+    ring = 0
+    # (lower bound, first pool index, refined, group); the first two are unique
+    heap: list[tuple[int, int, bool, SkeletonGroup]] = []
     best: list[tuple[int, int, ExamplePair]] = []
-    for bound, first, group in ranked:
-        if len(best) == n and (bound, first) > best[-1][:2]:
+    while True:
+        # A group of ring r has r more or fewer nodes than the target, so
+        # its label bound is at least r. Ring r is pushed once the head's
+        # key reaches r, and never when r exceeds the n-th best distance.
+        while ring <= last_ring and (not heap or ring <= heap[0][0]):
+            if len(best) == n and ring > best[-1][0]:
+                break
+            for ring_size in (size - ring, size + ring) if ring else (size,):
+                for group in by_size.get(ring_size, ()):
+                    first = group.members[0]
+                    if first.question == exclude_question:
+                        kept = [p for p in group.members if p.question != exclude_question]
+                        if not kept:
+                            continue
+                        first = kept[0]
+                    key = label_lower_bound(target_labels, group.labels)
+                    heapq.heappush(heap, (key, first.pool_index, False, group))
+            ring += 1
+        if not heap:
+            break
+        key, first_index, refined, group = heapq.heappop(heap)
+        if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
-        members = [pair for pair in group.members if pair.question != exclude_question]
-        if not members:
-            continue
-        if len(best) == n:
-            # a member ranks ahead of the n-th best only within this distance
-            limit = best[-1][0] - (members[0].pool_index > best[-1][1])
-            if traversal_lower_bound(target.compiled, group.skeleton.compiled, limit) > limit:
+        if not refined:
+            if len(best) == n:
+                # a member ranks ahead of the n-th best only within this distance
+                limit = best[-1][0] - (first_index > best[-1][1])
+            else:
+                limit = key + 2  # min(limit + 1, distance) is still a lower bound
+            bound = traversal_lower_bound(target.compiled, group.skeleton.compiled, limit)
+            if len(best) == n and bound > limit:
+                continue
+            if bound > key:
+                heapq.heappush(heap, (bound, first_index, True, group))
                 continue
         distance = tree_edit_distance(target, group.skeleton)
-        best.extend((distance, pair.pool_index, pair) for pair in members)
+        best.extend(
+            (distance, pair.pool_index, pair)
+            for pair in group.members
+            if pair.question != exclude_question
+        )
         best.sort()
         del best[n:]
     return RetrievalResult([pair for _, _, pair in best])

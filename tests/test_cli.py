@@ -377,6 +377,9 @@ def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_
 PREDICTION_CORRUPTIONS = {
     "undecodable line": lambda lines: _replace_line(lines, 3, "{broken"),
     "line missing final_sql": lambda lines: _edit_record(lines, 2, drop=("final_sql",)),
+    "final_sql null": lambda lines: _edit_record(lines, 2, final_sql=None),
+    "flags a string": lambda lines: _edit_record(lines, 3, flags="ab"),
+    "linked null": lambda lines: _edit_record(lines, 1, linked=None),
 }
 
 
@@ -398,10 +401,8 @@ def test_cmd_eval_malformed_predictions_exit_environment(
     assert f"{predictions}, line {number}: malformed record" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "index"])
-def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_path, capsys, command):
-    dataset = json.loads((workspace / "shop_dataset.json").read_text())
-    del dataset[1]["query"]
+def _main_on_dataset(command, dataset, workspace, databases_root, tmp_path):
+    """``solidql eval`` or ``solidql index`` on ``dataset``, saved as JSON."""
     path = tmp_path / "dataset.json"
     path.write_text(json.dumps(dataset))
     if command == "eval":
@@ -410,8 +411,46 @@ def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_pat
     else:
         argv = ["index", "--tables", str(workspace / "tables.json"),
                 "--output", str(tmp_path / "index.jsonl")]
-    assert main([*argv, "--dataset", str(path)]) == 2
+    return main([*argv, "--dataset", str(path)])
+
+
+@pytest.mark.parametrize("command", ["eval", "index"])
+def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_path, capsys, command):
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    del dataset[1]["query"]
+    assert _main_on_dataset(command, dataset, workspace, databases_root, tmp_path) == 2
     assert "dataset item 1 is missing 'query'" in capsys.readouterr().err
+
+
+def _set_item_field(number, key, value):
+    def edit(dataset):
+        dataset[number][key] = value
+        return dataset, f"dataset item {number} has a {key!r} that is not a string"
+
+    return edit
+
+
+def _item_not_an_object(dataset):
+    dataset[2] = "SELECT 1"
+    return dataset, "dataset item 2 is a JSON str, not an object"
+
+
+# each edit of a dataset returns the edited value and the error it must raise
+DATASET_CORRUPTIONS = {
+    "query null": _set_item_field(1, "query", None),
+    "question a number": _set_item_field(0, "question", 5),
+    "item not an object": _item_not_an_object,
+    "top level a number": lambda dataset: (5, "dataset.json holds a JSON int, not an array of items"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "index"])
+@pytest.mark.parametrize("corruption", DATASET_CORRUPTIONS)
+def test_malformed_dataset_exits_two(workspace, databases_root, tmp_path, capsys, command, corruption):
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    dataset, expected = DATASET_CORRUPTIONS[corruption](dataset)
+    assert _main_on_dataset(command, dataset, workspace, databases_root, tmp_path) == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_cmd_eval_robustness_pairing(workspace, databases_root, capsys):

@@ -284,30 +284,128 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
     assert sorted(d for _, d in distances).count(1) == 8
     distinct = len({p.s_skeleton.text for p in index.pool})
 
-    visits = {"scored": 0, "filtered": 0}
+    visited = set()  # the compiled skeletons bounded by traversal strings or scored
 
-    def counting(name, fn):
-        def wrapper(*args):
-            visits[name] += 1
-            return fn(*args)
+    def counting(fn, compiled):
+        def wrapper(target, other, *rest):
+            visited.add(id(compiled(other)))
+            return fn(target, other, *rest)
 
         return wrapper
 
-    monkeypatch.setattr(retrieval, "tree_edit_distance", counting("scored", tree_edit_distance))
     monkeypatch.setattr(
-        retrieval, "traversal_lower_bound", counting("filtered", retrieval.traversal_lower_bound)
+        retrieval, "tree_edit_distance", counting(tree_edit_distance, lambda skeleton: skeleton.compiled)
+    )
+    monkeypatch.setattr(
+        retrieval, "traversal_lower_bound", counting(retrieval.traversal_lower_bound, lambda tree: tree)
     )
     for excluded in (None, 0):  # question 0 is the first member of the target's group
         exclude = None if excluded is None else f"question {excluded}"
         skip = () if excluded is None else (excluded,)
         for n in range(1, len(statements) + 1):
-            visits.update(scored=0, filtered=0)
+            visited.clear()
             got = retrieve_by_sql_skeleton("SELECT c FROM v", index, n, exclude_question=exclude)
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
             if n == 2:
                 # The second best is at distance 1 or better, so the seven
                 # distance-1 skeletons after it are neither scored nor checked.
-                assert visits["scored"] + visits["filtered"] <= 2 < distinct
+                assert len(visited) <= 2 < distinct
+
+
+def test_sql_ranking_across_size_rings(monkeypatch):
+    from solidql import retrieval
+    from solidql.skeleton import SqlSkeleton, tree_edit_distance
+
+    # The target has 6 nodes. At each distance, the candidate in the
+    # farther size ring comes earlier in the pool.
+    statements = [
+        "SELECT a, b FROM t ORDER BY a",  # ring 2, distance 2
+        "SELECT a, b, c FROM t ORDER BY a",  # ring 3, distance 3
+        "SELECT * FROM t",  # ring 1 (5 nodes), distance 2
+        "SELECT a, b FROM t WHERE c = 1",  # ring 4, distance 4
+        "SELECT max(a), min(b) FROM t",  # ring 2, distance 2
+        "SELECT count(*) FROM t",  # ring 0, distance 3
+        "SELECT a, b, c FROM t",  # ring 1 (7 nodes), distance 1
+        "SELECT count(a) FROM t",  # ring 0, distance 2
+        "SELECT a FROM t",  # ring 1 (5 nodes), distance 1
+        "SELECT a FROM t ORDER BY a",  # ring 1 (7 nodes), distance 3
+        "SELECT DISTINCT a, b FROM t",  # ring 1 (7 nodes), distance 1
+        "SELECT a, b, c, d FROM t",  # ring 2, distance 2
+        "SELECT a, b FROM t ORDER BY a LIMIT 1",  # ring 4, distance 4
+        "SELECT c, d FROM u ORDER BY c",  # the skeleton of item 0
+    ]
+    index = build_index([(f"question {i}", sql) for i, sql in enumerate(statements)], HashedBagOfTokens())
+    target = SqlSkeleton.from_sql("SELECT x, y FROM v")
+    rings = [(abs(p.s_skeleton.node_count - 6), tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+    assert rings == [
+        (2, 2), (3, 3), (1, 2), (4, 4), (2, 2), (0, 3), (1, 1),
+        (0, 2), (1, 1), (1, 3), (1, 1), (2, 2), (4, 4), (2, 2),
+    ]
+    distances = [(p.pool_index, distance) for p, (_, distance) in zip(index.pool, rings)]
+    for excluded in (None, 0, 6):  # 0 is the first member of a shared skeleton
+        exclude = None if excluded is None else f"question {excluded}"
+        skip = () if excluded is None else (excluded,)
+        for n in range(1, len(statements) + 1):
+            got = retrieve_by_sql_skeleton("SELECT x, y FROM v", index, n, exclude_question=exclude)
+            assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
+
+    # On a pool of wide size spread, the rings leave groups unbounded.
+    rng = random.Random(41)
+    pool = [(f"question {i}", random_statement(rng)) for i in range(300)]
+    index = build_index(pool, HashedBagOfTokens())
+    sizes = {p.s_skeleton.node_count for p in index.pool}
+    assert max(sizes) - min(sizes) > 20
+    groups = len({p.s_skeleton.text for p in index.pool})
+    label_lower_bound = retrieval.label_lower_bound
+    bounded = []
+
+    def counting(a, b):
+        bounded.append(b)
+        return label_lower_bound(a, b)
+
+    monkeypatch.setattr(retrieval, "label_lower_bound", counting)
+    targets = [(random_statement(rng), None) for _ in range(5)] + [(pool[3][1], pool[3][0])]
+    for sql, excluded in targets:
+        target = SqlSkeleton.from_sql(sql)
+        distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+        skip = {p.pool_index for p in index.pool if p.question == excluded}
+        for n in (1, 3, 7):
+            bounded.clear()
+            got = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
+            assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
+            assert len(bounded) < groups
+            assert len(bounded) < groups
+
+
+# tree_edit_distance calls of test_round2_work_gate's queries: the search
+# that sorted all groups by label bound and scanned them in that order
+# made 352; the ring search made 198 when this gate was set.
+SORTED_SCAN_CALLS = 352
+RING_SEARCH_CALLS = 198
+
+
+def test_round2_work_gate(monkeypatch):
+    """Pruning guard without timing: the exact-distance calls that round 2
+    makes for fixed queries on a fixed 2,000-item pool at n = 7."""
+    from solidql import retrieval
+
+    rng = random.Random(909)
+    pool = [(f"question {i}", random_statement(rng)) for i in range(2000)]
+    index = build_index(pool, HashedBagOfTokens())
+    targets = [(random_statement(rng), None) for _ in range(20)]
+    targets += [(sql, question) for question, sql in pool[::200]]  # self-excluded
+    tree_edit_distance = retrieval.tree_edit_distance
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return tree_edit_distance(a, b)
+
+    monkeypatch.setattr(retrieval, "tree_edit_distance", counting)
+    for sql, excluded in targets:
+        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
+    assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
 
 
 # ----------------------------------------------------------------------
