@@ -11,6 +11,9 @@ from .errors import ConfigError
 MODES = ("live", "record", "replay")
 PREDICTORS = ("oracle", "gateway")
 
+# the JSON values each name in a field's annotation admits; a bool is only a bool
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+
 
 @dataclass
 class RunConfig:
@@ -56,10 +59,16 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} holds a JSON {type(data).__name__}, not an object")
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            allowed = tuple(_JSON_TYPES[name] for name in annotations[key].split(" | "))
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ConfigError(f"config key {key!r} must be {annotations[key]}, got {value!r}")
         return cls(**data)
 
     def merged(self, **overrides) -> "RunConfig":

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
 from typing import Protocol, Sequence
 
 from .errors import ConfigError, ProviderError, ZeroVectorError
+from .gateway import HttpClient
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
+
+BATCH_SIZE = 64
 
 
 class EmbeddingProvider(Protocol):
@@ -44,42 +46,30 @@ class HashedBagOfTokens:
 
 
 class RemoteEmbeddings:
-    """OpenAI-compatible ``/embeddings`` client (e.g. bge-large-en-v1.5)."""
+    """OpenAI-compatible ``/embeddings`` client (e.g. bge-large-en-v1.5).
 
-    def __init__(self, model: str, api_base: str | None = None, api_key: str | None = None,
-                 *, timeout: float = 60.0, batch_size: int = 64) -> None:
+    Sends ``BATCH_SIZE`` texts per request through ``client``, by default
+    the one ``HttpClient.from_env`` makes.
+    """
+
+    def __init__(self, model: str, client: HttpClient | None = None) -> None:
         self.model = model
-        self.api_base = (api_base or os.environ.get("SOLIDQL_API_BASE", "")).rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get("SOLIDQL_API_KEY", "")
-        if not self.api_base:
-            raise ConfigError("SOLIDQL_API_BASE is not set; cannot reach embedding provider")
-        self.timeout = timeout
-        self.batch_size = batch_size
+        self.client = client or HttpClient.from_env()
         self.provider_id = f"remote:{model}"
         self.dimension = 0  # discovered on first call
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        import requests  # only a live provider needs the HTTP stack
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         out: list[list[float]] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = list(texts[start : start + self.batch_size])
+        for start in range(0, len(texts), BATCH_SIZE):
+            batch = list(texts[start : start + BATCH_SIZE])
+            reply = self.client.post("/embeddings", {"model": self.model, "input": batch})
             try:
-                response = requests.post(
-                    f"{self.api_base}/embeddings",
-                    json={"model": self.model, "input": batch},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                raise ProviderError(f"embedding request failed: {exc}") from exc
-            if response.status_code != 200:
-                raise ProviderError(f"embedding HTTP {response.status_code}: {response.text[:200]}")
-            data = response.json()["data"]
-            out.extend(item["embedding"] for item in data)
+                vectors = [item["embedding"] for item in reply["data"]]
+            except (KeyError, TypeError) as exc:
+                raise ProviderError(f"malformed embedding response: {exc!r}") from None
+            if len(vectors) != len(batch):
+                raise ProviderError(f"{len(vectors)} embeddings for {len(batch)} texts")
+            out.extend(vectors)
         if out and not self.dimension:
             self.dimension = len(out[0])
         return out

@@ -7,7 +7,8 @@ hashed over a canonical JSON form, so replaying a transcript store makes
 a whole pipeline run byte-reproducible.
 
 Wire format is the OpenAI-compatible chat-completions API; endpoint and
-key come from ``SOLIDQL_API_BASE`` / ``SOLIDQL_API_KEY``.
+key come from ``SOLIDQL_API_BASE`` / ``SOLIDQL_API_KEY``. Its HTTP
+client, on the standard library, also serves the remote embeddings.
 """
 
 from __future__ import annotations
@@ -103,8 +104,12 @@ class ChatProvider(Protocol):
     def __call__(self, request: ChatRequest) -> str: ...
 
 
-class HttpChatProvider:
-    """OpenAI-compatible chat endpoint with bounded exponential backoff."""
+class HttpClient:
+    """JSON POSTs to an OpenAI-compatible API with bounded exponential backoff.
+
+    A 429, a 5xx or a connection failure is retried; any other error
+    status fails at once.
+    """
 
     def __init__(
         self,
@@ -120,59 +125,77 @@ class HttpChatProvider:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.name = f"http:{self.api_base}"
 
     @classmethod
-    def from_env(cls, **kwargs) -> "HttpChatProvider":
+    def from_env(cls):
+        """A client for ``SOLIDQL_API_BASE``, with ``SOLIDQL_API_KEY`` as bearer token."""
         api_base = os.environ.get("SOLIDQL_API_BASE", "")
         if not api_base:
             raise ConfigError("SOLIDQL_API_BASE is not set; cannot reach a live provider")
-        return cls(api_base, os.environ.get("SOLIDQL_API_KEY", ""), **kwargs)
+        return cls(api_base, os.environ.get("SOLIDQL_API_KEY", ""))
 
-    def __call__(self, request: ChatRequest) -> str:
-        import requests  # only a live provider needs the HTTP stack
+    def post(self, path: str, payload: dict) -> object:
+        """The decoded JSON reply to ``payload`` POSTed to ``api_base + path``.
 
-        payload = {
-            "model": request.model_id,
-            "messages": [{"role": role, "content": text} for role, text in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
+        Raises ``RateLimited`` when a 429 outlasts the retries, else ``ProviderError``.
+        """
+        import http.client  # only a live request needs the HTTP stack
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-
+        data = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(self.api_base + path, data, headers)
         last_error: Exception | None = None
         rate_limited = False
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                response = requests.post(
-                    f"{self.api_base}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    body = response.read()
+            except urllib.error.HTTPError as exc:
+                with exc:  # holds the open response
+                    last_error = ProviderError(
+                        f"HTTP {exc.code}: {exc.read()[:200].decode('utf-8', 'replace')}"
+                    )
+                if exc.code == 429:
+                    rate_limited = True
+                elif exc.code < 500:
+                    raise last_error from None
+                continue
+            except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
                 last_error = exc
                 continue
-            if response.status_code == 429:
-                rate_limited = True
-                last_error = ProviderError(f"rate limited: {response.text[:200]}")
-                continue
-            if response.status_code >= 500:
-                last_error = ProviderError(f"HTTP {response.status_code}: {response.text[:200]}")
-                continue
-            if response.status_code != 200:
-                raise ProviderError(f"HTTP {response.status_code}: {response.text[:200]}")
             try:
-                return response.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as exc:
+                return json.loads(body)
+            except ValueError as exc:
                 raise ProviderError(f"malformed provider response: {exc}") from exc
         if rate_limited:
             raise RateLimited(f"still rate limited after {self.max_retries} retries")
         raise ProviderError(f"provider unreachable after {self.max_retries} retries: {last_error}")
+
+
+class HttpChatProvider(HttpClient):
+    """OpenAI-compatible ``/chat/completions`` endpoint."""
+
+    @property
+    def name(self) -> str:
+        return f"http:{self.api_base}"
+
+    def __call__(self, request: ChatRequest) -> str:
+        reply = self.post("/chat/completions", {
+            "model": request.model_id,
+            "messages": [{"role": role, "content": text} for role, text in request.messages],
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+        })
+        try:
+            return reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"malformed provider response: {exc!r}") from None
 
 
 class LlmGateway:

@@ -226,9 +226,10 @@ def run_batch(
 ) -> list[PipelineResult]:
     """Process items independently; output order equals input order.
 
-    Per-item failures are recorded as flags and never abort the batch;
-    a :class:`ReplayMiss` does abort, because a replay run is expected
-    to be hermetic, and items not yet started then never start.
+    Items run on ``config.workers`` threads. Per-item failures are
+    recorded as flags and never abort the batch; a :class:`ReplayMiss`
+    (a replay run is expected to be hermetic) or an interrupt does
+    abort, and items not yet started then never start.
     Completed items found in the ledger are not re-run. A dataset with
     a ``db_id`` missing from ``schemas`` is refused before any item runs.
     """
@@ -238,22 +239,26 @@ def run_batch(
         logger.info("resuming: %d of %d items already complete", len(done), len(dataset))
     results: dict[int, PipelineResult] = dict(done)
 
-    stop = threading.Event()  # set once the batch is aborting; later items never start
+    # Each worker takes the next pending index until none is left, so a batch
+    # holds one future per worker, not one per item. Under the GIL, a list
+    # iterator hands each index to one thread.
+    pending = iter([i for i in range(len(dataset)) if i not in results])
+    # Set once the batch is aborting; later items never start. A worker sets
+    # it for what it lets escape, because the waiting thread may be waiting
+    # on another worker's future.
+    stop = threading.Event()
 
-    def work(i: int) -> None:
-        if stop.is_set():
-            return
+    def run_one(i: int) -> PipelineResult:
         item = dataset[i]
         try:
-            result = run_item(
+            return run_item(
                 item["question"], item_schema[i], predictor, index, gateway, embedder, config
             )
         except ReplayMiss:
-            stop.set()
             raise
         except Exception as exc:
             logger.warning("item %d failed: %s", i, exc)
-            result = PipelineResult(
+            return PipelineResult(
                 question=item["question"],
                 db_id=item["db_id"],
                 linked=SchemaSubset(),
@@ -263,23 +268,27 @@ def run_batch(
                 final_sql="",
                 flags=(FLAG_ROUND1_ERROR,),
             )
-        results[i] = result
-        if ledger is not None:
-            ledger.append(i, result)
 
-    pending = [i for i in range(len(dataset)) if i not in results]
-    if config.workers == 1 or len(pending) <= 1:
-        for i in pending:
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(work, i) for i in pending]
-            try:
-                for future in futures:
-                    future.result()
-            except BaseException:
-                stop.set()
-                raise
+    def work() -> None:
+        try:
+            for i in pending:
+                if stop.is_set():
+                    return
+                result = results[i] = run_one(i)
+                if ledger is not None:
+                    ledger.append(i, result)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        futures = [pool.submit(work) for _ in range(config.workers)]
+        try:
+            for future in futures:
+                future.result()
+        except BaseException:
+            stop.set()
+            raise
 
     ordered = [results[i] for i in range(len(dataset))]
     flag_totals: dict[str, int] = {}

@@ -454,9 +454,21 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 
 def read_index_header(path: str | Path) -> dict:
-    """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``."""
-    with Path(path).open(encoding="utf-8") as handle:
-        return json.loads(handle.readline())
+    """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``.
+
+    Raises ``CorruptFileError``, naming the file and line 1, unless it is
+    a JSON object with a string ``provider_id`` and an integer ``dimension``.
+    """
+    try:
+        with Path(path).open(encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        if not isinstance(header, dict) or not isinstance(header.get("provider_id"), str) or (
+            type(header.get("dimension")) is not int
+        ):
+            raise ValueError("not an object with a string provider_id and an integer dimension")
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}, line 1: malformed index record ({exc!r})") from None
+    return header
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
@@ -465,26 +477,26 @@ def load_index(path: str | Path) -> RetrievalIndex:
     Records with equal skeleton texts share one ``SqlSkeleton``, built
     from the stored arrays without parsing SQL. An index of another
     format raises ``ConfigError``. ``CorruptFileError``, naming the file
-    and the line, is raised for a line that does not decode, a record
-    missing a field or out of pool order, a ``q_embedding`` that is not
-    ``dimension`` numbers, and skeleton arrays that do not describe a
-    tree or differ between records of one text.
+    and the line, is raised for a header that ``read_index_header``
+    refuses, a line that does not decode, a record missing a field or out
+    of pool order, a ``q_embedding`` that is not ``dimension`` numbers,
+    and skeleton arrays that do not describe a tree or differ between
+    records of one text.
     """
     path = Path(path)
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
     number = 1
+    header = read_index_header(path)
+    if header.get("format") != INDEX_FORMAT:
+        raise ConfigError(
+            f"{path} is a retrieval index of format {header.get('format', 1)}, "
+            f"not {INDEX_FORMAT}; rebuild with `solidql index`"
+        )
+    provider_id, dimension = header["provider_id"], header["dimension"]
     with path.open(encoding="utf-8") as handle:
+        handle.readline()  # the header
         try:
-            header = json.loads(handle.readline())
-            if not isinstance(header, dict):
-                raise ValueError("the header is not a JSON object")
-            if header.get("format") != INDEX_FORMAT:
-                raise ConfigError(
-                    f"{path} is a retrieval index of format {header.get('format', 1)}, "
-                    f"not {INDEX_FORMAT}; rebuild with `solidql index`"
-                )
-            provider_id, dimension = header["provider_id"], header["dimension"]
             for number, line in enumerate(handle, 2):
                 if not line.strip():
                     continue

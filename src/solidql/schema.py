@@ -187,6 +187,8 @@ def schema_from_tables_record(record: Mapping) -> DatabaseSchema:
     )
 
     def column_ref(idx: int) -> str:
+        if not 0 <= idx < len(qualified):
+            raise IndexError(f"column index {idx} is out of range")
         ref = qualified[idx]
         if ref is None:
             raise SchemaError(f"{record['db_id']}: key references the star column")
@@ -200,11 +202,19 @@ def schema_from_tables_record(record: Mapping) -> DatabaseSchema:
 
 
 def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
-    """Load every schema of a ``tables.json`` file, keyed by db_id."""
+    """Load every schema of a ``tables.json`` file, keyed by db_id.
+
+    A record that describes no schema raises ``ConfigError`` naming the file and the record.
+    """
     records = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise ConfigError(f"{path} holds a JSON {type(records).__name__}, not an array of schemas")
     schemas: dict[str, DatabaseSchema] = {}
-    for record in records:
-        schema = schema_from_tables_record(record)
+    for i, record in enumerate(records):
+        try:
+            schema = schema_from_tables_record(record)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}, record {i}: malformed schema ({exc!r})") from None
         schemas[schema.db_id] = schema
     logger.info("loaded %d schemas from %s", len(schemas), path)
     return schemas

@@ -184,31 +184,25 @@ class CompiledTree(NamedTuple):
 
 def compile_tree(root: Node) -> CompiledTree:
     """The arrays ``tree_edit_distance`` and ``traversal_lower_bound`` read."""
-    preorder: list[str] = []
     postorder: list[str] = []
     leftmost: list[int] = []
 
-    def visit(node: Node) -> int:
-        label = sys.intern(node.label)
-        preorder.append(label)
-        first_leaf: int | None = None
+    def visit(node: Node) -> None:
+        first = len(postorder)  # a subtree's leftmost leaf is where it starts in postorder
         for child in node.children:
-            child_leaf = visit(child)
-            if first_leaf is None:
-                first_leaf = child_leaf
-        index = len(postorder)
-        leftmost.append(index if first_leaf is None else first_leaf)
-        postorder.append(label)
-        return leftmost[index]
+            visit(child)
+        leftmost.append(first)
+        postorder.append(node.label)
 
     visit(root)
-    return CompiledTree(preorder, postorder, leftmost, _keyroots(leftmost))
+    return compile_postorder(postorder, leftmost)
 
 
 def compile_postorder(postorder: Sequence[str], leftmost: Sequence[int]) -> CompiledTree:
     """The compiled tree with these postorder labels and leftmost leaves.
 
-    Derives the preorder and the keyroots in O(n) without building the
+    Derives the preorder and the keyroots (the nodes that share their
+    leftmost leaf with no later node) in one pass without building the
     tree. Raises ``ValueError`` when the arrays do not describe one
     tree: their lengths differ, a leftmost index is not in [0, i], or
     the subtrees they span do not nest under the last node; and
@@ -225,6 +219,7 @@ def compile_postorder(postorder: Sequence[str], leftmost: Sequence[int]) -> Comp
     postorder = [sys.intern(label) for label in postorder]
     leftmost = list(leftmost)
     preorder: list[str] = []
+    keyroots = [n - 1]  # the root and every node that is not its parent's leftmost child
     stack = [n - 1]
     while stack:
         i = stack.pop()
@@ -233,10 +228,13 @@ def compile_postorder(postorder: Sequence[str], leftmost: Sequence[int]) -> Comp
         child = i - 1
         while child >= first:  # the children of i, right to left
             stack.append(child)
+            if leftmost[child] != first:
+                keyroots.append(child)
             child = leftmost[child] - 1
         if child != first - 1:
             raise ValueError(f"the subtrees under node {i} do not nest")
-    return CompiledTree(preorder, postorder, leftmost, _keyroots(leftmost))
+    keyroots.sort()
+    return CompiledTree(preorder, postorder, leftmost, keyroots)
 
 
 def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
@@ -313,17 +311,6 @@ def _zhang_shasha(a: CompiledTree, b: CompiledTree) -> int:
         for kb in b.keyroots:
             _subtree_distance(ka, kb, la, lb, labels_a, labels_b, treedist)
     return treedist[n - 1][m - 1]
-
-
-def _keyroots(leftmost: list[int]) -> list[int]:
-    seen: set[int] = set()
-    roots: list[int] = []
-    for i in range(len(leftmost) - 1, -1, -1):
-        if leftmost[i] not in seen:
-            seen.add(leftmost[i])
-            roots.append(i)
-    roots.reverse()
-    return roots
 
 
 def _subtree_distance(

@@ -57,7 +57,8 @@ def make_provider() -> FakeChatProvider:
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Temp tree with fixture files, a built index, and recorded transcripts."""
+    """Temp tree with fixture files, a built index, recorded transcripts,
+    and the replayed run's results in ``run_eval.jsonl``."""
     root = tmp_path_factory.mktemp("cli")
     for name in ("tables.json", "shop_dataset.json", "shop_pool.json"):
         shutil.copy(FIXTURES / name, root / name)
@@ -87,6 +88,8 @@ def workspace(tmp_path_factory):
     )
     rewriter = QuestionRewriter(gateway, "gpt-4o-mini")
     augment_dataset(triplets_from_dataset(dataset, schemas), rewriter)
+    code = run_cli(root, "run", "--mode", "replay", "--output", str(root / "run_eval.jsonl"))
+    assert code == 0
     return root
 
 
@@ -189,10 +192,6 @@ def test_cmd_run_rounds_one_makes_no_round2_requests(workspace):
 
 
 def test_cmd_eval_all_gold_is_perfect(workspace, databases_root, capsys):
-    code = run_cli(
-        workspace, "run", "--mode", "replay", "--output", str(workspace / "run_eval.jsonl")
-    )
-    assert code == 0
     code = main([
         "eval",
         "--dataset", str(workspace / "shop_dataset.json"),
@@ -305,6 +304,30 @@ def test_cmd_run_refuses_index_of_older_format(workspace, tmp_path, capsys):
     assert "rebuild with `solidql index`" in capsys.readouterr().err
 
 
+# headers that name no string provider_id and integer dimension
+BAD_INDEX_HEADERS = {
+    "array": "[]", "number": "5", "no provider_id": '{"dimension": 256}', "empty file": "",
+    "dimension a string": '{"dimension": "256", "format": 2, "provider_id": "hashed-bow-256-v1"}',
+}
+
+
+@pytest.mark.parametrize("command", ["index", "run"])
+@pytest.mark.parametrize("header", BAD_INDEX_HEADERS)
+def test_malformed_index_header_exits_environment(workspace, tmp_path, capsys, command, header):
+    lines = (workspace / "index.jsonl").read_text().splitlines(keepends=True)
+    index = tmp_path / "index.jsonl"
+    text = BAD_INDEX_HEADERS[header]
+    index.write_text(text and text + "\n" + "".join(lines[1:]))
+    if command == "index":  # the existing output is checked before it is overwritten
+        code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
+                     "--tables", str(workspace / "tables.json"), "--output", str(index)])
+    else:
+        code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                       "--output", str(tmp_path / "out.jsonl"))
+    assert code == 3
+    assert f"{index}, line 1: malformed index record" in capsys.readouterr().err
+
+
 def _unknown_db_dataset(source, tmp_path):
     dataset = json.loads(source.read_text())
     dataset[1]["db_id"] = "no_such_db"
@@ -348,7 +371,8 @@ def test_offline_commands_never_import_the_http_stack(workspace, databases_root,
         "import json, sys\n"
         "from solidql.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes, 'requests': 'requests' in sys.modules}))\n"
+        "loaded = [name for name in ('urllib.request', 'http.client') if name in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'http': loaded}))\n"
     )
     src = str(Path(solidql.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -356,7 +380,7 @@ def test_offline_commands_never_import_the_http_stack(workspace, databases_root,
                                capture_output=True, text=True, env=env, timeout=120)
     assert completed.returncode == 0, completed.stderr
     outcome = json.loads(completed.stdout.splitlines()[-1])
-    assert outcome == {"codes": [0, 0, 0], "requests": False}
+    assert outcome == {"codes": [0, 0, 0], "http": []}
 
 
 def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_path):
@@ -597,6 +621,49 @@ def test_missing_tables_file_exits_two(workspace, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _set_schema_field(key, value):
+    def edit(records):
+        records[1][key] = value
+        return records
+
+    return edit
+
+
+def _column_of_table(index):
+    def edit(records):
+        records[1]["column_names_original"][2][0] = index
+        return records
+
+    return edit
+
+
+# each edit of the fixture tables.json returns the edited value; the record named is 1
+TABLES_CORRUPTIONS = {
+    "empty record": lambda records: [records[0], {}],
+    "record a number": lambda records: [records[0], 5],
+    "column table index out of range": _column_of_table(5),
+    "column table index negative": _column_of_table(-2),
+    "primary key out of range": _set_schema_field("primary_keys", [99]),
+    "primary key negative": _set_schema_field("primary_keys", [-1]),
+    "top level an object": lambda records: {"db_id": "shop"},
+}
+
+
+@pytest.mark.parametrize("corruption", TABLES_CORRUPTIONS)
+def test_malformed_tables_file_exits_two(workspace, tmp_path, capsys, corruption):
+    records = json.loads((workspace / "tables.json").read_text())
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(TABLES_CORRUPTIONS[corruption](records)))
+    code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
+                 "--tables", str(tables), "--output", str(tmp_path / "index.jsonl")])
+    assert code == 2
+    if corruption == "top level an object":
+        expected = f"{tables} holds a JSON dict, not an array of schemas"
+    else:
+        expected = f"{tables}, record 1: malformed schema"
+    assert expected in capsys.readouterr().err
+
+
 def test_config_file_with_flag_overrides(workspace, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
@@ -623,3 +690,26 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
         code = main(["--config", str(config_path), "run"])
         assert code == 2
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+# each config value of the wrong JSON type, and the type the error must name
+WRONG_CONFIG_TYPES = {
+    "n_examples": ("7", "int"),
+    "workers": (True, "int"),
+    "max_tokens": (5.0, "int"),
+    "focus_enabled": (1, "bool"),
+    "timeout": ("30", "float"),
+    "model_id": (None, "str"),
+    "dataset": (5, "str | None"),
+}
+
+
+def test_config_value_of_wrong_type_exits_two(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    for key, (value, expected) in WRONG_CONFIG_TYPES.items():
+        config_path.write_text(json.dumps({key: value}))
+        assert main(["--config", str(config_path), "run"]) == 2
+        assert f"config key {key!r} must be {expected}" in capsys.readouterr().err
+    config_path.write_text(json.dumps([]))
+    assert main(["--config", str(config_path), "run"]) == 2
+    config_path.write_text(json.dumps({"timeout": 5, "linking_model_id": None, "rounds": 1}))
+    assert RunConfig.from_file(config_path) == RunConfig(timeout=5, rounds=1)

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from solidql.embeddings import BATCH_SIZE, RemoteEmbeddings
 from solidql.errors import ConfigError, CorruptFileError, ProviderError, RateLimited, ReplayMiss
 from solidql.gateway import (
     ChatRequest,
     HttpChatProvider,
+    HttpClient,
     LlmGateway,
     TranscriptStore,
     canonical_request,
@@ -138,28 +141,41 @@ def test_concurrent_recording_keeps_store_valid(tmp_path):
 # ----------------------------------------------------------------------
 
 
+def chat_reply(payload):
+    return {"choices": [{"message": {"role": "assistant", "content": "SELECT 42"}}]}
+
+
+def embeddings_reply(payload):
+    return {"data": [{"embedding": [float(len(text)), 1.0]} for text in payload["input"]]}
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
+    reply = staticmethod(chat_reply)
     hits = 0
+    payloads: list = []
+    authorizations: list = []
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
         cls = type(self)
         status = cls.statuses[min(cls.hits, len(cls.statuses) - 1)]
         cls.hits += 1
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        payload = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        cls.payloads.append(payload)
+        cls.authorizations.append(self.headers.get("Authorization"))
         if status == 200:
-            body = json.dumps(
-                {"choices": [{"message": {"role": "assistant", "content": "SELECT 42"}}]}
-            ).encode()
+            body = json.dumps(cls.reply(payload)).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
         else:
+            body = f"status {status}".encode()
             self.send_response(status)
-            self.send_header("Content-Length", "0")
+            self.send_header("Content-Length", str(len(body)))
             self.end_headers()
+            self.wfile.write(body)
 
     def log_message(self, *args):  # silence
         pass
@@ -169,10 +185,13 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 def scripted_server():
     servers = []
 
-    def start(statuses):
-        handler = type("Handler", (_ScriptedHandler,), {"statuses": statuses, "hits": 0})
+    def start(statuses, reply=chat_reply):
+        handler = type("Handler", (_ScriptedHandler,), {
+            "statuses": statuses, "reply": staticmethod(reply), "hits": 0, "payloads": [],
+            "authorizations": [],
+        })
         server = HTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}", handler
@@ -207,7 +226,7 @@ def test_persistent_500_raises_provider_error(scripted_server):
 def test_client_error_is_immediate(scripted_server):
     base, handler = scripted_server([400])
     provider = HttpChatProvider(base, max_retries=3, backoff=0.01)
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match="HTTP 400: status 400"):
         provider(make_request())
     assert handler.hits == 1
 
@@ -221,3 +240,85 @@ def test_from_env_requires_base(monkeypatch):
     provider = HttpChatProvider.from_env()
     assert provider.api_base == "http://example.test/v1"
     assert provider.api_key == "k"
+
+
+def test_chat_sends_bearer_key_and_reports_malformed_reply(scripted_server):
+    base, handler = scripted_server([200], reply=lambda payload: {"choices": []})
+    provider = HttpChatProvider(base, "secret", max_retries=0)
+    with pytest.raises(ProviderError, match="malformed provider response"):
+        provider(make_request())
+    assert handler.authorizations == ["Bearer secret"]
+    assert handler.payloads == [{
+        "model": "m1", "messages": [{"role": "user", "content": "hello"}],
+        "temperature": 0.0, "max_tokens": 64,
+    }]
+
+
+# ----------------------------------------------------------------------
+# remote embeddings through the same client
+# ----------------------------------------------------------------------
+
+
+def remote_embeddings(base, max_retries=3):
+    return RemoteEmbeddings("bge", HttpClient(base, max_retries=max_retries, backoff=0.01))
+
+
+def test_embeddings_retry_429s_then_succeed(scripted_server):
+    base, handler = scripted_server([429, 429, 200], reply=embeddings_reply)
+    embedder = remote_embeddings(base)
+    assert embedder.embed(["ab", "abcd"]) == [[2.0, 1.0], [4.0, 1.0]]
+    assert embedder.dimension == 2
+    assert handler.hits == 3
+    assert handler.payloads[-1] == {"model": "bge", "input": ["ab", "abcd"]}
+
+
+def test_embeddings_persistent_429_raises_rate_limited(scripted_server):
+    base, handler = scripted_server([429], reply=embeddings_reply)
+    with pytest.raises(RateLimited):
+        remote_embeddings(base, max_retries=2).embed(["ab"])
+    assert handler.hits == 3
+
+
+def test_embeddings_client_error_is_immediate(scripted_server):
+    base, handler = scripted_server([400], reply=embeddings_reply)
+    with pytest.raises(ProviderError):
+        remote_embeddings(base).embed(["ab"])
+    assert handler.hits == 1
+
+
+def test_embeddings_are_requested_in_batches(scripted_server):
+    base, handler = scripted_server([200], reply=embeddings_reply)
+    texts = [f"text {i}" for i in range(BATCH_SIZE + 1)]
+    vectors = remote_embeddings(base).embed(texts)
+    assert vectors == [[float(len(text)), 1.0] for text in texts]
+    batches = [payload["input"] for payload in handler.payloads]
+    assert batches == [texts[:BATCH_SIZE], texts[BATCH_SIZE:]]
+
+
+@pytest.mark.parametrize("reply", [
+    lambda payload: {"data": [{"vector": [1.0]}]},
+    lambda payload: {"data": []},
+    lambda payload: [],
+])
+def test_embeddings_malformed_reply_raises_provider_error(scripted_server, reply):
+    base, handler = scripted_server([200], reply=reply)
+    with pytest.raises(ProviderError):
+        remote_embeddings(base).embed(["ab"])
+    assert handler.hits == 1
+
+
+def test_embeddings_need_api_base(monkeypatch):
+    monkeypatch.delenv("SOLIDQL_API_BASE", raising=False)
+    with pytest.raises(ConfigError):
+        RemoteEmbeddings("bge")
+    monkeypatch.setenv("SOLIDQL_API_BASE", "http://example.test/v1/")
+    assert RemoteEmbeddings("bge").client.api_base == "http://example.test/v1"
+
+
+def test_connection_failure_is_retried_then_reported():
+    with socket.socket() as probe:  # a local port with nothing listening once closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = HttpClient(f"http://127.0.0.1:{port}", max_retries=1, backoff=0.01)
+    with pytest.raises(ProviderError, match="unreachable after 1 retries"):
+        client.post("/embeddings", {"input": []})

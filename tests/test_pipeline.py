@@ -240,6 +240,59 @@ def test_batch_replay_miss_cancels_queued_items(schemas, shop_dataset, fixture_i
     assert len(calls) <= workers
 
 
+class Interrupt(BaseException):
+    """Not an ``Exception``: what an interrupt or a caller's deadline raises."""
+
+
+def test_batch_interrupt_at_one_worker_starts_no_later_item(
+    schemas, shop_dataset, fixture_index, provider, monkeypatch
+):
+    dataset = shop_dataset * 4
+    stop_at = 2
+    started = []
+
+    def interrupted_run_item(*args):
+        started.append(args[0])
+        if len(started) == stop_at + 1:
+            raise Interrupt
+        return run_item(*args)
+
+    monkeypatch.setattr("solidql.pipeline.run_item", interrupted_run_item)
+    predictor = OracleLinkingPredictor.from_records(shop_dataset)
+    gateway = LlmGateway(mode="live", provider=provider)
+    with pytest.raises(Interrupt):
+        run_batch(
+            dataset, schemas, predictor, fixture_index, gateway, HashedBagOfTokens(),
+            RunConfig(mode="live", workers=1),
+        )
+    assert started == [item["question"] for item in dataset[: stop_at + 1]]
+
+
+def test_batch_interrupt_stops_the_other_workers(schemas, shop_dataset, fixture_index, monkeypatch):
+    raised = threading.Event()
+    started = []
+
+    def fake_run_item(question, *args):
+        started.append(question)
+        if question == "interrupt":
+            raised.set()
+            raise Interrupt
+        assert raised.wait(timeout=10)  # in flight when the other worker aborts
+
+    monkeypatch.setattr("solidql.pipeline.run_item", fake_run_item)
+    # the first worker takes q0, so the one that aborts is not the first the caller waits on
+    questions = ["q0", "interrupt"] + [f"q{i}" for i in range(1, 40)]
+    dataset = [dict(shop_dataset[0], question=question) for question in questions]
+    with pytest.raises(Interrupt):
+        run_batch(
+            dataset, schemas, OracleLinkingPredictor.from_records(shop_dataset), fixture_index,
+            LlmGateway(mode="live", provider=lambda request: ""), HashedBagOfTokens(),
+            RunConfig(mode="live", workers=2),
+        )
+    # the interrupted item and the one in flight on the other worker; none after
+    assert "interrupt" in started and len(started) <= 2
+
+
 def test_ledger_resume_skips_completed_items(components, schemas, shop_dataset, provider, tmp_path):
     _, predictor, index, gateway, embedder, config = components
     ledger = ProgressLedger(tmp_path / "progress.jsonl")
