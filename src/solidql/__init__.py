@@ -1,7 +1,7 @@
 """Robust text-to-SQL pre-processing and evaluation toolkit."""
 
 from .embeddings import HashedBagOfTokens, RemoteEmbeddings, cosine_similarity
-from .evaluation import evaluate, exact_match, execute_sql, execution_match, robustness_check
+from .evaluation import evaluate, exact_match, execute_sql, robustness_check
 from .gateway import ChatRequest, HttpChatProvider, LlmGateway, TranscriptStore
 from .linking import (
     GatewayLinkingPredictor,
@@ -26,7 +26,7 @@ from .retrieval import (
     save_index,
 )
 from .schema import DatabaseSchema, SchemaSubset, load_tables_json, render_ddl
-from .skeleton import SqlSkeleton, extract_sql_skeleton, skeleton_similarity, tree_edit_distance
+from .skeleton import SqlSkeleton, tree_edit_distance
 from .sql import extract_schema_refs, parse_sql, render_sql
 
 __version__ = "0.1.0"
@@ -56,10 +56,8 @@ __all__ = [
     "evaluate",
     "exact_match",
     "execute_sql",
-    "execution_match",
     "extract_question_skeleton",
     "extract_schema_refs",
-    "extract_sql_skeleton",
     "linking_accuracy",
     "load_index",
     "load_tables_json",
@@ -74,6 +72,5 @@ __all__ = [
     "run_batch",
     "run_item",
     "save_index",
-    "skeleton_similarity",
     "tree_edit_distance",
 ]

@@ -166,18 +166,6 @@ def _run(db_path: str | Path, sql: str, timeout: float) -> tuple[ResultTable | N
         return None, str(exc)
 
 
-def execution_match(
-    pred_sql: str, gold_sql: str, db_path: str | Path, timeout: float = 30.0
-) -> bool:
-    """EX verdict for one pair; gold execution failures propagate.
-
-    A failing predicted statement scores False rather than raising.
-    """
-    gold = execute_sql(db_path, gold_sql, timeout)
-    pred, _ = _run(db_path, pred_sql, timeout)
-    return pred is not None and tables_match(pred, gold)
-
-
 def canonical_sql(sql: str) -> str:
     """Canonical whole-statement form; string-normalized when unparseable."""
     stripped = sql.strip().rstrip(";").strip()

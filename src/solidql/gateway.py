@@ -233,3 +233,7 @@ class LlmGateway:
             provider_name = getattr(self.provider, "name", type(self.provider).__name__)
             self.store.record(request, response, provider_name)
         return response
+
+    def ask(self, model_id: str, prompt: str, max_tokens: int) -> str:
+        """Complete ``prompt`` as one user message at temperature 0."""
+        return self.complete(ChatRequest(model_id, (("user", prompt),), 0.0, max_tokens))

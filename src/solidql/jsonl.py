@@ -22,6 +22,14 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
+def malformed(path: str | Path, number: int, exc: Exception,
+              what: str = "record") -> CorruptFileError:
+    """The error for line ``number`` of ``path``. A decode error is given
+    by its message, since its repr holds every byte of the line."""
+    detail = str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)
+    return CorruptFileError(f"{path}, line {number}: malformed {what} ({detail})")
+
+
 class JsonLines:
     """One JSON-lines file: ``records`` reads it, ``append`` adds a line.
 
@@ -53,7 +61,7 @@ class JsonLines:
                         value = json.loads(raw.decode("utf-8"))
                     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                         if whole:
-                            raise self._corrupt(number, exc) from None
+                            raise malformed(self.path, number, exc) from None
                         logger.warning(
                             "%s, line %d: dropping a torn final line (%d bytes)",
                             self.path, number, len(raw),
@@ -63,16 +71,13 @@ class JsonLines:
                     try:
                         record = parse(value)
                     except (KeyError, TypeError, ValueError) as exc:
-                        raise self._corrupt(number, exc) from None
+                        raise malformed(self.path, number, exc) from None
                     if not whole:
                         self._prefix = b"\n"
                     yield record
                 elif not whole:
                     self._cut = offset
                 offset += len(raw)
-
-    def _corrupt(self, number: int, exc: Exception) -> CorruptFileError:
-        return CorruptFileError(f"{self.path}, line {number}: malformed record ({exc!r})")
 
     def append(self, line: str) -> None:
         """Write one serialized record and its newline at the end of the file."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Protocol, Sequence
 
 from .errors import ParseError, PredictorError, ResolutionError, RewriteError
-from .gateway import ChatRequest, LlmGateway
+from .gateway import LlmGateway
 from .prompting import load_template
 from .schema import DatabaseSchema, SchemaSubset, format_subset, parse_subset, render_ddl
 from .sql.parser import parse_sql
@@ -53,21 +53,14 @@ class LinkingPredictor(Protocol):
 class QuestionRewriter:
     """Gateway-backed paraphraser producing exactly two rewrites."""
 
-    def __init__(self, gateway: LlmGateway, model_id: str, max_tokens: int = 256) -> None:
+    def __init__(self, gateway: LlmGateway, model_id: str) -> None:
         self.gateway = gateway
         self.model_id = model_id
-        self.max_tokens = max_tokens
 
     def rewrite(self, question: str) -> tuple[str, str]:
         prompt = load_template("rewrite_v1").substitute(question=question)
-        request = ChatRequest(
-            model_id=self.model_id,
-            messages=(("user", prompt),),
-            temperature=0.0,
-            max_tokens=self.max_tokens,
-        )
         try:
-            completion = self.gateway.complete(request)
+            completion = self.gateway.ask(self.model_id, prompt, 256)
         except Exception as exc:
             raise RewriteError(f"rewriter gateway failed: {exc}") from exc
         rewrites: list[str] = []
@@ -178,20 +171,13 @@ class OracleLinkingPredictor:
 class GatewayLinkingPredictor:
     """Predictor backed by a (fine-tuned) model behind the LLM gateway."""
 
-    def __init__(self, gateway: LlmGateway, model_id: str, max_tokens: int = 256) -> None:
+    def __init__(self, gateway: LlmGateway, model_id: str) -> None:
         self.gateway = gateway
         self.model_id = model_id
-        self.max_tokens = max_tokens
 
     def predict(self, question: str, schema: DatabaseSchema) -> SchemaSubset:
         prompt = sft_instruction() + "\n\n" + sft_input(question, schema)
-        request = ChatRequest(
-            model_id=self.model_id,
-            messages=(("user", prompt),),
-            temperature=0.0,
-            max_tokens=self.max_tokens,
-        )
-        completion = self.gateway.complete(request)
+        completion = self.gateway.ask(self.model_id, prompt, 256)
         try:
             return parse_subset(completion.strip().splitlines()[-1])
         except (ValueError, IndexError) as exc:
@@ -229,12 +215,6 @@ class LinkingReport:
     column_recall: float  # mean per-item recall, percent
     table_recall: float
     exact_match_rate: float
-
-    def __str__(self) -> str:
-        return (
-            f"column recall {self.column_recall:.1f} | table recall {self.table_recall:.1f}"
-            f" | exact match {self.exact_match_rate:.1f} (n={self.size})"
-        )
 
 
 def _recall(pred: frozenset[str], gold: frozenset[str]) -> float:

@@ -136,7 +136,9 @@ def run_item(
     parse. A round-1 extraction failure leaves empty SQL; a round-2
     extraction failure or a hard round-2 failure (provider down after
     retries) keeps the round-1 SQL. Each of these sets a flag. A replay
-    miss propagates, since a replayed run is expected to be hermetic.
+    miss on the question-skeleton call gives the rule-based skeleton and
+    the skeleton flag; any other replay miss propagates, since a replayed
+    run is expected to be hermetic.
     """
     flags: set[str] = set()
     linked = predict_linking(question, schema, predictor)

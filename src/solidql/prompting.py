@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from string import Template
+from typing import TYPE_CHECKING
 
 from .errors import ExtractError
-from .retrieval import ExamplePair
 from .schema import DatabaseSchema, SchemaSubset, render_ddl
+
+if TYPE_CHECKING:
+    from .retrieval import ExamplePair
 
 FOCUS_MARKER = "focus on"
 

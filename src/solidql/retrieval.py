@@ -37,8 +37,10 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .embeddings import EmbeddingProvider
-from .errors import ConfigError, CorruptFileError, ParseError
-from .gateway import ChatRequest, LlmGateway
+from .errors import ConfigError, ParseError
+from .gateway import LlmGateway
+from .jsonl import malformed
+from .prompting import load_template
 from .schema import SchemaSubset
 from .skeleton import (
     LabelBag,
@@ -210,34 +212,26 @@ def extract_question_skeleton(
 ) -> QuestionSkeleton:
     """Mask domain terms and values out of a question.
 
-    Uses the LLM gateway with the linked subset as context; any gateway
-    failure falls back to the rule-based masker and tags the result.
+    Uses the LLM gateway with the linked subset as context. Without a
+    gateway, on any gateway failure (a replay miss included) and on an
+    empty completion, the rule-based masker answers and the result is
+    tagged as a fallback.
     """
     if not question:
-        return QuestionSkeleton("", used_fallback=False)
-    if gateway is None:
-        return QuestionSkeleton(rule_based_question_skeleton(question, linked), used_fallback=True)
-    from .prompting import load_template  # local import, avoids a cycle
-
-    linked_text = ", ".join(sorted(linked.tables | set(linked.columns))) or "(none)"
-    prompt = load_template("question_skeleton_v1").substitute(
-        question=question, linked=linked_text
-    )
-    request = ChatRequest(
-        model_id=model_id,
-        messages=(("user", prompt),),
-        temperature=0.0,
-        max_tokens=128,
-    )
-    try:
-        completion = gateway.complete(request)
-    except Exception as exc:  # any gateway failure: fallback is mandatory
-        logger.warning("skeleton gateway failed (%s); using rule-based masker", exc)
-        return QuestionSkeleton(rule_based_question_skeleton(question, linked), used_fallback=True)
-    text = completion.strip().splitlines()[0].strip() if completion.strip() else ""
-    if not text:
-        return QuestionSkeleton(rule_based_question_skeleton(question, linked), used_fallback=True)
-    return QuestionSkeleton(text, used_fallback=False)
+        return QuestionSkeleton("")
+    text = ""
+    if gateway is not None:
+        linked_text = ", ".join(sorted(linked.tables | set(linked.columns))) or "(none)"
+        prompt = load_template("question_skeleton_v1").substitute(
+            question=question, linked=linked_text
+        )
+        try:
+            text = gateway.ask(model_id, prompt, 128).strip()
+        except Exception as exc:  # any gateway failure: fallback is mandatory
+            logger.warning("skeleton gateway failed (%s); using rule-based masker", exc)
+    if text:
+        return QuestionSkeleton(text.splitlines()[0].strip())
+    return QuestionSkeleton(rule_based_question_skeleton(question, linked), used_fallback=True)
 
 
 # ----------------------------------------------------------------------
@@ -460,14 +454,14 @@ def read_index_header(path: str | Path) -> dict:
     a JSON object with a string ``provider_id`` and an integer ``dimension``.
     """
     try:
-        with Path(path).open(encoding="utf-8") as handle:
+        with Path(path).open("rb") as handle:
             header = json.loads(handle.readline())
         if not isinstance(header, dict) or not isinstance(header.get("provider_id"), str) or (
             type(header.get("dimension")) is not int
         ):
             raise ValueError("not an object with a string provider_id and an integer dimension")
     except ValueError as exc:
-        raise CorruptFileError(f"{path}, line 1: malformed index record ({exc!r})") from None
+        raise malformed(path, 1, exc, "index record") from None
     return header
 
 
@@ -486,7 +480,6 @@ def load_index(path: str | Path) -> RetrievalIndex:
     path = Path(path)
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
-    number = 1
     header = read_index_header(path)
     if header.get("format") != INDEX_FORMAT:
         raise ConfigError(
@@ -494,7 +487,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
             f"not {INDEX_FORMAT}; rebuild with `solidql index`"
         )
     provider_id, dimension = header["provider_id"], header["dimension"]
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         handle.readline()  # the header
         try:
             for number, line in enumerate(handle, 2):
@@ -528,6 +521,5 @@ def load_index(path: str | Path) -> RetrievalIndex:
                     )
                 )
         except (KeyError, TypeError, ValueError) as exc:
-            message = f"{path}, line {number}: malformed index record ({exc!r})"
-            raise CorruptFileError(message) from None
+            raise malformed(path, number, exc, "index record") from None
     return RetrievalIndex(pool=pool, provider_id=provider_id, dimension=dimension)

@@ -56,13 +56,10 @@ class SqlSkeleton:
         return _mask(parse_sql(self.text))
 
     @classmethod
-    def from_tree(cls, tree: Node) -> "SqlSkeleton":
-        return cls(text=render_sql(tree), compiled=compile_tree(tree))
-
-    @classmethod
     def from_sql(cls, sql: str) -> "SqlSkeleton":
-        """Parse and skeletonize a statement in one step."""
-        return extract_sql_skeleton(parse_sql(sql))
+        """Parse a statement and mask its identifiers and values into placeholders."""
+        tree = _mask(parse_sql(sql))
+        return cls(text=render_sql(tree), compiled=compile_tree(tree))
 
     @classmethod
     def from_text(cls, text: str) -> "SqlSkeleton":
@@ -73,11 +70,6 @@ class SqlSkeleton:
         mask folds back into literal leaves.
         """
         return cls.from_sql(text)
-
-
-def extract_sql_skeleton(ast: Node) -> SqlSkeleton:
-    """Mask identifiers and values of a parse tree into placeholders."""
-    return SqlSkeleton.from_tree(_mask(ast))
 
 
 def _mask(node: Node) -> Node:
@@ -106,12 +98,6 @@ def _mask(node: Node) -> Node:
 def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton) -> int:
     """Minimum unit-cost edit script length between two skeletons."""
     return _zhang_shasha(a.compiled, b.compiled)
-
-
-def skeleton_similarity(a: SqlSkeleton, b: SqlSkeleton) -> float:
-    """Distance normalized into [0, 1]; 1.0 iff the trees are equal."""
-    distance = tree_edit_distance(a, b)
-    return 1.0 - distance / (a.node_count + b.node_count)
 
 
 class LabelBag(NamedTuple):

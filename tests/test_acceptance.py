@@ -15,7 +15,7 @@ import pytest
 from solidql.cli import main
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
-from solidql.evaluation import evaluate, execution_match
+from solidql.evaluation import evaluate
 from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.linking import GatewayLinkingPredictor, Triplet, augment_dataset
 from solidql.pipeline import run_batch
@@ -208,11 +208,14 @@ EX_PAIRS = [
 ]
 
 
-def test_criterion_07_ex_harness(concert_db):
+def test_criterion_07_ex_harness(databases_root):
     """10 hand-authored (pred, gold) pairs classified 10/10."""
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold}
+               for i, (_, gold, _) in enumerate(EX_PAIRS)]
+    records = evaluate(dataset, [pred for pred, _, _ in EX_PAIRS], databases_root).records
     correct = 0
-    for pred, gold, expected in EX_PAIRS:
-        assert execution_match(pred, gold, concert_db) is expected, (pred, gold)
+    for record, (pred, gold, expected) in zip(records, EX_PAIRS):
+        assert record.ex is expected, (pred, gold)
         correct += 1
     report("ex-harness", f"{correct}/10 classified, ORDER BY case included")
 

@@ -231,6 +231,56 @@ def test_cmd_run_corrupt_transcripts_exit_environment(workspace, tmp_path, capsy
     assert f"{transcripts}, line 3" in capsys.readouterr().err
 
 
+def _break_byte(path, number):
+    """Write 0xff over the middle byte of line ``number`` of ``path``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    line = bytearray(lines[number - 1])
+    line[len(line) // 2] = 0xFF
+    lines[number - 1] = bytes(line)
+    path.write_bytes(b"".join(lines))
+
+
+def _environment_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    (message,) = [line for line in err if line.startswith("environment error")]
+    return message
+
+
+def test_cmd_run_index_byte_not_utf8_names_its_line(workspace, tmp_path, capsys):
+    index = tmp_path / "index.jsonl"
+    shutil.copy(workspace / "index.jsonl", index)
+    number = len(index.read_bytes().splitlines())
+    _break_byte(index, number)
+    code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                   "--output", str(tmp_path / "out.jsonl"))
+    assert code == 3
+    message = _environment_error(capsys)
+    assert f"{index}, line {number}: malformed index record" in message
+    assert len(message) < 300
+
+
+def test_cmd_run_transcript_byte_not_utf8_names_its_line(workspace, tmp_path, capsys):
+    transcripts = tmp_path / "transcripts.jsonl"
+    shutil.copy(workspace / "transcripts.jsonl", transcripts)
+    lines = transcripts.read_bytes().splitlines()
+    number = 1 + max(range(len(lines) - 1), key=lambda i: len(lines[i]))  # not the last line
+    assert len(lines[number - 1]) > 1000
+    _break_byte(transcripts, number)
+    code = main([
+        "run",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--index", str(workspace / "index.jsonl"),
+        "--transcripts", str(transcripts),
+        "--mode", "replay",
+        "--output", str(tmp_path / "out.jsonl"),
+    ])
+    assert code == 3
+    message = _environment_error(capsys)
+    assert f"{transcripts}, line {number}: malformed record" in message
+    assert len(message) < 300
+
+
 def _replace_line(lines, number, text):
     lines[number - 1] = text
     return number

@@ -13,7 +13,6 @@ from solidql.evaluation import (
     evaluate,
     exact_match,
     execute_sql,
-    execution_match,
     has_top_level_order_by,
     robustness_check,
     tables_match,
@@ -131,48 +130,48 @@ def test_execute_sql_never_parses(concert_db, monkeypatch):
     assert len(table.rows) == 5 and not table.ordered
 
 
-def test_execution_match_identity(concert_db):
-    assert execution_match("SELECT name FROM singer", "SELECT name FROM singer", concert_db)
+def ex_verdicts(pairs, databases_root):
+    """The EX verdict ``evaluate`` gives each (pred, gold) pair on concert_singer."""
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold}
+               for i, (_, gold) in enumerate(pairs)]
+    report = evaluate(dataset, [pred for pred, _ in pairs], databases_root)
+    return [record.ex for record in report.records]
 
 
-def test_column_order_insensitive(concert_db):
-    assert execution_match(
-        "SELECT name, age FROM singer", "SELECT age, name FROM singer", concert_db
-    )
+def test_ex_identity(databases_root):
+    assert ex_verdicts([("SELECT name FROM singer", "SELECT name FROM singer")], databases_root) == [True]
 
 
-def test_row_order_enforced_only_under_gold_order_by(concert_db):
-    assert not execution_match(
-        "SELECT name FROM singer ORDER BY age DESC",
-        "SELECT name FROM singer ORDER BY age ASC",
-        concert_db,
-    )
-    assert execution_match(
-        "SELECT name FROM singer ORDER BY age DESC",
-        "SELECT name FROM singer",
-        concert_db,
-    )
+def test_column_order_insensitive(databases_root):
+    pairs = [("SELECT name, age FROM singer", "SELECT age, name FROM singer")]
+    assert ex_verdicts(pairs, databases_root) == [True]
 
 
-def test_pred_failure_scores_false(concert_db):
-    assert not execution_match("SELECT zzz FROM singer", "SELECT name FROM singer", concert_db)
+def test_row_order_enforced_only_under_gold_order_by(databases_root):
+    pairs = [
+        ("SELECT name FROM singer ORDER BY age DESC", "SELECT name FROM singer ORDER BY age ASC"),
+        ("SELECT name FROM singer ORDER BY age DESC", "SELECT name FROM singer"),
+    ]
+    assert ex_verdicts(pairs, databases_root) == [False, True]
 
 
-def test_execution_match_reflexive_and_symmetric(concert_db):
+def test_pred_failure_scores_false(databases_root):
+    pairs = [("SELECT zzz FROM singer", "SELECT name FROM singer")]
+    assert ex_verdicts(pairs, databases_root) == [False]
+
+
+def test_ex_reflexive_and_symmetric(databases_root):
     statements = [
         "SELECT name FROM singer",
         "SELECT count(*) FROM concert",
         "SELECT name, age FROM singer WHERE age > 30",
     ]
+    pairs = [(a, b) for a in statements for b in statements]
+    verdicts = dict(zip(pairs, ex_verdicts(pairs, databases_root)))
     for a in statements:
-        assert execution_match(a, a, concert_db)
+        assert verdicts[a, a]
         for b in statements:
-            assert execution_match(a, b, concert_db) == execution_match(b, a, concert_db)
-
-
-def test_gold_failure_propagates(concert_db):
-    with pytest.raises(ExecError):
-        execution_match("SELECT 1", "SELECT zzz FROM singer", concert_db)
+            assert verdicts[a, b] == verdicts[b, a]
 
 
 def test_null_and_float_conventions(concert_db):
@@ -209,12 +208,11 @@ def test_exact_match_normalization():
     assert not exact_match("@@ weird", "@@ other")
 
 
-def test_exact_match_implies_execution_match(concert_db, parser_corpus):
-    for item in parser_corpus:
-        if item["db_id"] != "concert_singer":
-            continue
-        assert exact_match(item["query"], item["query"])
-        assert execution_match(item["query"], item["query"], concert_db)
+def test_exact_match_implies_ex(databases_root, parser_corpus):
+    queries = [item["query"] for item in parser_corpus if item["db_id"] == "concert_singer"]
+    for query in queries:
+        assert exact_match(query, query)
+    assert all(ex_verdicts([(query, query) for query in queries], databases_root))
 
 
 def test_robustness_check(concert_db):

@@ -20,6 +20,9 @@ from solidql.gateway import (
     canonical_request,
     request_hash,
 )
+from solidql.linking import GatewayLinkingPredictor, QuestionRewriter
+from solidql.retrieval import extract_question_skeleton
+from solidql.schema import SchemaSubset
 
 
 def make_request(text="hello", model="m1"):
@@ -46,6 +49,28 @@ def test_hash_is_stable_and_ignores_serialization_order():
 def test_hash_distinguishes_content():
     assert request_hash(make_request("a")) != request_hash(make_request("b"))
     assert request_hash(make_request(model="m1")) != request_hash(make_request(model="m2"))
+
+
+def test_one_message_request_hashes_are_pinned(schemas):
+    """The rewrite, linking and question-skeleton requests keep the hashes
+    that stored transcripts are keyed by; a drift makes every replay miss."""
+    requests = []
+
+    def provider(request):
+        requests.append(request)
+        return "1. a\n2. b\ntables: singer | columns: singer.age"
+
+    gateway = LlmGateway(mode="live", provider=provider)
+    question = "How many singers are older than 30?"
+    QuestionRewriter(gateway, "rewriter").rewrite(question)
+    GatewayLinkingPredictor(gateway, "linker").predict(question, schemas["concert_singer"])
+    linked = SchemaSubset.build(["singer"], ["singer.age"])
+    extract_question_skeleton(question, linked, gateway, "masker")
+    assert [request_hash(request) for request in requests] == [
+        "69085ba5e22744df7eb2e43d11fe3e0554f76cf9181d712e0587c2e0ef4def9c",
+        "2bd6714140d1fb3945bfa1f4fd4377aee7bffbc95320709a2791b77d3ead3728",
+        "928507962712697497f40e6f25dfa7c09c9c07c0fad0a18fd6b258532f9880eb",
+    ]
 
 
 def test_replay_returns_stored_response_byte_exactly(tmp_path):
