@@ -85,7 +85,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_index = sub.add_parser("index", help="build the retrieval index")
     common(p_index)
-    p_index.add_argument("--force", action="store_true", help="overwrite an existing index")
+    p_index.add_argument("--force", action="store_true",
+                         help="also rebuild an index built with another embedding provider")
 
     p_run = sub.add_parser("run", help="run the generation pipeline")
     common(p_run)

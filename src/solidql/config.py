@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .jsonl import read_json
 
 MODES = ("live", "record", "replay")
 PREDICTORS = ("oracle", "gateway")
@@ -53,12 +53,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "config")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} holds a JSON {type(data).__name__}, not an object")
         annotations = {f.name: f.type for f in fields(cls)}

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
+from .jsonl import read_json, write_lines
 from .linking import SftRecord, Triplet
 from .schema import DatabaseSchema, item_schemas
 
@@ -13,11 +15,11 @@ from .schema import DatabaseSchema, item_schemas
 def load_dataset(path: str | Path) -> list[dict]:
     """Load a benchmark dataset: a JSON array of question/db_id/query items.
 
-    Raises ``ValueError``, naming the file or the item, unless the file
-    holds a JSON array of objects whose ``question``, ``db_id`` and
-    ``query`` are strings.
+    Raises ``ConfigError`` for a file that is not JSON, and ``ValueError``,
+    naming the file or the item, unless it holds a JSON array of objects
+    whose ``question``, ``db_id`` and ``query`` are strings.
     """
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
+    records = read_json(path, "dataset")
     if not isinstance(records, list):
         raise ValueError(f"{path} holds a JSON {type(records).__name__}, not an array of items")
     for i, record in enumerate(records):
@@ -56,24 +58,10 @@ def write_augmented_dataset(triplets: Sequence[Triplet], path: str | Path) -> No
         }
         for t in triplets
     ]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(records, indent=1)])
 
 
 def write_sft_records(records: Sequence[SftRecord], path: str | Path) -> None:
     """One JSON object per line: instruction, input, output."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "instruction": record.instruction,
-                        "input": record.input,
-                        "output": record.output,
-                    }
-                )
-                + "\n"
-            )
+    write_lines(path, (json.dumps(asdict(record)) for record in records))
 

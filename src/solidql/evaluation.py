@@ -21,10 +21,12 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ExecError, ExecTimeout, ParseError
+from .jsonl import write_lines
 from .sql.parser import parse_sql
 from .sql.render import render_sql
 
@@ -339,23 +341,16 @@ def evaluate(
 
 def write_report(report: EvalReport, path: str | Path) -> None:
     """JSON summary plus aligned per-item verdict lines."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
-        for record in report.records:
-            handle.write(
-                json.dumps(
-                    {
-                        "db_id": record.db_id,
-                        "em": record.em,
-                        "error": record.error,
-                        "ex": record.ex,
-                        "excluded": record.excluded,
-                        "flags": list(record.flags),
-                        "question": record.question,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    verdicts = (
+        {
+            "db_id": record.db_id,
+            "em": record.em,
+            "error": record.error,
+            "ex": record.ex,
+            "excluded": record.excluded,
+            "flags": list(record.flags),
+            "question": record.question,
+        }
+        for record in report.records
+    )
+    write_lines(path, (json.dumps(d, sort_keys=True) for d in chain([report.to_dict()], verdicts)))

@@ -1,25 +1,57 @@
-"""Append-only JSON-lines files that survive a crash mid-append.
+"""File I/O: JSON inputs, whole output files, and append-only JSON-lines
+files that survive a crash mid-append.
 
-Each record is one JSON value on one line. A crash while appending can
-leave a final line without its newline. Reading drops such a line, with
-a warning, when it does not decode, and the next append first cuts the
-file back to the end of the last whole line, so the new record cannot
-glue onto the torn one. A line that does not decode anywhere else is
-corruption that no interrupted append explains, and is fatal.
+In an append-only file each record is one JSON value on one line. A
+crash while appending can leave a final line without its newline.
+Reading drops such a line, with a warning, when it does not decode, and
+the next append first cuts the file back to the end of the last whole
+line, so the new record cannot glue onto the torn one. A line that does
+not decode anywhere else is corruption that no interrupted append
+explains, and is fatal.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import CorruptFileError
+from .errors import ConfigError, CorruptFileError
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value in a UTF-8 file; ``ConfigError`` names it if it cannot be read or decoded."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace ``path`` with ``lines``, each plus a newline.
+
+    The lines go to ``<name>.partial``, renamed over ``path`` at the end: if
+    anything raises, the previous file stays. No fsync: a crash, not a power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def malformed(path: str | Path, number: int, exc: Exception,

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Protocol, Sequence
 
-from .errors import ParseError, PredictorError, ResolutionError, RewriteError
+from .errors import ParseError, PredictorError, ProviderError, ResolutionError, RewriteError
 from .gateway import LlmGateway
 from .prompting import load_template
 from .schema import DatabaseSchema, SchemaSubset, format_subset, parse_subset, render_ddl
@@ -61,7 +61,7 @@ class QuestionRewriter:
         prompt = load_template("rewrite_v1").substitute(question=question)
         try:
             completion = self.gateway.ask(self.model_id, prompt, 256)
-        except Exception as exc:
+        except ProviderError as exc:
             raise RewriteError(f"rewriter gateway failed: {exc}") from exc
         rewrites: list[str] = []
         for line in completion.splitlines():

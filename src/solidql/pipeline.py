@@ -20,7 +20,7 @@ from typing import Sequence
 from .config import RunConfig
 from .errors import ExtractError, ReplayMiss
 from .gateway import ChatRequest, LlmGateway
-from .jsonl import JsonLines
+from .jsonl import JsonLines, write_lines
 from .linking import LinkingPredictor, predict_linking
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
@@ -303,11 +303,7 @@ def run_batch(
 
 
 def write_results(results: Sequence[PipelineResult], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+    write_lines(path, (json.dumps(r.to_dict(), sort_keys=True) for r in results))
 
 
 def read_results(path: str | Path) -> list[PipelineResult]:

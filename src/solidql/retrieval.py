@@ -33,13 +33,14 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .embeddings import EmbeddingProvider
 from .errors import ConfigError, ParseError
 from .gateway import LlmGateway
-from .jsonl import malformed
+from .jsonl import malformed, write_lines
 from .prompting import load_template
 from .schema import SchemaSubset
 from .skeleton import (
@@ -413,38 +414,21 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     A record stores its SQL skeleton as text and compiled: the postorder
     labels and each node's leftmost leaf, so loading needs no parse.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                {
-                    "provider_id": index.provider_id,
-                    "dimension": index.dimension,
-                    "format": INDEX_FORMAT,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        for pair in index.pool:
-            compiled = pair.s_skeleton.compiled
-            handle.write(
-                json.dumps(
-                    {
-                        "question": pair.question,
-                        "sql": pair.sql,
-                        "q_skeleton": pair.q_skeleton,
-                        "q_embedding": list(pair.q_embedding),
-                        "s_skeleton": pair.s_skeleton.text,
-                        "s_postorder": compiled.postorder,
-                        "s_leftmost": compiled.leftmost,
-                        "pool_index": pair.pool_index,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    header = dict(provider_id=index.provider_id, dimension=index.dimension, format=INDEX_FORMAT)
+    records = (
+        {
+            "question": pair.question,
+            "sql": pair.sql,
+            "q_skeleton": pair.q_skeleton,
+            "q_embedding": list(pair.q_embedding),
+            "s_skeleton": pair.s_skeleton.text,
+            "s_postorder": pair.s_skeleton.compiled.postorder,
+            "s_leftmost": pair.s_skeleton.compiled.leftmost,
+            "pool_index": pair.pool_index,
+        }
+        for pair in index.pool
+    )
+    write_lines(path, (json.dumps(d, sort_keys=True) for d in chain([header], records)))
 
 
 def read_index_header(path: str | Path) -> dict:

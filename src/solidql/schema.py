@@ -10,13 +10,13 @@ lowercase. The pseudo-column ``<table>.*`` stands for "the whole table"
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, SchemaError
+from .jsonl import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +97,6 @@ class DatabaseSchema:
             return True
         return column.lower() in {c.name.lower() for c in table.columns}
 
-    def table_names(self) -> list[str]:
-        return [t.name.lower() for t in self.tables]
-
 
 @dataclass(frozen=True)
 class SchemaSubset:
@@ -122,14 +119,6 @@ class SchemaSubset:
     @property
     def is_empty(self) -> bool:
         return not self.tables and not self.columns
-
-    def validate_against(self, schema: DatabaseSchema) -> None:
-        for table in self.tables:
-            if not schema.has_table(table):
-                raise SchemaError(f"unknown table {table!r} in subset")
-        for column in self.columns:
-            if not schema.has_column(column):
-                raise SchemaError(f"unknown column {column!r} in subset")
 
 
 def format_subset(subset: SchemaSubset) -> str:
@@ -204,9 +193,9 @@ def schema_from_tables_record(record: Mapping) -> DatabaseSchema:
 def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
     """Load every schema of a ``tables.json`` file, keyed by db_id.
 
-    A record that describes no schema raises ``ConfigError`` naming the file and the record.
+    ``ConfigError`` names the file, and the record if one describes no schema.
     """
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
+    records = read_json(path, "tables")
     if not isinstance(records, list):
         raise ConfigError(f"{path} holds a JSON {type(records).__name__}, not an array of schemas")
     schemas: dict[str, DatabaseSchema] = {}

@@ -47,10 +47,6 @@ class SqlSkeleton:
     compiled: CompiledTree = field(hash=False)
 
     @property
-    def node_count(self) -> int:
-        return len(self.compiled.postorder)
-
-    @property
     def tree(self) -> Node:
         """The placeholder-normalized parse tree, parsed from ``text``."""
         return _mask(parse_sql(self.text))

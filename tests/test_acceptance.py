@@ -19,7 +19,7 @@ from solidql.evaluation import evaluate
 from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.linking import GatewayLinkingPredictor, Triplet, augment_dataset
 from solidql.pipeline import run_batch
-from solidql.prompting import FOCUS_MARKER, build_prompt, serialize_focus
+from solidql.prompting import FOCUS_MARKER, build_prompt
 from solidql.retrieval import (
     build_index,
     load_index,
@@ -33,7 +33,6 @@ from solidql.sql import extract_schema_refs, parse_sql, render_sql
 
 from conftest import FIXTURES
 from support import (
-    FakeChatProvider,
     brute_force_question_ranking,
     brute_force_sql_ranking,
     oracle_tree_distance,
@@ -41,7 +40,7 @@ from support import (
     random_statement_pair,
     random_tree,
 )
-from test_cli import GENERATIONS, LINKINGS, SKELETONS, make_provider
+from test_cli import GENERATIONS, make_provider
 
 
 def report(name: str, detail: str) -> None:

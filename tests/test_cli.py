@@ -632,6 +632,21 @@ def test_cmd_build_sft_counts_and_determinism(workspace, capsys):
     assert all(set(r) == {"instruction", "input", "output"} for r in records)
 
 
+def test_cmd_build_sft_rewrite_replay_miss_exits_environment(workspace, tmp_path, capsys):
+    (tmp_path / "empty.jsonl").write_text("")
+    code = main([
+        "build-sft",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--transcripts", str(tmp_path / "empty.jsonl"),
+        "--mode", "replay",
+        "--output", str(tmp_path / "sft.jsonl"),
+    ])
+    assert code == 3
+    assert "environment error: no transcript for request" in capsys.readouterr().err
+    assert not (tmp_path / "sft.jsonl").exists()
+
+
 def test_cmd_index_on_two_hundred_item_pool(workspace, tmp_path, capsys):
     import random
 
@@ -712,6 +727,20 @@ def test_malformed_tables_file_exits_two(workspace, tmp_path, capsys, corruption
     else:
         expected = f"{tables}, record 1: malformed schema"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["dataset", "tables"])
+@pytest.mark.parametrize("body", [b'[{"question": "q" "db_id": "shop"}]', b'["\xff"]'],
+                         ids=["missing comma", "not utf-8"])
+def test_cmd_index_input_not_json_exits_two_naming_the_file(workspace, tmp_path, capsys, name, body):
+    broken = tmp_path / f"{name}.json"
+    broken.write_bytes(body)
+    paths = {"dataset": workspace / "shop_pool.json", "tables": workspace / "tables.json", name: broken}
+    code = main(["index", "--dataset", str(paths["dataset"]), "--tables", str(paths["tables"]),
+                 "--output", str(tmp_path / "index.jsonl")])
+    assert code == 2
+    assert f"error: {name} {broken} is not valid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "index.jsonl").exists()
 
 
 def test_config_file_with_flag_overrides(workspace, tmp_path):

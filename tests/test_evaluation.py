@@ -9,7 +9,6 @@ import pytest
 
 from solidql.errors import ExecError, ExecTimeout
 from solidql.evaluation import (
-    EvalRecord,
     evaluate,
     exact_match,
     execute_sql,

@@ -10,14 +10,13 @@ from solidql.linking import (
     GatewayLinkingPredictor,
     OracleLinkingPredictor,
     QuestionRewriter,
-    SftRecord,
     Triplet,
     augment_dataset,
     build_sft_dataset,
     linking_accuracy,
     predict_linking,
 )
-from solidql.schema import SchemaSubset, format_subset, parse_subset
+from solidql.schema import SchemaSubset, parse_subset
 from solidql.sql import extract_schema_refs, parse_sql
 
 from support import FakeChatProvider

@@ -406,6 +406,26 @@ def test_replay_batch_is_byte_reproducible(schemas, shop_dataset, fixture_index,
     assert outputs[0] == outputs[1]
 
 
+def test_interrupted_write_leaves_the_previous_results(components, tmp_path):
+    schema, predictor, index, gateway, embedder, config = components
+    result = run_item(
+        "How many shops are there?", schema, predictor, index, gateway, embedder, config
+    )
+    out = tmp_path / "results.jsonl"
+    write_results([result], out)
+    before = out.read_bytes()
+
+    def results_then_crash():
+        yield result
+        yield result
+        raise RuntimeError("crash mid-write")
+
+    with pytest.raises(RuntimeError, match="crash mid-write"):
+        write_results(results_then_crash(), out)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
+
+
 def test_result_serialization_round_trip(components):
     schema, predictor, index, gateway, embedder, config = components
     result = run_item(

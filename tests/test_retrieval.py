@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
 
+import solidql.retrieval
 from solidql.embeddings import HashedBagOfTokens, cosine_similarity, make_embedder
 from solidql.errors import ConfigError, ZeroVectorError
 from solidql.gateway import LlmGateway, TranscriptStore
@@ -336,7 +338,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
     ]
     index = build_index([(f"question {i}", sql) for i, sql in enumerate(statements)], HashedBagOfTokens())
     target = SqlSkeleton.from_sql("SELECT x, y FROM v")
-    rings = [(abs(p.s_skeleton.node_count - 6), tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+    rings = [(abs(len(p.s_skeleton.compiled.postorder) - 6), tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
     assert rings == [
         (2, 2), (3, 3), (1, 2), (4, 4), (2, 2), (0, 3), (1, 1),
         (0, 2), (1, 1), (1, 3), (1, 1), (2, 2), (4, 4), (2, 2),
@@ -353,7 +355,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
     rng = random.Random(41)
     pool = [(f"question {i}", random_statement(rng)) for i in range(300)]
     index = build_index(pool, HashedBagOfTokens())
-    sizes = {p.s_skeleton.node_count for p in index.pool}
+    sizes = {len(p.s_skeleton.compiled.postorder) for p in index.pool}
     assert max(sizes) - min(sizes) > 20
     groups = len({p.s_skeleton.text for p in index.pool})
     label_lower_bound = retrieval.label_lower_bound
@@ -477,6 +479,27 @@ def test_load_builds_skeletons_without_parsing(tmp_path, small_index, monkeypatc
     again = tmp_path / "again.jsonl"
     save_index(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_interrupted_save_leaves_the_previous_index(tmp_path, small_index, monkeypatch):
+    index, embedder = small_index
+    path = tmp_path / "idx.jsonl"
+    save_index(build_index([("q", "SELECT a FROM t")], embedder), path)
+    before = path.read_bytes()
+    dumps, lines = json.dumps, []
+
+    def dumps_then_interrupt(*args, **kwargs):
+        if len(lines) == 3:  # the header and two records
+            raise KeyboardInterrupt
+        lines.append(dumps(*args, **kwargs))
+        return lines[-1]
+
+    monkeypatch.setattr(solidql.retrieval.json, "dumps", dumps_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        save_index(index, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.jsonl"]
 
 
 def test_index_uses_gateway_skeletons_with_linked_context(schemas):

@@ -102,7 +102,8 @@ def test_output_is_subset_of_schema_universe(schemas, parser_corpus):
     for item in parser_corpus:
         schema = schemas[item["db_id"]]
         subset = extract_schema_refs(parse_sql(item["query"]), schema)
-        subset.validate_against(schema)
+        assert all(schema.has_table(t) for t in subset.tables)
+        assert all(schema.has_column(c) for c in subset.columns)
 
 
 def test_unknown_column_raises(schemas):

@@ -52,7 +52,7 @@ def test_oracle_agreement_on_skeletons():
     rng = random.Random(43)
     statements = [random_statement(rng) for _ in range(30)]
     skeletons = [SqlSkeleton.from_sql(s) for s in statements]
-    small = [s for s in skeletons if s.node_count <= 8]
+    small = [s for s in skeletons if len(s.compiled.postorder) <= 8]
     for a in small[:6]:
         for b in small[:6]:
             assert tree_edit_distance(a, b) == oracle_tree_distance(a.tree, b.tree)
@@ -98,7 +98,7 @@ def test_label_lower_bound_below_oracle_on_random_trees():
 def test_label_lower_bound_below_oracle_on_skeletons():
     rng = random.Random(46)
     skeletons = [SqlSkeleton.from_sql(random_statement(rng)) for _ in range(200)]
-    small = [s for s in skeletons if s.node_count <= 8][:8]
+    small = [s for s in skeletons if len(s.compiled.postorder) <= 8][:8]
     assert len(small) >= 6
     for a in small:
         for b in small:
