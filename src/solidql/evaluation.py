@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import sqlite3
 import time
 from collections import Counter
@@ -29,6 +28,7 @@ from .errors import ExecError, ExecTimeout, ParseError
 from .jsonl import write_lines
 from .sql.parser import parse_sql
 from .sql.render import render_sql
+from .sql.tokens import SKIP, TOKEN
 
 logger = logging.getLogger(__name__)
 
@@ -99,27 +99,21 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0) -> ResultT
     return ResultTable(rows=rows, ordered=has_top_level_order_by(sql))
 
 
-# One token per match: a quoted span ('…', "…", `…` or […], possibly
-# unterminated), a comment, a word, or any other single character.
-_TOKEN = re.compile(
-    r"""'[^']*'?|"[^"]*"?|`[^`]*`?|\[[^\]]*\]?|--[^\n]*|/\*.*?(?:\*/|\Z)|\w+|\S""",
-    re.DOTALL,
-)
-
-
 def has_top_level_order_by(sql: str) -> bool:
     """True when the statement's outermost query carries ORDER BY.
 
-    One scan of the text: quoted spans and comments are skipped, and the
+    One scan of the text with the parser's token pattern, building no
+    tokens and never raising: quoted spans and comments are single
+    matches, an unterminated one runs to the end of the text, and the
     first ``order`` ``by`` word pair outside all parentheses decides.
     Any text is accepted, including statements the parser rejects.
     """
     depth = 0
     previous = ""
-    for match in _TOKEN.finditer(sql):
-        token = match.group().lower()
-        if token.startswith(("--", "/*")):
+    for match in TOKEN.finditer(sql):
+        if match.lastgroup == SKIP:
             continue
+        token = match.group().lower()
         if token == "(":
             depth += 1
         elif token == ")":

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .tokens import TOKEN
+
 QUERY = "query"
 SUBQUERY = "subquery"
 CLAUSE = "clause"
@@ -106,15 +108,10 @@ def is_query_like(node: Node) -> bool:
 def split_qualified(raw: str) -> tuple[str | None, str]:
     """Split a column-ref span into (qualifier, column), both raw.
 
-    Handles quoted qualifiers; returns ``(None, raw)`` for bare names.
+    The qualifier is the span's first token, quoted or not, when a ``.``
+    follows it; returns ``(None, raw)`` for bare names.
     """
-    if raw and raw[0] in "\"`[":
-        closing = {"\"": "\"", "`": "`", "[": "]"}[raw[0]]
-        end = raw.find(closing, 1)
-        if end != -1 and end + 1 < len(raw) and raw[end + 1] == ".":
-            return raw[: end + 1], raw[end + 2 :]
-        return None, raw
-    head, dot, tail = raw.partition(".")
-    if dot:
-        return head, tail
+    end = TOKEN.match(raw).end() if raw else 0
+    if raw[end : end + 1] == ".":
+        return raw[:end], raw[end + 1 :]
     return None, raw

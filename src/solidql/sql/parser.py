@@ -63,7 +63,7 @@ def parse_sql(text: str) -> Node:
         raise ParseError("empty statement", 0)
     parser = _Parser(tk.tokenize(text))
     node = parser.query_expr(is_sub=False)
-    parser.accept_op(";")
+    parser.accept(";")
     parser.expect_eof()
     return node
 
@@ -77,8 +77,8 @@ class _Parser:
     # token helpers
     # ------------------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> tk.Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> tk.Token:
+        return self.toks[self.pos]  # advance never moves past EOF
 
     def advance(self) -> tk.Token:
         tok = self.toks[self.pos]
@@ -86,34 +86,26 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_kw(self, *words: str) -> bool:
+    def at(self, *words: str) -> bool:
+        """The next token's lowercase text is one of ``words``.
+
+        Keywords and operators match alike: no keyword is spelled like an
+        operator, and quoted tokens keep their quotes.
+        """
+        return self.toks[self.pos].lower in words
+
+    def accept(self, *words: str) -> tk.Token | None:
+        tok = self.toks[self.pos]
+        if tok.lower not in words:
+            return None
+        self.pos += 1  # not EOF, whose text no word matches
+        return tok
+
+    def expect(self, word: str) -> tk.Token:
         tok = self.peek()
-        return tok.type == tk.IDENT and tok.lower in words
-
-    def accept_kw(self, *words: str) -> tk.Token | None:
-        if self.at_kw(*words):
-            return self.advance()
-        return None
-
-    def expect_kw(self, word: str) -> tk.Token:
-        tok = self.peek()
-        if not self.at_kw(word):
-            raise ParseError(f"expected {word.upper()}, found {tok.text or 'end of input'!r}", tok.offset)
-        return self.advance()
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.type == tk.OP and tok.text in ops
-
-    def accept_op(self, *ops: str) -> tk.Token | None:
-        if self.at_op(*ops):
-            return self.advance()
-        return None
-
-    def expect_op(self, op: str) -> tk.Token:
-        tok = self.peek()
-        if not self.at_op(op):
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.offset)
+        if not self.at(word):
+            wanted = word.upper() if word.isalpha() else repr(word)
+            raise ParseError(f"expected {wanted}, found {tok.text or 'end of input'!r}", tok.offset)
         return self.advance()
 
     def expect_eof(self) -> None:
@@ -135,9 +127,9 @@ class _Parser:
 
     def query_expr(self, is_sub: bool) -> Node:
         node = self.select_core(is_sub)
-        while self.at_kw("union", "intersect", "except"):
+        while self.at("union", "intersect", "except"):
             word = self.advance().lower
-            if word == "union" and self.accept_kw("all"):
+            if word == "union" and self.accept("all"):
                 word = "union all"
             right = self.select_core(is_sub)
             node = Node(OPERATOR, word, (node, right))
@@ -145,38 +137,37 @@ class _Parser:
 
     def select_core(self, is_sub: bool) -> Node:
         clauses = [self.select_clause()]
-        if self.at_kw("from"):
+        if self.at("from"):
             clauses.append(self.from_clause())
-        if self.accept_kw("where"):
+        if self.accept("where"):
             clauses.append(Node(CLAUSE, "where", (self.expr(),)))
-        if self.at_kw("group"):
+        if self.at("group"):
             clauses.append(self.group_by_clause())
-        if self.accept_kw("having"):
+        if self.accept("having"):
             clauses.append(Node(CLAUSE, "having", (self.expr(),)))
-        if self.at_kw("order"):
+        if self.at("order"):
             clauses.append(self.order_by_clause())
-        if self.at_kw("limit"):
+        if self.at("limit"):
             clauses.append(self.limit_clause())
         return Node(SUBQUERY if is_sub else QUERY, "", tuple(clauses))
 
     def select_clause(self) -> Node:
-        self.expect_kw("select")
+        self.expect("select")
         children: list[Node] = []
-        if self.accept_kw("distinct"):
+        if self.accept("distinct"):
             children.append(Node(KEYWORD, "distinct"))
-        elif self.accept_kw("all"):
+        elif self.accept("all"):
             children.append(Node(KEYWORD, "all"))
         children.append(self.select_item())
-        while self.accept_op(","):
+        while self.accept(","):
             children.append(self.select_item())
         return Node(CLAUSE, "select", tuple(children))
 
     def select_item(self) -> Node:
-        if self.at_op("*"):
-            self.advance()
+        if self.accept("*"):
             return Node(STAR, "*")
         item = self.expr()
-        if self.accept_kw("as"):
+        if self.accept("as"):
             alias = self.expect_name()
             return Node(COLUMN_ALIAS, alias.text, (item,))
         tok = self.peek()
@@ -186,48 +177,46 @@ class _Parser:
         return item
 
     def from_clause(self) -> Node:
-        self.expect_kw("from")
+        self.expect("from")
         children = [self.table_source()]
         while True:
-            if self.accept_op(","):
+            if self.accept(","):
                 children.append(Node(JOIN, ",", (self.table_source(),)))
                 continue
             connective = self.join_connective()
             if connective is None:
                 break
             source = self.table_source()
-            if self.accept_kw("on"):
+            if self.accept("on"):
                 children.append(Node(JOIN, connective, (source, self.expr())))
             else:
                 children.append(Node(JOIN, connective, (source,)))
         return Node(CLAUSE, "from", tuple(children))
 
     def join_connective(self) -> str | None:
-        tok = self.peek()
-        if tok.type != tk.IDENT or tok.lower not in _JOIN_WORDS:
+        if self.peek().lower not in _JOIN_WORDS:
             return None
         word = self.advance().lower
         if word == "join":
             return "join"
         connective = _JOIN_WORDS[word]
-        if word in ("left", "right", "full") and self.accept_kw("outer"):
+        if word in ("left", "right", "full") and self.accept("outer"):
             connective = f"{word} outer join"
-        self.expect_kw("join")
+        self.expect("join")
         return connective
 
     def table_source(self) -> Node:
-        if self.at_op("("):
-            opening = self.advance()
-            if not self.at_kw("select"):
+        if self.accept("("):
+            if not self.at("select"):
                 raise ParseError("expected SELECT in derived table", self.peek().offset)
             inner = self.query_expr(is_sub=True)
-            self.expect_op(")")
+            self.expect(")")
             return self.maybe_table_alias(inner)
         name = self.expect_name()
         return self.maybe_table_alias(Node(TABLE_REF, name.text))
 
     def maybe_table_alias(self, source: Node) -> Node:
-        if self.accept_kw("as"):
+        if self.accept("as"):
             alias = self.expect_name()
             return Node(TABLE_ALIAS, alias.text, (source,))
         tok = self.peek()
@@ -237,34 +226,34 @@ class _Parser:
         return source
 
     def group_by_clause(self) -> Node:
-        self.expect_kw("group")
-        self.expect_kw("by")
+        self.expect("group")
+        self.expect("by")
         items = [self.expr()]
-        while self.accept_op(","):
+        while self.accept(","):
             items.append(self.expr())
         return Node(CLAUSE, "group_by", tuple(items))
 
     def order_by_clause(self) -> Node:
-        self.expect_kw("order")
-        self.expect_kw("by")
+        self.expect("order")
+        self.expect("by")
         items = [self.order_item()]
-        while self.accept_op(","):
+        while self.accept(","):
             items.append(self.order_item())
         return Node(CLAUSE, "order_by", tuple(items))
 
     def order_item(self) -> Node:
         item = self.expr()
-        direction = self.accept_kw("asc", "desc")
+        direction = self.accept("asc", "desc")
         if direction is not None:
             return Node(OPERATOR, direction.lower, (item,))
         return item
 
     def limit_clause(self) -> Node:
-        self.expect_kw("limit")
+        self.expect("limit")
         first = self.limit_value()
-        if self.accept_kw("offset"):
+        if self.accept("offset"):
             return Node(CLAUSE, "limit", (first, self.limit_value()))
-        if self.accept_op(","):
+        if self.accept(","):
             # SQLite "LIMIT offset, count"; normalized to count + offset.
             count = self.limit_value()
             return Node(CLAUSE, "limit", (count, first))
@@ -286,82 +275,82 @@ class _Parser:
 
     def or_expr(self) -> Node:
         node = self.and_expr()
-        while self.accept_kw("or"):
+        while self.accept("or"):
             node = Node(OPERATOR, "or", (node, self.and_expr()))
         return node
 
     def and_expr(self) -> Node:
         node = self.not_expr()
-        while self.accept_kw("and"):
+        while self.accept("and"):
             node = Node(OPERATOR, "and", (node, self.not_expr()))
         return node
 
     def not_expr(self) -> Node:
-        if self.accept_kw("not"):
+        if self.accept("not"):
             return Node(OPERATOR, "not", (self.not_expr(),))
         return self.predicate()
 
     def predicate(self) -> Node:
-        if self.accept_kw("exists"):
-            self.expect_op("(")
+        if self.accept("exists"):
+            self.expect("(")
             inner = self.query_expr(is_sub=True)
-            self.expect_op(")")
+            self.expect(")")
             return Node(OPERATOR, "exists", (inner,))
         lhs = self.arith()
         tok = self.peek()
-        if tok.type == tk.OP and tok.text in _COMPARISONS:
+        if tok.lower in _COMPARISONS:
             self.advance()
             op = "!=" if tok.text == "<>" else tok.text
             return Node(OPERATOR, op, (lhs, self.arith()))
-        negated = self.accept_kw("not") is not None
-        if self.accept_kw("between"):
+        negated = self.accept("not") is not None
+        if self.accept("between"):
             low = self.arith()
-            self.expect_kw("and")
+            self.expect("and")
             high = self.arith()
             return Node(OPERATOR, "not between" if negated else "between", (lhs, low, high))
-        if self.accept_kw("in"):
+        if self.accept("in"):
             return self.in_predicate(lhs, negated)
-        if self.accept_kw("like"):
+        if self.accept("like"):
             op = "not like" if negated else "like"
             return Node(OPERATOR, op, (lhs, self.arith()))
         if negated:
             raise ParseError("expected BETWEEN, IN or LIKE after NOT", self.peek().offset)
-        if self.accept_kw("is"):
-            negated = self.accept_kw("not") is not None
-            if not self.accept_kw("null"):
+        if self.accept("is"):
+            negated = self.accept("not") is not None
+            if not self.accept("null"):
                 raise ParseError("expected NULL after IS", self.peek().offset)
             return Node(OPERATOR, "is not null" if negated else "is null", (lhs,))
         return lhs
 
     def in_predicate(self, lhs: Node, negated: bool) -> Node:
         op = "not in" if negated else "in"
-        self.expect_op("(")
-        if self.at_kw("select"):
+        self.expect("(")
+        if self.at("select"):
             inner = self.query_expr(is_sub=True)
-            self.expect_op(")")
+            self.expect(")")
             return Node(OPERATOR, op, (lhs, inner))
         items = [self.expr()]
-        while self.accept_op(","):
+        while self.accept(","):
             items.append(self.expr())
-        self.expect_op(")")
+        self.expect(")")
         return Node(OPERATOR, op, (lhs, *items))
 
     def arith(self) -> Node:
         node = self.term()
-        while self.at_op("+", "-"):
+        while self.at("+", "-"):
             op = self.advance().text
             node = Node(OPERATOR, op, (node, self.term()))
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.at_op("*", "/", "%"):
+        while self.at("*", "/", "%"):
             op = self.advance().text
             node = Node(OPERATOR, op, (node, self.factor()))
         return node
 
     def factor(self) -> Node:
-        if self.at_op("-", "+"):
+        if self.at("-", "+"):
             op = self.advance().text
             return Node(OPERATOR, op, (self.factor(),))
         return self.primary()
@@ -371,14 +360,9 @@ class _Parser:
         if tok.type == tk.NUMBER or tok.type == tk.STRING:
             self.advance()
             return Node(LITERAL, tok.text)
-        if tok.type == tk.OP and tok.text == "(":
-            self.advance()
-            if self.at_kw("select"):
-                inner = self.query_expr(is_sub=True)
-                self.expect_op(")")
-                return inner
-            inner = self.expr()
-            self.expect_op(")")
+        if self.accept("("):
+            inner = self.query_expr(is_sub=True) if self.at("select") else self.expr()
+            self.expect(")")
             return inner
         if tok.type == tk.QIDENT:
             return self.name_expr()
@@ -388,34 +372,30 @@ class _Parser:
                 return Node(LITERAL, tok.text)
             if tok.lower in RESERVED:
                 raise ParseError(f"expected expression, found {tok.text!r}", tok.offset)
-            if self.peek(1).type == tk.OP and self.peek(1).text == "(":
+            if self.toks[self.pos + 1].lower == "(":  # the name is not EOF
                 return self.function_call()
             return self.name_expr()
         raise ParseError(f"expected expression, found {tok.text or 'end of input'!r}", tok.offset)
 
     def function_call(self) -> Node:
         name = self.advance()
-        self.expect_op("(")
+        self.expect("(")
         children: list[Node] = []
-        if self.accept_kw("distinct"):
+        if self.accept("distinct"):
             children.append(Node(KEYWORD, "distinct"))
-        if self.at_op("*"):
-            self.advance()
+        if self.accept("*"):
             children.append(Node(STAR, "*"))
-        elif not self.at_op(")"):
+        elif not self.at(")"):
             children.append(self.expr())
-            while self.accept_op(","):
+            while self.accept(","):
                 children.append(self.expr())
-        self.expect_op(")")
+        self.expect(")")
         return Node(FUNCTION, name.text, tuple(children))
 
     def name_expr(self) -> Node:
         first = self.expect_name()
-        if self.at_op("."):
-            self.advance()
-            follow = self.peek()
-            if follow.type == tk.OP and follow.text == "*":
-                self.advance()
+        if self.accept("."):
+            if self.accept("*"):
                 return Node(COLUMN_REF, f"{first.text}.*")
             column = self.expect_name()
             return Node(COLUMN_REF, f"{first.text}.{column.text}")

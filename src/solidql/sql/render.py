@@ -25,6 +25,7 @@ from .nodes import (
     Node,
     is_query_like,
     normalize_identifier,
+    split_qualified,
 )
 
 _PRECEDENCE = {
@@ -45,6 +46,7 @@ _PRECEDENCE = {
     "not between": 4,
     "is null": 4,
     "is not null": 4,
+    "exists": 4,
     "+": 5,
     "-": 5,
     "*": 6,
@@ -186,6 +188,8 @@ class _Renderer:
         if op in ("-", "+") and len(children) == 1:
             # nested unary must parenthesize: "--x" would re-tokenize as a comment
             return f"{op}{self.expr(children[0], _UNARY_PRECEDENCE + 1)}", _UNARY_PRECEDENCE
+        if op == "exists":
+            return f"{self.kw('EXISTS')} ({self.query(children[0])})", _PRECEDENCE[op]
         if op in ("is null", "is not null"):
             prec = _PRECEDENCE[op]
             return f"{self.expr(children[0], prec)} {self.kw(op)}", prec
@@ -218,13 +222,11 @@ class _Renderer:
     # ------------------------------------------------------------------
 
     def name(self, raw: str) -> str:
-        if not self.canonical:
+        if not self.canonical or raw == "*":
             return raw
-        if "." in raw and raw[0] not in "\"`[":
-            head, _, tail = raw.partition(".")
-            return f"{self.name(head)}.{self.name(tail)}"
-        if raw == "*":
-            return raw
+        qualifier, column = split_qualified(raw)
+        if qualifier is not None:
+            return f"{self.name(qualifier)}.{self.name(column)}"
         normalized = normalize_identifier(raw)
         if normalized.replace("_", "a").isalnum() and not normalized[0].isdigit():
             return normalized

@@ -1,109 +1,86 @@
-"""Tokenizer for the SELECT dialect.
+"""The one lexer of the SELECT dialect.
 
-Produces a flat token list with byte offsets; keyword classification is
-left to the parser so identifiers that happen to collide with soft
-keywords keep working.
+``TOKEN`` is a single compiled pattern; each match is one named group:
+skipped text (whitespace and closed comments), a string, a quoted
+identifier, a number, an identifier, an operator, or an error: an
+unterminated comment or quote, which swallows the rest of the text, or a
+stray character. :func:`tokenize` turns the matches into a token list
+with character offsets and raises ``ParseError`` on an error match; the
+ORDER BY scan in :mod:`solidql.evaluation` iterates the same pattern and
+never raises. Keyword classification is left to the parser so that
+identifiers that collide with soft keywords keep working.
+
+As in SQLite, a doubled quote inside a string (``''``) or a quoted
+identifier (``""``, or two backquotes inside backquotes) stands for the
+quote itself; ``[…]`` has no escape. Character classes are Python's:
+whitespace is ``\\s`` (``str.isspace``), and an identifier is a run of
+``\\w`` (``str.isalnum`` or ``_``) whose first character is not a
+digit. A digit is a decimal digit only (``\\d``, ``str.isdecimal``), so
+any other numeral, such as ``²`` or ``½``, is an identifier character,
+as every non-ASCII character is in SQLite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
-IDENT = "ident"
+SKIP = "skip"
+STRING = "string"
 QIDENT = "qident"
 NUMBER = "number"
-STRING = "string"
-OP = "op"
+IDENT = "ident"
+ERROR = "error"
 EOF = "eof"
 
-_PUNCT = ("<>", "!=", ">=", "<=", "=", "<", ">", "(", ")", ",", ".", "+", "-", "*", "/", "%", ";")
+# Each group is named after the token type it yields. The lookahead after a
+# closing quote stands in for an atomic group, which Python 3.10 lacks: a
+# quoted span never ends at the first quote of a doubled pair.
+TOKEN = re.compile(
+    r"""(?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
+    |(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<ident>[^\W\d]\w*)
+    |(?P<op><>|!=|>=|<=|[-=<>(),.+*%;]|/(?!\*))
+    |(?P<error>/\*.*|['"`\[].*|.)""",
+    re.DOTALL | re.VERBOSE,
+)
+
+_UNTERMINATED = {
+    "/": "unterminated block comment",
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "`": "unterminated quoted identifier",
+    "[": "unterminated quoted identifier",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     text: str
     offset: int
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
+    lower: str
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    """The tokens of ``text``, ending with an ``EOF`` token.
+
+    Raises:
+        ParseError: on an unterminated comment or quote, or a stray
+            character, at its offset.
+    """
+    tokens = []
+    for match in TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == SKIP:
             continue
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise ParseError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", i)
-            tokens.append(Token(STRING, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if ch in "\"`[":
-            closing = {"\"": "\"", "`": "`", "[": "]"}[ch]
-            j = text.find(closing, i + 1)
-            if j == -1:
-                raise ParseError("unterminated quoted identifier", i)
-            tokens.append(Token(QIDENT, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token(NUMBER, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], i))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(OP, punct, i))
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, "", n))
+        word = match.group()
+        if kind == ERROR:
+            first = word[0]
+            raise ParseError(_UNTERMINATED.get(first, f"unexpected character {first!r}"), match.start())
+        tokens.append(Token(kind, word, match.start(), word.lower()))
+    tokens.append(Token(EOF, "", len(text), ""))
     return tokens

@@ -711,6 +711,9 @@ TABLES_CORRUPTIONS = {
     "primary key out of range": _set_schema_field("primary_keys", [99]),
     "primary key negative": _set_schema_field("primary_keys", [-1]),
     "top level an object": lambda records: {"db_id": "shop"},
+    "tables differing only in case": lambda records: [
+        records[0], {**records[1], "table_names_original": records[1]["table_names_original"] + ["AUTHOR"]}],
+    "primary key the star column": _set_schema_field("primary_keys", [0]),
 }
 
 

@@ -3,14 +3,76 @@
 from __future__ import annotations
 
 import random
+import re
+import sqlite3
+import sys
+from contextlib import closing
 
 import pytest
 
 from solidql.errors import ParseError
-from solidql.sql import parse_sql, render_sql
+from solidql.sql import normalize_identifier, parse_sql, render_sql, split_qualified
 from solidql.sql.nodes import CLAUSE, COLUMN_REF, SUBQUERY, TABLE_REF
+from solidql.sql.tokens import tokenize
 
 from support import random_statement
+
+
+# text -> its (type, text, offset) tokens, or the offset of its ParseError
+LEXER_CASES = {
+    "a -- c\nb": [("ident", "a", 0), ("ident", "b", 7), ("eof", "", 8)],
+    "a--c": [("ident", "a", 0), ("eof", "", 4)],
+    "a /* c */ b": [("ident", "a", 0), ("ident", "b", 10), ("eof", "", 11)],
+    "a /*/ b */": [("ident", "a", 0), ("eof", "", 10)],
+    "a /* c": 2,
+    "a /*/": 2,
+    "'it''s' x": [("string", "'it''s'", 0), ("ident", "x", 8), ("eof", "", 9)],
+    "''''": [("string", "''''", 0), ("eof", "", 4)],
+    "x 'abc": 2,
+    "x 'a''": 2,
+    'x "abc': 2,
+    "x `abc": 2,
+    "x [abc": 2,
+    "[a b]": [("qident", "[a b]", 0), ("eof", "", 5)],
+    "1.5": [("number", "1.5", 0), ("eof", "", 3)],
+    ".5": [("number", ".5", 0), ("eof", "", 2)],
+    "1.2.3": [("number", "1.2", 0), ("number", ".3", 3), ("eof", "", 5)],
+    "1.": [("number", "1.", 0), ("eof", "", 2)],
+    "1e5": [("number", "1e5", 0), ("eof", "", 3)],
+    "1e+5": [("number", "1e+5", 0), ("eof", "", 4)],
+    "1e+x": [("number", "1", 0), ("ident", "e", 1), ("op", "+", 2), ("ident", "x", 3), ("eof", "", 4)],
+    "t.a": [("ident", "t", 0), ("op", ".", 1), ("ident", "a", 2), ("eof", "", 3)],
+    "_a1 1a": [("ident", "_a1", 0), ("number", "1", 4), ("ident", "a", 5), ("eof", "", 6)],
+    "a<>b<=c": [("ident", "a", 0), ("op", "<>", 1), ("ident", "b", 3), ("op", "<=", 4),
+                ("ident", "c", 6), ("eof", "", 7)],
+    "a != -b/c;": [("ident", "a", 0), ("op", "!=", 2), ("op", "-", 5), ("ident", "b", 6),
+                   ("op", "/", 7), ("ident", "c", 8), ("op", ";", 9), ("eof", "", 10)],
+    "a ! b": 2,
+    "a || b": 2,
+    "": [("eof", "", 0)],
+}
+
+
+@pytest.mark.parametrize("text", LEXER_CASES)
+def test_tokenize_pins_the_lexer(text):
+    expected = LEXER_CASES[text]
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert err.value.offset == expected
+    else:
+        assert [(t.type, t.text, t.offset) for t in tokenize(text)] == expected
+
+
+def test_character_classes_are_the_str_predicates():
+    # the lexer's \s and \w follow this interpreter's Unicode tables
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", everything)) == {c for c in everything if c.isspace()}
+    assert set(re.findall(r"\w", everything)) == {c for c in everything if c.isalnum() or c == "_"}
+    # a digit is a decimal digit; any other numeral is an identifier character
+    assert "²".isdigit() and not "²".isdecimal()
+    tokens = [(t.type, t.text, t.offset) for t in tokenize("²x 1²")]
+    assert tokens == [("ident", "²x", 0), ("number", "1", 3), ("ident", "²", 4), ("eof", "", 5)]
 
 
 def test_simple_select_structure():
@@ -53,6 +115,8 @@ def test_empty_statement_rejected():
         "SELECT a FROM t WHERE a NOT = 1",
         "SELECT a FROM t WHERE a IN (1, )",
         "SELECT a FROM t extra garbage (",
+        "SELECT a FROM t WHERE a IS 1",
+        "SELECT a FROM (t)",
     ],
 )
 def test_malformed_statements_raise(bad):
@@ -108,11 +172,24 @@ def test_precedence_parentheses_survive():
     assert "(" in render_sql(tree)
 
 
+# grammar the corpus does not reach
+GRAMMAR = [
+    "SELECT a FROM t, u AS x, (SELECT b FROM v) w",
+    "SELECT a FROM t JOIN u",
+    "SELECT a FROM t LEFT JOIN u ON t.a = u.a RIGHT OUTER JOIN v ON v.a = u.a",
+    "SELECT a FROM t FULL JOIN u ON t.a = u.a LEFT OUTER JOIN v ON 1 CROSS JOIN w",
+    "SELECT a FROM t UNION ALL SELECT ALL b FROM u",
+    "SELECT t.* FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.a = t.a)",
+    "SELECT NULL, substr(a, 1, 2), coalesce(a, b, NULL) FROM t WHERE b IS NOT NULL",
+    "SELECT a, b, count(*) FROM t GROUP BY a, b ORDER BY a DESC, count(*), b ASC",
+]
+
+
 def test_corpus_round_trip(parser_corpus):
-    for item in parser_corpus:
-        tree = parse_sql(item["query"])
+    for sql in [item["query"] for item in parser_corpus] + GRAMMAR:
+        tree = parse_sql(sql)
         rendered = render_sql(tree)
-        assert parse_sql(rendered) == tree, item["query"]
+        assert parse_sql(rendered) == tree, sql
 
 
 def test_generated_statements_round_trip():
@@ -126,3 +203,23 @@ def test_generated_statements_round_trip():
 def test_canonical_rendering_lowercases():
     tree = parse_sql("select Name from Singer where AGE > 30")
     assert render_sql(tree, canonical=True) == "select name from singer where age > 30"
+
+
+@pytest.mark.parametrize("quoted, name", [('"A""b"', 'a"b'), ("`A``b`", "a`b")])
+def test_doubled_quote_inside_a_quoted_identifier(quoted, name):
+    # SQLite reads a doubled quote inside quotes as the quote itself
+    with closing(sqlite3.connect(":memory:")) as connection:
+        assert connection.execute(f"SELECT 1 AS {quoted}").description[0][0].lower() == name
+    for sql in (f"SELECT {quoted} FROM t", f"SELECT {quoted}.c FROM {quoted}"):
+        tree = parse_sql(sql)
+        assert parse_sql(render_sql(tree)) == tree
+        canonical = render_sql(tree, canonical=True)
+        assert render_sql(parse_sql(canonical), canonical=True) == canonical
+    column = parse_sql(f"SELECT {quoted}.c FROM t").clause("select").children[0].text
+    assert split_qualified(column) == (quoted, "c")
+    assert normalize_identifier(quoted) == name
+
+
+def test_canonical_rendering_unquotes_a_quoted_qualifier():
+    canonical = render_sql(parse_sql('SELECT "T".c, [t].*, `t`.`C` FROM t'), canonical=True)
+    assert canonical == "select t.c, t.*, t.c from t"
