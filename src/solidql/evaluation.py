@@ -8,8 +8,10 @@ scan of the statement's text, so executing a statement never parses it.
 EM is whole-statement equality after canonical re-rendering (lowercase
 identifiers/keywords, collapsed whitespace, no trailing semicolon).
 
-Queries run on read-only connections with a per-query timeout; LLM
-output can be pathological.
+Queries run on read-only connections where only read statements are
+authorized, under a per-query deadline and a row cap; LLM output can be
+pathological. ``evaluate`` keeps one connection per database for the
+length of the call.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ logger = logging.getLogger(__name__)
 
 FLOAT_DECIMALS = 6  # comparison tolerance convention
 PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
+MAX_ROWS = 100_000  # a larger result table is an execution error
 
 
 @dataclass(frozen=True)
@@ -64,39 +67,91 @@ def database_path(databases_root: str | Path, db_id: str) -> Path:
 # ----------------------------------------------------------------------
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0) -> ResultTable:
-    """Run one statement read-only and capture its result table.
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
+
+
+def _authorize_reads(action: int, *_) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+
+
+class Connections:
+    """Read-only connections, one per database path, each opened on first use.
+
+    Only read actions are authorized on them, so no statement can leave a
+    temp table, a PRAGMA setting, an ATTACH or an open transaction for a
+    later statement on the same connection to see.
+    """
+
+    def __init__(self) -> None:
+        self._open: dict[str | Path, sqlite3.Connection] = {}
+
+    def get(self, db_path: str | Path) -> sqlite3.Connection:
+        connection = self._open.get(db_path)
+        if connection is None:
+            path = Path(db_path)
+            if not path.exists():
+                raise ExecError(f"database not found: {path}")
+            try:
+                connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
+            except sqlite3.Error as exc:
+                raise ExecError(f"cannot open database {path}: {exc}") from exc
+            connection.set_authorizer(_authorize_reads)
+            self._open[db_path] = connection
+        return connection
+
+    def close(self) -> None:
+        for connection in self._open.values():
+            connection.close()
+        self._open.clear()
+
+    def __enter__(self) -> Connections:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0,
+                connections: Connections | None = None) -> ResultTable:
+    """Run one read statement and capture its result table.
+
+    The statement runs on the database's connection in ``connections``,
+    or without them on a connection opened and closed for it alone.
 
     Raises:
-        ExecError: missing database, syntax or runtime failure.
+        ExecError: missing database, a statement that is not a read, a
+            result of more than ``MAX_ROWS`` rows, syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
     """
-    path = Path(db_path)
-    if not path.exists():
-        raise ExecError(f"database not found: {path}")
+    pool = Connections() if connections is None else connections
     try:
-        connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise ExecError(f"cannot open database {path}: {exc}") from exc
-    deadline = time.monotonic() + timeout
-    timed_out = False
+        connection = pool.get(db_path)
+        deadline = time.monotonic() + timeout
+        timed_out = False
 
-    def past_deadline() -> bool:
-        nonlocal timed_out
-        timed_out = time.monotonic() > deadline
-        return timed_out
+        def past_deadline() -> bool:
+            nonlocal timed_out
+            timed_out = time.monotonic() > deadline
+            return timed_out
 
-    connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
-    try:
-        cursor = connection.execute(sql)
-        rows = tuple(tuple(row) for row in cursor.fetchall())
-    except sqlite3.Error as exc:
-        if timed_out:
-            raise ExecTimeout(f"query exceeded {timeout:.0f}s") from exc
-        raise ExecError(str(exc)) from exc
+        connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
+        cursor = connection.cursor()
+        try:
+            rows = cursor.execute(sql).fetchmany(MAX_ROWS + 1)
+        except sqlite3.Error as exc:
+            if timed_out:
+                raise ExecTimeout(f"query exceeded {timeout:.0f}s") from exc
+            raise ExecError(str(exc)) from exc
+        finally:
+            cursor.close()
     finally:
-        connection.close()
-    return ResultTable(rows=rows, ordered=has_top_level_order_by(sql))
+        if pool is not connections:
+            pool.close()
+    if len(rows) > MAX_ROWS:
+        raise ExecError(f"result exceeds the cap of {MAX_ROWS} rows")
+    return ResultTable(rows=tuple(rows), ordered=has_top_level_order_by(sql))
 
 
 def has_top_level_order_by(sql: str) -> bool:
@@ -154,10 +209,11 @@ def tables_match(pred: ResultTable, gold: ResultTable) -> bool:
     return sorted(pred_rows) == sorted(gold_rows)
 
 
-def _run(db_path: str | Path, sql: str, timeout: float) -> tuple[ResultTable | None, str | None]:
+def _run(db_path: str | Path, sql: str, timeout: float,
+         connections: Connections | None = None) -> tuple[ResultTable | None, str | None]:
     """The statement's result table, or None and the execution error."""
     try:
-        return execute_sql(db_path, sql, timeout), None
+        return execute_sql(db_path, sql, timeout, connections), None
     except ExecError as exc:
         return None, str(exc)
 
@@ -172,7 +228,8 @@ def canonical_sql(sql: str) -> str:
 
 
 def exact_match(pred_sql: str, gold_sql: str) -> bool:
-    return canonical_sql(pred_sql) == canonical_sql(gold_sql)
+    # canonical_sql is a pure function: equal texts need no parse
+    return pred_sql == gold_sql or canonical_sql(pred_sql) == canonical_sql(gold_sql)
 
 
 # ----------------------------------------------------------------------
@@ -197,12 +254,12 @@ def robustness_check(final_sql_clean: str, final_sql_perturbed: str,
 
 
 def _robustness_verdict(clean: ResultTable | None, clean_error: str | None,
-                        final_sql_perturbed: str, db_path: str | Path,
-                        timeout: float) -> RobustnessVerdict:
+                        final_sql_perturbed: str, db_path: str | Path, timeout: float,
+                        connections: Connections | None = None) -> RobustnessVerdict:
     """Verdict for a perturbed statement against the clean run's outcome."""
     if clean is None:
         return RobustnessVerdict(False, f"clean SQL failed: {clean_error}")
-    perturbed, error = _run(db_path, final_sql_perturbed, timeout)
+    perturbed, error = _run(db_path, final_sql_perturbed, timeout, connections)
     if perturbed is None:
         return RobustnessVerdict(False, f"perturbed SQL failed: {error}")
     if tables_match(perturbed, clean):
@@ -303,33 +360,36 @@ def evaluate(
         raise ValueError(f"{len(predictions)} predictions vs {len(perturbed)} perturbed")
     robustness: list[RobustnessVerdict] | None = [] if perturbed is not None else None
     records: list[EvalRecord] = []
-    for i, (item, pred_sql) in enumerate(zip(dataset, predictions)):
-        db_path = database_path(databases_root, item["db_id"])
-        gold_table, gold_error = _run(db_path, item["query"], timeout)
-        pred_table, error = _run(db_path, pred_sql, timeout)
-        if robustness is not None:
-            robustness.append(_robustness_verdict(pred_table, error, perturbed[i], db_path, timeout))
-        excluded = gold_table is None
-        if excluded:
-            logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
-            ex = em = False
-            error = f"gold execution failed: {gold_error}"
-        else:
-            ex = pred_table is not None and tables_match(pred_table, gold_table)
-            em = exact_match(pred_sql, item["query"])
-        records.append(
-            EvalRecord(
-                question=item["question"],
-                db_id=item["db_id"],
-                gold_sql=item["query"],
-                pred_sql=pred_sql,
-                ex=ex,
-                em=em,
-                error=error,
-                excluded=excluded,
-                flags=tuple(flags[i]) if flags is not None else (),
+    with Connections() as connections:
+        for i, (item, pred_sql) in enumerate(zip(dataset, predictions)):
+            db_path = database_path(databases_root, item["db_id"])
+            gold_table, gold_error = _run(db_path, item["query"], timeout, connections)
+            pred_table, error = _run(db_path, pred_sql, timeout, connections)
+            if robustness is not None:
+                robustness.append(
+                    _robustness_verdict(pred_table, error, perturbed[i], db_path, timeout, connections)
+                )
+            excluded = gold_table is None
+            if excluded:
+                logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
+                ex = em = False
+                error = f"gold execution failed: {gold_error}"
+            else:
+                ex = pred_table is not None and tables_match(pred_table, gold_table)
+                em = exact_match(pred_sql, item["query"])
+            records.append(
+                EvalRecord(
+                    question=item["question"],
+                    db_id=item["db_id"],
+                    gold_sql=item["query"],
+                    pred_sql=pred_sql,
+                    ex=ex,
+                    em=em,
+                    error=error,
+                    excluded=excluded,
+                    flags=tuple(flags[i]) if flags is not None else (),
+                )
             )
-        )
     return EvalReport(records=records, robustness=robustness)
 
 

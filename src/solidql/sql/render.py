@@ -54,6 +54,7 @@ _PRECEDENCE = {
     "%": 6,
 }
 
+_PREDICATE_PRECEDENCE = 4  # comparisons, IN, LIKE, BETWEEN, IS NULL, EXISTS
 _UNARY_PRECEDENCE = 7
 _ATOM_PRECEDENCE = 9
 
@@ -190,20 +191,22 @@ class _Renderer:
             return f"{op}{self.expr(children[0], _UNARY_PRECEDENCE + 1)}", _UNARY_PRECEDENCE
         if op == "exists":
             return f"{self.kw('EXISTS')} ({self.query(children[0])})", _PRECEDENCE[op]
+        # predicates do not chain: the grammar reads each of their operands
+        # as arithmetic, so a predicate operand of a predicate is parenthesized
         if op in ("is null", "is not null"):
             prec = _PRECEDENCE[op]
-            return f"{self.expr(children[0], prec)} {self.kw(op)}", prec
+            return f"{self.expr(children[0], prec + 1)} {self.kw(op)}", prec
         if op in ("between", "not between"):
             prec = _PRECEDENCE[op]
             subject, low, high = children
             return (
-                f"{self.expr(subject, prec)} {self.kw(op)} "
+                f"{self.expr(subject, prec + 1)} {self.kw(op)} "
                 f"{self.expr(low, prec + 1)} {self.kw('AND')} {self.expr(high, prec + 1)}",
                 prec,
             )
         if op in ("in", "not in"):
             prec = _PRECEDENCE[op]
-            subject = self.expr(children[0], prec)
+            subject = self.expr(children[0], prec + 1)
             rest = children[1:]
             if len(rest) == 1 and is_query_like(rest[0]):
                 return f"{subject} {self.kw(op)} ({self.query(rest[0])})", prec
@@ -215,7 +218,7 @@ class _Renderer:
         if prec is None or len(children) != 2:
             raise ValueError(f"unexpected operator {op!r}")
         keyword = self.kw(op) if op.isalpha() or " " in op else op
-        left = self.expr(children[0], prec)
+        left = self.expr(children[0], prec + 1 if prec == _PREDICATE_PRECEDENCE else prec)
         right = self.expr(children[1], prec, right_side=True)
         return f"{left} {keyword} {right}", prec
 

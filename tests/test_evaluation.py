@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import sqlite3
 import threading
 
 import pytest
 
+from solidql import evaluation
 from solidql.errors import ExecError, ExecTimeout
 from solidql.evaluation import (
     evaluate,
@@ -44,14 +46,18 @@ def test_fixture_filter(concert_db):
     assert sorted(table.rows) == [(33,), (40,)]
 
 
+# cross join explosion; 5^12 rows would take far longer than 0.2 s
+SLOW = (
+    "SELECT count(*) FROM singer a, singer b, singer c, singer d, singer e, "
+    "singer f, singer g, singer h, singer i, singer j, singer k, singer l"
+)
+# 5^4 rows: done well within 0.2 s, in more than PROGRESS_STEPS VM steps
+FAST = "SELECT count(*) FROM singer a, singer b, singer c, singer d"
+
+
 def test_timeout_interrupts(concert_db):
-    # cross join explosion; 1e10 rows would take far longer than 0.2 s
-    slow = (
-        "SELECT count(*) FROM singer a, singer b, singer c, singer d, singer e, "
-        "singer f, singer g, singer h, singer i, singer j, singer k, singer l"
-    )
     with pytest.raises(ExecTimeout):
-        execute_sql(concert_db, slow, timeout=0.2)
+        execute_sql(concert_db, SLOW, timeout=0.2)
 
 
 def test_execute_sql_starts_no_thread(concert_db, monkeypatch):
@@ -68,6 +74,107 @@ def test_execute_sql_starts_no_thread(concert_db, monkeypatch):
     )
     with pytest.raises(ExecTimeout):
         execute_sql(concert_db, slow, timeout=0.2)
+
+
+def record_connections(monkeypatch) -> list[sqlite3.Connection]:
+    """Every connection ``sqlite3.connect`` opens from now on, in order."""
+    opened: list[sqlite3.Connection] = []
+    connect = sqlite3.connect
+
+    def recording(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording)
+    return opened
+
+
+def assert_closed(connection: sqlite3.Connection) -> None:
+    with pytest.raises(sqlite3.ProgrammingError):
+        connection.execute("SELECT 1")
+
+
+def test_evaluate_opens_one_connection_per_database(databases_root, monkeypatch):
+    opened = record_connections(monkeypatch)
+    dataset = [
+        {"question": f"q{i}", "db_id": db_id, "query": query}
+        for i, (db_id, query) in enumerate(
+            [("concert_singer", "SELECT name FROM singer"), ("shop", "SELECT name FROM employee")] * 10
+        )
+    ]
+    report = evaluate(dataset, [item["query"] for item in dataset], databases_root,
+                      perturbed=[item["query"] for item in dataset])
+    assert report.ex_pct == 100.0 and all(report.robustness)
+    assert len(opened) == 2
+    for connection in opened:
+        assert_closed(connection)
+
+
+def test_evaluate_closes_its_connections_when_an_item_raises(databases_root, monkeypatch):
+    opened = record_connections(monkeypatch)
+    dataset = [
+        {"question": "q0", "db_id": "concert_singer", "query": "SELECT name FROM singer"},
+        {"question": "q1", "db_id": "shop", "query": "SELECT name FROM employee"},
+        {"db_id": "shop", "query": "SELECT name FROM employee"},  # no question: KeyError
+    ]
+    with pytest.raises(KeyError):
+        evaluate(dataset, [item["query"] for item in dataset], databases_root)
+    assert len(opened) == 2
+    for connection in opened:
+        assert_closed(connection)
+
+
+def test_timeout_on_a_reused_connection(databases_root, monkeypatch):
+    opened = record_connections(monkeypatch)
+    dataset = [
+        {"question": "q0", "db_id": "concert_singer", "query": "SELECT name FROM singer"},
+        {"question": "q1", "db_id": "concert_singer", "query": FAST},
+    ]
+    report = evaluate(dataset, [SLOW, FAST], databases_root, timeout=0.2)
+    assert len(opened) == 1
+    first, second = report.records
+    assert not first.ex and "query exceeded" in first.error
+    assert second.ex and second.error is None
+
+
+def test_execute_sql_runs_each_statement_under_its_own_deadline(concert_db):
+    with evaluation.Connections() as connections:
+        with pytest.raises(ExecTimeout):
+            execute_sql(concert_db, SLOW, 0.2, connections)
+        assert execute_sql(concert_db, FAST, 0.2, connections).rows == ((625,),)
+
+
+NON_READS = ["CREATE TEMP TABLE x(a)", "PRAGMA case_sensitive_like=1", "BEGIN", "ATTACH ':memory:' AS m"]
+
+
+def test_non_read_predictions_are_execution_errors(databases_root):
+    gold = "SELECT name FROM singer WHERE age > 100"  # an empty result
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold} for i in range(4)]
+    report = evaluate(dataset, NON_READS, databases_root)
+    for record in report.records:
+        assert not record.ex and "not authorized" in record.error, record.pred_sql
+
+
+def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_db):
+    with pytest.raises(ExecError) as fresh:
+        execute_sql(concert_db, "SELECT * FROM x")
+    gold = "SELECT name FROM singer"
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold} for i in range(2)]
+    report = evaluate(dataset, ["CREATE TEMP TABLE x(a)", "SELECT * FROM x"], databases_root)
+    assert "not authorized" in report.records[0].error
+    assert report.records[1].error == str(fresh.value)
+
+
+def test_row_cap(databases_root, concert_db, monkeypatch):
+    monkeypatch.setattr(evaluation, "MAX_ROWS", 5)
+    assert len(execute_sql(concert_db, "SELECT name FROM singer").rows) == 5
+    monkeypatch.setattr(evaluation, "MAX_ROWS", 4)
+    with pytest.raises(ExecError, match="cap of 4 rows"):
+        execute_sql(concert_db, "SELECT name FROM singer")
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": "SELECT name FROM singer"}]
+    report = evaluate(dataset, ["SELECT name FROM singer WHERE age > 30"], databases_root)
+    assert report.records[0].excluded
+    assert "cap of 4 rows" in report.records[0].error
 
 
 def test_order_by_detection():
@@ -205,6 +312,15 @@ def test_exact_match_normalization():
     # unparseable inputs degrade to normalized string comparison
     assert exact_match("@@ weird", "@@  WEIRD")
     assert not exact_match("@@ weird", "@@ other")
+
+
+def test_exact_match_of_equal_texts_never_parses(monkeypatch):
+    def refuse(sql):
+        raise RuntimeError("exact_match parsed a statement")
+
+    monkeypatch.setattr("solidql.evaluation.parse_sql", refuse)
+    sql = "SELECT name FROM singer WHERE age > 30"
+    assert exact_match(sql, sql)
 
 
 def test_exact_match_implies_ex(databases_root, parser_corpus):

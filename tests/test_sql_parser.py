@@ -182,6 +182,11 @@ GRAMMAR = [
     "SELECT t.* FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.a = t.a)",
     "SELECT NULL, substr(a, 1, 2), coalesce(a, b, NULL) FROM t WHERE b IS NOT NULL",
     "SELECT a, b, count(*) FROM t GROUP BY a, b ORDER BY a DESC, count(*), b ASC",
+    # a predicate as an operand of another predicate keeps its parentheses
+    "SELECT a FROM t WHERE (b = 2) = 1",
+    "SELECT a FROM t WHERE (a < b) < c",
+    "SELECT a FROM t WHERE (EXISTS (SELECT 1 FROM u)) = 1 AND (a IS NULL) = (b LIKE 'x')",
+    "SELECT a FROM t WHERE (a = 1) IS NULL OR (a IN (1)) BETWEEN (b = 1) AND 2",
 ]
 
 
