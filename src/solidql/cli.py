@@ -53,48 +53,45 @@ EXIT_USAGE = 2
 EXIT_ENVIRONMENT = 3
 
 
+# Each flag once, with its add_argument options. A dest that names a
+# RunConfig field sets that field; the command reads any other from args.
+FLAGS = {
+    "--dataset": {"help": "benchmark dataset JSON file"},
+    "--tables": {"help": "tables.json schema file"},
+    "--databases": {"help": "root directory of SQLite databases"},
+    "--index": {"dest": "index_path", "help": "retrieval index file"},
+    "--transcripts": {"help": "gateway transcript store (JSONL)"},
+    "--output": {"help": "output file"},
+    "--model": {"dest": "model_id", "help": "SQL-generation model id"},
+    "--linking-model": {"dest": "linking_model_id", "help": "linking model id"},
+    "--embedder": {"help": "'hashed' or 'remote:<model>'"},
+    "--predictor": {"choices": PREDICTORS, "help": "linking predictor"},
+    "--examples": {"dest": "n_examples", "type": int, "help": "examples per prompt (N)"},
+    "--rounds": {"type": int, "choices": (1, 2), "help": "generation rounds"},
+    "--no-focus": {"dest": "focus_enabled", "action": "store_const", "const": False,
+                   "help": "drop the focus line from prompts"},
+    "--mode": {"choices": MODES, "help": "gateway mode"},
+    "--workers": {"type": int, "help": "parallel workers"},
+    "--augmented-out": {"help": "augmented triplets output (JSON)"},
+    "--no-augment": {"action": "store_true", "help": "skip question rewriting"},
+    "--force": {"action": "store_true",
+                "help": "also rebuild an index built with another embedding provider"},
+    "--predictions": {"help": "pipeline results file (JSONL)"},
+    "--robustness": {"help": "paired perturbed-run results file (JSONL)"},
+}
+FLAG_OF = {opts.get("dest", flag[2:].replace("-", "_")): flag for flag, opts in FLAGS.items()}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="solidql", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", help="benchmark dataset JSON file")
-        p.add_argument("--tables", help="tables.json schema file")
-        p.add_argument("--databases", help="root directory of SQLite databases")
-        p.add_argument("--index", dest="index_path", help="retrieval index file")
-        p.add_argument("--transcripts", help="gateway transcript store (JSONL)")
-        p.add_argument("--output", help="output file")
-        p.add_argument("--model", dest="model_id", help="SQL-generation model id")
-        p.add_argument("--linking-model", dest="linking_model_id", help="linking model id")
-        p.add_argument("--embedder", help="'hashed' or 'remote:<model>'")
-        p.add_argument("--predictor", choices=PREDICTORS, help="linking predictor")
-        p.add_argument("--examples", dest="n_examples", type=int, help="examples per prompt (N)")
-        p.add_argument("--rounds", type=int, choices=(1, 2), help="generation rounds")
-        p.add_argument("--no-focus", dest="focus_enabled", action="store_const", const=False,
-                       help="drop the focus line from prompts")
-        p.add_argument("--mode", choices=MODES, help="gateway mode")
-        p.add_argument("--workers", type=int, help="parallel workers")
-
-    p_sft = sub.add_parser("build-sft", help="augment triplets and emit the SFT dataset")
-    common(p_sft)
-    p_sft.add_argument("--augmented-out", help="augmented triplets output (JSON)")
-    p_sft.add_argument("--no-augment", action="store_true", help="skip question rewriting")
-
-    p_index = sub.add_parser("index", help="build the retrieval index")
-    common(p_index)
-    p_index.add_argument("--force", action="store_true",
-                         help="also rebuild an index built with another embedding provider")
-
-    p_run = sub.add_parser("run", help="run the generation pipeline")
-    common(p_run)
-
-    p_eval = sub.add_parser("eval", help="score predictions")
-    common(p_eval)
-    p_eval.add_argument("--predictions", help="pipeline results file (JSONL)")
-    p_eval.add_argument("--robustness", help="paired perturbed-run results file (JSONL)")
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -104,16 +101,16 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     return config.merged(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
-def require(config: RunConfig, *names: str) -> None:
+def require(values: RunConfig | argparse.Namespace, *names: str) -> None:
+    """Refuse a missing value, or an input file that does not exist, naming its flag."""
     for name in names:
-        value = getattr(config, name)
+        value = getattr(values, name)
         if not value:
-            raise ConfigError(f"--{name.replace('_', '-')} is required for this command")
-        if name in ("dataset", "tables", "databases", "index_path", "transcripts"):
-            if name == "transcripts" and config.mode == "record":
-                continue  # created on first write
-            if not Path(value).exists():
-                raise ConfigError(f"{name} file not found: {value}")
+            raise ConfigError(f"{FLAG_OF[name]} is required for this command")
+        if name == "transcripts" and values.mode == "record":
+            continue  # created on first write
+        if name != "output" and not Path(value).exists():  # every other value names an input
+            raise ConfigError(f"{FLAG_OF[name]} file not found: {value}")
 
 
 def make_gateway(config: RunConfig) -> LlmGateway:
@@ -222,8 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = make_config(args)
     require(config, "dataset", "databases")
-    if not args.predictions or not Path(args.predictions).exists():
-        raise ConfigError(f"predictions file not found: {args.predictions}")
+    require(args, "predictions")
     dataset = load_dataset(config.dataset)
     results = pl.read_results(args.predictions)
     if len(results) != len(dataset):
@@ -239,8 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     perturbed = None
     if args.robustness:
-        if not Path(args.robustness).exists():
-            raise ConfigError(f"robustness file not found: {args.robustness}")
+        require(args, "robustness")
         perturbed = pl.read_results(args.robustness)
         if len(perturbed) != len(results):
             raise ConfigError(
@@ -267,11 +262,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_FAILURES if report.failed else EXIT_OK
 
 
-COMMANDS = {
-    "build-sft": cmd_build_sft,
-    "index": cmd_index,
-    "run": cmd_run,
-    "eval": cmd_eval,
+# each subcommand: its function, its help text and the flags it reads
+SUBCOMMANDS = {
+    "build-sft": (cmd_build_sft, "augment triplets and emit the SFT dataset",
+                  "--dataset --tables --output --transcripts --mode --model --linking-model "
+                  "--augmented-out --no-augment"),
+    "index": (cmd_index, "build the retrieval index",
+              "--dataset --tables --output --embedder --transcripts --mode --model --linking-model "
+              "--force"),
+    "run": (cmd_run, "run the generation pipeline",
+            "--dataset --tables --index --transcripts --output --model --linking-model --embedder "
+            "--predictor --examples --rounds --no-focus --mode --workers"),
+    "eval": (cmd_eval, "score predictions",
+             "--dataset --databases --output --predictions --robustness"),
 }
 
 
@@ -283,10 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return SUBCOMMANDS[args.command][0](args)
     except (CorruptFileError, ProviderError, ReplayMiss) as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT

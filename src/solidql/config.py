@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -46,6 +47,10 @@ class RunConfig:
             raise ConfigError(f"predictor must be one of {PREDICTORS}, got {self.predictor!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):  # NaN would set no deadline
+            raise ConfigError(f"timeout must be a finite number > 0, got {self.timeout}")
 
     @property
     def linking_model(self) -> str:

@@ -142,7 +142,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0,
             rows = cursor.execute(sql).fetchmany(MAX_ROWS + 1)
         except sqlite3.Error as exc:
             if timed_out:
-                raise ExecTimeout(f"query exceeded {timeout:.0f}s") from exc
+                raise ExecTimeout(f"query exceeded {timeout:g}s") from exc
             raise ExecError(str(exc)) from exc
         finally:
             cursor.close()

@@ -161,6 +161,9 @@ def schema_from_tables_record(record: Mapping) -> DatabaseSchema:
     table_names = record["table_names_original"]
     column_pairs = record["column_names_original"]
     column_types = record.get("column_types") or ["text"] * len(column_pairs)
+    if len(column_types) != len(column_pairs):
+        raise SchemaError(f"{record['db_id']}: {len(column_types)} column_types "
+                          f"for {len(column_pairs)} columns")
 
     columns_by_table: dict[int, list[Column]] = {i: [] for i in range(len(table_names))}
     qualified: list[str | None] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -608,7 +609,7 @@ def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_pat
         "--robustness", str(tmp_path / "missing.jsonl"),
     ])
     assert code == 2
-    assert "robustness file not found" in capsys.readouterr().err
+    assert "--robustness file not found" in capsys.readouterr().err
 
 
 def test_cmd_build_sft_counts_and_determinism(workspace, capsys):
@@ -714,6 +715,8 @@ TABLES_CORRUPTIONS = {
     "tables differing only in case": lambda records: [
         records[0], {**records[1], "table_names_original": records[1]["table_names_original"] + ["AUTHOR"]}],
     "primary key the star column": _set_schema_field("primary_keys", [0]),
+    "column_types one short": lambda records: [
+        records[0], {**records[1], "column_types": records[1]["column_types"][:-1]}],
 }
 
 
@@ -765,6 +768,56 @@ def test_config_file_with_flag_overrides(workspace, tmp_path):
     assert (tmp_path / "out.jsonl").exists()
 
 
+# every flag of the four subcommands, with a value it takes
+PIPELINE_FLAGS = {
+    "--dataset": ["d.json"], "--tables": ["t.json"], "--databases": ["db"], "--index": ["i.jsonl"],
+    "--transcripts": ["t.jsonl"], "--output": ["o.jsonl"], "--model": ["m"],
+    "--linking-model": ["m"], "--embedder": ["hashed"], "--predictor": ["oracle"],
+    "--examples": ["3"], "--rounds": ["1"], "--no-focus": [], "--mode": ["live"],
+    "--workers": ["8"], "--augmented-out": ["a.json"], "--no-augment": [], "--force": [],
+    "--predictions": ["p.jsonl"], "--robustness": ["r.jsonl"],
+}
+# the flags each subcommand reads
+FLAGS_READ = {
+    "build-sft": "--dataset --tables --output --transcripts --mode --model --linking-model "
+                 "--augmented-out --no-augment",
+    "index": "--dataset --tables --output --embedder --transcripts --mode --model --linking-model "
+             "--force",
+    "run": "--dataset --tables --index --transcripts --output --model --linking-model --embedder "
+           "--predictor --examples --rounds --no-focus --mode --workers",
+    "eval": "--dataset --databases --output --predictions --robustness",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS_READ)
+def test_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main([command, "--help"])
+    assert stopped.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(FLAGS_READ[command].split())
+    for flag, values in PIPELINE_FLAGS.items():
+        if flag not in listed:
+            with pytest.raises(SystemExit) as stopped:
+                main([command, flag, *values])
+            assert stopped.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_missing_value_names_its_flag(workspace, databases_root, tmp_path, capsys):
+    code = main(["run", "--dataset", str(workspace / "shop_dataset.json"),
+                 "--tables", str(workspace / "tables.json"), "--output", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert "error: --index is required for this command" in capsys.readouterr().err
+    eval_argv = ["eval", "--dataset", str(workspace / "shop_dataset.json"),
+                 "--databases", str(databases_root)]
+    assert main(eval_argv) == 2
+    assert "error: --predictions is required for this command" in capsys.readouterr().err
+    missing = tmp_path / "missing.jsonl"
+    assert main([*eval_argv, "--predictions", str(missing)]) == 2
+    assert f"error: --predictions file not found: {missing}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     for key in ("datasets", "max_concurrent_requests"):  # a typo; a removed key
@@ -783,6 +836,11 @@ WRONG_CONFIG_TYPES = {
     "model_id": (None, "str"),
     "dataset": (5, "str | None"),
 }
+# config values of the right type that the run cannot use
+OUT_OF_RANGE_CONFIG = [
+    ("n_examples", 0), ("workers", 0), ("max_tokens", 0),
+    ("timeout", -1), ("timeout", 0), ("timeout", float("nan")), ("timeout", float("inf")),
+]
 
 
 def test_config_value_of_wrong_type_exits_two(tmp_path, capsys):
@@ -791,6 +849,10 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, capsys):
         config_path.write_text(json.dumps({key: value}))
         assert main(["--config", str(config_path), "run"]) == 2
         assert f"config key {key!r} must be {expected}" in capsys.readouterr().err
+    for key, value in OUT_OF_RANGE_CONFIG:
+        config_path.write_text(json.dumps({key: value}))
+        assert main(["--config", str(config_path), "run"]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
     config_path.write_text(json.dumps([]))
     assert main(["--config", str(config_path), "run"]) == 2
     config_path.write_text(json.dumps({"timeout": 5, "linking_model_id": None, "rounds": 1}))

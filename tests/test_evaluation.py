@@ -56,7 +56,7 @@ FAST = "SELECT count(*) FROM singer a, singer b, singer c, singer d"
 
 
 def test_timeout_interrupts(concert_db):
-    with pytest.raises(ExecTimeout):
+    with pytest.raises(ExecTimeout, match=r"^query exceeded 0\.2s$"):
         execute_sql(concert_db, SLOW, timeout=0.2)
 
 
