@@ -60,6 +60,10 @@ def request_hash(request: ChatRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+# the fields of a transcript line that a store reads back
+TRANSCRIPT = {"hash": str, "response": str}
+
+
 class TranscriptStore:
     """Append-only line-delimited store of request/response transcripts.
 
@@ -72,7 +76,7 @@ class TranscriptStore:
         self._lock = threading.Lock()
         self._file = JsonLines(self.path)
         self._responses: dict[str, str] = dict(
-            self._file.records(lambda record: (record["hash"], record["response"]))
+            self._file.records(TRANSCRIPT, lambda record: (record["hash"], record["response"]))
         )
 
     def __len__(self) -> int:

@@ -1,13 +1,14 @@
-"""File I/O: JSON inputs, whole output files, and append-only JSON-lines
-files that survive a crash mid-append.
+"""File I/O: JSON inputs, whole output files, and JSON-lines files whose
+every record is checked against a declared shape.
 
-In an append-only file each record is one JSON value on one line. A
-crash while appending can leave a final line without its newline.
-Reading drops such a line, with a warning, when it does not decode, and
-the next append first cuts the file back to the end of the last whole
-line, so the new record cannot glue onto the torn one. A line that does
-not decode anywhere else is corruption that no interrupted append
-explains, and is fatal.
+In a JSON-lines file each record is one JSON value on one line. A line
+that does not decode, or whose value does not ``conform`` to the shape
+the reader declares, is fatal, naming the file and the line. The one
+exception is the final line of an append-only file: a crash while
+appending can leave it without its newline. Reading drops such a line,
+with a warning, when it does not decode, and the next append first cuts
+the file back to the end of the last whole line, so the new record
+cannot glue onto the torn one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -23,6 +25,27 @@ from .errors import ConfigError, CorruptFileError
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+
+def conform(value: Any, shape: Any, where: str = "record") -> None:
+    """Raise unless ``value`` has ``shape``: a type (``bool`` is no ``int``),
+    ``[shape]`` for a list of such values, or ``{key: shape}`` for an object
+    with at least those keys. ``KeyError`` names a missing key and
+    ``TypeError`` the key path of a value of the wrong type."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if type(value) is not kind and (not isinstance(value, kind) or type(value) is bool):
+        raise TypeError(f"{where} is {type(value).__name__}, not {kind.__name__}")
+    # a value whose type is its shape conforms: the common case makes no call
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            if key not in value:
+                raise KeyError(f"{where} has no {key!r}")
+            if type(value[key]) is not inner:
+                conform(value[key], inner, f"{where}.{key}")
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            if type(item) is not shape[0]:
+                conform(item, shape[0], f"{where}[{i}]")
 
 
 def read_json(path: str | Path, what: str) -> Any:
@@ -54,12 +77,33 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         raise
 
 
-def malformed(path: str | Path, number: int, exc: Exception,
-              what: str = "record") -> CorruptFileError:
-    """The error for line ``number`` of ``path``. A decode error is given
-    by its message, since its repr holds every byte of the line."""
-    detail = str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)
-    return CorruptFileError(f"{path}, line {number}: malformed {what} ({detail})")
+def _parsed(path: str | Path, number: int, raw: bytes, shape: Any, parse: Callable[[Any], T],
+            what: str) -> T:
+    """``parse`` of the JSON value of line ``number``, checked against ``shape``."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+        conform(value, shape)
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        # a decode error is given by its message, since its repr holds every byte of the line
+        detail = str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)
+        raise CorruptFileError(f"{path}, line {number}: malformed {what} ({detail})") from None
+
+
+def read_records(path: str | Path, shape: Any, parse: Callable[[Any], T],
+                 what: str = "record", first: int = 1) -> Iterator[T]:
+    """``parse`` of each line's value from line ``first`` on, checked against
+    ``shape``, in file order, for a file that ``write_lines`` wrote whole.
+
+    ``CorruptFileError`` names the file and the first line, blank or torn
+    included, that does not decode or conform or that ``parse`` rejects
+    with ``KeyError``, ``TypeError`` or ``ValueError``; an empty file's is 1.
+    """
+    with open(path, "rb") as handle:
+        # line 1 is read even from an empty file, which is then malformed there
+        for number, raw in enumerate(chain([handle.readline()], handle), 1):
+            if number >= first:
+                yield _parsed(path, number, raw, shape, parse, what)
 
 
 class JsonLines:
@@ -73,13 +117,10 @@ class JsonLines:
         self._cut: int | None = None  # byte length to truncate to before the next append
         self._prefix = b""  # written before the next append's line
 
-    def records(self, parse: Callable[[Any], T]) -> Iterator[T]:
-        """``parse`` of each non-blank line's JSON value, in file order.
-
-        Raises ``CorruptFileError``, naming the file and the line, for a
-        line that does not decode, unless it is an unterminated final
-        line, and for a value that ``parse`` rejects with ``KeyError``,
-        ``TypeError`` or ``ValueError``.
+    def records(self, shape: Any, parse: Callable[[Any], T]) -> Iterator[T]:
+        """``parse`` of each non-blank line's JSON value, checked against
+        ``shape``, in file order; ``CorruptFileError`` as for ``read_records``,
+        except that an unterminated final line that does not decode is dropped.
         """
         self._cut, self._prefix = None, b""
         if not self.path.exists():
@@ -87,28 +128,18 @@ class JsonLines:
         offset = 0
         with self.path.open("rb") as handle:
             for number, raw in enumerate(handle, 1):
-                whole = raw.endswith(b"\n")
-                if raw.strip():
+                if not raw.endswith(b"\n"):
                     try:
-                        value = json.loads(raw.decode("utf-8"))
-                    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                        if whole:
-                            raise malformed(self.path, number, exc) from None
-                        logger.warning(
-                            "%s, line %d: dropping a torn final line (%d bytes)",
-                            self.path, number, len(raw),
-                        )
+                        json.loads(raw.decode("utf-8"))
+                    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+                        if raw.strip():
+                            logger.warning("%s, line %d: dropping a torn final line (%d bytes)",
+                                           self.path, number, len(raw))
                         self._cut = offset
                         return
-                    try:
-                        record = parse(value)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise malformed(self.path, number, exc) from None
-                    if not whole:
-                        self._prefix = b"\n"
-                    yield record
-                elif not whole:
-                    self._cut = offset
+                    self._prefix = b"\n"
+                if raw.strip():
+                    yield _parsed(self.path, number, raw, shape, parse, "record")
                 offset += len(raw)
 
     def append(self, line: str) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import RunConfig
-from .errors import ExtractError, ReplayMiss
+from .errors import ConfigError, ExtractError, ReplayMiss
 from .gateway import ChatRequest, LlmGateway
 from .jsonl import JsonLines, write_lines
 from .linking import LinkingPredictor, predict_linking
@@ -42,9 +42,10 @@ FLAG_ROUND2_RETRIEVAL_FALLBACK = "round2_retrieval_fallback"
 FLAG_ROUND1_ERROR = "round1_error"
 FLAG_ROUND2_ERROR = "round2_error"
 
-_TEXT_FIELDS = (
-    "question", "db_id", "linked", "q_skeleton", "round1_sql", "round2_sql", "final_sql"
-)
+# the shape of a results line (``PipelineResult.to_dict``) and of a resume ledger entry
+RESULT = {"question": str, "db_id": str, "linked": str, "q_skeleton": str, "round1_sql": str,
+          "round2_sql": str, "final_sql": str, "flags": [str]}
+LEDGER_ENTRY = {"index": int, "result": RESULT}
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,8 @@ class PipelineResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineResult":
-        """Inverse of ``to_dict``. Raises ``KeyError`` for a missing field,
-        ``TypeError`` for a field of the wrong type and ``ValueError`` for
-        a ``linked`` text that is not a schema subset."""
-        for key in _TEXT_FIELDS:
-            if not isinstance(data[key], str):
-                raise TypeError(f"{key!r} is {type(data[key]).__name__}, not a string")
-        flags = data["flags"]
-        if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
-            raise TypeError(f"'flags' is not a list of strings: {flags!r}")
+        """Inverse of ``to_dict`` for a record of shape ``RESULT``. Raises
+        ``ValueError`` for a ``linked`` text that is not a schema subset."""
         return cls(
             question=data["question"],
             db_id=data["db_id"],
@@ -89,7 +83,7 @@ class PipelineResult:
             round1_sql=data["round1_sql"],
             round2_sql=data["round2_sql"],
             final_sql=data["final_sql"],
-            flags=tuple(flags),
+            flags=tuple(data["flags"]),
         )
 
 
@@ -202,7 +196,8 @@ class ProgressLedger:
         """Completed items by index; a torn final line is dropped (see ``JsonLines``)."""
         return dict(
             self._file.records(
-                lambda entry: (entry["index"], PipelineResult.from_dict(entry["result"]))
+                LEDGER_ENTRY,
+                lambda entry: (entry["index"], PipelineResult.from_dict(entry["result"])),
             )
         )
 
@@ -233,10 +228,17 @@ def run_batch(
     (a replay run is expected to be hermetic) or an interrupt does
     abort, and items not yet started then never start.
     Completed items found in the ledger are not re-run. A dataset with
-    a ``db_id`` missing from ``schemas`` is refused before any item runs.
+    a ``db_id`` missing from ``schemas``, and a ledger entry whose index
+    is outside the dataset or whose result is for another ``(db_id,
+    question)`` than that item, raise ``ConfigError`` before any item runs.
     """
     item_schema = item_schemas(dataset, schemas)
     done = ledger.load() if ledger is not None else {}
+    for i, result in done.items():
+        item = dataset[i] if 0 <= i < len(dataset) else {}
+        if (item.get("db_id"), item.get("question")) != (result.db_id, result.question):
+            raise ConfigError(f"resume ledger {ledger.path} holds item {i} ({result.db_id!r}, "
+                              f"{result.question!r}) of another dataset; delete it to start over")
     if done:
         logger.info("resuming: %d of %d items already complete", len(done), len(dataset))
     results: dict[int, PipelineResult] = dict(done)
@@ -308,4 +310,4 @@ def write_results(results: Sequence[PipelineResult], path: str | Path) -> None:
 
 def read_results(path: str | Path) -> list[PipelineResult]:
     """The results in ``path``; a malformed line raises ``CorruptFileError`` (see ``JsonLines``)."""
-    return list(JsonLines(path).records(PipelineResult.from_dict))
+    return list(JsonLines(path).records(RESULT, PipelineResult.from_dict))

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 from .embeddings import EmbeddingProvider
 from .errors import ConfigError, ParseError
 from .gateway import LlmGateway
-from .jsonl import malformed, write_lines
+from .jsonl import read_records, write_lines
 from .prompting import load_template
 from .schema import SchemaSubset
 from .skeleton import (
@@ -57,6 +57,10 @@ logger = logging.getLogger(__name__)
 
 # 2: each record carries its SQL skeleton compiled (s_postorder, s_leftmost)
 INDEX_FORMAT = 2
+# an index's header line and later lines (``save_index``); ``load_index`` checks list values
+INDEX_HEADER = {"provider_id": str, "dimension": int}
+INDEX_RECORD = {"question": str, "sql": str, "q_skeleton": str, "q_embedding": list,
+                "s_skeleton": str, "s_postorder": list, "s_leftmost": list, "pool_index": int}
 
 
 @dataclass(frozen=True)
@@ -435,18 +439,9 @@ def read_index_header(path: str | Path) -> dict:
     """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``.
 
     Raises ``CorruptFileError``, naming the file and line 1, unless it is
-    a JSON object with a string ``provider_id`` and an integer ``dimension``.
+    a JSON object of shape ``INDEX_HEADER``.
     """
-    try:
-        with Path(path).open("rb") as handle:
-            header = json.loads(handle.readline())
-        if not isinstance(header, dict) or not isinstance(header.get("provider_id"), str) or (
-            type(header.get("dimension")) is not int
-        ):
-            raise ValueError("not an object with a string provider_id and an integer dimension")
-    except ValueError as exc:
-        raise malformed(path, 1, exc, "index record") from None
-    return header
+    return next(read_records(path, INDEX_HEADER, dict, "index record"))
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
@@ -456,12 +451,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
     from the stored arrays without parsing SQL. An index of another
     format raises ``ConfigError``. ``CorruptFileError``, naming the file
     and the line, is raised for a header that ``read_index_header``
-    refuses, a line that does not decode, a record missing a field or out
-    of pool order, a ``q_embedding`` that is not ``dimension`` numbers,
-    and skeleton arrays that do not describe a tree or differ between
-    records of one text.
+    refuses, and for any later line that does not decode, is not of shape
+    ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that is
+    not ``dimension`` numbers, or skeleton arrays that do not describe a
+    tree or differ between records of one text.
     """
-    path = Path(path)
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
     header = read_index_header(path)
@@ -471,39 +465,31 @@ def load_index(path: str | Path) -> RetrievalIndex:
             f"not {INDEX_FORMAT}; rebuild with `solidql index`"
         )
     provider_id, dimension = header["provider_id"], header["dimension"]
-    with path.open("rb") as handle:
-        handle.readline()  # the header
-        try:
-            for number, line in enumerate(handle, 2):
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                text = record["s_skeleton"]
-                postorder, leftmost = record["s_postorder"], record["s_leftmost"]
-                skeleton = skeletons.get(text)
-                if skeleton is None:
-                    skeleton = SqlSkeleton(text, compile_postorder(postorder, leftmost))
-                    skeletons[text] = skeleton
-                elif (postorder, leftmost) != (
-                    skeleton.compiled.postorder, skeleton.compiled.leftmost
-                ):
-                    raise ValueError(f"skeleton {text!r} is stored with two different trees")
-                if record["pool_index"] != len(pool):
-                    raise ValueError(f"pool_index {record['pool_index']!r} at row {len(pool)}")
-                embedding = record["q_embedding"]
-                if len(embedding) != dimension:
-                    raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
-                sum(embedding)  # TypeError unless every value is a number
-                pool.append(
-                    ExamplePair(
-                        question=record["question"],
-                        sql=record["sql"],
-                        q_skeleton=record["q_skeleton"],
-                        q_embedding=tuple(embedding),
-                        s_skeleton=skeleton,
-                        pool_index=len(pool),
-                    )
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise malformed(path, number, exc, "index record") from None
+
+    def example(record: dict) -> ExamplePair:
+        text = record["s_skeleton"]
+        postorder, leftmost = record["s_postorder"], record["s_leftmost"]
+        skeleton = skeletons.get(text)
+        if skeleton is None:
+            skeleton = SqlSkeleton(text, compile_postorder(postorder, leftmost))
+            skeletons[text] = skeleton
+        elif (postorder, leftmost) != (skeleton.compiled.postorder, skeleton.compiled.leftmost):
+            raise ValueError(f"skeleton {text!r} is stored with two different trees")
+        if record["pool_index"] != len(pool):
+            raise ValueError(f"pool_index {record['pool_index']!r} at row {len(pool)}")
+        embedding = record["q_embedding"]
+        if len(embedding) != dimension:
+            raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
+        sum(embedding)  # TypeError unless every value is a number
+        return ExamplePair(
+            question=record["question"],
+            sql=record["sql"],
+            q_skeleton=record["q_skeleton"],
+            q_embedding=tuple(embedding),
+            s_skeleton=skeleton,
+            pool_index=len(pool),
+        )
+
+    for pair in read_records(path, INDEX_RECORD, example, "index record", first=2):
+        pool.append(pair)
     return RetrievalIndex(pool=pool, provider_id=provider_id, dimension=dimension)

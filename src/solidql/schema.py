@@ -205,9 +205,9 @@ def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
     for i, record in enumerate(records):
         try:
             schema = schema_from_tables_record(record)
+            schemas[schema.db_id] = schema  # a db_id that is a list or object is unhashable
         except (AttributeError, IndexError, KeyError, TypeError, ValueError, SchemaError) as exc:
             raise ConfigError(f"{path}, record {i}: malformed schema ({exc!r})") from None
-        schemas[schema.db_id] = schema
     logger.info("loaded %d schemas from %s", len(schemas), path)
     return schemas
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -16,10 +18,10 @@ import solidql
 from solidql.cli import main
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
-from solidql.gateway import LlmGateway, TranscriptStore
+from solidql.gateway import TRANSCRIPT, LlmGateway, TranscriptStore
 from solidql.linking import GatewayLinkingPredictor, QuestionRewriter, augment_dataset
-from solidql.pipeline import run_batch
-from solidql.retrieval import load_index
+from solidql.pipeline import LEDGER_ENTRY, run_batch
+from solidql.retrieval import INDEX_HEADER, INDEX_RECORD, load_index
 from solidql.schema import load_tables_json
 from solidql.data import triplets_from_dataset
 
@@ -230,6 +232,68 @@ def test_cmd_run_corrupt_transcripts_exit_environment(workspace, tmp_path, capsy
     ])
     assert code == 3
     assert f"{transcripts}, line 3" in capsys.readouterr().err
+
+
+def _ledger_text(workspace, count):
+    """A resume ledger holding the first ``count`` results of the replayed run."""
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()[:count]
+    return "".join(json.dumps({"index": i, "result": json.loads(line)}) + "\n"
+                   for i, line in enumerate(lines))
+
+
+# each value of the wrong type: the file it goes in, the line and key it replaces
+WRONG_TYPED_RECORDS = {
+    "transcript hash an object": ("transcripts", 2, "hash", {"a": 1}),
+    "transcript response a number": ("transcripts", 3, "response", 5),
+    "transcript response a list": ("transcripts", 1, "response", []),
+    "transcript response an object": ("transcripts", 1, "response", {}),
+    "transcript response a bool": ("transcripts", 1, "response", True),
+    "transcript response null": ("transcripts", 2, "response", None),
+    "ledger index a list": ("ledger", 2, "index", [1]),
+    "ledger index a string": ("ledger", 1, "index", "0"),
+    "ledger index a bool": ("ledger", 1, "index", False),
+}
+
+
+@pytest.mark.parametrize("corruption", WRONG_TYPED_RECORDS)
+def test_cmd_run_wrong_typed_record_names_file_line_and_key(workspace, tmp_path, capsys, corruption):
+    name, number, key, value = WRONG_TYPED_RECORDS[corruption]
+    output = tmp_path / "out.jsonl"
+    paths = {"transcripts": tmp_path / "transcripts.jsonl",
+             "ledger": output.with_suffix(".progress.jsonl")}
+    texts = {"transcripts": (workspace / "transcripts.jsonl").read_text(),
+             "ledger": _ledger_text(workspace, 2)}
+    lines = texts[name].splitlines()
+    _edit_record(lines, number, **{key: value})
+    texts[name] = "\n".join(lines) + "\n"
+    for part, path in paths.items():
+        path.write_text(texts[part])
+    code = run_cli(workspace, "run", "--mode", "replay", "--transcripts", str(paths["transcripts"]),
+                   "--output", str(output))
+    assert code == 3
+    message = _environment_error(capsys)
+    assert f"{paths[name]}, line {number}: malformed record" in message
+    assert f"record.{key} is " in message
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("edit", ["question changed", "index past the end"])
+def test_cmd_run_refuses_a_ledger_of_another_dataset(workspace, tmp_path, capsys, edit):
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    output = tmp_path / "out.jsonl"
+    ledger = output.with_suffix(".progress.jsonl")
+    ledger.write_text(_ledger_text(workspace, 2))
+    if edit == "question changed":
+        dataset[0]["question"] = "What are the names of all shops?"
+    else:
+        ledger.write_text(ledger.read_text().replace('{"index": 1,', '{"index": 5,'))
+    (tmp_path / "dataset.json").write_text(json.dumps(dataset))
+    code = run_cli(workspace, "run", "--mode", "replay", "--dataset", str(tmp_path / "dataset.json"),
+                   "--output", str(output))
+    assert code == 2
+    item = 0 if edit == "question changed" else 5
+    assert f"error: resume ledger {ledger} holds item {item} " in capsys.readouterr().err
+    assert not output.exists()
 
 
 def _break_byte(path, number):
@@ -857,3 +921,76 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, capsys):
     assert main(["--config", str(config_path), "run"]) == 2
     config_path.write_text(json.dumps({"timeout": 5, "linking_model_id": None, "rounds": 1}))
     assert RunConfig.from_file(config_path) == RunConfig(timeout=5, rounds=1)
+
+
+FUZZ_VALUES = [None, 0, -1, 7, 2.5, "x", [], ["x"], {}, {"k": 1}, float("nan")]
+DELETE = "<delete>"
+
+
+def _kind(value):
+    """The JSON type of ``value``, one name for integers and floats."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _fuzz(rng, root):
+    """Change or delete one value inside ``root``, in place; return its key path,
+    the old value and the new one."""
+    node, path = root, []
+    while True:
+        key = rng.randrange(len(node)) if isinstance(node, list) else rng.choice(sorted(node))
+        path.append(key)
+        if not (isinstance(node[key], (list, dict)) and node[key]) or rng.random() < 0.3:
+            break
+        node = node[key]
+    old, new = node[key], rng.choice(FUZZ_VALUES + [DELETE])
+    if new == DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(new)
+    return path, old, new
+
+
+def test_fuzzed_inputs_exit_with_a_documented_code(workspace, tmp_path):
+    """One JSON value changed in one input per trial: no exception escapes
+    ``main``, and a value of another JSON type under a key that a record
+    shape declares exits 3 from every command that reads that record."""
+    files = {  # name in the trial directory: (text, line shapes of a JSON-lines file)
+        "tables.json": ((workspace / "tables.json").read_text(), None),
+        "dataset.json": ((workspace / "shop_dataset.json").read_text(), None),
+        "index.jsonl": ((workspace / "index.jsonl").read_text(), [INDEX_HEADER, INDEX_RECORD]),
+        "transcripts.jsonl": ((workspace / "transcripts.jsonl").read_text(), [TRANSCRIPT]),
+        "out.progress.jsonl": (_ledger_text(workspace, 2), [LEDGER_ENTRY]),
+    }
+    run = ["run", "--index", "index.jsonl", "--output", "out.jsonl"]
+    index = ["index", "--output", "index.jsonl"]
+    shared = ["--mode", "replay", "--dataset", "dataset.json", "--tables", "tables.json",
+              "--transcripts", "transcripts.jsonl"]
+    commands = {argv[0]: [str(tmp_path / arg) if ".json" in arg else arg
+                          for arg in argv + shared] for argv in (run, index)}
+    rng = random.Random(16)
+    for trial in range(300):
+        name = rng.choice(sorted(files))
+        text, shapes = files[name]
+        root = [json.loads(line) for line in text.splitlines()] if shapes else json.loads(text)
+        path, old, new = _fuzz(rng, root)
+        for other, (other_text, _) in files.items():
+            (tmp_path / other).write_text(other_text)
+        (tmp_path / name).write_text(
+            "".join(json.dumps(line) + "\n" for line in root) if shapes else json.dumps(root)
+        )
+        declared = shapes is not None and (
+            len(path) == 1 or path[1] in shapes[min(path[0], len(shapes) - 1)]
+        )
+        wrong_type = declared and new != DELETE and _kind(new) != _kind(old)
+        for command, argv in commands.items():
+            trace = f"trial {trial}, {command}: {name} {path} {old!r:.40} -> {new!r}"
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{trace}: {exc!r} escaped main")
+            assert code in (0, 2, 3), trace  # run and index never exit 1
+            # index reads the transcripts and the header of the index it replaces
+            reads = command == "run" or name == "transcripts.jsonl" or (name, path[0]) == (
+                "index.jsonl", 0)
+            if wrong_type and reads:
+                assert code == 3, trace

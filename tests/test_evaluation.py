@@ -20,7 +20,8 @@ from solidql.evaluation import (
     write_report,
 )
 from solidql.sql.nodes import OPERATOR
-from solidql.sql.parser import parse_sql
+from solidql.sql.parser import RESERVED, parse_sql
+from solidql.sql.tokens import IDENT, SKIP, TOKEN
 
 from support import random_statement
 
@@ -323,11 +324,26 @@ def test_exact_match_of_equal_texts_never_parses(monkeypatch):
     assert exact_match(sql, sql)
 
 
+def _restyled(sql: str) -> str:
+    """``sql`` with every whitespace run changed, the case of every keyword
+    swapped and a trailing ``;``; quoted spans and comments are left alone."""
+    parts = []
+    for match in TOKEN.finditer(sql):
+        text = match.group()
+        if match.lastgroup == SKIP and text.isspace():
+            text = " \n\t "
+        elif match.lastgroup == IDENT and text.lower() in RESERVED:
+            text = text.swapcase()
+        parts.append(text)
+    return "".join(parts) + " ;"
+
+
 def test_exact_match_implies_ex(databases_root, parser_corpus):
     queries = [item["query"] for item in parser_corpus if item["db_id"] == "concert_singer"]
-    for query in queries:
-        assert exact_match(query, query)
-    assert all(ex_verdicts([(query, query) for query in queries], databases_root))
+    pairs = [(_restyled(query), query) for query in queries]
+    for pred, gold in pairs:
+        assert pred != gold and exact_match(pred, gold), pred
+    assert all(ex_verdicts(pairs, databases_root))
 
 
 def test_robustness_check(concert_db):
