@@ -114,6 +114,9 @@ def require(values: RunConfig | argparse.Namespace, *names: str) -> None:
 
 
 def make_gateway(config: RunConfig) -> LlmGateway:
+    """The gateway of ``config.mode``; replay and record mode require ``--transcripts``."""
+    if config.mode in ("replay", "record"):
+        require(config, "transcripts")
     store = TranscriptStore(config.transcripts) if config.transcripts else None
     provider = None
     if config.mode in ("live", "record"):
@@ -136,7 +139,6 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
     if args.no_augment:
         augmented = triplets
     else:
-        require(config, "transcripts")
         gateway = make_gateway(config)
         rewriter = QuestionRewriter(gateway, config.linking_model)
         augmented = augment_dataset(triplets, rewriter)
@@ -188,8 +190,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = make_config(args)
     require(config, "dataset", "tables", "index_path", "output")
-    if config.mode in ("replay", "record"):
-        require(config, "transcripts")
+    gateway = make_gateway(config)
     schemas = load_tables_json(config.tables)
     dataset = load_dataset(config.dataset)
     index = load_index(config.index_path)
@@ -199,7 +200,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"index provider {index.provider_id!r} does not match configured "
             f"embedder {embedder.provider_id!r}"
         )
-    gateway = make_gateway(config)
     if config.predictor == "oracle":
         predictor = OracleLinkingPredictor.from_records(dataset)
     else:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ExtractError
 from .schema import DatabaseSchema, SchemaSubset, render_ddl
+from .sql.tokens import SKIP, TOKEN
 
 if TYPE_CHECKING:
     from .retrieval import ExamplePair
@@ -97,9 +98,12 @@ _STATEMENT_RE = re.compile(r"\b(select|with)\b", re.IGNORECASE)
 def parse_sql_from_completion(completion: str) -> str:
     """Extract the first SQL statement from an LLM completion.
 
-    Strips code fences and leading prose, cuts the statement at the
-    first semicolon (kept) or at the first blank line after it starts.
-    The returned text is not guaranteed to parse.
+    Strips code fences and leading prose. The statement starts at the
+    first ``select`` or ``with`` word and ends after its first ``;``
+    (kept) or before its first blank line, both found with the SQL lexer,
+    so that a ``;`` or a blank line inside a string, a quoted identifier
+    or a comment does not end it. The returned text is not guaranteed to
+    parse.
 
     Raises:
         ExtractError: when no statement-like span is present.
@@ -111,11 +115,13 @@ def parse_sql_from_completion(completion: str) -> str:
         if match is None:
             continue
         span = text[match.start() :]
-        semicolon = span.find(";")
-        if semicolon != -1:
-            span = span[: semicolon + 1]
-        else:
-            span = span.split("\n\n", 1)[0]
+        for token in TOKEN.finditer(span):
+            if token.lastgroup == SKIP and "\n\n" in token.group():
+                span = span[: token.start()]
+                break
+            if token.group() == ";":
+                span = span[: token.end()]
+                break
         span = span.strip().strip("`").strip()
         if span:
             return span

@@ -453,15 +453,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
     and the line, is raised for a header that ``read_index_header``
     refuses, and for any later line that does not decode, is not of shape
     ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that is
-    not ``dimension`` numbers, or skeleton arrays that do not describe a
-    tree or differ between records of one text.
+    not ``dimension`` finite numbers, or skeleton arrays that do not
+    describe a tree or differ between records of one text.
     """
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
     header = read_index_header(path)
     if header.get("format") != INDEX_FORMAT:
         raise ConfigError(
-            f"{path} is a retrieval index of format {header.get('format', 1)}, "
+            f"{path} is a retrieval index of format {header.get('format', 1)!r}, "
             f"not {INDEX_FORMAT}; rebuild with `solidql index`"
         )
     provider_id, dimension = header["provider_id"], header["dimension"]
@@ -480,7 +480,10 @@ def load_index(path: str | Path) -> RetrievalIndex:
         embedding = record["q_embedding"]
         if len(embedding) != dimension:
             raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
-        sum(embedding)  # TypeError unless every value is a number
+        # one C-level sum: TypeError unless every value is a number (a bool
+        # passes, as 0 or 1), not finite if any value is NaN or infinite
+        if not math.isfinite(sum(embedding)):
+            raise ValueError("q_embedding holds a value that is not finite")
         return ExamplePair(
             question=record["question"],
             sql=record["sql"],

@@ -34,9 +34,6 @@ class Table:
     name: str
     columns: tuple[Column, ...]
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass(frozen=True)
 class DatabaseSchema:

@@ -2,13 +2,21 @@
 
 Walks a statement and collects every base table plus every
 table-qualified column it touches (SELECT, WHERE, JOIN ON, GROUP BY,
-HAVING, ORDER BY), resolving aliases per (sub)query scope against the
+HAVING, ORDER BY), resolving names per (sub)query scope against the
 database schema. ``SELECT *`` and bare ``COUNT(*)`` contribute the
 ``<table>.*`` pseudo-column of each table in scope instead of expanding
 to all columns.
+
+A scope's FROM sources, base tables and subqueries aliased or not, are
+one list of ``_Source`` records. Names resolve against its base tables,
+then its subqueries, each in FROM order, then its select aliases, then
+the enclosing scope. A FROM subquery sees the enclosing scope, not its
+sibling sources.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..errors import ResolutionError
 from ..schema import DatabaseSchema, SchemaSubset
@@ -41,33 +49,18 @@ def extract_schema_refs(ast: Node, schema: DatabaseSchema) -> SchemaSubset:
     return SchemaSubset.build(extractor.tables, extractor.columns)
 
 
-class _DerivedTable:
-    """Column exports of a derived table (FROM-clause subquery)."""
+class _Source(NamedTuple):
+    """One FROM source, a base table or a subquery."""
 
-    def __init__(self) -> None:
-        self.exports: dict[str, set[str]] = {}
-        self.inner_tables: list[str] = []
-
-    def lookup(self, name: str) -> set[str] | None:
-        if name in self.exports:
-            return self.exports[name]
-        return None
-
-    def all_contributions(self) -> set[str]:
-        out: set[str] = set()
-        for refs in self.exports.values():
-            out |= refs
-        for table in self.inner_tables:
-            out.add(f"{table}.*")
-        return out
+    names: tuple[str, ...]  # qualifiers: a table's name and alias, a subquery's alias
+    columns: dict[str, set[str]]  # lowercase name -> refs: a table's columns, a subquery's exports
+    star: set[str]  # ``*`` over it: ``<table>.*``, or exports plus the inner tables' ``<table>.*``
 
 
 class _Scope:
     def __init__(self, parent: "_Scope | None") -> None:
         self.parent = parent
-        self.tables: list[str] = []
-        self.aliases: dict[str, str] = {}
-        self.derived: dict[str, _DerivedTable] = {}
+        self.sources: list[_Source] = []  # base tables, then subqueries, each in FROM order
         self.select_aliases: dict[str, Node] = {}
 
 
@@ -77,19 +70,24 @@ class _RefExtractor:
         self.tables: set[str] = set()
         self.columns: set[str] = set()
 
-    # ------------------------------------------------------------------
-
-    def visit_query(self, node: Node, parent: _Scope | None) -> _Scope:
-        if node.kind == OPERATOR:  # set operation
-            first = self.visit_query(node.children[0], parent)
+    def visit_query(self, node: Node, parent: _Scope | None,
+                    names: tuple[str, ...] | None = None) -> _Source | None:
+        """Visit a query; given the ``names`` of a FROM subquery, return it as a source."""
+        if node.kind == OPERATOR:  # set operation; exports come from the first operand
+            source = self.visit_query(node.children[0], parent, names)
             self.visit_query(node.children[1], parent)
-            return first
-        scope = self.build_scope(node, parent)
+            return source
+        scope = _Scope(parent)
+        select = node.clause("select")
+        items = [] if select is None else [i for i in select.children if i.kind != KEYWORD]
+        for item in items:
+            if item.kind == COLUMN_ALIAS:
+                scope.select_aliases[normalize_identifier(item.text)] = item.children[0]
+        tables = self.add_sources(node, scope)
         for clause in node.children:
             if clause.text == "select":
-                for item in clause.children:
-                    if item.kind != KEYWORD:
-                        self.visit_expr(item, scope)
+                for item in items:
+                    self.visit_expr(item, scope)
             elif clause.text == "from":
                 for child in clause.children:
                     if child.kind == JOIN and len(child.children) == 2:
@@ -97,79 +95,52 @@ class _RefExtractor:
             elif clause.text in ("where", "having", "group_by", "order_by"):
                 for child in clause.children:
                     self.visit_expr(child, scope)
-        return scope
+        return None if names is None else self.derive(names, items, scope, tables)
 
-    def build_scope(self, node: Node, parent: _Scope | None) -> _Scope:
-        scope = _Scope(parent)
-        select = node.clause("select")
-        if select is not None:
-            for item in select.children:
-                if item.kind == COLUMN_ALIAS:
-                    scope.select_aliases[normalize_identifier(item.text)] = item.children[0]
+    def add_sources(self, node: Node, scope: _Scope) -> list[_Source]:
+        """Fill ``scope.sources`` from the FROM clause; return its base tables."""
+        tables: list[_Source] = []
+        subqueries: list[_Source] = []
         from_clause = node.clause("from")
-        if from_clause is None:
-            return scope
-        for child in from_clause.children:
+        for child in () if from_clause is None else from_clause.children:
             source = child.children[0] if child.kind == JOIN else child
-            self.register_source(source, scope)
-        return scope
+            names: tuple[str, ...] = ()
+            if source.kind == TABLE_ALIAS:
+                names = (normalize_identifier(source.text),)
+                source = source.children[0]
+            if source.kind == TABLE_REF:
+                tables.append(self.table_source(source, names))
+            else:  # the parser allows only a subquery here
+                subqueries.append(self.visit_query(source, scope.parent, names))
+        scope.sources = tables + subqueries
+        return tables
 
-    def register_source(self, source: Node, scope: _Scope) -> None:
-        alias: str | None = None
-        if source.kind == TABLE_ALIAS:
-            alias = normalize_identifier(source.text)
-            source = source.children[0]
-        if source.kind == TABLE_REF:
-            name = normalize_identifier(source.text)
-            if not self.schema.has_table(name):
-                raise ResolutionError(f"unknown table {source.text!r} in FROM")
-            self.tables.add(name)
-            scope.tables.append(name)
-            scope.aliases.setdefault(name, name)
-            if alias:
-                scope.aliases[alias] = name
-            return
-        if is_query_like(source):
-            inner_scope = self.visit_query(source, scope.parent)
-            if alias:
-                scope.derived[alias] = self.derive_exports(source, inner_scope)
-            return
-        raise ResolutionError(f"unsupported FROM source {source.kind!r}")
+    def table_source(self, ref: Node, alias: tuple[str, ...]) -> _Source:
+        name = normalize_identifier(ref.text)
+        table = self.schema.table(name)
+        if table is None:
+            raise ResolutionError(f"unknown table {ref.text!r} in FROM")
+        self.tables.add(name)
+        columns = {c.name.lower(): {f"{name}.{c.name.lower()}"} for c in table.columns}
+        return _Source((name, *alias), columns, {f"{name}.*"})
 
-    def derive_exports(self, query: Node, inner_scope: _Scope) -> _DerivedTable:
-        while query.kind == OPERATOR:  # exports come from the first operand
-            query = query.children[0]
-        derived = _DerivedTable()
-        derived.inner_tables = list(inner_scope.tables)
-        select = query.clause("select")
-        if select is None:
-            return derived
-        for item in select.children:
-            if item.kind == KEYWORD:
-                continue
-            if item.kind == COLUMN_ALIAS:
-                name = normalize_identifier(item.text)
-                derived.exports[name] = self.collect_columns(item.children[0], inner_scope)
-            elif item.kind == COLUMN_REF:
-                _, column = split_qualified(item.text)
-                name = normalize_identifier(column)
-                derived.exports[name] = self.collect_columns(item, inner_scope)
+    def derive(self, names: tuple[str, ...], items: list[Node], scope: _Scope,
+               tables: list[_Source]) -> _Source:
+        """A subquery as a source: the columns its select list exports."""
+        exports: dict[str, set[str]] = {}
+        for item in items:
+            if item.kind in (COLUMN_ALIAS, COLUMN_REF):
+                name = item.text if item.kind == COLUMN_ALIAS else split_qualified(item.text)[1]
+                exports[normalize_identifier(name)] = self.collect_columns(item, scope)
             elif item.kind == STAR:
-                for table in inner_scope.tables:
-                    table_def = self.schema.table(table)
-                    if table_def is None:
-                        continue
-                    for col in table_def.column_names():
-                        derived.exports.setdefault(col.lower(), set()).add(
-                            f"{table}.{col.lower()}"
-                        )
-        return derived
-
-    # ------------------------------------------------------------------
+                for table in tables:
+                    for name, refs in table.columns.items():
+                        exports.setdefault(name, set()).update(refs)
+        star = set().union(*exports.values(), *(table.star for table in tables))
+        return _Source(names, exports, star)
 
     def visit_expr(self, node: Node, scope: _Scope) -> None:
-        for ref in self.collect_columns(node, scope):
-            self.columns.add(ref)
+        self.columns |= self.collect_columns(node, scope)
 
     def collect_columns(self, node: Node, scope: _Scope) -> set[str]:
         """Resolve every column contribution inside an expression."""
@@ -183,10 +154,8 @@ class _RefExtractor:
             out |= self.resolve_column(node.text, scope)
             return
         if kind == STAR:
-            for table in scope.tables:
-                out.add(f"{table}.*")
-            for derived in scope.derived.values():
-                out |= derived.all_contributions()
+            for source in scope.sources:
+                out |= source.star
             return
         if kind == LITERAL or kind == KEYWORD or kind == TABLE_REF:
             return
@@ -206,34 +175,22 @@ class _RefExtractor:
     def resolve_qualified(self, qualifier: str, name: str, raw: str, scope: _Scope) -> set[str]:
         current: _Scope | None = scope
         while current is not None:
-            if qualifier in current.aliases:
-                table = current.aliases[qualifier]
-                if name == "*":
-                    return {f"{table}.*"}
-                if not self.schema.has_column(f"{table}.{name}"):
-                    raise ResolutionError(f"column {raw!r} not in table {table!r}")
-                return {f"{table}.{name}"}
-            if qualifier in current.derived:
-                derived = current.derived[qualifier]
-                if name == "*":
-                    return derived.all_contributions()
-                refs = derived.lookup(name)
-                if refs is None:
-                    raise ResolutionError(f"column {raw!r} not exported by derived table")
-                return refs
+            for source in current.sources:
+                if qualifier in source.names:
+                    if name == "*":
+                        return source.star
+                    if name not in source.columns:
+                        raise ResolutionError(f"column {raw!r} not in source {qualifier!r}")
+                    return source.columns[name]
             current = current.parent
         raise ResolutionError(f"unknown qualifier in column {raw!r}")
 
     def resolve_bare(self, name: str, raw: str, scope: _Scope) -> set[str]:
         current: _Scope | None = scope
         while current is not None:
-            for table in current.tables:
-                if self.schema.has_column(f"{table}.{name}"):
-                    return {f"{table}.{name}"}
-            for derived in current.derived.values():
-                refs = derived.lookup(name)
-                if refs is not None:
-                    return refs
+            for source in current.sources:
+                if name in source.columns:
+                    return source.columns[name]
             if name in current.select_aliases:
                 return self.collect_columns(current.select_aliases[name], current)
             current = current.parent

@@ -2,17 +2,16 @@
 
 The oracles here deliberately avoid the production code paths: the tree
 edit distance oracle enumerates valid tree mappings directly, and the
-retrieval oracle re-ranks with its own sort. Production must agree with
+retrieval oracle re-ranks with its own cosine and its own sort. Production must agree with
 them, not the other way round.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
-from solidql.embeddings import cosine_similarity
-from solidql.errors import ZeroVectorError
 from solidql.gateway import ChatRequest
 from solidql.sql.nodes import Node
 
@@ -208,16 +207,18 @@ class _StatementPlan:
 
 
 def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
-    """Independent full scan: (similarity desc, pool_index asc) ordering."""
+    """Independent full scan: (similarity desc, pool_index asc) ordering;
+    an entry whose cosine is undefined (a zero-norm side) is skipped."""
     ranked = []
+    target_norm = math.sqrt(sum(a * a for a in target_vector))
     for pair in pool:
         if exclude_question is not None and pair.question == exclude_question:
             continue
-        try:
-            sim = cosine_similarity(target_vector, pair.q_embedding)
-        except ZeroVectorError:
+        norm = math.sqrt(sum(b * b for b in pair.q_embedding))
+        if target_norm == 0.0 or norm == 0.0:
             continue
-        ranked.append((sim, pair.pool_index))
+        dot = sum(a * b for a, b in zip(target_vector, pair.q_embedding))
+        ranked.append((dot / (target_norm * norm), pair.pool_index))
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return [idx for _, idx in ranked[:n]]
 

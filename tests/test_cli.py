@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import random
 import re
@@ -181,6 +182,19 @@ def test_cmd_run_replay_miss_exits_environment(workspace, tmp_path):
         "--output", str(tmp_path / "out.jsonl"),
     ])
     assert code == 3
+
+
+def test_cmd_run_round2_replay_miss_exits_environment(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("solidql.cli.HttpChatProvider.from_env", make_provider)
+    store = str(tmp_path / "round1.jsonl")
+    code = run_cli(workspace, "run", "--mode", "record", "--rounds", "1", "--transcripts", store,
+                   "--output", str(tmp_path / "record.jsonl"))
+    assert code == 0
+    code = run_cli(workspace, "run", "--mode", "replay", "--rounds", "2", "--transcripts", store,
+                   "--output", str(tmp_path / "out.jsonl"))
+    assert code == 3
+    assert "environment error: no transcript for request" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_cmd_run_rounds_one_makes_no_round2_requests(workspace):
@@ -369,6 +383,12 @@ def _embedding_not_numbers(lines):
     return _edit_record(lines, 3, q_embedding=[str(value) for value in vector])
 
 
+def _embedding_value(lines, value):
+    vector = json.loads(lines[2])["q_embedding"]
+    vector[1] = value
+    return _edit_record(lines, 3, q_embedding=vector)
+
+
 def _repeat_first_text(lines):
     first, second = json.loads(lines[1]), json.loads(lines[2])
     assert first["s_postorder"] != second["s_postorder"]
@@ -389,6 +409,9 @@ INDEX_CORRUPTIONS = {
     "one text, two trees": _repeat_first_text,
     "embedding of another length": lambda lines: _edit_record(lines, 2, q_embedding=[1.0] * 10),
     "embedding not numbers": _embedding_not_numbers,
+    "embedding holds NaN": lambda lines: _embedding_value(lines, math.nan),
+    "embedding holds Infinity": lambda lines: _embedding_value(lines, math.inf),
+    "embedding holds -Infinity": lambda lines: _embedding_value(lines, -math.inf),
 }
 
 
@@ -417,6 +440,18 @@ def test_cmd_run_refuses_index_of_older_format(workspace, tmp_path, capsys):
                    "--output", str(tmp_path / "out.jsonl"))
     assert code == 2
     assert "rebuild with `solidql index`" in capsys.readouterr().err
+
+
+def test_cmd_run_quotes_an_index_format_of_another_type(workspace, tmp_path, capsys):
+    lines = (workspace / "index.jsonl").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["format"] = str(header["format"])
+    index = tmp_path / "index.jsonl"
+    index.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                   "--output", str(tmp_path / "out.jsonl"))
+    assert code == 2
+    assert f"is a retrieval index of format '{header['format']}', not " in capsys.readouterr().err
 
 
 # headers that name no string provider_id and integer dimension
@@ -710,6 +745,34 @@ def test_cmd_build_sft_rewrite_replay_miss_exits_environment(workspace, tmp_path
     assert code == 3
     assert "environment error: no transcript for request" in capsys.readouterr().err
     assert not (tmp_path / "sft.jsonl").exists()
+
+
+def test_cmd_build_sft_live_needs_no_transcripts(workspace, tmp_path, monkeypatch, capsys):
+    provider = make_provider()
+    monkeypatch.setattr("solidql.cli.HttpChatProvider.from_env", lambda: provider)
+    code = main([
+        "build-sft",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--mode", "live",
+        "--output", str(tmp_path / "sft.jsonl"),
+    ])
+    assert code == 0
+    assert "sft records: 15" in capsys.readouterr().out
+    assert provider.calls == ["rewrite"] * 5
+
+
+def test_cmd_index_refuses_a_missing_transcript_store(workspace, tmp_path, capsys):
+    code = main([
+        "index",
+        "--dataset", str(workspace / "shop_pool.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--transcripts", str(tmp_path / "no_such_file.jsonl"),
+        "--output", str(tmp_path / "index.jsonl"),
+    ])
+    assert code == 2
+    assert "--transcripts file not found" in capsys.readouterr().err
+    assert not (tmp_path / "index.jsonl").exists()
 
 
 def test_cmd_index_on_two_hundred_item_pool(workspace, tmp_path, capsys):

@@ -219,6 +219,21 @@ def test_batch_replay_miss_aborts(schemas, shop_dataset, fixture_index, tmp_path
         )
 
 
+def test_round2_replay_miss_aborts_the_batch(schemas, shop_dataset, fixture_index, provider, tmp_path):
+    store_path = tmp_path / "transcripts.jsonl"
+    predictor = OracleLinkingPredictor.from_records(shop_dataset)
+    embedder = HashedBagOfTokens()
+    record = LlmGateway(mode="record", store=TranscriptStore(store_path), provider=provider)
+    run_batch(shop_dataset, schemas, predictor, fixture_index, record, embedder,
+              RunConfig(mode="record", workers=1, rounds=1))
+    replay = LlmGateway(mode="replay", store=TranscriptStore(store_path))
+    assert len(run_batch(shop_dataset, schemas, predictor, fixture_index, replay, embedder,
+                         RunConfig(mode="replay", workers=1, rounds=1))) == len(shop_dataset)
+    with pytest.raises(ReplayMiss):  # only round-2 requests are missing
+        run_batch(shop_dataset, schemas, predictor, fixture_index, replay, embedder,
+                  RunConfig(mode="replay", workers=1, rounds=2))
+
+
 def test_batch_replay_miss_cancels_queued_items(schemas, shop_dataset, fixture_index, monkeypatch):
     workers = 4
     calls = []

@@ -110,6 +110,12 @@ def test_prompt_ends_with_output_directive(shop_schema):
         ("SELECT a\nFROM t\n\nExplanation: joins nothing", "SELECT a\nFROM t"),
         ("Sure! ```sql\nselect x from y where z = 1;\n``` hope that helps",
          "select x from y where z = 1;"),
+        # quotes and comments are read as the lexer reads them
+        ("SELECT name FROM t WHERE x = 'a;b'", "SELECT name FROM t WHERE x = 'a;b'"),
+        ("```sql\nSELECT name FROM t WHERE x = 'a;b'\n```", "SELECT name FROM t WHERE x = 'a;b'"),
+        ("SELECT a FROM t WHERE x = 'one\n\ntwo'\n\nDone.", "SELECT a FROM t WHERE x = 'one\n\ntwo'"),
+        ("SELECT a FROM t -- pick a; then b\nWHERE b = 1", "SELECT a FROM t -- pick a; then b\nWHERE b = 1"),
+        ("SELECT a FROM t\n\nThis works; trust me.", "SELECT a FROM t"),
     ],
 )
 def test_parse_sql_from_completion(completion, expected):

@@ -454,6 +454,25 @@ def test_save_load_round_trip(tmp_path, small_index):
         assert a.s_skeleton == b.s_skeleton
 
 
+def test_load_reads_embedding_booleans_as_numbers(tmp_path, small_index):
+    # accepted: checking every value's type would cost a Python-level loop
+    index, embedder = small_index
+    path = tmp_path / "idx.jsonl"
+    save_index(index, path)
+    header, *records = path.read_text().splitlines()
+    with_bools = [header]
+    for line in records:
+        record = json.loads(line)
+        record["q_embedding"] = [value == 1.0 for value in record["q_embedding"]]
+        with_bools.append(json.dumps(record))
+    assert "true" in with_bools[1] and "false" in with_bools[1]
+    path.write_text("\n".join(with_bools) + "\n")
+    loaded = load_index(path)
+    for target in ("names of things older than a number", "how many _ are there"):
+        assert [p.pool_index for p in retrieve_by_question_skeleton(target, loaded, 3, embedder)] == [
+            p.pool_index for p in retrieve_by_question_skeleton(target, index, 3, embedder)]
+
+
 def test_load_builds_skeletons_without_parsing(tmp_path, small_index, monkeypatch):
     import solidql.skeleton
     import solidql.sql.parser

@@ -39,7 +39,7 @@ def test_star_sentinel_accepted():
         "foreign_keys": [],
     }
     schema = schema_from_tables_record(record)
-    assert schema.table("t").column_names() == ["a"]
+    assert [c.name for c in schema.table("t").columns] == ["a"]
     assert schema.primary_keys == ("t.a",)
 
 

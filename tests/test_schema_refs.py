@@ -126,3 +126,94 @@ def test_hand_labels(schemas, linking_labels):
         subset = extract_schema_refs(parse_sql(item["query"]), schemas[item["db_id"]])
         expected = SchemaSubset.build(item["tables"], item["columns"])
         assert subset == expected, item["query"]
+
+
+# (statement, tables, columns) on concert_singer; a columns value of None
+# means the statement must raise ResolutionError.
+SINGER = {"singer.*", "singer.singer_id", "singer.name", "singer.country", "singer.song_name",
+          "singer.age"}
+SOURCE_CASES = {
+    "AS export": (
+        "SELECT d.n FROM (SELECT name AS n FROM singer) AS d",
+        {"singer"}, {"singer.name"},
+    ),
+    "* export": (
+        "SELECT d.age FROM (SELECT * FROM singer) AS d",
+        {"singer"}, {"singer.*", "singer.age"},
+    ),
+    "d.*": (
+        "SELECT d.* FROM (SELECT name, age FROM singer WHERE country = 'x') AS d",
+        {"singer"}, {"singer.*", "singer.name", "singer.age", "singer.country"},
+    ),
+    "t.*": (
+        "SELECT T1.* FROM singer AS T1 JOIN singer_in_concert AS T2 ON T1.singer_id = T2.singer_id",
+        {"singer", "singer_in_concert"},
+        {"singer.*", "singer.singer_id", "singer_in_concert.singer_id"},
+    ),
+    "* over a subquery": (
+        "SELECT * FROM (SELECT name FROM singer) AS d",
+        {"singer"}, {"singer.*", "singer.name"},
+    ),
+    "count(*) over a subquery": (
+        "SELECT count(*) FROM (SELECT * FROM singer WHERE age > 1) AS d",
+        {"singer"}, SINGER,
+    ),
+    "subquery over a set operation": (
+        "SELECT d.name FROM (SELECT name FROM singer UNION SELECT name FROM stadium) AS d",
+        {"singer", "stadium"}, {"singer.name", "stadium.name"},
+    ),
+    "nested subqueries": (
+        "SELECT d.x FROM (SELECT i.x FROM (SELECT age AS x FROM singer WHERE singer_id IN "
+        "(SELECT singer_id FROM singer_in_concert)) AS i) AS d",
+        {"singer", "singer_in_concert"},
+        {"singer.age", "singer.singer_id", "singer_in_concert.singer_id"},
+    ),
+    "correlated reference to a table": (
+        "SELECT x.name FROM singer AS x WHERE EXISTS "
+        "(SELECT 1 FROM singer_in_concert AS u WHERE u.singer_id = x.singer_id)",
+        {"singer", "singer_in_concert"},
+        {"singer.name", "singer.singer_id", "singer_in_concert.singer_id"},
+    ),
+    "correlated reference to a subquery": (
+        "SELECT x.n FROM (SELECT name AS n, singer_id AS b FROM singer) AS x WHERE EXISTS "
+        "(SELECT 1 FROM singer_in_concert AS u WHERE u.singer_id = x.b)",
+        {"singer", "singer_in_concert"},
+        {"singer.name", "singer.singer_id", "singer_in_concert.singer_id"},
+    ),
+    "select alias in ORDER BY and WHERE": (
+        "SELECT age + 1 AS older FROM singer WHERE older > 30 ORDER BY older",
+        {"singer"}, {"singer.age"},
+    ),
+    "base tables before subqueries": (
+        "SELECT age FROM (SELECT name AS age FROM stadium) AS d, singer",
+        {"singer", "stadium"}, {"singer.age", "stadium.name"},
+    ),
+    "unaliased subquery": (
+        "SELECT name FROM (SELECT name FROM singer)",
+        {"singer"}, {"singer.name"},
+    ),
+    "* over an unaliased subquery": (
+        "SELECT * FROM (SELECT name FROM singer)",
+        {"singer"}, {"singer.*", "singer.name"},
+    ),
+    "count(*) over an unaliased subquery": (
+        "SELECT count(*) FROM (SELECT * FROM singer WHERE age > 1)",
+        {"singer"}, SINGER,
+    ),
+    "unknown qualifier": ("SELECT z.name FROM singer", set(), None),
+    "column not exported": ("SELECT d.age FROM (SELECT name FROM singer) AS d", set(), None),
+    "column not in table": ("SELECT s.capacity FROM singer AS s", set(), None),
+    "column not in an unaliased subquery": (
+        "SELECT age FROM (SELECT name FROM singer)", set(), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SOURCE_CASES)
+def test_from_sources(schemas, case):
+    sql, tables, columns = SOURCE_CASES[case]
+    if columns is None:
+        with pytest.raises(ResolutionError):
+            refs(schemas, "concert_singer", sql)
+    else:
+        assert refs(schemas, "concert_singer", sql) == (tables, columns)
