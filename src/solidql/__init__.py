@@ -17,6 +17,7 @@ from .pipeline import PipelineResult, run_batch, run_item
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
     ExamplePair,
+    PoolItem,
     RetrievalIndex,
     build_index,
     extract_question_skeleton,
@@ -41,6 +42,7 @@ __all__ = [
     "LlmGateway",
     "OracleLinkingPredictor",
     "PipelineResult",
+    "PoolItem",
     "QuestionRewriter",
     "RemoteEmbeddings",
     "RetrievalIndex",

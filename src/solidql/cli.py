@@ -20,6 +20,7 @@ import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from . import pipeline as pl
 from .config import MODES, PREDICTORS, RunConfig
@@ -30,7 +31,15 @@ from .data import (
     write_sft_records,
 )
 from .embeddings import make_embedder
-from .errors import ConfigError, CorruptFileError, ProviderError, ReplayMiss, SolidQlError
+from .errors import (
+    ConfigError,
+    CorruptFileError,
+    ParseError,
+    ProviderError,
+    ReplayMiss,
+    ResolutionError,
+    SolidQlError,
+)
 from .evaluation import evaluate, write_report
 from .gateway import HttpChatProvider, LlmGateway, TranscriptStore
 from .linking import (
@@ -40,8 +49,8 @@ from .linking import (
     augment_dataset,
     build_sft_dataset,
 )
-from .retrieval import build_index, load_index, read_index_header, save_index
-from .schema import item_schemas, load_tables_json
+from .retrieval import PoolItem, build_index, load_index, read_index_header, save_index
+from .schema import DatabaseSchema, SchemaSubset, item_schemas, load_tables_json
 from .sql.parser import parse_sql
 from .sql.refs import extract_schema_refs
 
@@ -152,6 +161,27 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def parsed_pool(dataset: Sequence[dict], schemas: Sequence[DatabaseSchema]) -> Iterator[PoolItem]:
+    """Each dataset item as a pool item, its statement parsed once.
+
+    The one tree gives both the linked subset, the masking context
+    (empty when a name does not resolve), and the SQL skeleton. A
+    statement that does not parse is skipped and logged with its
+    dataset position.
+    """
+    for i, (record, schema) in enumerate(zip(dataset, schemas)):
+        try:
+            tree = parse_sql(record["query"])
+        except ParseError as exc:
+            logger.warning("skipping pool item %d (unparseable SQL): %s", i, exc)
+            continue
+        try:
+            linked = extract_schema_refs(tree, schema)
+        except ResolutionError:
+            linked = SchemaSubset()
+        yield PoolItem(record["question"], record["query"], tree, linked)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     config = make_config(args)
     require(config, "dataset", "tables", "output")
@@ -168,19 +198,9 @@ def cmd_index(args: argparse.Namespace) -> int:
                 f"current provider is {embedder.provider_id!r}; use --force to rebuild"
             )
 
-    linked = []
-    for record, schema in zip(dataset, schemas):
-        try:
-            linked.append(extract_schema_refs(parse_sql(record["query"]), schema))
-        except SolidQlError:
-            linked.append(None)
     gateway = make_gateway(config) if config.transcripts else None
     index = build_index(
-        [(r["question"], r["query"]) for r in dataset],
-        embedder,
-        gateway=gateway,
-        model_id=config.linking_model,
-        linked=linked,
+        parsed_pool(dataset, schemas), embedder, gateway=gateway, model_id=config.linking_model
     )
     save_index(index, out_path)
     print(f"pool size: {len(index)}  provider: {index.provider_id}")

@@ -28,19 +28,31 @@ class EmbeddingProvider(Protocol):
 
 
 class HashedBagOfTokens:
-    """Deterministic test/CI provider: token counts hashed into 256 buckets."""
+    """Deterministic test/CI provider: token counts hashed into 256 buckets.
+
+    A token's bucket is the first four bytes of its md5 digest, big-endian,
+    modulo 256. Each instance remembers the bucket of every token it has
+    seen, so a token is hashed once however often it occurs.
+    """
 
     provider_id = "hashed-bow-256-v1"
     dimension = 256
+
+    def __init__(self) -> None:
+        # Threads may race to add a token; each computes the same bucket.
+        self._buckets: dict[str, int] = {}
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         return [self._embed_one(text) for text in texts]
 
     def _embed_one(self, text: str) -> list[float]:
         vector = [0.0] * self.dimension
+        buckets = self._buckets
         for token in _TOKEN_RE.findall(text.lower()):
-            digest = hashlib.md5(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
+            bucket = buckets.get(token)
+            if bucket is None:
+                digest = hashlib.md5(token.encode("utf-8")).digest()
+                bucket = buckets[token] = int.from_bytes(digest[:4], "big") % self.dimension
             vector[bucket] += 1.0
         return vector
 

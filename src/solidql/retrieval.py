@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .embeddings import EmbeddingProvider
 from .errors import ConfigError, ParseError
@@ -52,6 +52,7 @@ from .skeleton import (
     traversal_lower_bound,
     tree_edit_distance,
 )
+from .sql.nodes import Node
 
 logger = logging.getLogger(__name__)
 
@@ -164,6 +165,7 @@ class QuestionSkeleton:
 
 _WORD_RE = re.compile(r"'[^']*'|\"[^\"]*\"|\w+|[^\w\s]")
 _NUMBER_RE = re.compile(r"\d[\d.,]*$")
+_PUNCTUATION_RE = re.compile(r"[^\w\s]")  # joined to the token before it
 
 
 def _mask_vocabulary(linked: SchemaSubset) -> set[str]:
@@ -202,7 +204,7 @@ def rule_based_question_skeleton(question: str, linked: SchemaSubset) -> str:
     for token in out:
         if not text:
             text = token
-        elif re.match(r"[^\w\s]", token):
+        elif _PUNCTUATION_RE.match(token):
             text += token
         else:
             text += " " + token
@@ -362,35 +364,37 @@ def retrieve_by_sql_skeleton(
 # ----------------------------------------------------------------------
 
 
+class PoolItem(NamedTuple):
+    """One pool statement as ``build_index`` reads it: parsed once, by the caller."""
+
+    question: str
+    sql: str
+    tree: Node  # the parse of ``sql``
+    linked: SchemaSubset = SchemaSubset()  # masking context for the question
+
+
 def build_index(
-    pairs: Sequence[tuple[str, str]],
+    items: Iterable[PoolItem],
     embedder: EmbeddingProvider,
     *,
     gateway: LlmGateway | None = None,
     model_id: str = "",
-    linked: Sequence[SchemaSubset | None] | None = None,
 ) -> RetrievalIndex:
-    """Precompute skeletons and embeddings for a (question, sql) pool.
+    """Precompute skeletons and embeddings for a pool, numbered in the order given.
 
-    ``linked`` optionally supplies the linked subset per item as masking
-    context. Items whose SQL does not parse are skipped and logged.
-    Embeddings of mixed lengths raise ``ValueError``. Rebuilding from
-    identical inputs yields an identical index.
+    ``items`` is read once, item by item, and only each item's skeletons
+    are kept, so a generator that parses as it goes never holds more
+    than one parse tree. Embeddings of mixed lengths raise
+    ``ValueError``. Rebuilding from identical inputs yields an identical
+    index.
     """
-    kept: list[tuple[str, str, str, SqlSkeleton]] = []
-    skipped = 0
-    for i, (question, sql) in enumerate(pairs):
-        try:
-            s_skeleton = SqlSkeleton.from_sql(sql)
-        except ParseError as exc:
-            skipped += 1
-            logger.warning("skipping pool item %d (unparseable SQL): %s", i, exc)
-            continue
-        subset = (linked[i] if linked is not None else None) or SchemaSubset()
-        q_skeleton = extract_question_skeleton(question, subset, gateway, model_id).text
-        kept.append((question, sql, q_skeleton, s_skeleton))
-
-    embeddings = embedder.embed([item[2] for item in kept]) if kept else []
+    kept = [
+        (item.question, item.sql,
+         extract_question_skeleton(item.question, item.linked, gateway, model_id).text,
+         SqlSkeleton.from_tree(item.tree))
+        for item in items
+    ]
+    embeddings = embedder.embed([q_skeleton for _, _, q_skeleton, _ in kept]) if kept else []
     dimension = embedder.dimension or (len(embeddings[0]) if embeddings else 0)
     if any(len(vector) != dimension for vector in embeddings):
         raise ValueError(f"embeddings of mixed lengths; expected {dimension}")
@@ -407,8 +411,6 @@ def build_index(
             zip(kept, embeddings)
         )
     ]
-    if skipped:
-        logger.info("index built with %d items, %d skipped", len(pool), skipped)
     return RetrievalIndex(pool=pool, provider_id=embedder.provider_id, dimension=dimension)
 
 

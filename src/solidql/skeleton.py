@@ -52,10 +52,15 @@ class SqlSkeleton:
         return _mask(parse_sql(self.text))
 
     @classmethod
+    def from_tree(cls, tree: Node) -> "SqlSkeleton":
+        """Mask a parsed statement's identifiers and values into placeholders."""
+        masked = _mask(tree)
+        return cls(text=render_sql(masked), compiled=compile_tree(masked))
+
+    @classmethod
     def from_sql(cls, sql: str) -> "SqlSkeleton":
         """Parse a statement and mask its identifiers and values into placeholders."""
-        tree = _mask(parse_sql(sql))
-        return cls(text=render_sql(tree), compiled=compile_tree(tree))
+        return cls.from_tree(parse_sql(sql))
 
     @classmethod
     def from_text(cls, text: str) -> "SqlSkeleton":

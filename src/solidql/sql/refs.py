@@ -10,7 +10,9 @@ to all columns.
 A scope's FROM sources, base tables and subqueries aliased or not, are
 one list of ``_Source`` records. Names resolve against its base tables,
 then its subqueries, each in FROM order, then its select aliases, then
-the enclosing scope. A FROM subquery sees the enclosing scope, not its
+the enclosing scope. A select alias is not visible inside its own
+expansion, so an alias that names itself, or aliases that name each
+other, resolve past it. A FROM subquery sees the enclosing scope, not its
 sibling sources.
 """
 
@@ -62,6 +64,7 @@ class _Scope:
         self.parent = parent
         self.sources: list[_Source] = []  # base tables, then subqueries, each in FROM order
         self.select_aliases: dict[str, Node] = {}
+        self.expanding: set[str] = set()  # select aliases whose expressions are being resolved
 
 
 class _RefExtractor:
@@ -191,7 +194,11 @@ class _RefExtractor:
             for source in current.sources:
                 if name in source.columns:
                     return source.columns[name]
-            if name in current.select_aliases:
-                return self.collect_columns(current.select_aliases[name], current)
+            if name in current.select_aliases and name not in current.expanding:
+                current.expanding.add(name)
+                try:
+                    return self.collect_columns(current.select_aliases[name], current)
+                finally:
+                    current.expanding.discard(name)
             current = current.parent
         raise ResolutionError(f"unknown column {raw!r}")

@@ -13,7 +13,14 @@ import random
 import re
 
 from solidql.gateway import ChatRequest
+from solidql.retrieval import PoolItem
 from solidql.sql.nodes import Node
+from solidql.sql.parser import parse_sql
+
+
+def pool_items(pairs):
+    """(question, sql) pairs as ``build_index`` reads them, each statement parsed."""
+    return (PoolItem(question, sql, parse_sql(sql)) for question, sql in pairs)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from support import (
     brute_force_question_ranking,
     brute_force_sql_ranking,
     oracle_tree_distance,
+    pool_items,
     random_statement,
     random_statement_pair,
     random_tree,
@@ -126,7 +127,7 @@ def test_criterion_05_retrieval_oracle(tmp_path):
         question = f"question variant {len(pool_pairs)} about {sql.split('FROM', 1)[1].split()[0]}"
         pool_pairs.append((question, sql))
     embedder = HashedBagOfTokens()
-    index = build_index(pool_pairs, embedder)
+    index = build_index(pool_items(pool_pairs), embedder)
     assert len(index) == 2000
     save_index(index, tmp_path / "index.jsonl")
     loaded = load_index(tmp_path / "index.jsonl")
@@ -316,7 +317,7 @@ def test_criterion_09b_focus_switch_alters_exact_bytes(schemas):
     schema = schemas["shop"]
     linked = SchemaSubset.build(["employee"], ["employee.name", "employee.age"])
     index = build_index(
-        [("how many employees", "SELECT count(*) FROM employee")], HashedBagOfTokens()
+        pool_items([("how many employees", "SELECT count(*) FROM employee")]), HashedBagOfTokens()
     )
     for question in GENERATIONS:
         on = build_prompt(question, schema, linked, index.pool, focus_enabled=True)
@@ -331,7 +332,7 @@ def test_criterion_09b_focus_switch_alters_exact_bytes(schemas):
 def test_criterion_10_prompt_ablation_contract(schemas, shop_dataset, shop_pool, databases_root):
     """focus on in 100% of focused prompts with non-empty subsets; 0% without."""
     index = build_index(
-        [(r["question"], r["query"]) for r in shop_pool], HashedBagOfTokens()
+        pool_items((r["question"], r["query"]) for r in shop_pool), HashedBagOfTokens()
     )
     for focus_enabled, expected_rate in ((True, 1.0), (False, 0.0)):
         provider = make_provider()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -800,6 +801,82 @@ def test_cmd_index_on_two_hundred_item_pool(workspace, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 201  # header plus one line per example
     assert load_index(out).dimension == 256
+
+
+# sha256 of ``solidql index`` over shop_pool.json and tables.json: a change
+# to parsing, masking, hashing or the file format that alters a byte shows here.
+SHOP_POOL_INDEX_SHA256 = "3ae6b364c2d844933dc7cf3da525660e4fa2f3ad8549552f3f8e3f7813b0e21a"
+
+
+def test_cmd_index_output_is_pinned(workspace, tmp_path):
+    out = tmp_path / "index.jsonl"
+    code = main([
+        "index",
+        "--dataset", str(FIXTURES / "shop_pool.json"),
+        "--tables", str(FIXTURES / "tables.json"),
+        "--output", str(out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHOP_POOL_INDEX_SHA256
+
+
+def test_cmd_index_parses_each_pool_item_once(workspace, tmp_path, monkeypatch, caplog):
+    import solidql.cli
+    import solidql.skeleton
+
+    statements = ["SELECT name FROM singer", "SELECT FROM WHERE", "SELECT count(*) FROM concert",
+                  "SELECT name FROM singer WHERE age > (SELECT avg(age) FROM singer)"]
+    records = [{"question": f"question {i}", "db_id": "concert_singer", "query": sql}
+               for i, sql in enumerate(statements)]
+    dataset = tmp_path / "pool.json"
+    dataset.write_text(json.dumps(records))
+    parsed = []
+    parse_sql = solidql.cli.parse_sql
+
+    def counting_parse(sql):
+        parsed.append(sql)
+        return parse_sql(sql)
+
+    def refuse(sql):
+        raise AssertionError(f"{sql!r} parsed again for its skeleton")
+
+    monkeypatch.setattr(solidql.cli, "parse_sql", counting_parse)
+    monkeypatch.setattr(solidql.skeleton, "parse_sql", refuse)
+    out = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        code = main(["index", "--dataset", str(dataset), "--tables", str(workspace / "tables.json"),
+                     "--output", str(out)])
+    assert code == 0
+    assert parsed == statements
+    skipped = [r.getMessage() for r in caplog.records if "unparseable" in r.getMessage()]
+    assert len(skipped) == 1 and skipped[0].startswith("skipping pool item 1 (unparseable SQL)")
+    lines = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [(r["pool_index"], r["question"]) for r in lines] == [
+        (0, "question 0"), (1, "question 2"), (2, "question 3"),
+    ]
+
+
+def test_cmd_index_masks_an_alias_cycle_by_rule(workspace, tmp_path, capsys):
+    from solidql.retrieval import rule_based_question_skeleton
+    from solidql.schema import SchemaSubset
+
+    records = [
+        {"question": "What is the foo of each singer?", "db_id": "concert_singer",
+         "query": "SELECT foo AS foo FROM singer"},
+        {"question": "What are the names of singers?", "db_id": "concert_singer",
+         "query": "SELECT name FROM singer"},
+    ]
+    dataset = tmp_path / "pool.json"
+    dataset.write_text(json.dumps(records))
+    out = tmp_path / "index.jsonl"
+    code = main(["index", "--dataset", str(dataset), "--tables", str(workspace / "tables.json"),
+                 "--output", str(out)])
+    assert code == 0
+    assert "pool size: 2" in capsys.readouterr().out
+    first, second = load_index(out).pool
+    assert first.q_skeleton == rule_based_question_skeleton(first.question, SchemaSubset())
+    assert first.q_skeleton == "What is the foo of each singer?"
+    assert second.q_skeleton == "What are the _ of _?"
 
 
 def test_missing_tables_file_exits_two(workspace, capsys):

@@ -25,7 +25,7 @@ from solidql.pipeline import (
 from solidql.retrieval import build_index, retrieve_by_question_skeleton
 from solidql.schema import SchemaSubset
 
-from support import FakeChatProvider
+from support import FakeChatProvider, pool_items
 
 QUESTIONS = {
     "What are the names of all employees?": "SELECT name FROM employee",
@@ -47,7 +47,7 @@ SKELETONS = {
 @pytest.fixture()
 def fixture_index(shop_pool):
     return build_index(
-        [(r["question"], r["query"]) for r in shop_pool], HashedBagOfTokens()
+        pool_items((r["question"], r["query"]) for r in shop_pool), HashedBagOfTokens()
     )
 
 

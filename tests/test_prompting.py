@@ -15,6 +15,8 @@ from solidql.retrieval import build_index
 from solidql.embeddings import HashedBagOfTokens
 from solidql.schema import SchemaSubset
 
+from support import pool_items
+
 
 @pytest.fixture()
 def shop_schema(schemas):
@@ -24,10 +26,10 @@ def shop_schema(schemas):
 @pytest.fixture()
 def example_pairs():
     index = build_index(
-        [
+        pool_items([
             ("how many employees are there", "SELECT count(*) FROM employee"),
             ("names of all shops", "SELECT name FROM shop"),
-        ],
+        ]),
         HashedBagOfTokens(),
     )
     return index.pool

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
 import solidql.retrieval
+from solidql.cli import parsed_pool
 from solidql.embeddings import HashedBagOfTokens, cosine_similarity, make_embedder
 from solidql.errors import ConfigError, ZeroVectorError
 from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.retrieval import (
+    PoolItem,
     build_index,
     extract_question_skeleton,
     load_index,
@@ -22,11 +26,13 @@ from solidql.retrieval import (
     save_index,
 )
 from solidql.schema import SchemaSubset
+from solidql.sql.parser import parse_sql
 
 from support import (
     FakeChatProvider,
     brute_force_question_ranking,
     brute_force_sql_ranking,
+    pool_items,
     random_statement,
 )
 
@@ -43,6 +49,30 @@ def test_hashed_embedder_is_deterministic():
     assert first == second
     assert len(first[0]) == 256
     assert sum(first[0]) == 6.0  # six tokens, underscores included
+
+
+def md5_bucket_counts(text):
+    """The hashed embedder's definition, computed afresh for every token occurrence."""
+    vector = [0.0] * 256
+    for token in re.findall(r"[a-z0-9_]+", text.lower()):
+        vector[int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:4], "big") % 256] += 1.0
+    return vector
+
+
+def test_hashed_embedder_matches_md5_bucket_counts():
+    texts = ["how many _ are there", "the _ of the _ of the _ THE _", "_ _ _", "", "Ünïcode café 42 café"]
+    assert sum(md5_bucket_counts(texts[1])) == 10.0 and max(md5_bucket_counts(texts[1])) >= 3.0
+    expected = [md5_bucket_counts(text) for text in texts]
+    embedder = HashedBagOfTokens()
+    first = embedder.embed(texts)
+    assert first == expected
+    second = embedder.embed(list(reversed(texts)))  # a second call, tokens already seen
+    assert second == list(reversed(expected))
+    assert HashedBagOfTokens().embed(texts[1:3]) == expected[1:3]  # another instance
+    first[0][0] += 1.0  # each call returns fresh lists
+    again = embedder.embed(texts[:1])
+    assert again == expected[:1]
+    assert again[0] is not first[0] and again[0] is not second[-1]
 
 
 def test_make_embedder_rejects_unknown():
@@ -120,7 +150,7 @@ def small_index():
         ("names of singers older than thirty", "SELECT name FROM singer WHERE age > 30"),
         ("how many stadiums are there", "SELECT count(*) FROM stadium"),
     ]
-    return build_index(pairs, embedder), embedder
+    return build_index(pool_items(pairs), embedder), embedder
 
 
 def test_truncation_to_pool_size(small_index):
@@ -140,7 +170,7 @@ def test_tie_break_by_pool_index(small_index):
 def test_identical_embeddings_rank_by_index():
     embedder = HashedBagOfTokens()
     pairs = [("same words here", "SELECT a FROM t"), ("same words here", "SELECT b FROM u")]
-    index = build_index(pairs, embedder)
+    index = build_index(pool_items(pairs), embedder)
     result = retrieve_by_question_skeleton("same words here", index, 2, embedder)
     assert [p.pool_index for p in result] == [0, 1]
 
@@ -180,7 +210,7 @@ class FixedEmbedder:
 def fixed_index(vectors):
     embedder = FixedEmbedder(vectors)
     pairs = [(text, f"SELECT c{i} FROM t") for i, text in enumerate(vectors) if text != "target"]
-    return build_index(pairs, embedder), embedder
+    return build_index(pool_items(pairs), embedder), embedder
 
 
 def test_question_zero_norm_target_returns_nothing():
@@ -280,7 +310,7 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
         "SELECT a FROM t WHERE b = 1",
         "SELECT sum(a) FROM t",  # ... and a seventh, later in the pool
     ]
-    index = build_index([(f"question {i}", sql) for i, sql in enumerate(statements)], HashedBagOfTokens())
+    index = build_index(pool_items((f"question {i}", sql) for i, sql in enumerate(statements)), HashedBagOfTokens())
     target = SqlSkeleton.from_sql("SELECT c FROM v")
     distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
     assert sorted(d for _, d in distances).count(1) == 8
@@ -336,7 +366,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
         "SELECT a, b FROM t ORDER BY a LIMIT 1",  # ring 4, distance 4
         "SELECT c, d FROM u ORDER BY c",  # the skeleton of item 0
     ]
-    index = build_index([(f"question {i}", sql) for i, sql in enumerate(statements)], HashedBagOfTokens())
+    index = build_index(pool_items((f"question {i}", sql) for i, sql in enumerate(statements)), HashedBagOfTokens())
     target = SqlSkeleton.from_sql("SELECT x, y FROM v")
     rings = [(abs(len(p.s_skeleton.compiled.postorder) - 6), tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
     assert rings == [
@@ -354,7 +384,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
     # On a pool of wide size spread, the rings leave groups unbounded.
     rng = random.Random(41)
     pool = [(f"question {i}", random_statement(rng)) for i in range(300)]
-    index = build_index(pool, HashedBagOfTokens())
+    index = build_index(pool_items(pool), HashedBagOfTokens())
     sizes = {len(p.s_skeleton.compiled.postorder) for p in index.pool}
     assert max(sizes) - min(sizes) > 20
     groups = len({p.s_skeleton.text for p in index.pool})
@@ -393,7 +423,7 @@ def test_round2_work_gate(monkeypatch):
 
     rng = random.Random(909)
     pool = [(f"question {i}", random_statement(rng)) for i in range(2000)]
-    index = build_index(pool, HashedBagOfTokens())
+    index = build_index(pool_items(pool), HashedBagOfTokens())
     targets = [(random_statement(rng), None) for _ in range(20)]
     targets += [(sql, question) for question, sql in pool[::200]]  # self-excluded
     tree_edit_distance = retrieval.tree_edit_distance
@@ -422,20 +452,24 @@ def test_empty_pool_builds_empty_index(tmp_path):
     assert len(load_index(tmp_path / "idx.jsonl")) == 0
 
 
-def test_unparseable_sql_skipped():
-    index = build_index(
-        [("good", "SELECT a FROM t"), ("bad", "NOT SQL AT ALL")], HashedBagOfTokens()
-    )
-    assert len(index) == 1
-    assert [p.pool_index for p in index.pool] == [0]
+def test_unparseable_sql_skipped(schemas, caplog):
+    records = [{"question": q, "query": sql} for q, sql in
+               [("bad", "NOT SQL AT ALL"), ("good", "SELECT name FROM singer"), ("worse", "SELECT")]]
+    items = parsed_pool(records, [schemas["concert_singer"]] * 3)
+    index = build_index(items, HashedBagOfTokens())
+    assert [(p.question, p.pool_index) for p in index.pool] == [("good", 0)]
+    skipped = [r.getMessage() for r in caplog.records if "unparseable" in r.getMessage()]
+    assert [m.split(":")[0] for m in skipped] == [
+        "skipping pool item 0 (unparseable SQL)", "skipping pool item 2 (unparseable SQL)",
+    ]
 
 
 def test_rebuild_is_byte_identical(tmp_path):
     pairs = [("q one", "SELECT a FROM t"), ("q two", "SELECT b FROM u WHERE c > 1")]
     first_path = tmp_path / "first.jsonl"
     second_path = tmp_path / "second.jsonl"
-    save_index(build_index(pairs, HashedBagOfTokens()), first_path)
-    save_index(build_index(pairs, HashedBagOfTokens()), second_path)
+    save_index(build_index(pool_items(pairs), HashedBagOfTokens()), first_path)
+    save_index(build_index(pool_items(pairs), HashedBagOfTokens()), second_path)
     assert first_path.read_bytes() == second_path.read_bytes()
 
 
@@ -503,7 +537,7 @@ def test_load_builds_skeletons_without_parsing(tmp_path, small_index, monkeypatc
 def test_interrupted_save_leaves_the_previous_index(tmp_path, small_index, monkeypatch):
     index, embedder = small_index
     path = tmp_path / "idx.jsonl"
-    save_index(build_index([("q", "SELECT a FROM t")], embedder), path)
+    save_index(build_index(pool_items([("q", "SELECT a FROM t")]), embedder), path)
     before = path.read_bytes()
     dumps, lines = json.dumps, []
 
@@ -526,12 +560,12 @@ def test_index_uses_gateway_skeletons_with_linked_context(schemas):
         skeletons={"what are the names of singers": "what are the _ of _"}
     )
     gateway = LlmGateway(mode="live", provider=provider)
-    linked = [SchemaSubset.build(["singer"], ["singer.name"])]
+    sql = "SELECT name FROM singer"
+    linked = SchemaSubset.build(["singer"], ["singer.name"])
     index = build_index(
-        [("what are the names of singers", "SELECT name FROM singer")],
+        [PoolItem("what are the names of singers", sql, parse_sql(sql), linked)],
         HashedBagOfTokens(),
         gateway=gateway,
         model_id="m",
-        linked=linked,
     )
     assert index.pool[0].q_skeleton == "what are the _ of _"

@@ -206,6 +206,26 @@ SOURCE_CASES = {
     "column not in an unaliased subquery": (
         "SELECT age FROM (SELECT name FROM singer)", set(), None,
     ),
+    "alias named after its own column": (
+        "SELECT name AS name FROM singer ORDER BY name",
+        {"singer"}, {"singer.name"},
+    ),
+    "self-named alias over an enclosing column": (
+        "SELECT name FROM singer WHERE EXISTS (SELECT age AS age FROM stadium)",
+        {"singer", "stadium"}, {"singer.name", "singer.age"},
+    ),
+    # select aliases whose expansion reaches themselves; SQLite: "no such column"
+    "alias naming itself": ("SELECT foo AS foo FROM singer", set(), None),
+    "alias naming itself, used in ORDER BY": (
+        "SELECT foo AS foo FROM singer ORDER BY foo", set(), None,
+    ),
+    "two aliases naming each other": ("SELECT a AS b, b AS a FROM singer", set(), None),
+    "three aliases in a ring, used in WHERE": (
+        "SELECT b AS a, c AS b, a AS c FROM singer WHERE a > 1", set(), None,
+    ),
+    "alias naming itself in a subquery": (
+        "SELECT name FROM singer WHERE age IN (SELECT foo AS foo FROM stadium)", set(), None,
+    ),
 }
 
 
@@ -217,3 +237,4 @@ def test_from_sources(schemas, case):
             refs(schemas, "concert_singer", sql)
     else:
         assert refs(schemas, "concert_singer", sql) == (tables, columns)
+
