@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -49,7 +49,8 @@ class RunConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):  # NaN would set no deadline
+        # refuses NaN, which would set no deadline, ±Infinity and integers beyond float range
+        if not 0 < self.timeout <= sys.float_info.max:
             raise ConfigError(f"timeout must be a finite number > 0, got {self.timeout}")
 
     @property

@@ -84,7 +84,9 @@ def _parsed(path: str | Path, number: int, raw: bytes, shape: Any, parse: Callab
         value = json.loads(raw.decode("utf-8"))
         conform(value, shape)
         return parse(value)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+    # ValueError covers JSONDecodeError and UnicodeDecodeError; OverflowError,
+    # an integer beyond float range where a float is needed
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # a decode error is given by its message, since its repr holds every byte of the line
         detail = str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)
         raise CorruptFileError(f"{path}, line {number}: malformed {what} ({detail})") from None
@@ -97,7 +99,8 @@ def read_records(path: str | Path, shape: Any, parse: Callable[[Any], T],
 
     ``CorruptFileError`` names the file and the first line, blank or torn
     included, that does not decode or conform or that ``parse`` rejects
-    with ``KeyError``, ``TypeError`` or ``ValueError``; an empty file's is 1.
+    with ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``;
+    an empty file's is 1.
     """
     with open(path, "rb") as handle:
         # line 1 is read even from an empty file, which is then malformed there

@@ -6,7 +6,9 @@ parse trees. Both rankings are exact and break ties by pool index, so
 they are total orders and stable across runs.
 
 Round 1 scans the whole pool, but takes each dot product over the
-target's non-zero buckets only. Round 2 is a multi-step k-nearest-
+target's non-zero buckets only. Each pool embedding is held as one packed
+``array('d')`` row: its values are read as contiguous doubles, not as
+separately allocated float objects. Round 2 is a multi-step k-nearest-
 neighbour search (Seidl & Kriegel, SIGMOD 1998) over the distinct
 skeletons. A min-heap holds them keyed by (lower bound on the distance,
 first pool index). Skeletons enter it in size rings outward from the
@@ -31,7 +33,8 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -71,7 +74,7 @@ class ExamplePair:
     question: str
     sql: str
     q_skeleton: str
-    q_embedding: tuple[float, ...]
+    q_embedding: array = field(hash=False)  # array('d') of the index's dimension
     s_skeleton: SqlSkeleton
     pool_index: int
 
@@ -384,9 +387,11 @@ def build_index(
 
     ``items`` is read once, item by item, and only each item's skeletons
     are kept, so a generator that parses as it goes never holds more
-    than one parse tree. Embeddings of mixed lengths raise
-    ``ValueError``. Rebuilding from identical inputs yields an identical
-    index.
+    than one parse tree. Each embedding is packed into an ``array('d')``
+    row and the embedder's vector dropped, so the two are never all held
+    at once. Embeddings of mixed lengths, or holding a value that is not
+    a number within float range, raise ``ValueError``. Rebuilding from
+    identical inputs yields an identical index.
     """
     kept = [
         (item.question, item.sql,
@@ -398,19 +403,14 @@ def build_index(
     dimension = embedder.dimension or (len(embeddings[0]) if embeddings else 0)
     if any(len(vector) != dimension for vector in embeddings):
         raise ValueError(f"embeddings of mixed lengths; expected {dimension}")
-    pool = [
-        ExamplePair(
-            question=question,
-            sql=sql,
-            q_skeleton=q_skeleton,
-            q_embedding=tuple(vector),
-            s_skeleton=s_skeleton,
-            pool_index=index,
-        )
-        for index, ((question, sql, q_skeleton, s_skeleton), vector) in enumerate(
-            zip(kept, embeddings)
-        )
-    ]
+    pool: list[ExamplePair] = []
+    for index, (question, sql, q_skeleton, s_skeleton) in enumerate(kept):
+        try:
+            row = array("d", embeddings[index])
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"embedding {index} is not numbers within float range: {exc}") from None
+        embeddings[index] = None
+        pool.append(ExamplePair(question, sql, q_skeleton, row, s_skeleton, index))
     return RetrievalIndex(pool=pool, provider_id=embedder.provider_id, dimension=dimension)
 
 
@@ -426,7 +426,7 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
             "question": pair.question,
             "sql": pair.sql,
             "q_skeleton": pair.q_skeleton,
-            "q_embedding": list(pair.q_embedding),
+            "q_embedding": pair.q_embedding.tolist(),
             "s_skeleton": pair.s_skeleton.text,
             "s_postorder": pair.s_skeleton.compiled.postorder,
             "s_leftmost": pair.s_skeleton.compiled.leftmost,
@@ -455,8 +455,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
     and the line, is raised for a header that ``read_index_header``
     refuses, and for any later line that does not decode, is not of shape
     ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that is
-    not ``dimension`` finite numbers, or skeleton arrays that do not
-    describe a tree or differ between records of one text.
+    not ``dimension`` finite numbers within float range, or skeleton
+    arrays that do not describe a tree or differ between records of one
+    text. Each ``q_embedding`` is held as an ``array('d')`` row.
     """
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
@@ -483,14 +484,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
         if len(embedding) != dimension:
             raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
         # one C-level sum: TypeError unless every value is a number (a bool
-        # passes, as 0 or 1), not finite if any value is NaN or infinite
+        # passes, as 0 or 1), OverflowError for an integer beyond float
+        # range, not finite if any value is NaN or infinite
         if not math.isfinite(sum(embedding)):
             raise ValueError("q_embedding holds a value that is not finite")
         return ExamplePair(
             question=record["question"],
             sql=record["sql"],
             q_skeleton=record["q_skeleton"],
-            q_embedding=tuple(embedding),
+            q_embedding=array("d", embedding),
             s_skeleton=skeleton,
             pool_index=len(pool),
         )

@@ -56,7 +56,7 @@ class _Source(NamedTuple):
 
     names: tuple[str, ...]  # qualifiers: a table's name and alias, a subquery's alias
     columns: dict[str, set[str]]  # lowercase name -> refs: a table's columns, a subquery's exports
-    star: set[str]  # ``*`` over it: ``<table>.*``, or exports plus the inner tables' ``<table>.*``
+    star: set[str]  # ``*`` over it: ``<table>.*``, or exports plus its own sources' stars
 
 
 class _Scope:
@@ -86,7 +86,7 @@ class _RefExtractor:
         for item in items:
             if item.kind == COLUMN_ALIAS:
                 scope.select_aliases[normalize_identifier(item.text)] = item.children[0]
-        tables = self.add_sources(node, scope)
+        self.add_sources(node, scope)
         for clause in node.children:
             if clause.text == "select":
                 for item in items:
@@ -98,10 +98,10 @@ class _RefExtractor:
             elif clause.text in ("where", "having", "group_by", "order_by"):
                 for child in clause.children:
                     self.visit_expr(child, scope)
-        return None if names is None else self.derive(names, items, scope, tables)
+        return None if names is None else self.derive(names, items, scope)
 
-    def add_sources(self, node: Node, scope: _Scope) -> list[_Source]:
-        """Fill ``scope.sources`` from the FROM clause; return its base tables."""
+    def add_sources(self, node: Node, scope: _Scope) -> None:
+        """Fill ``scope.sources`` from the FROM clause."""
         tables: list[_Source] = []
         subqueries: list[_Source] = []
         from_clause = node.clause("from")
@@ -116,7 +116,6 @@ class _RefExtractor:
             else:  # the parser allows only a subquery here
                 subqueries.append(self.visit_query(source, scope.parent, names))
         scope.sources = tables + subqueries
-        return tables
 
     def table_source(self, ref: Node, alias: tuple[str, ...]) -> _Source:
         name = normalize_identifier(ref.text)
@@ -127,19 +126,19 @@ class _RefExtractor:
         columns = {c.name.lower(): {f"{name}.{c.name.lower()}"} for c in table.columns}
         return _Source((name, *alias), columns, {f"{name}.*"})
 
-    def derive(self, names: tuple[str, ...], items: list[Node], scope: _Scope,
-               tables: list[_Source]) -> _Source:
-        """A subquery as a source: the columns its select list exports."""
+    def derive(self, names: tuple[str, ...], items: list[Node], scope: _Scope) -> _Source:
+        """A subquery as a source: the columns its select list exports; a
+        ``*`` exports those of each of its own FROM sources."""
         exports: dict[str, set[str]] = {}
         for item in items:
             if item.kind in (COLUMN_ALIAS, COLUMN_REF):
                 name = item.text if item.kind == COLUMN_ALIAS else split_qualified(item.text)[1]
                 exports[normalize_identifier(name)] = self.collect_columns(item, scope)
             elif item.kind == STAR:
-                for table in tables:
-                    for name, refs in table.columns.items():
+                for source in scope.sources:
+                    for name, refs in source.columns.items():
                         exports.setdefault(name, set()).update(refs)
-        star = set().union(*exports.values(), *(table.star for table in tables))
+        star = set().union(*exports.values(), *(source.star for source in scope.sources))
         return _Source(names, exports, star)
 
     def visit_expr(self, node: Node, scope: _Scope) -> None:

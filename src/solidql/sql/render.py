@@ -6,7 +6,9 @@ requires them, so ``parse(render(tree))`` reproduces ``tree``.
 
 ``render_sql(tree, canonical=True)`` additionally lowercases identifiers,
 function names, and literal keywords and normalizes quoted spans; this is
-the whole-statement canonical form used by exact-match scoring.
+the whole-statement canonical form used by exact-match scoring. An
+unqualified double-quoted column reference is the exception: SQLite may
+read it as a string, so it keeps its quotes and case.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ class _Renderer:
 
     def expr_with_prec(self, node: Node) -> tuple[str, int]:
         kind = node.kind
-        if kind in (COLUMN_REF, TABLE_REF):
+        if kind == COLUMN_REF:
+            return self.column(node.text), _ATOM_PRECEDENCE
+        if kind == TABLE_REF:
             return self.name(node.text), _ATOM_PRECEDENCE
         if kind == LITERAL:
             return self.literal(node.text), _ATOM_PRECEDENCE
@@ -223,6 +227,13 @@ class _Renderer:
         return f"{left} {keyword} {right}", prec
 
     # ------------------------------------------------------------------
+
+    def column(self, raw: str) -> str:
+        # SQLite reads an unqualified double-quoted column that matches no
+        # column as a string literal, whose case counts
+        if raw.startswith('"') and split_qualified(raw)[0] is None:
+            return raw
+        return self.name(raw)
 
     def name(self, raw: str) -> str:
         if not self.canonical or raw == "*":

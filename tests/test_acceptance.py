@@ -118,8 +118,8 @@ def test_criterion_04_metric_axioms():
 
 
 def test_criterion_05_retrieval_oracle(tmp_path):
-    """Both retrieval modes equal a brute-force scan on a 2,000-item pool;
-    round 2 also on the pool saved and loaded back."""
+    """Both retrieval modes equal a brute-force scan on a 2,000-item pool,
+    built and also saved and loaded back."""
     rng = random.Random(505)
     pool_pairs = []
     while len(pool_pairs) < 2000:
@@ -154,10 +154,11 @@ def test_criterion_05_retrieval_oracle(tmp_path):
             embedder.embed([target])[0], index.pool, len(index), exclude_question=excluded
         )
         for n in ns:
-            got = [p.pool_index for p in retrieve_by_question_skeleton(
-                target, index, n, embedder, exclude_question=excluded)]
-            assert got == expected[:n], (n, target, excluded)
-            checks += 1
+            for searched in (index, loaded):
+                got = [p.pool_index for p in retrieve_by_question_skeleton(
+                    target, searched, n, embedder, exclude_question=excluded)]
+                assert got == expected[:n], (n, target, excluded, searched is loaded)
+                checks += 1
     distances_by_sql: dict[str, list[tuple[int, int]]] = {}
     for sql, excluded in targets_sql:
         if sql not in distances_by_sql:

@@ -413,6 +413,7 @@ INDEX_CORRUPTIONS = {
     "embedding holds NaN": lambda lines: _embedding_value(lines, math.nan),
     "embedding holds Infinity": lambda lines: _embedding_value(lines, math.inf),
     "embedding holds -Infinity": lambda lines: _embedding_value(lines, -math.inf),
+    "embedding holds an integer beyond float range": lambda lines: _embedding_value(lines, 10**400),
 }
 
 
@@ -1044,6 +1045,7 @@ WRONG_CONFIG_TYPES = {
 OUT_OF_RANGE_CONFIG = [
     ("n_examples", 0), ("workers", 0), ("max_tokens", 0),
     ("timeout", -1), ("timeout", 0), ("timeout", float("nan")), ("timeout", float("inf")),
+    ("timeout", 10**400),
 ]
 
 
@@ -1063,7 +1065,7 @@ def test_config_value_of_wrong_type_exits_two(tmp_path, capsys):
     assert RunConfig.from_file(config_path) == RunConfig(timeout=5, rounds=1)
 
 
-FUZZ_VALUES = [None, 0, -1, 7, 2.5, "x", [], ["x"], {}, {"k": 1}, float("nan")]
+FUZZ_VALUES = [None, 0, -1, 7, 2.5, "x", [], ["x"], {}, {"k": 1}, float("nan"), 10**400]
 DELETE = "<delete>"
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -313,6 +314,20 @@ def test_exact_match_normalization():
     # unparseable inputs degrade to normalized string comparison
     assert exact_match("@@ weird", "@@  WEIRD")
     assert not exact_match("@@ weird", "@@ other")
+
+
+def test_exact_match_keeps_the_case_of_a_double_quoted_value(tmp_path):
+    # SQLite reads a double-quoted name that matches no column as a string
+    db = tmp_path / "cities.sqlite"
+    with closing(sqlite3.connect(db)) as connection:
+        connection.execute("CREATE TABLE t (a TEXT, b TEXT)")
+        connection.execute("INSERT INTO t VALUES ('x', 'Paris')")
+        connection.commit()
+    upper, lower = 'SELECT a FROM t WHERE b = "Paris"', 'SELECT a FROM t WHERE b = "paris"'
+    assert execute_sql(db, upper).rows == (("x",),)
+    assert execute_sql(db, lower).rows == ()
+    assert not exact_match(upper, lower)
+    assert exact_match(upper, 'select A from "T" where B = "Paris"')
 
 
 def test_exact_match_of_equal_texts_never_parses(monkeypatch):

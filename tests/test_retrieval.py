@@ -7,6 +7,9 @@ import json
 import math
 import random
 import re
+import sys
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -486,6 +489,63 @@ def test_save_load_round_trip(tmp_path, small_index):
             b.question, b.sql, b.q_skeleton, b.q_embedding, b.pool_index
         )
         assert a.s_skeleton == b.s_skeleton
+        assert a == b and hash(a) == hash(b)
+    for pair in index.pool + loaded.pool:  # built and loaded: one packed row each
+        row = pair.q_embedding
+        assert (type(row), row.typecode, len(row)) == (array, "d", index.dimension)
+
+
+class _FixedEmbedder:
+    """Returns the given vectors, as a remote provider might."""
+
+    provider_id = "fixed-test"
+    dimension = 0
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return [list(vector) for vector in self.vectors]
+
+
+@pytest.mark.parametrize("vectors", [
+    [[1.0, 2.0], [1.0]], [[1.0, "2"], [1.0, 2.0]], [[1.0, 2.0], [1.0, 10**400]],
+])
+def test_build_index_refuses_embeddings_it_cannot_pack(vectors):
+    pairs = [("q one", "SELECT a FROM t"), ("q two", "SELECT b FROM u")]
+    with pytest.raises(ValueError):
+        build_index(pool_items(pairs), _FixedEmbedder(vectors))
+
+
+class _WideEmbedder:
+    """Dense vectors of distinct float objects, which nothing but the caller keeps."""
+
+    provider_id = "wide-test"
+    dimension = 16384
+
+    def embed(self, texts):
+        return [[float(i + k) for k in range(self.dimension)] for i in range(len(texts))]
+
+
+def test_build_index_drops_each_vector_once_packed():
+    # every vector and every packed row held at once would take vectors_bytes + rows_bytes
+    pairs = [(f"question {i}", "SELECT a FROM t WHERE b > 1") for i in range(16)]
+    embedder = _WideEmbedder()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vectors = embedder.embed([question for question, _ in pairs])
+        vectors_bytes = tracemalloc.get_traced_memory()[0] - start
+        del vectors
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        index = build_index(pool_items(pairs), embedder)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    rows_bytes = sum(sys.getsizeof(pair.q_embedding) for pair in index.pool)
+    assert rows_bytes > vectors_bytes / 5
+    assert peak < vectors_bytes + rows_bytes / 2, (peak, vectors_bytes, rows_bytes)
 
 
 def test_load_reads_embedding_booleans_as_numbers(tmp_path, small_index):

@@ -200,11 +200,26 @@ SOURCE_CASES = {
         "SELECT count(*) FROM (SELECT * FROM singer WHERE age > 1)",
         {"singer"}, SINGER,
     ),
+    "* over a nested subquery": (
+        "SELECT d.x FROM (SELECT * FROM (SELECT name AS x FROM singer) AS i) AS d",
+        {"singer"}, {"singer.*", "singer.name"},
+    ),
+    "* over an unaliased nested subquery": (
+        "SELECT x FROM (SELECT * FROM (SELECT name AS x FROM singer))",
+        {"singer"}, {"singer.*", "singer.name"},
+    ),
+    "* over a table and a nested subquery": (
+        "SELECT d.x, d.age FROM (SELECT * FROM (SELECT name AS x FROM stadium) AS i, singer) AS d",
+        {"singer", "stadium"}, {"singer.*", "singer.age", "stadium.*", "stadium.name"},
+    ),
     "unknown qualifier": ("SELECT z.name FROM singer", set(), None),
     "column not exported": ("SELECT d.age FROM (SELECT name FROM singer) AS d", set(), None),
     "column not in table": ("SELECT s.capacity FROM singer AS s", set(), None),
     "column not in an unaliased subquery": (
         "SELECT age FROM (SELECT name FROM singer)", set(), None,
+    ),
+    "column not exported by a nested *": (
+        "SELECT d.age FROM (SELECT * FROM (SELECT name AS x FROM singer) AS i) AS d", set(), None,
     ),
     "alias named after its own column": (
         "SELECT name AS name FROM singer ORDER BY name",
