@@ -16,14 +16,21 @@ target's node count, ring r holding those with r more or fewer nodes:
 the label-multiset bound is at least r there, so ring r is pushed only
 once the head's key reaches r. A skeleton's first pop replaces its
 label bound by its traversal-string bound; if that is larger, it goes
-back into the heap under the larger key, and otherwise, as on its
-second pop, it is scored with the exact tree edit distance. Once n
+back into the heap under the larger key, and otherwise, as on a later
+pop, it is scored with the tree edit distance bounded by a limit. Once n
 candidates are held, the search stops at the first key that exceeds the
 n-th best (distance, pool index): every later member is farther away,
-or as far and later in the pool, so none can rank ahead of it. A first
-pop then also drops the skeleton if its traversal bound exceeds the
-cutoff it has to beat: the n-th best distance, or one less when all its
-members come after the n-th best in the pool.
+or as far and later in the pool, so none can rank ahead of it.
+
+Both the traversal bound and the score take the same limit. Once n
+candidates are held, it is the cutoff a skeleton has to beat: the n-th
+best distance, or one less when all its members come after the n-th
+best in the pool; a skeleton whose bound or score exceeds it is dropped.
+Before that, it is the key plus 2, and a score above it re-queues the
+skeleton under limit + 1, a lower bound on its distance. The bounded
+score is exact whenever it is within the limit, and skips most of the
+dynamic program otherwise (see ``skeleton``), so the ranking is the one
+exact distances give.
 """
 
 from __future__ import annotations
@@ -339,19 +346,23 @@ def retrieve_by_sql_skeleton(
         key, first_index, refined, group = heapq.heappop(heap)
         if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
+        if len(best) == n:
+            # a member ranks ahead of the n-th best only within this distance
+            limit = best[-1][0] - (first_index > best[-1][1])
+        else:
+            limit = key + 2  # min(limit + 1, distance) is still a lower bound
         if not refined:
-            if len(best) == n:
-                # a member ranks ahead of the n-th best only within this distance
-                limit = best[-1][0] - (first_index > best[-1][1])
-            else:
-                limit = key + 2  # min(limit + 1, distance) is still a lower bound
             bound = traversal_lower_bound(target.compiled, group.skeleton.compiled, limit)
             if len(best) == n and bound > limit:
                 continue
             if bound > key:
                 heapq.heappush(heap, (bound, first_index, True, group))
                 continue
-        distance = tree_edit_distance(target, group.skeleton)
+        distance = tree_edit_distance(target, group.skeleton, limit)
+        if distance > limit:
+            if len(best) < n:  # limit + 1 is a lower bound: score it again under that key
+                heapq.heappush(heap, (distance, first_index, True, group))
+            continue
         best.extend(
             (distance, pair.pool_index, pair)
             for pair in group.members
@@ -389,9 +400,9 @@ def build_index(
     are kept, so a generator that parses as it goes never holds more
     than one parse tree. Each embedding is packed into an ``array('d')``
     row and the embedder's vector dropped, so the two are never all held
-    at once. Embeddings of mixed lengths, or holding a value that is not
-    a number within float range, raise ``ValueError``. Rebuilding from
-    identical inputs yields an identical index.
+    at once. Embeddings of mixed lengths, or that ``_embedding_row``
+    refuses, raise ``ValueError``. Rebuilding from identical inputs
+    yields an identical index.
     """
     kept = [
         (item.question, item.sql,
@@ -406,12 +417,31 @@ def build_index(
     pool: list[ExamplePair] = []
     for index, (question, sql, q_skeleton, s_skeleton) in enumerate(kept):
         try:
-            row = array("d", embeddings[index])
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"embedding {index} is not numbers within float range: {exc}") from None
+            row = _embedding_row(embeddings[index])
+        except ValueError as exc:
+            raise ValueError(f"embedding {index} {exc}") from None
         embeddings[index] = None
         pool.append(ExamplePair(question, sql, q_skeleton, row, s_skeleton, index))
     return RetrievalIndex(pool=pool, provider_id=embedder.provider_id, dimension=dimension)
+
+
+def _embedding_row(values: Sequence[float]) -> array:
+    """``values`` packed as one ``array('d')`` row, as ``build_index`` and
+    ``load_index`` hold each pool embedding.
+
+    Raises ``ValueError`` naming the cause unless every value is a
+    finite number (a bool passes, as 0 or 1) and their sum is within
+    float range, so that an index ``save_index`` writes loads again.
+    """
+    try:
+        row = array("d", values)
+    except (TypeError, OverflowError) as exc:  # OverflowError: an integer beyond float range
+        raise ValueError(f"is not numbers within float range ({exc})") from None
+    if math.isfinite(sum(row)):  # one C-level sum: not finite if any value is NaN or infinite
+        return row
+    if all(map(math.isfinite, row)):
+        raise ValueError("has values whose sum is beyond float range")
+    raise ValueError("holds a value that is not finite")
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
@@ -455,7 +485,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
     and the line, is raised for a header that ``read_index_header``
     refuses, and for any later line that does not decode, is not of shape
     ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that is
-    not ``dimension`` finite numbers within float range, or skeleton
+    not ``dimension`` values or that ``_embedding_row`` refuses, or skeleton
     arrays that do not describe a tree or differ between records of one
     text. Each ``q_embedding`` is held as an ``array('d')`` row.
     """
@@ -483,16 +513,15 @@ def load_index(path: str | Path) -> RetrievalIndex:
         embedding = record["q_embedding"]
         if len(embedding) != dimension:
             raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
-        # one C-level sum: TypeError unless every value is a number (a bool
-        # passes, as 0 or 1), OverflowError for an integer beyond float
-        # range, not finite if any value is NaN or infinite
-        if not math.isfinite(sum(embedding)):
-            raise ValueError("q_embedding holds a value that is not finite")
+        try:
+            row = _embedding_row(embedding)
+        except ValueError as exc:
+            raise ValueError(f"q_embedding {exc}") from None
         return ExamplePair(
             question=record["question"],
             sql=record["sql"],
             q_skeleton=record["q_skeleton"],
-            q_embedding=array("d", embedding),
+            q_embedding=row,
             s_skeleton=skeleton,
             pool_index=len(pool),
         )

@@ -9,8 +9,13 @@ text rendering can be parsed back into an equal tree.
 Structural similarity is the edit distance between skeleton trees:
 the minimum number of node insertions, deletions, and relabelings that
 turns one ordered tree into the other (Zhang–Shasha dynamic program,
-unit costs). Two cheap lower bounds on it let a search skip trees: the
-label-multiset bound and the traversal-string bound.
+unit costs). Given a limit, the one dynamic program answers
+min(distance, limit + 1) and skips what no mapping within the limit
+uses: keyroot pairs whose leftmost leaves lie too far apart in
+postorder (Touzet, CPM 2005), and forest cells off a band of diagonals.
+The answer is exact up to the limit. Two cheap lower bounds on the
+distance let a search skip trees: the label-multiset bound and the
+traversal-string bound.
 """
 
 from __future__ import annotations
@@ -96,9 +101,15 @@ def _mask(node: Node) -> Node:
 # ----------------------------------------------------------------------
 
 
-def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton) -> int:
-    """Minimum unit-cost edit script length between two skeletons."""
-    return _zhang_shasha(a.compiled, b.compiled)
+def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton, limit: int | None = None) -> int:
+    """min(limit + 1, minimum unit-cost edit script length between two skeletons).
+
+    ``limit=None`` gives the distance itself: deleting every node of one
+    tree and inserting every node of the other costs the sum of their
+    node counts, and no distance exceeds it. See ``_zhang_shasha`` for
+    what a finite limit lets the dynamic program skip.
+    """
+    return _zhang_shasha(a.compiled, b.compiled, limit)
 
 
 class LabelBag(NamedTuple):
@@ -284,74 +295,114 @@ def bounded_string_distance(s: Sequence[str], t: Sequence[str], limit: int) -> i
 
 def node_edit_distance(a: Node, b: Node) -> int:
     """Zhang–Shasha ordered-tree edit distance with unit costs."""
-    return _zhang_shasha(compile_tree(a), compile_tree(b))
+    return _zhang_shasha(compile_tree(a), compile_tree(b), None)
 
 
-def _zhang_shasha(a: CompiledTree, b: CompiledTree) -> int:
+def _zhang_shasha(a: CompiledTree, b: CompiledTree, limit: int | None) -> int:
+    """min(limit + 1, unit-cost tree edit distance), by one capped, banded DP.
+
+    Take a mapping of cost d and a cell (x, y) on its path in the forest
+    DP of keyroots ka, kb: a's x nodes from postorder la[ka] against b's
+    y nodes from lb[kb]. The mapping pairs nodes before these prefixes
+    with nodes before them, nodes in them with nodes in them, and nodes
+    after with nodes after, so every difference between those node
+    counts is made of unmapped nodes: d ≥ |before| + |x − y| +
+    |after − (x − y)|, with before = la[ka] − lb[kb] and after =
+    n − m − before (Touzet, CPM 2005, uses the first two terms). A
+    keyroot pair with |before| + |after| > limit is skipped, and each
+    forest DP fills only the diagonals x − y that keep the sum within
+    the limit. Every cell left out counts as limit + 1, and every filled
+    one is capped there: none is below the capped distance of its
+    forests, and a mapping within the limit passes only through filled
+    cells, so the result is exact up to the limit.
+    """
     la, labels_a = a.leftmost, a.postorder
     lb, labels_b = b.leftmost, b.postorder
     n, m = len(labels_a), len(labels_b)
-    # treedist[i][j]: distance between subtrees rooted at postorder i, j
-    treedist = [[0] * m for _ in range(n)]
-
+    if limit is None:
+        limit = n + m
+    cap = limit + 1
+    # treedist[i][j]: min(cap, distance between subtrees rooted at postorder i, j)
+    treedist = [[cap] * m for _ in range(n)]
+    # per keyroot of b: the forest-distance column left of each column's
+    # leftmost leaf; 0 on the keyroot's leftmost path
+    leaf_cols = {kb: [0] + [lb[by] - lb[kb] for by in range(lb[kb], kb + 1)] for kb in b.keyroots}
     for ka in a.keyroots:
         for kb in b.keyroots:
-            _subtree_distance(ka, kb, la, lb, labels_a, labels_b, treedist)
+            before = la[ka] - lb[kb]
+            after = n - m - before
+            slack = (limit - abs(before) - abs(after)) // 2
+            if slack >= 0:
+                low, high = min(0, after) - slack, max(0, after) + slack
+                _subtree_distance(ka, kb, low, high, cap, la, lb, labels_a, labels_b,
+                                  leaf_cols[kb], treedist)
     return treedist[n - 1][m - 1]
 
 
 def _subtree_distance(
     i: int,
     j: int,
+    low: int,
+    high: int,
+    cap: int,
     la: list[int],
     lb: list[int],
     labels_a: list[str],
     labels_b: list[str],
+    leaf_cols: list[int],
     treedist: list[list[int]],
 ) -> None:
+    """Fill ``treedist`` for the subtree pairs on i's and j's leftmost
+    paths from the forest cells (x, y) with low ≤ x − y ≤ high."""
     ioff = la[i] - 1
     joff = lb[j] - 1
-    rows = i - la[i] + 2
     cols = j - lb[j] + 2
-    # forest-distance column left of each column's leftmost leaf; 0 on j's leftmost path
-    leaf_cols = [0] + [lb[by] - 1 - joff for by in range(joff + 1, j + 1)]
-    fd = [list(range(cols))]
+    rows = min(i - la[i] + 2, cols + high)  # a later row has no cell in the band
+    fd = [list(range(min(cols, 1 - low))) + [cap] * (cols - 1 + low)]
     for x in range(1, rows):
         ax = x + ioff
         lax = la[ax]
         prev = fd[x - 1]
         tree_row = treedist[ax]
-        left = x
-        row = [left]
+        row = [cap] * cols
+        if x <= high:
+            row[0] = x
+            first = 1
+        else:
+            first = x - high
+        end = min(cols, x - low + 1)
+        left = row[first - 1]
         if lax == la[i]:
             label = labels_a[ax]
-            diag = prev[0]
-            for y in range(1, cols):
+            diag = prev[first - 1]
+            for y in range(first, end):
                 up = prev[y]
                 q = leaf_cols[y]
                 by = y + joff
                 if q:
-                    best = q + tree_row[by]  # fd[0][q] == q
+                    best = q + tree_row[by]  # the empty forest against q nodes: q insertions
                 else:
                     best = diag + (label != labels_b[by])
-                if up < left:  # best = min(best, up + 1, left + 1)
+                if up < left:  # best = min(best, up + 1, left + 1, cap)
                     left = up
                 if left + 1 < best:
                     best = left + 1
+                if best > cap:
+                    best = cap
                 if not q:
                     tree_row[by] = best
-                row.append(best)
-                left = best
+                row[y] = left = best
                 diag = up
         else:
             leaf_row = fd[lax - 1 - ioff]
-            for y in range(1, cols):
+            for y in range(first, end):
                 up = prev[y]
                 best = leaf_row[leaf_cols[y]] + tree_row[y + joff]
                 if up < left:
                     left = up
                 if left + 1 < best:
                     best = left + 1
-                row.append(best)
-                left = best
+                if best > cap:
+                    best = cap
+                row[y] = left = best
         fd.append(row)

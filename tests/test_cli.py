@@ -414,6 +414,8 @@ INDEX_CORRUPTIONS = {
     "embedding holds Infinity": lambda lines: _embedding_value(lines, math.inf),
     "embedding holds -Infinity": lambda lines: _embedding_value(lines, -math.inf),
     "embedding holds an integer beyond float range": lambda lines: _embedding_value(lines, 10**400),
+    "embedding values sum beyond float range": lambda lines: _edit_record(
+        lines, 2, q_embedding=[1e308] * len(json.loads(lines[1])["q_embedding"])),
 }
 
 

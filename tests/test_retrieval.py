@@ -412,6 +412,39 @@ def test_sql_ranking_across_size_rings(monkeypatch):
             assert len(bounded) < groups
 
 
+def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
+    from solidql import retrieval
+    from solidql.skeleton import SqlSkeleton, tree_edit_distance
+
+    sql = "SELECT max(a) FROM t WHERE b BETWEEN 1 AND 'x' GROUP BY a ORDER BY c ASC"
+    statements = [
+        # distance 12; its label bound is 8 and its traversal bound 9
+        "SELECT max(a) FROM t JOIN u ON t.b = u.c",
+        "SELECT max(a) FROM t WHERE b BETWEEN 1 AND 2 GROUP BY a",
+        "SELECT max(a) FROM t WHERE b = 1 GROUP BY a ORDER BY c ASC",
+        "SELECT min(d) FROM u WHERE e BETWEEN 3 AND 'y' GROUP BY d ORDER BY e DESC",
+    ]
+    index = build_index(pool_items((f"question {i}", s) for i, s in enumerate(statements)), HashedBagOfTokens())
+    target = SqlSkeleton.from_sql(sql)
+    distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+    assert distances[0] == (0, 12)
+    scores = []
+
+    def recording(a, b, limit):
+        distance = tree_edit_distance(a, b, limit)
+        scores.append((b.text, limit, distance))
+        return distance
+
+    monkeypatch.setattr(retrieval, "tree_edit_distance", recording)
+    for n in range(1, len(statements) + 1):
+        scores.clear()
+        got = retrieve_by_sql_skeleton(sql, index, n)
+        assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n)
+    # with every group wanted, the far one is scored past key + 2, then again under limit + 1
+    far = index.pool[0].s_skeleton.text
+    assert [(limit, distance) for text, limit, distance in scores if text == far] == [(11, 12), (14, 12)]
+
+
 # tree_edit_distance calls of test_round2_work_gate's queries: the search
 # that sorted all groups by label bound and scanned them in that order
 # made 352; the ring search made 198 when this gate was set.
@@ -432,10 +465,10 @@ def test_round2_work_gate(monkeypatch):
     tree_edit_distance = retrieval.tree_edit_distance
     calls = 0
 
-    def counting(a, b):
+    def counting(a, b, limit):
         nonlocal calls
         calls += 1
-        return tree_edit_distance(a, b)
+        return tree_edit_distance(a, b, limit)
 
     monkeypatch.setattr(retrieval, "tree_edit_distance", counting)
     for sql, excluded in targets:
@@ -510,11 +543,21 @@ class _FixedEmbedder:
 
 @pytest.mark.parametrize("vectors", [
     [[1.0, 2.0], [1.0]], [[1.0, "2"], [1.0, 2.0]], [[1.0, 2.0], [1.0, 10**400]],
+    [[1.0, 2.0], [1.0, math.nan]], [[1.0, 2.0], [-math.inf, 2.0]], [[1e308, 1e308], [1.0, 2.0]],
 ])
 def test_build_index_refuses_embeddings_it_cannot_pack(vectors):
+    # the last three save_index would write, and load_index refuse
     pairs = [("q one", "SELECT a FROM t"), ("q two", "SELECT b FROM u")]
     with pytest.raises(ValueError):
         build_index(pool_items(pairs), _FixedEmbedder(vectors))
+
+
+def test_build_index_names_why_it_refuses_an_embedding():
+    pairs = [("q one", "SELECT a FROM t"), ("q two", "SELECT b FROM u")]
+    with pytest.raises(ValueError, match="embedding 1 holds a value that is not finite"):
+        build_index(pool_items(pairs), _FixedEmbedder([[1.0, 2.0], [1.0, math.nan]]))
+    with pytest.raises(ValueError, match="embedding 0 has values whose sum is beyond float range"):
+        build_index(pool_items(pairs), _FixedEmbedder([[1e308, 1e308], [1.0, 2.0]]))
 
 
 class _WideEmbedder:

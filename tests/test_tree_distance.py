@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 
@@ -56,6 +57,66 @@ def test_oracle_agreement_on_skeletons():
     for a in small[:6]:
         for b in small[:6]:
             assert tree_edit_distance(a, b) == oracle_tree_distance(a.tree, b.tree)
+
+
+def _as_skeleton(tree: Node) -> SqlSkeleton:
+    return SqlSkeleton("", compile_tree(tree))
+
+
+def test_bounded_distance_is_the_oracle_capped_at_limit_plus_one():
+    rng = random.Random(51)
+    pairs = [(random_tree(rng, max_nodes=8), random_tree(rng, max_nodes=8)) for _ in range(150)]
+    skeletons = [SqlSkeleton.from_sql(random_statement(rng)) for _ in range(200)]
+    small = [s.tree for s in skeletons if len(s.compiled.postorder) <= 8][:8]
+    assert len(small) >= 6
+    pairs += [(a, b) for a in small for b in small]
+    for a, b in pairs:
+        exact = oracle_tree_distance(a, b)
+        sa, sb = _as_skeleton(a), _as_skeleton(b)
+        for limit in range(a.size() + b.size() + 1):
+            assert tree_edit_distance(sa, sb, limit) == min(exact, limit + 1), (a, b, limit)
+
+
+def _recursive_distance(a: SqlSkeleton, b: SqlSkeleton) -> int:
+    """Tree edit distance by the plain forest recursion on the rightmost
+    roots, memoized: no keyroots, no band, no cap."""
+    la, labels_a = a.compiled.leftmost, a.compiled.postorder
+    lb, labels_b = b.compiled.leftmost, b.compiled.postorder
+
+    @functools.lru_cache(maxsize=None)
+    def forest(i1: int, i2: int, j1: int, j2: int) -> int:  # a[i1..i2] against b[j1..j2]
+        if i2 < i1 or j2 < j1:
+            return max(i2 - i1 + 1, 0) + max(j2 - j1 + 1, 0)
+        return min(
+            forest(i1, i2 - 1, j1, j2) + 1,
+            forest(i1, i2, j1, j2 - 1) + 1,
+            forest(i1, la[i2] - 1, j1, lb[j2] - 1)
+            + forest(la[i2], i2 - 1, lb[j2], j2 - 1)
+            + (labels_a[i2] != labels_b[j2]),
+        )
+
+    return forest(0, len(labels_a) - 1, 0, len(labels_b) - 1)
+
+
+def test_bounded_distance_on_skeletons_too_large_for_the_oracle():
+    rng = random.Random(52)
+    skeletons = [SqlSkeleton.from_sql(random_statement(rng)) for _ in range(60)]
+    for a, b in zip(skeletons[::2], skeletons[1::2]):
+        exact = _recursive_distance(a, b)
+        assert tree_edit_distance(a, b) == exact
+        for limit in range(len(a.compiled.postorder) + len(b.compiled.postorder) + 1):
+            assert tree_edit_distance(a, b, limit) == min(exact, limit + 1)
+
+
+def test_distance_may_exceed_both_tree_sizes():
+    # a root with five leaves against a path of six nodes: a mapping keeps
+    # at most a root and one leaf, so four deletions and four insertions
+    star = Node("n", "A", tuple(Node("n", "A") for _ in range(5)))
+    path = Node("n", "A")
+    for _ in range(5):
+        path = Node("n", "A", (path,))
+    assert node_edit_distance(star, path) == oracle_tree_distance(star, path) == 8
+    assert tree_edit_distance(_as_skeleton(star), _as_skeleton(path)) == 8
 
 
 def test_metric_axioms_sample():
