@@ -5,22 +5,28 @@ embeddings; round 2 re-ranks by edit distance between SQL skeleton
 parse trees. Both rankings are exact and break ties by pool index, so
 they are total orders and stable across runs.
 
-Round 1 scans the whole pool, but takes each dot product over the
-target's non-zero buckets only. Each pool embedding is held as one packed
-``array('d')`` row: its values are read as contiguous doubles, not as
-separately allocated float objects. Round 2 is a multi-step k-nearest-
-neighbour search (Seidl & Kriegel, SIGMOD 1998) over the distinct
-skeletons. A min-heap holds them keyed by (lower bound on the distance,
-first pool index). Skeletons enter it in size rings outward from the
-target's node count, ring r holding those with r more or fewer nodes:
-the label-multiset bound is at least r there, so ring r is pushed only
-once the head's key reaches r. A skeleton's first pop replaces its
-label bound by its traversal-string bound; if that is larger, it goes
-back into the heap under the larger key, and otherwise, as on a later
-pop, it is scored with the tree edit distance bounded by a limit. Once n
-candidates are held, the search stops at the first key that exceeds the
-n-th best (distance, pool index): every later member is farther away,
-or as far and later in the pool, so none can rank ahead of it.
+Round 1 scores each distinct pool embedding once: the pool's entries
+are grouped by question skeleton text and equal embedding row, and a
+group's score holds for every member. Each dot product is taken over the
+target's non-zero buckets only, and each row is one packed ``array('d')``,
+read as contiguous doubles, not as separately allocated float objects.
+The groups leave a heap best first until n members are held and the next
+group no longer ties the n-th: a tied group may still hold a member of
+lower pool index.
+
+Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
+SIGMOD 1998) over the distinct skeletons. A min-heap holds them keyed
+by (lower bound on the distance, first pool index). Skeletons enter it
+in size rings outward from the target's node count, ring r holding
+those with r more or fewer nodes: the label-multiset bound is at least
+r there, so ring r is pushed only once the head's key reaches r. A
+skeleton's first pop replaces its label bound by its traversal-string
+bound; if that is larger, it goes back into the heap under the larger
+key, and otherwise, as on a later pop, it is scored with the tree edit
+distance bounded by a limit. Once n candidates are held, the search
+stops at the first key that exceeds the n-th best (distance, pool
+index): every later member is farther away, or as far and later in the
+pool, so none can rank ahead of it.
 
 Both the traversal bound and the score take the same limit. Once n
 candidates are held, it is the cutoff a skeleton has to beat: the n-th
@@ -86,6 +92,14 @@ class ExamplePair:
     pool_index: int
 
 
+class EmbeddingGroup(NamedTuple):
+    """Pool entries that share one question skeleton text and one embedding row."""
+
+    row: array  # the first member's q_embedding
+    squared_norm: float
+    members: tuple[ExamplePair, ...]  # in pool order
+
+
 @dataclass(frozen=True)
 class SkeletonGroup:
     """Pool entries that share one SQL skeleton text, in pool order."""
@@ -133,12 +147,34 @@ class RetrievalIndex:
         return by_size
 
     @cached_property
-    def squared_norms(self) -> list[float]:
-        """‖v‖² of each pool embedding, summed as ``cosine_similarity`` sums it."""
-        return [_squared_norm(pair.q_embedding) for pair in self.pool]
+    def embedding_groups(self) -> list[EmbeddingGroup]:
+        """The pool's distinct question embeddings, in order of first member.
+
+        Entries are grouped by question skeleton text, and within one text
+        by equal rows, so that equal texts whose rows differ stay apart.
+        A group's squared norm is ``_squared_norm`` of its row. Groups of
+        norm 0 are left out: their cosine is undefined.
+        """
+        by_text: dict[str, list[list[ExamplePair]]] = {}
+        groups: list[list[ExamplePair]] = []
+        for pair in self.pool:
+            same_text = by_text.setdefault(pair.q_skeleton, [])
+            for members in same_text:
+                if members[0].q_embedding == pair.q_embedding:
+                    members.append(pair)
+                    break
+            else:
+                same_text.append([pair])
+                groups.append(same_text[-1])
+        return [
+            EmbeddingGroup(members[0].q_embedding, norm, tuple(members))
+            for members in groups
+            if (norm := _squared_norm(members[0].q_embedding)) != 0.0
+        ]
 
 
 def _squared_norm(vector: Sequence[float]) -> float:
+    """‖v‖²: ``value * value`` summed over ``vector`` in order, starting from 0.0."""
     total = 0.0
     for value in vector:
         total += value * value
@@ -269,30 +305,52 @@ def retrieve_by_question_skeleton(
     Ties break toward the lower pool index; candidates whose similarity
     is undefined (zero-norm embedding) are skipped; the pool entry whose
     question equals ``exclude_question`` is never returned. A target
-    embedding whose length is not the index's dimension raises
-    ``ValueError``.
+    embedding whose length is not the index's dimension, that
+    ``_embedding_row`` refuses, or whose squared norm is beyond float
+    range raises ``ValueError``.
+
+    A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), where
+    both squared norms are ``_squared_norm`` sums and the dot product
+    sums ``value * row[bucket]`` over the target's non-zero buckets in
+    bucket order, starting from 0.0. Each of the index's
+    ``embedding_groups`` is scored once, and its score holds for all its
+    members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = embedder.embed([target_skeleton])[0]
     if len(target) != index.dimension:
         raise ValueError(f"dimension mismatch: {len(target)} vs index {index.dimension}")
+    try:
+        target = _embedding_row(target)
+    except ValueError as exc:
+        raise ValueError(f"target embedding {exc}") from None
     target_norm = _squared_norm(target)
+    if not math.isfinite(target_norm):
+        raise ValueError("target embedding has a squared norm beyond float range")
     if target_norm == 0.0:
         return RetrievalResult([])
-    # For finite vectors the skipped terms are ±0.0 and leave the dot
-    # product bit-identical to cosine_similarity's full sum.
+    # a 0.0 target value adds ±0.0 against a finite row: leaving it out keeps the sum's bits
     terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
-    scored: list[tuple[float, int, ExamplePair]] = []
-    for pair, norm in zip(index.pool, index.squared_norms):
-        if pair.question == exclude_question or norm == 0.0:
-            continue
-        vector = pair.q_embedding
+    # (negated similarity, first pool index, members); first pool indices are unique
+    scored: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
+    for vector, norm, members in index.embedding_groups:
         dot = 0.0
         for bucket, value in terms:
             dot += value * vector[bucket]
-        scored.append((-(dot / math.sqrt(target_norm * norm)), pair.pool_index, pair))
-    return RetrievalResult([pair for _, _, pair in heapq.nsmallest(n, scored)])
+        scored.append((-(dot / math.sqrt(target_norm * norm)), members[0].pool_index, members))
+    heapq.heapify(scored)
+    held: list[tuple[float, int, ExamplePair]] = []
+    score = None
+    # Groups leave the heap best first. Once n members are held, a group
+    # as good as the last one can still hold a member of lower pool index.
+    while scored and (len(held) < n or scored[0][0] == score):
+        score, _, members = heapq.heappop(scored)
+        held.extend(
+            (score, pair.pool_index, pair) for pair in members if pair.question != exclude_question
+        )
+    held.sort()
+    return RetrievalResult([pair for _, _, pair in held[:n]])
 
 
 def retrieve_by_sql_skeleton(

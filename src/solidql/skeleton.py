@@ -14,8 +14,9 @@ min(distance, limit + 1) and skips what no mapping within the limit
 uses: keyroot pairs whose leftmost leaves lie too far apart in
 postorder (Touzet, CPM 2005), and forest cells off a band of diagonals.
 The answer is exact up to the limit. Two cheap lower bounds on the
-distance let a search skip trees: the label-multiset bound and the
-traversal-string bound.
+distance let a search skip trees: the label-multiset bound, one popcount
+over bit masks, and the traversal-string bound, a string edit distance
+computed bit-parallel in a few integer operations per label.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
 
     An edit of a tree is at most one edit of each traversal string, so
     either string distance is a lower bound on the tree edit distance
-    (Guha et al., SIGMOD 2002). ``limit`` lets both be computed in a
-    band and abandoned early; see ``bounded_string_distance``.
+    (Guha et al., SIGMOD 2002). Both are exact string distances, computed
+    by ``bounded_string_distance``; the preorder one is skipped when the
+    postorder one already exceeds ``limit``.
     """
     # postorder first: on generated skeletons it rules out more pairs
     distance = bounded_string_distance(a.postorder, b.postorder, limit)
@@ -254,43 +256,46 @@ def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
 def bounded_string_distance(s: Sequence[str], t: Sequence[str], limit: int) -> int:
     """min(limit + 1, unit-cost edit distance between ``s`` and ``t``).
 
-    Only cells with |i − j| ≤ limit are filled: an alignment that leaves
-    that band makes more than ``limit`` insertions or deletions. Cells
-    outside it count as limit + 1, which keeps every filled cell at or
-    above its exact value and exact whenever that value is within the
-    limit. The search stops at the first row whose cells all exceed the
-    limit, since no cell of a later row is less than the least of them.
+    Bit-parallel (Myers, JACM 1999, in Hyyrö's form for the distance
+    of whole strings). Column j of the dynamic program D over ``s`` and
+    t[:j] is held as two masks of its vertical differences: bit i is set
+    in ``plus`` when D[i + 1][j] − D[i][j] = +1 and in ``minus`` when it
+    is −1. The next column follows from them and from the mask of the
+    positions of ``s`` that hold t[j] by a fixed number of integer
+    operations, however long ``s`` is (Python integers have no word
+    size). The last row's value D[len(s)][j] is carried along, so the
+    result is the exact distance, capped at ``limit + 1`` at the end.
     """
     cap = limit + 1
-    n, m = len(s), len(t)
-    if abs(n - m) >= cap:
+    m, n = len(s), len(t)
+    if abs(m - n) >= cap:
         return cap
-    prev = [j if j < cap else cap for j in range(m + 1)]
-    for i in range(1, n + 1):
-        row = [cap] * (m + 1)
-        if i < cap:
-            row[0] = i
-        first = max(1, i - limit)
-        least = left = row[first - 1]
-        diag = prev[first - 1]
-        label = s[i - 1]
-        for j in range(first, min(m, i + limit) + 1):
-            up = prev[j]
-            best = diag + (label != t[j - 1])
-            if up < left:  # best = min(best, up + 1, left + 1)
-                left = up
-            if left + 1 < best:
-                best = left + 1
-            if best > cap:
-                best = cap
-            row[j] = left = best
-            diag = up
-            if best < least:
-                least = best
-        if least >= cap:
-            return cap
-        prev = row
-    return prev[m]
+    if not m:
+        return n
+    masks: dict[str, int] = {}
+    bit = 1
+    for label in s:
+        masks[label] = masks.get(label, 0) | bit
+        bit <<= 1
+    column = bit - 1
+    last = bit >> 1
+    plus, minus = column, 0  # D[i][0] = i: every vertical difference is +1
+    score = m
+    for label in t:
+        eq = masks.get(label, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horizontal | plus)
+        h_minus = plus & horizontal
+        if h_plus & last:
+            score += 1
+        elif h_minus & last:
+            score -= 1
+        h_plus = (h_plus << 1) | 1  # D[0][j] − D[0][j − 1] = +1
+        # bits from len(s) up never reach lower ones; the mask keeps them 0
+        plus = ((h_minus << 1) | ~(vertical | h_plus)) & column
+        minus = h_plus & vertical
+    return score if score < cap else cap
 
 
 def node_edit_distance(a: Node, b: Node) -> int:

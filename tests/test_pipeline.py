@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 
 import pytest
@@ -207,6 +208,17 @@ def test_batch_item_error_is_flagged_not_fatal(schemas, shop_dataset, fixture_in
     )
     assert len(results) == len(shop_dataset)
     assert all("round1_error" in r.flags for r in results)
+
+
+def test_batch_flags_a_target_embedding_that_is_not_finite(components, schemas, shop_dataset):
+    _, predictor, index, gateway, _, config = components
+
+    class NanEmbedder(HashedBagOfTokens):
+        def embed(self, texts):
+            return [[math.nan] + vector[1:] for vector in super().embed(texts)]
+
+    results = run_batch(shop_dataset, schemas, predictor, index, gateway, NanEmbedder(), config)
+    assert [r.flags for r in results] == [("round1_error",)] * len(shop_dataset)
 
 
 def test_batch_replay_miss_aborts(schemas, shop_dataset, fixture_index, tmp_path):

@@ -19,7 +19,9 @@ from solidql.embeddings import HashedBagOfTokens, cosine_similarity, make_embedd
 from solidql.errors import ConfigError, ZeroVectorError
 from solidql.gateway import LlmGateway, TranscriptStore
 from solidql.retrieval import (
+    ExamplePair,
     PoolItem,
+    RetrievalIndex,
     build_index,
     extract_question_skeleton,
     load_index,
@@ -29,6 +31,7 @@ from solidql.retrieval import (
     save_index,
 )
 from solidql.schema import SchemaSubset
+from solidql.skeleton import SqlSkeleton, tree_edit_distance
 from solidql.sql.parser import parse_sql
 
 from support import (
@@ -263,6 +266,75 @@ def test_question_exclusion_matches_brute_force():
             assert all(p.question != excluded for p in got)
 
 
+@pytest.mark.parametrize("target, cause", [
+    ((math.nan, 1.0), "holds a value that is not finite"),
+    ((math.inf, 1.0), "holds a value that is not finite"),
+    ((1.0, -math.inf), "holds a value that is not finite"),
+    ((1e200, 1e200), "has a squared norm beyond float range"),
+])
+def test_question_target_that_is_not_finite_raises(target, cause):
+    vectors = {"target": target}
+    vectors.update((f"item {a}", (1.0, float(i))) for i, a in enumerate("abcde"))
+    index, embedder = fixed_index(vectors)
+    with pytest.raises(ValueError, match=f"target embedding {cause}"):
+        retrieve_by_question_skeleton("target", index, 3, embedder)
+
+
+def test_question_ranking_over_shared_embeddings_matches_brute_force(tmp_path):
+    # The masker turns "<word> <number>" into "<word> _", so items of one
+    # word share a skeleton text and its row. Beta's row is alpha's and
+    # gamma's twice it: three groups of equal score whose members
+    # interleave in pool order. Every delta item has one question, so
+    # excluding it removes a whole group; the zero rows have no cosine.
+    vectors = {
+        "target": (1.0, 1.0, 1.0, 1.0),
+        "alpha _": (1.0, 2.0, 0.0, 1.0),
+        "beta _": (1.0, 2.0, 0.0, 1.0),
+        "gamma _": (2.0, 4.0, 0.0, 2.0),
+        "delta _": (0.0, 1.0, 3.0, 1.0),
+        "epsilon _": (3.0, 0.0, 1.0, 0.0),
+        "zero _": (0.0, 0.0, 0.0, 0.0),
+    }
+    rng = random.Random(21)
+    words = [text.split()[0] for text in vectors if text != "target"]
+    questions = [f"{rng.choice(words)} {i}" for i in range(40)]
+    questions = ["delta 99" if q.startswith("delta") else q for q in questions]
+    embedder = FixedEmbedder(vectors)
+    index = build_index(pool_items((q, f"SELECT c{i} FROM t") for i, q in enumerate(questions)), embedder)
+    assert {q.split()[0] for q in questions} == set(words)
+    assert len(index.embedding_groups) == 5
+    scores = {}
+    for group in index.embedding_groups:
+        dot = sum(a * b for a, b in zip(vectors["target"], group.row))
+        scores.setdefault(dot / math.sqrt(4.0 * group.squared_norm), []).append(group)  # ‖target‖² = 4
+    assert max(len(tied) for tied in scores.values()) == 3
+
+    # A hand-edited index: one alpha record, not the first, gets its own row.
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    header, *records = path.read_text().splitlines()
+    alphas = [i for i, q in enumerate(questions) if q.startswith("alpha")]
+    edited = json.loads(records[alphas[1]])
+    edited["q_embedding"] = [2.0, 0.0, 2.0, 1.0]
+    records[alphas[1]] = json.dumps(edited, sort_keys=True)
+    path.write_text("\n".join([header, *records]) + "\n")
+    loaded = load_index(path)
+    assert len(loaded.embedding_groups) == 6
+
+    for searched in (index, loaded):
+        firsts = [group.members[0].question for group in searched.embedding_groups]
+        later = next(p.question for p in searched.pool if p.question not in firsts)
+        for excluded in (None, firsts[0], "delta 99", later):
+            for n in range(1, len(questions) + 2):
+                got = retrieve_by_question_skeleton(
+                    "target", searched, n, embedder, exclude_question=excluded
+                )
+                expected = brute_force_question_ranking(
+                    vectors["target"], searched.pool, n, exclude_question=excluded
+                )
+                assert [p.pool_index for p in got] == expected, (excluded, n, searched is loaded)
+
+
 def test_sql_identity_ranked_first(small_index):
     index, embedder = small_index
     result = retrieve_by_sql_skeleton("SELECT name FROM singer", index, 3)
@@ -476,6 +548,43 @@ def test_round2_work_gate(monkeypatch):
     assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
 
 
+def test_rankings_match_brute_force_on_an_8k_pool():
+    """Both rounds equal their brute-force oracles on an 8,000-item pool,
+    in which items share question skeletons and SQL statements."""
+    rng = random.Random(808)
+    statements = [random_statement(rng) for _ in range(2000)]
+    trees = {sql: parse_sql(sql) for sql in statements}
+    vocabulary = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(40)]
+    stems = [" ".join(rng.choices(vocabulary, k=rng.randint(3, 6))) for _ in range(3000)]
+    pool = [(f"{rng.choice(stems)} {i}", rng.choice(statements)) for i in range(8000)]
+    embedder = HashedBagOfTokens()
+    index = build_index((PoolItem(q, sql, trees[sql]) for q, sql in pool), embedder)
+    assert len(index) == 8000 and len(index.embedding_groups) < 3000
+
+    own_question, own_sql = pool[4321]
+    targets = [
+        (" ".join(rng.choices(vocabulary, k=4)), random_statement(rng), None),
+        (rng.choice(stems) + " _", random_statement(rng), None),
+        (index.pool[4321].q_skeleton, own_sql, own_question),
+    ]
+    for question, sql, excluded in targets:
+        expected_q = brute_force_question_ranking(
+            embedder.embed([question])[0], index.pool, 7, exclude_question=excluded
+        )
+        target = SqlSkeleton.from_sql(sql)
+        by_text = {}
+        for pair in index.pool:
+            if pair.s_skeleton.text not in by_text:
+                by_text[pair.s_skeleton.text] = tree_edit_distance(target, pair.s_skeleton)
+        distances = [(pair.pool_index, by_text[pair.s_skeleton.text]) for pair in index.pool]
+        skip = {pair.pool_index for pair in index.pool if pair.question == excluded}
+        for n in (1, 7):
+            got_q = retrieve_by_question_skeleton(question, index, n, embedder, exclude_question=excluded)
+            assert [p.pool_index for p in got_q] == expected_q[:n], (question, n)
+            got_s = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
+            assert [p.pool_index for p in got_s] == brute_force_sql_ranking(distances, n, skip), (sql, n)
+
+
 # ----------------------------------------------------------------------
 # index build and persistence
 # ----------------------------------------------------------------------
@@ -589,6 +698,28 @@ def test_build_index_drops_each_vector_once_packed():
     rows_bytes = sum(sys.getsizeof(pair.q_embedding) for pair in index.pool)
     assert rows_bytes > vectors_bytes / 5
     assert peak < vectors_bytes + rows_bytes / 2, (peak, vectors_bytes, rows_bytes)
+
+
+def test_embedding_groups_hold_no_copy_of_the_rows():
+    # 2,000 rows under 1,500 texts; a serialized copy of each row would take rows_bytes
+    dimension = 256
+    skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
+    pool = []
+    for i in range(2000):
+        text = f"question {i % 1500}"
+        row = array("d", [float(i % 1500 + k) for k in range(dimension)])
+        pool.append(ExamplePair(text, "SELECT a FROM t", text, row, skeleton, i))
+    index = RetrievalIndex(pool, "test", dimension)
+    rows_bytes = sum(sys.getsizeof(pair.q_embedding) for pair in pool)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        groups = index.embedding_groups
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 1500
+    assert peak < rows_bytes / 4, (peak, rows_bytes)
 
 
 def test_load_reads_embedding_booleans_as_numbers(tmp_path, small_index):

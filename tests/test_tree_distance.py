@@ -264,3 +264,38 @@ def test_banded_string_distance_agrees_with_full_distance():
             banded = bounded_string_distance(s, t, limit)
             assert (banded > limit) == (full > limit)
             assert banded == min(full, limit + 1)
+
+
+def test_string_distance_across_word_boundaries():
+    # masks of 30 and 64 labels and more: one and several integer digits or words
+    rng = random.Random(54)
+    lengths = [(30, 31), (31, 30), (63, 64), (64, 64), (64, 65), (65, 63), (0, 80), (80, 0), (80, 80)]
+    for alphabet in ("A", "AB", "ABC"):
+        pairs = lengths + [(rng.randint(0, 80), rng.randint(0, 80)) for _ in range(25)]
+        for n, m in pairs:
+            s = [rng.choice(alphabet) for _ in range(n)]
+            t = [rng.choice(alphabet) for _ in range(m)]
+            full = _string_distance(s, t)
+            for limit in range(-1, n + m + 1):
+                assert bounded_string_distance(s, t, limit) == min(full, limit + 1), (s, t, limit)
+
+
+def test_traversal_lower_bound_on_skeletons_of_more_than_64_nodes():
+    rng = random.Random(55)
+
+    def long_statement() -> str:
+        predicates = " AND ".join(
+            f"c{i} {rng.choice('=<>')} {rng.randint(1, 9)}" for i in range(rng.randint(14, 22))
+        )
+        return f"SELECT a, count(b) FROM t WHERE {predicates} GROUP BY a ORDER BY a"
+
+    for _ in range(3):
+        a, b = SqlSkeleton.from_sql(long_statement()), SqlSkeleton.from_sql(long_statement())
+        ta, tb = a.compiled, b.compiled
+        assert min(len(ta.postorder), len(tb.postorder)) > 64
+        exact = max(
+            _string_distance(ta.preorder, tb.preorder), _string_distance(ta.postorder, tb.postorder)
+        )
+        for limit in range(-1, len(ta.postorder) + len(tb.postorder) + 1):
+            assert traversal_lower_bound(ta, tb, limit) == min(exact, limit + 1)
+        assert tree_edit_distance(a, b, exact) >= exact  # the bound is at most the distance
