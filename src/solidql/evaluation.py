@@ -1,17 +1,18 @@
 """Execution-accuracy (EX) and exact-match (EM) scoring plus robustness.
 
-EX compares the result tables of predicted and gold SQL on the target
-SQLite database: rows as a multiset, each row canonicalized by sorting
-its values so column order never matters, and row order enforced only
-when the gold statement has a top-level ORDER BY. That is decided by a
-scan of the statement's text, so executing a statement never parses it.
-EM is whole-statement equality after canonical re-rendering (lowercase
-identifiers/keywords, collapsed whitespace, no trailing semicolon).
+EX compares the rows of predicted and gold SQL on the target SQLite
+database: as a multiset, each row canonicalized by sorting its values so
+column order never matters, and in order only when the reference
+statement (gold for EX, the clean prediction for robustness) has a
+top-level ORDER BY. One scan of its text per comparison decides that, so
+no statement is parsed to run it. EM is whole-statement equality after
+canonical re-rendering (lowercase identifiers/keywords, collapsed
+whitespace, no trailing semicolon).
 
-Queries run on read-only connections where only read statements are
-authorized, under a per-query deadline and a row cap; LLM output can be
-pathological. ``evaluate`` keeps one connection per database for the
-length of the call.
+Queries run on a ``Connections`` pool, which ``evaluate`` and
+``robustness_check`` each keep for the length of the call, of read-only
+connections where only read statements are authorized, under a
+per-query deadline and a row cap; LLM output can be pathological.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ logger = logging.getLogger(__name__)
 FLOAT_DECIMALS = 6  # comparison tolerance convention
 PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
 MAX_ROWS = 100_000  # a larger result table is an execution error
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    rows: tuple[tuple, ...]
-    ordered: bool
 
 
 @dataclass(frozen=True)
@@ -113,45 +108,38 @@ class Connections:
         self.close()
 
 
-def execute_sql(db_path: str | Path, sql: str, timeout: float = 30.0,
-                connections: Connections | None = None) -> ResultTable:
-    """Run one read statement and capture its result table.
-
-    The statement runs on the database's connection in ``connections``,
-    or without them on a connection opened and closed for it alone.
+def execute_sql(db_path: str | Path, sql: str, timeout: float,
+                connections: Connections) -> list[tuple]:
+    """The rows of one read statement, run on the database's connection
+    in ``connections``.
 
     Raises:
         ExecError: missing database, a statement that is not a read, a
             result of more than ``MAX_ROWS`` rows, syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
     """
-    pool = Connections() if connections is None else connections
+    connection = connections.get(db_path)
+    deadline = time.monotonic() + timeout
+    timed_out = False
+
+    def past_deadline() -> bool:
+        nonlocal timed_out
+        timed_out = time.monotonic() > deadline
+        return timed_out
+
+    connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
+    cursor = connection.cursor()
     try:
-        connection = pool.get(db_path)
-        deadline = time.monotonic() + timeout
-        timed_out = False
-
-        def past_deadline() -> bool:
-            nonlocal timed_out
-            timed_out = time.monotonic() > deadline
-            return timed_out
-
-        connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
-        cursor = connection.cursor()
-        try:
-            rows = cursor.execute(sql).fetchmany(MAX_ROWS + 1)
-        except sqlite3.Error as exc:
-            if timed_out:
-                raise ExecTimeout(f"query exceeded {timeout:g}s") from exc
-            raise ExecError(str(exc)) from exc
-        finally:
-            cursor.close()
+        rows = cursor.execute(sql).fetchmany(MAX_ROWS + 1)
+    except sqlite3.Error as exc:
+        if timed_out:
+            raise ExecTimeout(f"query exceeded {timeout:g}s") from exc
+        raise ExecError(str(exc)) from exc
     finally:
-        if pool is not connections:
-            pool.close()
+        cursor.close()
     if len(rows) > MAX_ROWS:
         raise ExecError(f"result exceeds the cap of {MAX_ROWS} rows")
-    return ResultTable(rows=tuple(rows), ordered=has_top_level_order_by(sql))
+    return rows
 
 
 def has_top_level_order_by(sql: str) -> bool:
@@ -198,20 +186,21 @@ def _canonical_row(row: tuple) -> tuple:
     return tuple(sorted(_canonical_value(v) for v in row))
 
 
-def tables_match(pred: ResultTable, gold: ResultTable) -> bool:
-    """Compare result tables under the gold statement's order semantics."""
-    if pred.rows and gold.rows and len(pred.rows[0]) != len(gold.rows[0]):
+def tables_match(pred_rows: Sequence[tuple], gold_rows: Sequence[tuple], ordered: bool) -> bool:
+    """Compare result rows in order when ``ordered`` (the reference statement
+    has a top-level ORDER BY), else as multisets."""
+    if pred_rows and gold_rows and len(pred_rows[0]) != len(gold_rows[0]):
         return False
-    pred_rows = [_canonical_row(row) for row in pred.rows]
-    gold_rows = [_canonical_row(row) for row in gold.rows]
-    if gold.ordered:
-        return pred_rows == gold_rows
-    return sorted(pred_rows) == sorted(gold_rows)
+    pred = [_canonical_row(row) for row in pred_rows]
+    gold = [_canonical_row(row) for row in gold_rows]
+    if ordered:
+        return pred == gold
+    return sorted(pred) == sorted(gold)
 
 
 def _run(db_path: str | Path, sql: str, timeout: float,
-         connections: Connections | None = None) -> tuple[ResultTable | None, str | None]:
-    """The statement's result table, or None and the execution error."""
+         connections: Connections) -> tuple[list[tuple] | None, str | None]:
+    """The statement's rows, or None and the execution error."""
     try:
         return execute_sql(db_path, sql, timeout, connections), None
     except ExecError as exc:
@@ -248,21 +237,24 @@ class RobustnessVerdict:
 
 def robustness_check(final_sql_clean: str, final_sql_perturbed: str,
                      db_path: str | Path, timeout: float = 30.0) -> RobustnessVerdict:
-    """True iff the clean and perturbed runs access the database identically."""
-    clean, error = _run(db_path, final_sql_clean, timeout)
-    return _robustness_verdict(clean, error, final_sql_perturbed, db_path, timeout)
+    """True iff the clean and perturbed runs, on one connection, access the
+    database identically: in order if the clean statement has a top-level ORDER BY."""
+    with Connections() as connections:
+        clean, error = _run(db_path, final_sql_clean, timeout, connections)
+        return _robustness_verdict(clean, error, final_sql_clean, final_sql_perturbed,
+                                   db_path, timeout, connections)
 
 
-def _robustness_verdict(clean: ResultTable | None, clean_error: str | None,
+def _robustness_verdict(clean: list[tuple] | None, clean_error: str | None, final_sql_clean: str,
                         final_sql_perturbed: str, db_path: str | Path, timeout: float,
-                        connections: Connections | None = None) -> RobustnessVerdict:
+                        connections: Connections) -> RobustnessVerdict:
     """Verdict for a perturbed statement against the clean run's outcome."""
     if clean is None:
         return RobustnessVerdict(False, f"clean SQL failed: {clean_error}")
     perturbed, error = _run(db_path, final_sql_perturbed, timeout, connections)
     if perturbed is None:
         return RobustnessVerdict(False, f"perturbed SQL failed: {error}")
-    if tables_match(perturbed, clean):
+    if tables_match(perturbed, clean, has_top_level_order_by(final_sql_clean)):
         return RobustnessVerdict(True)
     return RobustnessVerdict(False, "result tables differ")
 
@@ -352,7 +344,8 @@ def evaluate(
     and counted separately. With ``perturbed`` (the final SQL of a
     paired run on perturbed questions), each item also gets the
     :func:`robustness_check` verdict, computed against the prediction's
-    result table; excluded items count toward robustness too.
+    rows; excluded items count toward robustness too. Only those reference
+    statements whose rows are compared are scanned for ORDER BY.
     """
     if len(dataset) != len(predictions):
         raise ValueError(f"{len(dataset)} dataset items vs {len(predictions)} predictions")
@@ -363,19 +356,19 @@ def evaluate(
     with Connections() as connections:
         for i, (item, pred_sql) in enumerate(zip(dataset, predictions)):
             db_path = database_path(databases_root, item["db_id"])
-            gold_table, gold_error = _run(db_path, item["query"], timeout, connections)
-            pred_table, error = _run(db_path, pred_sql, timeout, connections)
+            gold_rows, gold_error = _run(db_path, item["query"], timeout, connections)
+            pred_rows, error = _run(db_path, pred_sql, timeout, connections)
             if robustness is not None:
-                robustness.append(
-                    _robustness_verdict(pred_table, error, perturbed[i], db_path, timeout, connections)
-                )
-            excluded = gold_table is None
+                robustness.append(_robustness_verdict(pred_rows, error, pred_sql, perturbed[i],
+                                                      db_path, timeout, connections))
+            excluded = gold_rows is None
             if excluded:
                 logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
                 ex = em = False
                 error = f"gold execution failed: {gold_error}"
             else:
-                ex = pred_table is not None and tables_match(pred_table, gold_table)
+                ex = pred_rows is not None and tables_match(
+                    pred_rows, gold_rows, has_top_level_order_by(item["query"]))
                 em = exact_match(pred_sql, item["query"])
             records.append(
                 EvalRecord(

@@ -1,14 +1,16 @@
 """File I/O: JSON inputs, whole output files, and JSON-lines files whose
 every record is checked against a declared shape.
 
-In a JSON-lines file each record is one JSON value on one line. A line
-that does not decode, or whose value does not ``conform`` to the shape
-the reader declares, is fatal, naming the file and the line. The one
-exception is the final line of an append-only file: a crash while
-appending can leave it without its newline. Reading drops such a line,
-with a warning, when it does not decode, and the next append first cuts
-the file back to the end of the last whole line, so the new record
-cannot glue onto the torn one.
+In a JSON-lines file each line is one record, one JSON value; an empty
+file holds none. A line that does not decode, blank ones included, or
+whose value does not ``conform`` to the shape the reader declares, is
+fatal, naming the file and the line. ``read_records`` reads the files
+``write_lines`` writes whole (results, the index); ``JsonLines`` the
+append-only ones (the ledger, the transcripts). The one exception is the
+final line of an append-only file: a crash while appending can leave it
+without its newline. Reading drops such a line, with a warning, when it
+does not decode, and the next append first cuts the file back to the end
+of the last whole line, so the new record cannot glue onto the torn one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -99,12 +100,10 @@ def read_records(path: str | Path, shape: Any, parse: Callable[[Any], T],
 
     ``CorruptFileError`` names the file and the first line, blank or torn
     included, that does not decode or conform or that ``parse`` rejects
-    with ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``;
-    an empty file's is 1.
+    with ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError``.
     """
     with open(path, "rb") as handle:
-        # line 1 is read even from an empty file, which is then malformed there
-        for number, raw in enumerate(chain([handle.readline()], handle), 1):
+        for number, raw in enumerate(handle, 1):
             if number >= first:
                 yield _parsed(path, number, raw, shape, parse, what)
 
@@ -121,9 +120,9 @@ class JsonLines:
         self._prefix = b""  # written before the next append's line
 
     def records(self, shape: Any, parse: Callable[[Any], T]) -> Iterator[T]:
-        """``parse`` of each non-blank line's JSON value, checked against
-        ``shape``, in file order; ``CorruptFileError`` as for ``read_records``,
-        except that an unterminated final line that does not decode is dropped.
+        """``parse`` of each line's JSON value, checked against ``shape``, in
+        file order; ``CorruptFileError`` as for ``read_records``, except that
+        an unterminated final line that does not decode is dropped.
         """
         self._cut, self._prefix = None, b""
         if not self.path.exists():
@@ -141,8 +140,7 @@ class JsonLines:
                         self._cut = offset
                         return
                     self._prefix = b"\n"
-                if raw.strip():
-                    yield _parsed(self.path, number, raw, shape, parse, "record")
+                yield _parsed(self.path, number, raw, shape, parse, "record")
                 offset += len(raw)
 
     def append(self, line: str) -> None:

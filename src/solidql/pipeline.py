@@ -20,7 +20,7 @@ from typing import Sequence
 from .config import RunConfig
 from .errors import ConfigError, ExtractError, ReplayMiss
 from .gateway import ChatRequest, LlmGateway
-from .jsonl import JsonLines, write_lines
+from .jsonl import JsonLines, read_records, write_lines
 from .linking import LinkingPredictor, predict_linking
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
@@ -309,5 +309,5 @@ def write_results(results: Sequence[PipelineResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[PipelineResult]:
-    """The results in ``path``; a malformed line raises ``CorruptFileError`` (see ``JsonLines``)."""
-    return list(JsonLines(path).records(RESULT, PipelineResult.from_dict))
+    """The results in ``path``; a bad line raises ``CorruptFileError`` (see ``read_records``)."""
+    return list(read_records(path, RESULT, PipelineResult.from_dict))

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .embeddings import EmbeddingProvider
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, CorruptFileError, ParseError
 from .gateway import LlmGateway
 from .jsonl import read_records, write_lines
 from .prompting import load_template
@@ -153,7 +153,8 @@ class RetrievalIndex:
         Entries are grouped by question skeleton text, and within one text
         by equal rows, so that equal texts whose rows differ stay apart.
         A group's squared norm is ``_squared_norm`` of its row. Groups of
-        norm 0 are left out: their cosine is undefined.
+        norm 0 are left out, their cosine being undefined, and so are groups
+        of a squared norm beyond float range, whose cosine would be NaN.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -169,7 +170,7 @@ class RetrievalIndex:
         return [
             EmbeddingGroup(members[0].q_embedding, norm, tuple(members))
             for members in groups
-            if (norm := _squared_norm(members[0].q_embedding)) != 0.0
+            if 0.0 < (norm := _squared_norm(members[0].q_embedding)) < math.inf
         ]
 
 
@@ -303,11 +304,11 @@ def retrieve_by_question_skeleton(
     """Top-n pool entries by cosine similarity of skeleton embeddings.
 
     Ties break toward the lower pool index; candidates whose similarity
-    is undefined (zero-norm embedding) are skipped; the pool entry whose
-    question equals ``exclude_question`` is never returned. A target
-    embedding whose length is not the index's dimension, that
-    ``_embedding_row`` refuses, or whose squared norm is beyond float
-    range raises ``ValueError``.
+    is undefined (zero-norm embedding) or whose squared norm is beyond
+    float range are skipped; the pool entry whose question equals
+    ``exclude_question`` is never returned. A target embedding whose
+    length is not the index's dimension, that ``_embedding_row`` refuses,
+    or whose squared norm is beyond float range raises ``ValueError``.
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), where
     both squared norms are ``_squared_norm`` sums and the dot product
@@ -529,9 +530,11 @@ def read_index_header(path: str | Path) -> dict:
     """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``.
 
     Raises ``CorruptFileError``, naming the file and line 1, unless it is
-    a JSON object of shape ``INDEX_HEADER``.
+    a JSON object of shape ``INDEX_HEADER``; an empty file has no header.
     """
-    return next(read_records(path, INDEX_HEADER, dict, "index record"))
+    for header in read_records(path, INDEX_HEADER, dict, "index record"):
+        return header
+    raise CorruptFileError(f"{path}, line 1: malformed index record (empty file)")
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

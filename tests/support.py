@@ -215,14 +215,15 @@ class _StatementPlan:
 
 def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
     """Independent full scan: (similarity desc, pool_index asc) ordering;
-    an entry whose cosine is undefined (a zero-norm side) is skipped."""
+    an entry whose cosine is undefined (a zero-norm side), or whose squared
+    norm is beyond float range, is skipped."""
     ranked = []
     target_norm = math.sqrt(sum(a * a for a in target_vector))
     for pair in pool:
         if exclude_question is not None and pair.question == exclude_question:
             continue
         norm = math.sqrt(sum(b * b for b in pair.q_embedding))
-        if target_norm == 0.0 or norm == 0.0:
+        if target_norm == 0.0 or norm == 0.0 or norm == math.inf:
             continue
         dot = sum(a * b for a, b in zip(target_vector, pair.q_embedding))
         ranked.append((dot / (target_norm * norm), pair.pool_index))

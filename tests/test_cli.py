@@ -229,7 +229,26 @@ def test_cmd_run_corrupt_ledger_exits_environment(workspace, tmp_path, capsys):
     ledger.write_text('\n{broken\n{"index": 1, "result": {}}\n')
     code = run_cli(workspace, "run", "--mode", "replay", "--output", str(output))
     assert code == 3
-    assert f"{ledger}, line 2" in capsys.readouterr().err
+    assert f"{ledger}, line 1" in capsys.readouterr().err  # a blank line is malformed too
+
+
+def test_cmd_run_blank_line_in_an_append_only_file_exits_environment(workspace, tmp_path, capsys):
+    output = tmp_path / "out.jsonl"
+    ledger = output.with_suffix(".progress.jsonl")
+    lines = _ledger_text(workspace, 2).splitlines(keepends=True)
+    ledger.write_text(lines[0] + "\n" + lines[1])
+    code = run_cli(workspace, "run", "--mode", "replay", "--output", str(output))
+    assert code == 3
+    assert f"{ledger}, line 2: malformed record" in _environment_error(capsys)
+    ledger.unlink()
+    transcripts = tmp_path / "transcripts.jsonl"
+    lines = (workspace / "transcripts.jsonl").read_text().splitlines(keepends=True)
+    transcripts.write_text("".join(lines[:2]) + "\n" + "".join(lines[2:]))
+    code = run_cli(workspace, "run", "--mode", "replay", "--transcripts", str(transcripts),
+                   "--output", str(output))
+    assert code == 3
+    assert f"{transcripts}, line 3: malformed record" in _environment_error(capsys)
+    assert not output.exists()
 
 
 def test_cmd_run_corrupt_transcripts_exit_environment(workspace, tmp_path, capsys):
@@ -691,19 +710,16 @@ def test_cmd_eval_refuses_misaligned_items(workspace, databases_root, tmp_path, 
 
 def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_path, capsys):
     short = tmp_path / "short.jsonl"
-    torn = tmp_path / "torn.jsonl"
     lines = (workspace / "run_eval.jsonl").read_text().splitlines()
     short.write_text("\n".join(lines[:2]) + "\n")
-    torn.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:20])  # a crash mid-append
-    for predictions in (short, torn):
-        code = main([
-            "eval",
-            "--dataset", str(workspace / "shop_dataset.json"),
-            "--databases", str(databases_root),
-            "--predictions", str(predictions),
-        ])
-        assert code == 2
-        assert "alignment mismatch" in capsys.readouterr().err
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        "--predictions", str(short),
+    ])
+    assert code == 2
+    assert "alignment mismatch" in capsys.readouterr().err
     code = main([
         "eval",
         "--dataset", str(workspace / "shop_dataset.json"),
@@ -713,6 +729,49 @@ def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_pat
     ])
     assert code == 2
     assert "--robustness file not found" in capsys.readouterr().err
+
+
+# each damage to a whole results file: its text from the file's lines, and the line to name
+RESULTS_DAMAGE = {
+    "last line cut": (lambda lines: "\n".join(lines[:-1]) + "\n" + lines[-1][:20], 5),
+    "blank line": (lambda lines: "\n".join(lines[:2] + [""] + lines[2:]) + "\n", 3),
+}
+
+
+@pytest.mark.parametrize("flag", ["--predictions", "--robustness"])
+@pytest.mark.parametrize("damage", RESULTS_DAMAGE)
+def test_cmd_eval_damaged_results_file_exits_environment(
+    workspace, databases_root, tmp_path, capsys, flag, damage
+):
+    edit, number = RESULTS_DAMAGE[damage]
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()
+    assert len(lines) == 5
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text(edit(lines))
+    files = {"--predictions": str(workspace / "run_eval.jsonl"),
+             "--robustness": str(workspace / "run_eval.jsonl"), flag: str(damaged)}
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        *(arg for pair in files.items() for arg in pair),
+    ])
+    assert code == 3
+    assert f"{damaged}, line {number}: malformed record" in _environment_error(capsys)
+
+
+def test_cmd_run_then_eval_on_an_empty_dataset(workspace, databases_root, tmp_path, capsys):
+    dataset = tmp_path / "empty.json"
+    dataset.write_text("[]")
+    output = tmp_path / "out.jsonl"
+    code = run_cli(workspace, "run", "--mode", "replay", "--dataset", str(dataset),
+                   "--output", str(output))
+    assert code == 0
+    assert output.read_bytes() == b""
+    code = main(["eval", "--dataset", str(dataset), "--databases", str(databases_root),
+                 "--predictions", str(output), "--robustness", str(output)])
+    assert code == 0
+    assert "items  0" in capsys.readouterr().out
 
 
 def test_cmd_build_sft_counts_and_determinism(workspace, capsys):

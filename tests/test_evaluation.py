@@ -27,25 +27,30 @@ from solidql.sql.tokens import IDENT, SKIP, TOKEN
 from support import random_statement
 
 
-def test_execute_select_one(concert_db):
-    table = execute_sql(concert_db, "SELECT 1")
-    assert table.rows == ((1,),)
-    assert table.ordered is False
+@pytest.fixture
+def pool():
+    with evaluation.Connections() as connections:
+        yield connections
 
 
-def test_execute_missing_table(concert_db):
+def test_execute_select_one(concert_db, pool):
+    assert execute_sql(concert_db, "SELECT 1", 30.0, pool) == [(1,)]
+    assert not has_top_level_order_by("SELECT 1")
+
+
+def test_execute_missing_table(concert_db, pool):
     with pytest.raises(ExecError):
-        execute_sql(concert_db, "SELECT x FROM nonexistent")
+        execute_sql(concert_db, "SELECT x FROM nonexistent", 30.0, pool)
 
 
-def test_execute_missing_database(tmp_path):
+def test_execute_missing_database(tmp_path, pool):
     with pytest.raises(ExecError):
-        execute_sql(tmp_path / "nope.sqlite", "SELECT 1")
+        execute_sql(tmp_path / "nope.sqlite", "SELECT 1", 30.0, pool)
 
 
-def test_fixture_filter(concert_db):
-    table = execute_sql(concert_db, "SELECT age FROM singer WHERE age > 30")
-    assert sorted(table.rows) == [(33,), (40,)]
+def test_fixture_filter(concert_db, pool):
+    rows = execute_sql(concert_db, "SELECT age FROM singer WHERE age > 30", 30.0, pool)
+    assert sorted(rows) == [(33,), (40,)]
 
 
 # cross join explosion; 5^12 rows would take far longer than 0.2 s
@@ -57,25 +62,25 @@ SLOW = (
 FAST = "SELECT count(*) FROM singer a, singer b, singer c, singer d"
 
 
-def test_timeout_interrupts(concert_db):
+def test_timeout_interrupts(concert_db, pool):
     with pytest.raises(ExecTimeout, match=r"^query exceeded 0\.2s$"):
-        execute_sql(concert_db, SLOW, timeout=0.2)
+        execute_sql(concert_db, SLOW, 0.2, pool)
 
 
-def test_execute_sql_starts_no_thread(concert_db, monkeypatch):
+def test_execute_sql_starts_no_thread(concert_db, pool, monkeypatch):
     def refuse(self):
         raise RuntimeError("execute_sql started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert execute_sql(concert_db, "SELECT count(*) FROM singer").rows == ((5,),)
+    assert execute_sql(concert_db, "SELECT count(*) FROM singer", 30.0, pool) == [(5,)]
     with pytest.raises(ExecError):
-        execute_sql(concert_db, "SELECT zzz FROM singer")
+        execute_sql(concert_db, "SELECT zzz FROM singer", 30.0, pool)
     slow = (
         "SELECT count(*) FROM singer a, singer b, singer c, singer d, singer e, "
         "singer f, singer g, singer h, singer i, singer j, singer k, singer l"
     )
     with pytest.raises(ExecTimeout):
-        execute_sql(concert_db, slow, timeout=0.2)
+        execute_sql(concert_db, slow, 0.2, pool)
 
 
 def record_connections(monkeypatch) -> list[sqlite3.Connection]:
@@ -139,11 +144,10 @@ def test_timeout_on_a_reused_connection(databases_root, monkeypatch):
     assert second.ex and second.error is None
 
 
-def test_execute_sql_runs_each_statement_under_its_own_deadline(concert_db):
-    with evaluation.Connections() as connections:
-        with pytest.raises(ExecTimeout):
-            execute_sql(concert_db, SLOW, 0.2, connections)
-        assert execute_sql(concert_db, FAST, 0.2, connections).rows == ((625,),)
+def test_execute_sql_runs_each_statement_under_its_own_deadline(concert_db, pool):
+    with pytest.raises(ExecTimeout):
+        execute_sql(concert_db, SLOW, 0.2, pool)
+    assert execute_sql(concert_db, FAST, 0.2, pool) == [(625,)]
 
 
 NON_READS = ["CREATE TEMP TABLE x(a)", "PRAGMA case_sensitive_like=1", "BEGIN", "ATTACH ':memory:' AS m"]
@@ -157,9 +161,9 @@ def test_non_read_predictions_are_execution_errors(databases_root):
         assert not record.ex and "not authorized" in record.error, record.pred_sql
 
 
-def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_db):
+def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_db, pool):
     with pytest.raises(ExecError) as fresh:
-        execute_sql(concert_db, "SELECT * FROM x")
+        execute_sql(concert_db, "SELECT * FROM x", 30.0, pool)
     gold = "SELECT name FROM singer"
     dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold} for i in range(2)]
     report = evaluate(dataset, ["CREATE TEMP TABLE x(a)", "SELECT * FROM x"], databases_root)
@@ -167,12 +171,12 @@ def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_
     assert report.records[1].error == str(fresh.value)
 
 
-def test_row_cap(databases_root, concert_db, monkeypatch):
+def test_row_cap(databases_root, concert_db, pool, monkeypatch):
     monkeypatch.setattr(evaluation, "MAX_ROWS", 5)
-    assert len(execute_sql(concert_db, "SELECT name FROM singer").rows) == 5
+    assert len(execute_sql(concert_db, "SELECT name FROM singer", 30.0, pool)) == 5
     monkeypatch.setattr(evaluation, "MAX_ROWS", 4)
     with pytest.raises(ExecError, match="cap of 4 rows"):
-        execute_sql(concert_db, "SELECT name FROM singer")
+        execute_sql(concert_db, "SELECT name FROM singer", 30.0, pool)
     dataset = [{"question": "q", "db_id": "concert_singer", "query": "SELECT name FROM singer"}]
     report = evaluate(dataset, ["SELECT name FROM singer WHERE age > 30"], databases_root)
     assert report.records[0].excluded
@@ -225,17 +229,60 @@ def test_order_by_scan_agrees_with_the_parse_tree(parser_corpus):
         assert has_top_level_order_by(sql) == _parse_tree_order_by(sql), sql
 
 
-def test_execute_sql_never_parses(concert_db, monkeypatch):
+def test_execute_sql_never_parses(databases_root, concert_db, pool, monkeypatch):
     def refuse(sql):
         raise RuntimeError("execute_sql parsed a statement")
 
     monkeypatch.setattr("solidql.evaluation.parse_sql", refuse)
-    table = execute_sql(concert_db, "SELECT name FROM singer ORDER BY age")
-    assert len(table.rows) == 5 and table.ordered
-    table = execute_sql(
-        concert_db, "SELECT name FROM singer WHERE age IN (SELECT age FROM singer ORDER BY age)"
-    )
-    assert len(table.rows) == 5 and not table.ordered
+    ordered = "SELECT name FROM singer ORDER BY age"
+    assert len(execute_sql(concert_db, ordered, 30.0, pool)) == 5 and has_top_level_order_by(ordered)
+    nested = "SELECT name FROM singer WHERE age IN (SELECT age FROM singer ORDER BY age)"
+    assert len(execute_sql(concert_db, nested, 30.0, pool)) == 5 and not has_top_level_order_by(nested)
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": ordered}]
+    report = evaluate(dataset, [ordered], databases_root, perturbed=[ordered])
+    assert report.records[0].ex and all(report.robustness)
+
+
+def count_order_by_scans(monkeypatch) -> list[str]:
+    """Every statement ``evaluation`` scans for a top-level ORDER BY from now on."""
+    scanned: list[str] = []
+    scan = evaluation.has_top_level_order_by
+
+    def counting(sql):
+        scanned.append(sql)
+        return scan(sql)
+
+    monkeypatch.setattr(evaluation, "has_top_level_order_by", counting)
+    return scanned
+
+
+def test_evaluate_scans_only_reference_statements_for_order_by(databases_root, monkeypatch):
+    # (gold, clean prediction, perturbed prediction)
+    triples = [
+        ("SELECT name FROM singer ORDER BY age", "SELECT name FROM singer ORDER BY age",
+         "SELECT name FROM singer ORDER BY age DESC"),
+        ("SELECT age FROM singer", "SELECT age FROM singer ORDER BY age",
+         "SELECT age FROM singer ORDER BY age ASC"),
+        ("SELECT broken FROM nowhere", "SELECT name FROM singer", "SELECT name FROM singer"),
+        ("SELECT name FROM singer", "SELECT zzz FROM singer", "SELECT name FROM singer"),
+        ("SELECT name FROM singer", "SELECT name FROM singer", "SELECT zzz FROM singer"),
+    ]
+    dataset = [{"question": f"q{i}", "db_id": "concert_singer", "query": gold}
+               for i, (gold, _, _) in enumerate(triples)]
+    clean = [c for _, c, _ in triples]
+    perturbed = [p for _, _, p in triples]
+    scanned = count_order_by_scans(monkeypatch)
+    report = evaluate(dataset, clean, databases_root)
+    assert [record.ex for record in report.records] == [True, True, False, False, True]
+    # gold statements, and only those that are compared: not an excluded item's or a failed prediction's
+    assert scanned == [triples[i][0] for i in (0, 1, 4)]
+    assert len(scanned) <= len(dataset)
+    scanned.clear()
+    report = evaluate(dataset, clean, databases_root, perturbed=perturbed)
+    assert [bool(verdict) for verdict in report.robustness] == [False, True, True, False, False]
+    # each clean prediction whose rows meet a perturbed statement's, then the gold statement
+    assert scanned == [clean[0], triples[0][0], clean[1], triples[1][0], clean[2], triples[4][0]]
+    assert len(scanned) <= 2 * len(dataset)
 
 
 def ex_verdicts(pairs, databases_root):
@@ -283,25 +330,21 @@ def test_ex_reflexive_and_symmetric(databases_root):
 
 
 def test_null_and_float_conventions(concert_db):
-    from solidql.evaluation import ResultTable
-
-    assert not tables_match(
-        ResultTable(((None,),), False), ResultTable((("",),), False)
-    )
-    assert tables_match(
-        ResultTable(((0.30000000004,),), False), ResultTable(((0.3,),), False)
-    )
-    assert not tables_match(
-        ResultTable(((0.31,),), False), ResultTable(((0.3,),), False)
-    )
+    assert not tables_match([(None,)], [("",)], False)
+    assert tables_match([(0.30000000004,)], [(0.3,)], False)
+    assert not tables_match([(0.31,)], [(0.3,)], False)
 
 
 def test_arity_mismatch_is_false():
-    from solidql.evaluation import ResultTable
+    assert not tables_match([(1, 2)], [(1,)], False)
+    assert not tables_match([(1, 2)], [(1,)], True)
 
-    assert not tables_match(
-        ResultTable(((1, 2),), False), ResultTable(((1,),), False)
-    )
+
+def test_tables_match_takes_row_order_from_its_argument():
+    assert tables_match([(1,), (2,)], [(2,), (1,)], False)
+    assert not tables_match([(1,), (2,)], [(2,), (1,)], True)
+    assert tables_match([(1, "a"), (2, "b")], [("a", 1), ("b", 2)], True)
+    assert not tables_match([(1,), (1,), (2,)], [(1,), (2,), (2,)], False)
 
 
 def test_exact_match_normalization():
@@ -324,8 +367,9 @@ def test_exact_match_keeps_the_case_of_a_double_quoted_value(tmp_path):
         connection.execute("INSERT INTO t VALUES ('x', 'Paris')")
         connection.commit()
     upper, lower = 'SELECT a FROM t WHERE b = "Paris"', 'SELECT a FROM t WHERE b = "paris"'
-    assert execute_sql(db, upper).rows == (("x",),)
-    assert execute_sql(db, lower).rows == ()
+    with evaluation.Connections() as pool:
+        assert execute_sql(db, upper, 30.0, pool) == [("x",)]
+        assert execute_sql(db, lower, 30.0, pool) == []
     assert not exact_match(upper, lower)
     assert exact_match(upper, 'select A from "T" where B = "Paris"')
 
@@ -396,6 +440,24 @@ def test_robustness_check(concert_db):
         "SELECT name FROM singer", "SELECT location FROM stadium", concert_db
     )
     assert not verdict.passed
+    # row order counts only under the clean statement's ORDER BY
+    assert robustness_check(
+        "SELECT age FROM singer", "SELECT age FROM singer ORDER BY age DESC", concert_db
+    )
+    assert not robustness_check(
+        "SELECT age FROM singer ORDER BY age", "SELECT age FROM singer ORDER BY age DESC", concert_db
+    )
+
+
+def test_robustness_check_runs_both_statements_on_one_connection(concert_db, monkeypatch):
+    opened = record_connections(monkeypatch)
+    assert robustness_check("SELECT name FROM singer", "SELECT name FROM singer", concert_db)
+    assert len(opened) == 1
+    assert_closed(opened[0])
+    verdict = robustness_check("SELECT zzz FROM singer", "SELECT name FROM singer", concert_db)
+    assert not verdict and "clean" in verdict.reason
+    assert len(opened) == 2
+    assert_closed(opened[1])
 
 
 def test_evaluate_aggregates(databases_root):

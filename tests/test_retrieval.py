@@ -239,6 +239,21 @@ def test_question_zero_norm_pool_item_is_skipped():
     assert got == ["near", "far"]
 
 
+def test_question_pool_row_whose_squared_norm_overflows_is_skipped():
+    vectors = {
+        "target": (1e150, 1.0),
+        "huge": (1e200, 1e200),
+        "unit": (1.0, 1.0),
+        "tall": (1.0, 2.0),
+        "wide": (1e200, 1.0),
+    }
+    index, embedder = fixed_index(vectors)
+    got = [p.pool_index for p in retrieve_by_question_skeleton("target", index, 4, embedder)]
+    assert got == [1, 2]
+    assert got == brute_force_question_ranking(vectors["target"], index.pool, 4)
+    assert [group.members[0].question for group in index.embedding_groups] == ["unit", "tall"]
+
+
 def test_question_dimension_mismatch_raises():
     index, _ = fixed_index({"one": (1.0, 0.0), "two": (0.0, 1.0)})
     with pytest.raises(ValueError):
