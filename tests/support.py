@@ -209,6 +209,87 @@ class _StatementPlan:
 
 
 # ----------------------------------------------------------------------
+# random expression-heavy statements, well-formed and malformed
+# ----------------------------------------------------------------------
+
+_ATOMS = ["a", "b", "t.c", "u.*", "1", "2.5", "'x'", "NULL", '"q"', "count(*)", "count(DISTINCT a)",
+          "count(DISTINCT)", "max(a)", "f()", "coalesce(a, b, 1)"]
+# words spliced into a statement to make it (most likely) malformed
+_STRAY = ["NOT", "-", "+", "*", "/", "%", "=", "<>", "<", ">=", "AND", "OR", "(", ")", ",", "IN", "LIKE",
+          "BETWEEN", "IS", "NULL", "EXISTS", "SELECT", "DISTINCT", "AS", "a", "1"]
+
+
+def random_expression_statement(rng: random.Random) -> str:
+    """A statement whose select list, WHERE and ORDER BY are random expressions.
+
+    Mixes NOT, unary signs, predicates, arithmetic and parentheses. Each
+    subexpression is drawn for its place in the grammar (a condition, or
+    an arithmetic operand), but one in ten is drawn for the other place,
+    and half the statements get a run of stray words spliced in or a
+    word deleted or swapped, so many statements are malformed.
+    """
+
+    def condition(depth: int) -> str:
+        roll = rng.random()
+        if depth == 0 or roll < 0.1:
+            return arithmetic(depth)
+        if roll < 0.3:
+            return predicate(depth)
+        d = depth - 1
+        if roll < 0.55:
+            return f"{condition(d)} {rng.choice(['AND', 'OR'])} {condition(d)}"
+        if roll < 0.7:
+            return f"NOT {condition(d)}"
+        if roll < 0.8:
+            return f"({condition(d)})"
+        return arithmetic(depth)
+
+    def predicate(depth: int) -> str:
+        d = depth - 1
+        negated = rng.choice(["", "NOT "])
+        return rng.choice([
+            f"{arithmetic(d)} {rng.choice(['=', '!=', '<>', '<', '>', '<=', '>='])} {arithmetic(d)}",
+            f"{arithmetic(d)} {negated}BETWEEN {arithmetic(d)} AND {arithmetic(d)}",
+            f"{arithmetic(d)} {negated}IN ({', '.join(condition(d) for _ in range(rng.randint(1, 3)))})",
+            f"{arithmetic(d)} {negated}IN (SELECT a FROM u)",
+            f"{arithmetic(d)} {negated}LIKE {arithmetic(d)}",
+            f"{arithmetic(d)} IS {negated}NULL",
+            f"{negated}EXISTS (SELECT 1 FROM u WHERE {condition(d)})",
+        ])
+
+    def arithmetic(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.1 and depth > 0:
+            return condition(depth - 1)
+        if depth == 0 or roll < 0.4:
+            return rng.choice(_ATOMS)
+        d = depth - 1
+        if roll < 0.7:
+            return f"{arithmetic(d)} {rng.choice('+-*/%')} {arithmetic(d)}"
+        if roll < 0.85:
+            return f"{rng.choice('-+')}{rng.choice(['', ' '])}{arithmetic(d)}"
+        return f"({condition(d)})"
+
+    items = ", ".join(arithmetic(3) + rng.choice(["", "", " AS y", " y"]) for _ in range(rng.randint(1, 2)))
+    sql = f"SELECT {rng.choice(['', 'DISTINCT '])}{items} FROM t{rng.choice(['', ' AS v', ' v'])}"
+    sql += f" WHERE {condition(3)}"
+    if rng.random() < 0.3:
+        sql += f" ORDER BY {arithmetic(2)} {rng.choice(['ASC', 'DESC'])}, {condition(1)}"
+    if rng.random() < 0.5:
+        words = sql.split(" ")
+        at = rng.randrange(len(words))
+        edit = rng.choice(["insert", "delete", "swap"])
+        if edit == "insert":
+            words[at:at] = rng.choices(_STRAY, k=rng.randint(1, 3))
+        elif edit == "delete":
+            del words[at]
+        else:
+            words[at - 1], words[at] = words[at], words[at - 1]
+        sql = " ".join(words)
+    return sql
+
+
+# ----------------------------------------------------------------------
 # retrieval oracle
 # ----------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import sqlite3
@@ -15,7 +16,7 @@ from solidql.sql import normalize_identifier, parse_sql, render_sql, split_quali
 from solidql.sql.nodes import CLAUSE, COLUMN_REF, SUBQUERY, TABLE_REF
 from solidql.sql.tokens import tokenize
 
-from support import random_statement
+from support import random_expression_statement, random_statement
 
 
 # text -> its (type, text, offset) tokens, or the offset of its ParseError
@@ -199,10 +200,60 @@ def test_corpus_round_trip(parser_corpus):
 
 def test_generated_statements_round_trip():
     rng = random.Random(7)
-    for _ in range(300):
-        sql = random_statement(rng)
-        tree = parse_sql(sql)
+    statements = [random_statement(rng) for _ in range(300)]
+    for sql in statements + [random_expression_statement(rng) for _ in range(1000)]:
+        try:
+            tree = parse_sql(sql)
+        except ParseError:
+            assert sql not in statements
+            continue
         assert parse_sql(render_sql(tree)) == tree, sql
+        canonical = render_sql(tree, canonical=True)
+        assert render_sql(parse_sql(canonical), canonical=True) == canonical, sql
+
+
+# statements whose reading hangs on operator precedence -> their rendering,
+# or the message and offset of their ParseError
+EXPRESSION_CASES = {
+    "SELECT -a * b = c FROM t": "SELECT -a * b = c FROM t",
+    "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u) * 2": ("unexpected trailing input '*'", 47),
+    "SELECT count(DISTINCT) FROM t": "SELECT count(DISTINCT) FROM t",
+    "SELECT a FROM t WHERE a = b = c": ("unexpected trailing input '='", 28),
+    "SELECT a FROM t WHERE a NOT b": ("expected BETWEEN, IN or LIKE after NOT", 28),
+}
+
+
+@pytest.mark.parametrize("sql", EXPRESSION_CASES)
+def test_expression_cases(sql):
+    expected = EXPRESSION_CASES[sql]
+    if isinstance(expected, str):
+        assert render_sql(parse_sql(sql)) == expected
+    else:
+        message, offset = expected
+        with pytest.raises(ParseError) as err:
+            parse_sql(sql)
+        assert str(err.value) == f"{message} (at offset {offset})"
+
+
+def _reading(sql: str) -> str:
+    """The tree and both renderings of ``sql``, or its error's message and offset."""
+    try:
+        tree = parse_sql(sql)
+    except ParseError as err:
+        return str(err)
+    return f"{tree!r}\n{render_sql(tree)}\n{render_sql(tree, canonical=True)}"
+
+
+def test_parser_and_renderer_readings_are_pinned(parser_corpus):
+    # one digest over what parser and renderer make of 3,367 statements,
+    # 1,377 of them malformed; it changes only when some tree, rendering,
+    # error message or error offset does
+    rng = random.Random(23)
+    statements = [item["query"] for item in parser_corpus] + GRAMMAR + list(EXPRESSION_CASES)
+    statements += [random_statement(rng) for _ in range(300)]
+    statements += [random_expression_statement(rng) for _ in range(3000)]
+    digest = hashlib.sha256("\n\n".join(map(_reading, statements)).encode()).hexdigest()
+    assert digest == "66790df48d815d70372d31fc76b96c0a8fb8a8edf2d440ba1c4e7eb8906a5015"
 
 
 def test_canonical_rendering_lowercases():
