@@ -310,12 +310,13 @@ def retrieve_by_question_skeleton(
     length is not the index's dimension, that ``_embedding_row`` refuses,
     or whose squared norm is beyond float range raises ``ValueError``.
 
-    A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), where
-    both squared norms are ``_squared_norm`` sums and the dot product
-    sums ``value * row[bucket]`` over the target's non-zero buckets in
-    bucket order, starting from 0.0. Each of the index's
-    ``embedding_groups`` is scored once, and its score holds for all its
-    members.
+    A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), or
+    dot / (sqrt(‖target‖²) · sqrt(‖row‖²)) where that product underflows
+    to 0.0 or overflows. Both squared norms are ``_squared_norm`` sums,
+    and the dot product sums ``value * row[bucket]`` over the target's
+    non-zero buckets in bucket order, starting from 0.0. Each of the
+    index's ``embedding_groups`` is scored once, and its score holds for
+    all its members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -333,13 +334,18 @@ def retrieve_by_question_skeleton(
         return RetrievalResult([])
     # a 0.0 target value adds ±0.0 against a finite row: leaving it out keeps the sum's bits
     terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
+    inf = math.inf
     # (negated similarity, first pool index, members); first pool indices are unique
     scored: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
     for vector, norm, members in index.embedding_groups:
         dot = 0.0
         for bucket, value in terms:
             dot += value * vector[bucket]
-        scored.append((-(dot / math.sqrt(target_norm * norm)), members[0].pool_index, members))
+        scale = math.sqrt(target_norm * norm)
+        if scale == 0.0 or scale == inf:
+            # the product of the squared norms left float range, their roots do not
+            scale = math.sqrt(target_norm) * math.sqrt(norm)
+        scored.append((-(dot / scale), members[0].pool_index, members))
     heapq.heapify(scored)
     held: list[tuple[float, int, ExamplePair]] = []
     score = None

@@ -1,4 +1,4 @@
-"""Syntax-tree node type for the SQLite-compatible SELECT dialect.
+"""Syntax-tree node type and operator levels of the SQLite-compatible SELECT dialect.
 
 A statement is represented as an ordered tree of immutable :class:`Node`
 values. Node identity for structural comparison and for tree edit distance
@@ -34,6 +34,16 @@ Kinds
     One join step inside FROM; ``text`` is the join connective (``join``,
     ``left join``, ``,`` ...); children are the table source and the
     optional ON expression.
+
+Operator levels
+---------------
+The one statement of the dialect's operator precedence: the parser
+climbs these levels and the renderer parenthesizes by them. Loosest
+first: ``or``, ``and`` (``LEFT_ASSOCIATIVE``), ``not`` (``NOT_LEVEL``),
+the predicates (``PREDICATE_LEVEL``: ``COMPARISONS``, ``[not] in``,
+``[not] like``, ``[not] between``, ``is [not] null``, ``exists``),
+``+ -`` and ``* / %`` (``LEFT_ASSOCIATIVE``), a sign (``UNARY_LEVEL``).
+A predicate's operands are arithmetic, so predicates do not chain.
 """
 
 from __future__ import annotations
@@ -59,6 +69,14 @@ JOIN = "join"
 
 QUERY_KINDS = (QUERY, SUBQUERY)
 SET_OPS = ("union", "union all", "intersect", "except")
+
+# operator levels, loosest first (see "Operator levels" above)
+LEFT_ASSOCIATIVE = {"or": 1, "and": 2, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+NOT_LEVEL = 3
+PREDICATE_LEVEL = 4
+OPERAND_LEVEL = PREDICATE_LEVEL + 1  # a predicate's operands are arithmetic
+UNARY_LEVEL = 7
+COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the SQLite-compatible SELECT subset.
+"""Parser for the SQLite-compatible SELECT subset.
 
 Covers the surface used by the Spider family of benchmarks: SELECT with
 DISTINCT, FROM with JOIN ... ON chains and derived tables, WHERE with
@@ -7,11 +7,16 @@ predicates, arithmetic, aggregates, aliases, GROUP BY, HAVING,
 ORDER BY with directions, LIMIT/OFFSET, nested subqueries, and
 UNION / UNION ALL / INTERSECT / EXCEPT.
 
-The produced tree is rendered back to text by :mod:`.render`; parsing the
-rendering yields a structurally identical tree.
+Clauses are read by recursive descent, expressions by one
+precedence-climbing loop (Pratt, POPL 1973) over the operator levels
+of :mod:`.nodes`. The produced tree is rendered back to text by
+:mod:`.render`; parsing the rendering yields a structurally identical
+tree.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ..errors import ParseError
 from . import tokens as tk
@@ -19,16 +24,22 @@ from .nodes import (
     CLAUSE,
     COLUMN_ALIAS,
     COLUMN_REF,
+    COMPARISONS,
     FUNCTION,
     JOIN,
     KEYWORD,
+    LEFT_ASSOCIATIVE,
     LITERAL,
+    NOT_LEVEL,
+    OPERAND_LEVEL,
     OPERATOR,
+    PREDICATE_LEVEL,
     QUERY,
     STAR,
     SUBQUERY,
     TABLE_ALIAS,
     TABLE_REF,
+    UNARY_LEVEL,
     Node,
 )
 
@@ -40,16 +51,8 @@ RESERVED = frozenset(
     end""".split()
 )
 
-_COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
-
-_JOIN_WORDS = {
-    "join": "join",
-    "inner": "inner join",
-    "left": "left join",
-    "right": "right join",
-    "full": "full join",
-    "cross": "cross join",
-}
+# words that start a join connective other than a bare JOIN
+_JOIN_WORDS = ("inner", "left", "right", "full", "cross")
 
 
 def parse_sql(text: str) -> Node:
@@ -113,6 +116,13 @@ class _Parser:
         if tok.type != tk.EOF:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
 
+    def comma_list(self, item: Callable[[], Node]) -> list[Node]:
+        """One or more ``item``s separated by commas."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
     def expect_name(self) -> tk.Token:
         tok = self.peek()
         if tok.type == tk.QIDENT:
@@ -158,23 +168,13 @@ class _Parser:
             children.append(Node(KEYWORD, "distinct"))
         elif self.accept("all"):
             children.append(Node(KEYWORD, "all"))
-        children.append(self.select_item())
-        while self.accept(","):
-            children.append(self.select_item())
+        children += self.comma_list(self.select_item)
         return Node(CLAUSE, "select", tuple(children))
 
     def select_item(self) -> Node:
         if self.accept("*"):
             return Node(STAR, "*")
-        item = self.expr()
-        if self.accept("as"):
-            alias = self.expect_name()
-            return Node(COLUMN_ALIAS, alias.text, (item,))
-        tok = self.peek()
-        if tok.type == tk.IDENT and tok.lower not in RESERVED:
-            self.advance()
-            return Node(COLUMN_ALIAS, tok.text, (item,))
-        return item
+        return self.alias(COLUMN_ALIAS, self.expr())
 
     def from_clause(self) -> Node:
         self.expect("from")
@@ -194,52 +194,45 @@ class _Parser:
         return Node(CLAUSE, "from", tuple(children))
 
     def join_connective(self) -> str | None:
-        if self.peek().lower not in _JOIN_WORDS:
+        if self.accept("join"):
+            return "join"
+        if not self.at(*_JOIN_WORDS):
             return None
         word = self.advance().lower
-        if word == "join":
-            return "join"
-        connective = _JOIN_WORDS[word]
         if word in ("left", "right", "full") and self.accept("outer"):
-            connective = f"{word} outer join"
+            word += " outer"
         self.expect("join")
-        return connective
+        return f"{word} join"
 
     def table_source(self) -> Node:
         if self.accept("("):
             if not self.at("select"):
                 raise ParseError("expected SELECT in derived table", self.peek().offset)
-            inner = self.query_expr(is_sub=True)
+            source = self.query_expr(is_sub=True)
             self.expect(")")
-            return self.maybe_table_alias(inner)
-        name = self.expect_name()
-        return self.maybe_table_alias(Node(TABLE_REF, name.text))
+        else:
+            source = Node(TABLE_REF, self.expect_name().text)
+        return self.alias(TABLE_ALIAS, source)
 
-    def maybe_table_alias(self, source: Node) -> Node:
+    def alias(self, kind: str, node: Node) -> Node:
+        """``node`` under the ``AS name`` or bare-name alias that follows, if any."""
         if self.accept("as"):
-            alias = self.expect_name()
-            return Node(TABLE_ALIAS, alias.text, (source,))
+            return Node(kind, self.expect_name().text, (node,))
         tok = self.peek()
-        if tok.type == tk.IDENT and tok.lower not in RESERVED:
-            self.advance()
-            return Node(TABLE_ALIAS, tok.text, (source,))
-        return source
+        if tok.type != tk.IDENT or tok.lower in RESERVED:
+            return node
+        self.advance()
+        return Node(kind, tok.text, (node,))
 
     def group_by_clause(self) -> Node:
         self.expect("group")
         self.expect("by")
-        items = [self.expr()]
-        while self.accept(","):
-            items.append(self.expr())
-        return Node(CLAUSE, "group_by", tuple(items))
+        return Node(CLAUSE, "group_by", tuple(self.comma_list(self.expr)))
 
     def order_by_clause(self) -> Node:
         self.expect("order")
         self.expect("by")
-        items = [self.order_item()]
-        while self.accept(","):
-            items.append(self.order_item())
-        return Node(CLAUSE, "order_by", tuple(items))
+        return Node(CLAUSE, "order_by", tuple(self.comma_list(self.order_item)))
 
     def order_item(self) -> Node:
         item = self.expr()
@@ -270,49 +263,65 @@ class _Parser:
     # expressions
     # ------------------------------------------------------------------
 
-    def expr(self) -> Node:
-        return self.or_expr()
+    def expr(self, min_level: int = 1) -> Node:
+        """An expression of operators that bind at ``min_level`` or tighter.
 
-    def or_expr(self) -> Node:
-        node = self.and_expr()
-        while self.accept("or"):
-            node = Node(OPERATOR, "or", (node, self.and_expr()))
-        return node
+        Precedence climbing over the levels of :mod:`.nodes`. ``level`` is
+        how tightly the expression read so far binds: a left-associative
+        operator takes it as its left operand if it binds no tighter than
+        that, a predicate only if it binds more loosely, so that
+        predicates do not chain.
+        """
+        node, level = self.prefix(min_level)
+        while True:
+            tok = self.peek()
+            binding = LEFT_ASSOCIATIVE.get(tok.lower)
+            if binding is not None:
+                if not min_level <= binding <= level:
+                    return node
+                self.advance()
+                node = Node(OPERATOR, tok.lower, (node, self.expr(binding + 1)))
+                level = binding
+            elif min_level <= PREDICATE_LEVEL < level and (predicate := self.predicate(node)) is not None:
+                node, level = predicate, PREDICATE_LEVEL
+            else:
+                return node
 
-    def and_expr(self) -> Node:
-        node = self.not_expr()
-        while self.accept("and"):
-            node = Node(OPERATOR, "and", (node, self.not_expr()))
-        return node
-
-    def not_expr(self) -> Node:
-        if self.accept("not"):
-            return Node(OPERATOR, "not", (self.not_expr(),))
-        return self.predicate()
-
-    def predicate(self) -> Node:
-        if self.accept("exists"):
+    def prefix(self, min_level: int) -> tuple[Node, int]:
+        """The operand that starts an expression, and the level it binds at."""
+        if min_level <= NOT_LEVEL and self.accept("not"):
+            return Node(OPERATOR, "not", (self.expr(NOT_LEVEL),)), NOT_LEVEL
+        if min_level <= PREDICATE_LEVEL and self.accept("exists"):
             self.expect("(")
             inner = self.query_expr(is_sub=True)
             self.expect(")")
-            return Node(OPERATOR, "exists", (inner,))
-        lhs = self.arith()
+            return Node(OPERATOR, "exists", (inner,)), PREDICATE_LEVEL
+        if self.at("-", "+"):
+            op = self.advance().text
+            return Node(OPERATOR, op, (self.expr(UNARY_LEVEL),)), UNARY_LEVEL
+        return self.primary(), UNARY_LEVEL
+
+    def predicate(self, lhs: Node) -> Node | None:
+        """The predicate on ``lhs`` that starts at the next token, if any."""
         tok = self.peek()
-        if tok.lower in _COMPARISONS:
+        if tok.lower in COMPARISONS:
             self.advance()
             op = "!=" if tok.text == "<>" else tok.text
-            return Node(OPERATOR, op, (lhs, self.arith()))
+            return Node(OPERATOR, op, (lhs, self.expr(OPERAND_LEVEL)))
         negated = self.accept("not") is not None
         if self.accept("between"):
-            low = self.arith()
+            low = self.expr(OPERAND_LEVEL)
             self.expect("and")
-            high = self.arith()
+            high = self.expr(OPERAND_LEVEL)
             return Node(OPERATOR, "not between" if negated else "between", (lhs, low, high))
         if self.accept("in"):
-            return self.in_predicate(lhs, negated)
+            self.expect("(")
+            items = [self.query_expr(is_sub=True)] if self.at("select") else self.comma_list(self.expr)
+            self.expect(")")
+            return Node(OPERATOR, "not in" if negated else "in", (lhs, *items))
         if self.accept("like"):
             op = "not like" if negated else "like"
-            return Node(OPERATOR, op, (lhs, self.arith()))
+            return Node(OPERATOR, op, (lhs, self.expr(OPERAND_LEVEL)))
         if negated:
             raise ParseError("expected BETWEEN, IN or LIKE after NOT", self.peek().offset)
         if self.accept("is"):
@@ -320,40 +329,7 @@ class _Parser:
             if not self.accept("null"):
                 raise ParseError("expected NULL after IS", self.peek().offset)
             return Node(OPERATOR, "is not null" if negated else "is null", (lhs,))
-        return lhs
-
-    def in_predicate(self, lhs: Node, negated: bool) -> Node:
-        op = "not in" if negated else "in"
-        self.expect("(")
-        if self.at("select"):
-            inner = self.query_expr(is_sub=True)
-            self.expect(")")
-            return Node(OPERATOR, op, (lhs, inner))
-        items = [self.expr()]
-        while self.accept(","):
-            items.append(self.expr())
-        self.expect(")")
-        return Node(OPERATOR, op, (lhs, *items))
-
-    def arith(self) -> Node:
-        node = self.term()
-        while self.at("+", "-"):
-            op = self.advance().text
-            node = Node(OPERATOR, op, (node, self.term()))
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.at("*", "/", "%"):
-            op = self.advance().text
-            node = Node(OPERATOR, op, (node, self.factor()))
-        return node
-
-    def factor(self) -> Node:
-        if self.at("-", "+"):
-            op = self.advance().text
-            return Node(OPERATOR, op, (self.factor(),))
-        return self.primary()
+        return None
 
     def primary(self) -> Node:
         tok = self.peek()
@@ -386,9 +362,7 @@ class _Parser:
         if self.accept("*"):
             children.append(Node(STAR, "*"))
         elif not self.at(")"):
-            children.append(self.expr())
-            while self.accept(","):
-                children.append(self.expr())
+            children += self.comma_list(self.expr)
         self.expect(")")
         return Node(FUNCTION, name.text, tuple(children))
 

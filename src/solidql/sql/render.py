@@ -1,8 +1,11 @@
 """Deterministic text rendering of syntax trees.
 
 Keywords come out uppercase, identifiers and literals keep their raw
-source spans, and parentheses are inserted exactly where precedence
-requires them, so ``parse(render(tree))`` reproduces ``tree``.
+source spans, and parentheses are inserted exactly where the operator
+levels of :mod:`.nodes`, which the parser climbs, require them, so
+``parse(render(tree))`` reproduces ``tree``. Select lists, GROUP BY and
+ORDER BY items and function arguments are joined by one rule: a
+leading DISTINCT or ALL, then the items separated by commas.
 
 ``render_sql(tree, canonical=True)`` additionally lowercases identifiers,
 function names, and literal keywords and normalizes quoted spans; this is
@@ -16,59 +19,29 @@ from __future__ import annotations
 from .nodes import (
     COLUMN_ALIAS,
     COLUMN_REF,
+    COMPARISONS,
     FUNCTION,
     KEYWORD,
+    LEFT_ASSOCIATIVE,
     LITERAL,
+    NOT_LEVEL,
+    OPERAND_LEVEL,
     OPERATOR,
+    PREDICATE_LEVEL,
     SET_OPS,
     STAR,
     TABLE_ALIAS,
     TABLE_REF,
+    UNARY_LEVEL,
     Node,
     is_query_like,
     normalize_identifier,
     split_qualified,
 )
 
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "=": 4,
-    "!=": 4,
-    "<": 4,
-    ">": 4,
-    "<=": 4,
-    ">=": 4,
-    "like": 4,
-    "not like": 4,
-    "in": 4,
-    "not in": 4,
-    "between": 4,
-    "not between": 4,
-    "is null": 4,
-    "is not null": 4,
-    "exists": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-
-_PREDICATE_PRECEDENCE = 4  # comparisons, IN, LIKE, BETWEEN, IS NULL, EXISTS
-_UNARY_PRECEDENCE = 7
-_ATOM_PRECEDENCE = 9
-
-_CLAUSE_KEYWORDS = {
-    "select": "SELECT",
-    "from": "FROM",
-    "where": "WHERE",
-    "group_by": "GROUP BY",
-    "having": "HAVING",
-    "order_by": "ORDER BY",
-    "limit": "LIMIT",
-}
+# atoms bind tighter than any operator; a sign's operand is one or is
+# parenthesized, since "--x" would re-read as a comment
+_ATOM_LEVEL = UNARY_LEVEL + 1
 
 
 def render_sql(node: Node, canonical: bool = False) -> str:
@@ -92,19 +65,16 @@ class _Renderer:
         return " ".join(self.clause(child) for child in node.children)
 
     def clause(self, node: Node) -> str:
-        keyword = self.kw(_CLAUSE_KEYWORDS[node.text])
-        if node.text == "select":
-            return f"{keyword} {self.select_items(node.children)}"
+        keyword = self.kw(node.text.replace("_", " "))  # group_by -> GROUP BY
+        if node.text in ("select", "group_by", "order_by"):
+            return f"{keyword} {self.listing(node.children)}"
         if node.text == "from":
-            parts = [self.table_source(node.children[0])]
+            parts = [self.expr(node.children[0])]
             for join in node.children[1:]:
                 parts.append(self.join(join))
             return f"{keyword} {' '.join(parts)}"
         if node.text in ("where", "having"):
             return f"{keyword} {self.expr(node.children[0])}"
-        if node.text in ("group_by", "order_by"):
-            items = ", ".join(self.expr(child) for child in node.children)
-            return f"{keyword} {items}"
         if node.text == "limit":
             count = self.expr(node.children[0])
             if len(node.children) == 2:
@@ -112,20 +82,16 @@ class _Renderer:
             return f"{keyword} {count}"
         raise ValueError(f"unknown clause {node.text!r}")
 
-    def select_items(self, children: tuple[Node, ...]) -> str:
-        parts: list[str] = []
-        for child in children:
-            if child.kind == KEYWORD:
-                parts.append(self.kw(child.text))
-            elif child.kind == COLUMN_ALIAS:
-                parts.append(f"{self.expr(child.children[0])} {self.kw('AS')} {self.name(child.text)},")
-            else:
-                parts.append(f"{self.expr(child)},")
-        joined = " ".join(parts)
-        return joined[:-1] if joined.endswith(",") else joined
+    def listing(self, children: tuple[Node, ...]) -> str:
+        """Comma-separated items, after their leading DISTINCT or ALL if any."""
+        if children and children[0].kind == KEYWORD:
+            keyword = self.kw(children[0].text)
+            items = self.listing(children[1:])
+            return f"{keyword} {items}" if items else keyword
+        return ", ".join(map(self.expr, children))
 
     def join(self, node: Node) -> str:
-        source = self.table_source(node.children[0])
+        source = self.expr(node.children[0])
         if node.text == ",":
             text = f", {source}"
         else:
@@ -134,50 +100,31 @@ class _Renderer:
             text += f" {self.kw('ON')} {self.expr(node.children[1])}"
         return text
 
-    def table_source(self, node: Node) -> str:
-        if node.kind == TABLE_ALIAS:
-            return f"{self.table_source(node.children[0])} {self.kw('AS')} {self.name(node.text)}"
-        if node.kind == TABLE_REF:
-            return self.name(node.text)
-        if is_query_like(node):
-            return f"({self.query(node)})"
-        raise ValueError(f"unexpected table source {node.kind!r}")
-
     # ------------------------------------------------------------------
 
-    def expr(self, node: Node, parent_prec: int = 0, right_side: bool = False) -> str:
-        text, prec = self.expr_with_prec(node)
-        if prec < parent_prec or (right_side and prec == parent_prec):
-            return f"({text})"
-        return text
+    def expr(self, node: Node, parent_level: int = 0) -> str:
+        """``node``, parenthesized if it binds more loosely than ``parent_level``."""
+        text, level = self.expr_with_level(node)
+        return f"({text})" if level < parent_level else text
 
-    def expr_with_prec(self, node: Node) -> tuple[str, int]:
+    def expr_with_level(self, node: Node) -> tuple[str, int]:
         kind = node.kind
         if kind == COLUMN_REF:
-            return self.column(node.text), _ATOM_PRECEDENCE
+            return self.column(node.text), _ATOM_LEVEL
         if kind == TABLE_REF:
-            return self.name(node.text), _ATOM_PRECEDENCE
+            return self.name(node.text), _ATOM_LEVEL
         if kind == LITERAL:
-            return self.literal(node.text), _ATOM_PRECEDENCE
+            return self.literal(node.text), _ATOM_LEVEL
         if kind == STAR:
-            return "*", _ATOM_PRECEDENCE
-        if kind == COLUMN_ALIAS:
+            return "*", _ATOM_LEVEL
+        if kind == COLUMN_ALIAS or kind == TABLE_ALIAS:
             inner = self.expr(node.children[0])
-            return f"{inner} {self.kw('AS')} {self.name(node.text)}", _ATOM_PRECEDENCE
+            return f"{inner} {self.kw('AS')} {self.name(node.text)}", _ATOM_LEVEL
         if kind == FUNCTION:
             name = node.text.lower() if self.canonical else node.text
-            args: list[str] = []
-            for child in node.children:
-                if child.kind == KEYWORD:
-                    args.append(self.kw(child.text) + " ")
-                else:
-                    args.append(self.expr(child) + ", ")
-            body = "".join(args)
-            if body.endswith(", "):
-                body = body[:-2]
-            return f"{name}({body.rstrip()})", _ATOM_PRECEDENCE
+            return f"{name}({self.listing(node.children)})", _ATOM_LEVEL
         if is_query_like(node):
-            return f"({self.query(node)})", _ATOM_PRECEDENCE
+            return f"({self.query(node)})", _ATOM_LEVEL
         if kind == OPERATOR:
             return self.operator(node)
         raise ValueError(f"unexpected expression node {kind!r}")
@@ -186,45 +133,40 @@ class _Renderer:
         op = node.text
         children = node.children
         if op in ("asc", "desc"):
-            return f"{self.expr(children[0])} {self.kw(op)}", _ATOM_PRECEDENCE
+            return f"{self.expr(children[0])} {self.kw(op)}", _ATOM_LEVEL
+        level = LEFT_ASSOCIATIVE.get(op)
+        if level is not None and len(children) == 2:
+            keyword = self.kw(op) if op.isalpha() else op
+            left, right = children
+            return f"{self.expr(left, level)} {keyword} {self.expr(right, level + 1)}", level
         if op == "not":
-            prec = _PRECEDENCE[op]
-            return f"{self.kw('NOT')} {self.expr(children[0], prec)}", prec
+            return f"{self.kw('NOT')} {self.expr(children[0], NOT_LEVEL)}", NOT_LEVEL
         if op in ("-", "+") and len(children) == 1:
-            # nested unary must parenthesize: "--x" would re-tokenize as a comment
-            return f"{op}{self.expr(children[0], _UNARY_PRECEDENCE + 1)}", _UNARY_PRECEDENCE
+            return f"{op}{self.expr(children[0], _ATOM_LEVEL)}", UNARY_LEVEL
+        return self.predicate(op, children), PREDICATE_LEVEL
+
+    def predicate(self, op: str, children: tuple[Node, ...]) -> str:
         if op == "exists":
-            return f"{self.kw('EXISTS')} ({self.query(children[0])})", _PRECEDENCE[op]
-        # predicates do not chain: the grammar reads each of their operands
-        # as arithmetic, so a predicate operand of a predicate is parenthesized
-        if op in ("is null", "is not null"):
-            prec = _PRECEDENCE[op]
-            return f"{self.expr(children[0], prec + 1)} {self.kw(op)}", prec
-        if op in ("between", "not between"):
-            prec = _PRECEDENCE[op]
-            subject, low, high = children
-            return (
-                f"{self.expr(subject, prec + 1)} {self.kw(op)} "
-                f"{self.expr(low, prec + 1)} {self.kw('AND')} {self.expr(high, prec + 1)}",
-                prec,
-            )
+            return f"{self.kw('EXISTS')} ({self.query(children[0])})"
+        subject = self.expr(children[0], OPERAND_LEVEL)
+        if op in COMPARISONS and len(children) == 2:
+            return f"{subject} {op} {self.expr(children[1], OPERAND_LEVEL)}"
+        if op in ("like", "not like") and len(children) == 2:
+            return f"{subject} {self.kw(op)} {self.expr(children[1], OPERAND_LEVEL)}"
         if op in ("in", "not in"):
-            prec = _PRECEDENCE[op]
-            subject = self.expr(children[0], prec + 1)
             rest = children[1:]
             if len(rest) == 1 and is_query_like(rest[0]):
-                return f"{subject} {self.kw(op)} ({self.query(rest[0])})", prec
-            items = ", ".join(self.expr(item) for item in rest)
-            return f"{subject} {self.kw(op)} ({items})", prec
-        if op in SET_OPS:
-            return f"({self.query(node)})", _ATOM_PRECEDENCE
-        prec = _PRECEDENCE.get(op)
-        if prec is None or len(children) != 2:
-            raise ValueError(f"unexpected operator {op!r}")
-        keyword = self.kw(op) if op.isalpha() or " " in op else op
-        left = self.expr(children[0], prec + 1 if prec == _PREDICATE_PRECEDENCE else prec)
-        right = self.expr(children[1], prec, right_side=True)
-        return f"{left} {keyword} {right}", prec
+                return f"{subject} {self.kw(op)} ({self.query(rest[0])})"
+            return f"{subject} {self.kw(op)} ({', '.join(map(self.expr, rest))})"
+        if op in ("between", "not between"):
+            _, low, high = children
+            return (
+                f"{subject} {self.kw(op)} "
+                f"{self.expr(low, OPERAND_LEVEL)} {self.kw('AND')} {self.expr(high, OPERAND_LEVEL)}"
+            )
+        if op in ("is null", "is not null"):
+            return f"{subject} {self.kw(op)}"
+        raise ValueError(f"unexpected operator {op!r}")
 
     # ------------------------------------------------------------------
 

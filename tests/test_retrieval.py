@@ -254,6 +254,24 @@ def test_question_pool_row_whose_squared_norm_overflows_is_skipped():
     assert [group.members[0].question for group in index.embedding_groups] == ["unit", "tall"]
 
 
+@pytest.mark.parametrize(
+    "vectors, expected",
+    [
+        # ‖target‖² · ‖row‖² overflows for the first row though both factors are finite
+        ({"target": (1e150, 1.0), "far": (1e10, 1.0), "unit": (1.0, 1.0)}, [0, 1]),
+        # ... and underflows to 0.0 for the first row though both factors are positive
+        ({"target": (1e-150, 0.0), "tiny": (1e-150, 0.0), "unit": (1.0, 0.0)}, [0, 1]),
+        # ‖target‖² is subnormal and has lost digits, so "unit" scores a little above 1
+        ({"target": (1e-160, 0.0), "tiny": (1e-160, 0.0), "unit": (1.0, 0.0)}, [1, 0]),
+    ],
+)
+def test_question_norm_product_out_of_float_range(vectors, expected):
+    index, embedder = fixed_index(vectors)
+    got = [p.pool_index for p in retrieve_by_question_skeleton("target", index, 2, embedder)]
+    assert got == expected
+    assert got == brute_force_question_ranking(vectors["target"], index.pool, 2)
+
+
 def test_question_dimension_mismatch_raises():
     index, _ = fixed_index({"one": (1.0, 0.0), "two": (0.0, 1.0)})
     with pytest.raises(ValueError):
