@@ -5,28 +5,31 @@ embeddings; round 2 re-ranks by edit distance between SQL skeleton
 parse trees. Both rankings are exact and break ties by pool index, so
 they are total orders and stable across runs.
 
+Both rounds rank by one best-first rule. Pool entries are grouped, and
+the groups leave a min-heap in order of (key, first pool index), the
+key being a lower bound on every member's ranking key. A popped group's
+members, less the excluded question, join the n best, and the search
+stops at the first head whose (key, first pool index) is beyond the
+n-th best (key, pool index): every later member ranks behind it.
+
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
-group's score holds for every member. Each dot product is taken over the
-target's non-zero buckets only, and each row is one packed ``array('d')``,
-read as contiguous doubles, not as separately allocated float objects.
-The groups leave a heap best first until n members are held and the next
-group no longer ties the n-th: a tied group may still hold a member of
-lower pool index.
+group's key is its negated cosine, which holds for every member. Each
+dot product is taken over the target's non-zero buckets only, and each
+row is one packed ``array('d')``, read as contiguous doubles, not as
+separately allocated float objects.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
-SIGMOD 1998) over the distinct skeletons. A min-heap holds them keyed
-by (lower bound on the distance, first pool index). Skeletons enter it
-in size rings outward from the target's node count, ring r holding
-those with r more or fewer nodes: the label-multiset bound is at least
-r there, so ring r is pushed only once the head's key reaches r. A
-skeleton's first pop replaces its label bound by its traversal-string
-bound; if that is larger, it goes back into the heap under the larger
-key, and otherwise, as on a later pop, it is scored with the tree edit
-distance bounded by a limit. Once n candidates are held, the search
-stops at the first key that exceeds the n-th best (distance, pool
-index): every later member is farther away, or as far and later in the
-pool, so none can rank ahead of it.
+SIGMOD 1998) over the distinct skeletons, run as one best-first queue
+of lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the
+pool enters the heap once, keyed by its ring distance, the difference
+from the target's node count, which bounds the label-multiset bound of
+all its skeletons, and by index ``-1 - size``, so that it opens before
+any skeleton of equal key. When popped, it pushes its skeletons under
+their label bound. A skeleton's first pop replaces that by its
+traversal-string bound; if that is larger, it goes back into the heap
+under the larger key, and otherwise, as on a later pop, it is scored
+with the tree edit distance bounded by a limit.
 
 Both the traversal bound and the score take the same limit. Once n
 candidates are held, it is the cutoff a skeleton has to beat: the n-th
@@ -46,6 +49,7 @@ import json
 import logging
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -95,7 +99,7 @@ class ExamplePair:
 class EmbeddingGroup(NamedTuple):
     """Pool entries that share one question skeleton text and one embedding row."""
 
-    row: array  # the first member's q_embedding
+    row: array  # the first member's q_embedding, ``_scaled``
     squared_norm: float
     members: tuple[ExamplePair, ...]  # in pool order
 
@@ -152,9 +156,10 @@ class RetrievalIndex:
 
         Entries are grouped by question skeleton text, and within one text
         by equal rows, so that equal texts whose rows differ stay apart.
-        A group's squared norm is ``_squared_norm`` of its row. Groups of
-        norm 0 are left out, their cosine being undefined, and so are groups
-        of a squared norm beyond float range, whose cosine would be NaN.
+        A group's row and squared norm are ``_scaled`` of the first
+        member's row. Groups of norm 0 are left out, their cosine being
+        undefined, and so are groups of a squared norm beyond float range,
+        whose cosine would be NaN.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -167,11 +172,8 @@ class RetrievalIndex:
             else:
                 same_text.append([pair])
                 groups.append(same_text[-1])
-        return [
-            EmbeddingGroup(members[0].q_embedding, norm, tuple(members))
-            for members in groups
-            if 0.0 < (norm := _squared_norm(members[0].q_embedding)) < math.inf
-        ]
+        scaled = (EmbeddingGroup(*_scaled(group[0].q_embedding), tuple(group)) for group in groups)
+        return [group for group in scaled if 0.0 < group.squared_norm < math.inf]
 
 
 def _squared_norm(vector: Sequence[float]) -> float:
@@ -180,6 +182,20 @@ def _squared_norm(vector: Sequence[float]) -> float:
     for value in vector:
         total += value * value
     return total
+
+
+def _scaled(vector: array) -> tuple[array, float]:
+    """``vector`` and its ``_squared_norm``, or, if that is below the least
+    normal float though ``vector`` is not all zeros, a copy scaled by a
+    power of two, exactly, so that its largest magnitude is in [0.5, 1),
+    and that copy's squared norm. Cosines are scale-free, and the squares
+    of so small a vector have lost digits or underflowed to 0.0."""
+    norm = _squared_norm(vector)
+    if norm < sys.float_info.min and any(vector):
+        _, exponent = math.frexp(max(map(abs, vector)))
+        vector = array("d", [math.ldexp(value, -exponent) for value in vector])
+        norm = _squared_norm(vector)
+    return vector, norm
 
 
 @dataclass
@@ -312,11 +328,13 @@ def retrieve_by_question_skeleton(
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), or
     dot / (sqrt(‖target‖²) · sqrt(‖row‖²)) where that product underflows
-    to 0.0 or overflows. Both squared norms are ``_squared_norm`` sums,
-    and the dot product sums ``value * row[bucket]`` over the target's
-    non-zero buckets in bucket order, starting from 0.0. Each of the
-    index's ``embedding_groups`` is scored once, and its score holds for
-    all its members.
+    to 0.0 or overflows. Both vectors are taken ``_scaled``: a vector
+    whose squared norm is below the least normal float, though it is not
+    all zeros, is first scaled by a power of two. Both squared norms are
+    ``_squared_norm`` sums, and the dot product sums
+    ``value * row[bucket]`` over the target's non-zero buckets in bucket
+    order, starting from 0.0. Each of the index's ``embedding_groups`` is
+    scored once, and its score holds for all its members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -327,7 +345,7 @@ def retrieve_by_question_skeleton(
         target = _embedding_row(target)
     except ValueError as exc:
         raise ValueError(f"target embedding {exc}") from None
-    target_norm = _squared_norm(target)
+    target, target_norm = _scaled(target)
     if not math.isfinite(target_norm):
         raise ValueError("target embedding has a squared norm beyond float range")
     if target_norm == 0.0:
@@ -336,7 +354,7 @@ def retrieve_by_question_skeleton(
     terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
     inf = math.inf
     # (negated similarity, first pool index, members); first pool indices are unique
-    scored: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
+    heap: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
     for vector, norm, members in index.embedding_groups:
         dot = 0.0
         for bucket, value in terms:
@@ -345,19 +363,20 @@ def retrieve_by_question_skeleton(
         if scale == 0.0 or scale == inf:
             # the product of the squared norms left float range, their roots do not
             scale = math.sqrt(target_norm) * math.sqrt(norm)
-        scored.append((-(dot / scale), members[0].pool_index, members))
-    heapq.heapify(scored)
-    held: list[tuple[float, int, ExamplePair]] = []
-    score = None
-    # Groups leave the heap best first. Once n members are held, a group
-    # as good as the last one can still hold a member of lower pool index.
-    while scored and (len(held) < n or scored[0][0] == score):
-        score, _, members = heapq.heappop(scored)
-        held.extend(
-            (score, pair.pool_index, pair) for pair in members if pair.question != exclude_question
-        )
-    held.sort()
-    return RetrievalResult([pair for _, _, pair in held[:n]])
+        heap.append((-(dot / scale), members[0].pool_index, members))
+    heapq.heapify(heap)
+    best: list[tuple[float, int, ExamplePair]] = []
+    while heap:
+        key, first_index, members = heapq.heappop(heap)
+        if len(best) == n and (key, first_index) > best[-1][:2]:
+            break  # every later member scores lower, or as high and later in the pool
+        _join(best, n, key, members, exclude_question)
+    return RetrievalResult([pair for _, _, pair in best])
+
+
+# round-2 heap entry stages: a node count's bucket, then a skeleton group
+# under its label bound, then under its traversal bound
+_SIZE, _LABEL_BOUNDED, _TRAVERSAL_BOUNDED = range(3)
 
 
 def retrieve_by_sql_skeleton(
@@ -380,62 +399,54 @@ def retrieve_by_sql_skeleton(
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
         return RetrievalResult(list(fallback_examples), fallback="question")
-    by_size = index.skeleton_groups
     target_labels = index.label_bags.bag(target.compiled.postorder)
-    size = target_labels.size
-    last_ring = max((abs(other - size) for other in by_size), default=-1)
-    ring = 0
-    # (lower bound, first pool index, refined, group); the first two are unique
-    heap: list[tuple[int, int, bool, SkeletonGroup]] = []
+    # (lower bound, first pool index, stage, item); the first two are unique
+    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, groups)
+                         for size, groups in index.skeleton_groups.items()]
+    heapq.heapify(heap)
     best: list[tuple[int, int, ExamplePair]] = []
-    while True:
-        # A group of ring r has r more or fewer nodes than the target, so
-        # its label bound is at least r. Ring r is pushed once the head's
-        # key reaches r, and never when r exceeds the n-th best distance.
-        while ring <= last_ring and (not heap or ring <= heap[0][0]):
-            if len(best) == n and ring > best[-1][0]:
-                break
-            for ring_size in (size - ring, size + ring) if ring else (size,):
-                for group in by_size.get(ring_size, ()):
-                    first = group.members[0]
-                    if first.question == exclude_question:
-                        kept = [p for p in group.members if p.question != exclude_question]
-                        if not kept:
-                            continue
-                        first = kept[0]
-                    key = label_lower_bound(target_labels, group.labels)
-                    heapq.heappush(heap, (key, first.pool_index, False, group))
-            ring += 1
-        if not heap:
-            break
-        key, first_index, refined, group = heapq.heappop(heap)
+    while heap:
+        key, first_index, stage, item = heapq.heappop(heap)
         if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
+        if stage == _SIZE:
+            for group in item:
+                first = group.members[0]
+                if first.question == exclude_question:
+                    kept = [p for p in group.members if p.question != exclude_question]
+                    if not kept:
+                        continue
+                    first = kept[0]
+                bound = label_lower_bound(target_labels, group.labels)
+                heapq.heappush(heap, (bound, first.pool_index, _LABEL_BOUNDED, group))
+            continue
         if len(best) == n:
             # a member ranks ahead of the n-th best only within this distance
             limit = best[-1][0] - (first_index > best[-1][1])
         else:
             limit = key + 2  # min(limit + 1, distance) is still a lower bound
-        if not refined:
-            bound = traversal_lower_bound(target.compiled, group.skeleton.compiled, limit)
+        if stage == _LABEL_BOUNDED:
+            bound = traversal_lower_bound(target.compiled, item.skeleton.compiled, limit)
             if len(best) == n and bound > limit:
                 continue
             if bound > key:
-                heapq.heappush(heap, (bound, first_index, True, group))
+                heapq.heappush(heap, (bound, first_index, _TRAVERSAL_BOUNDED, item))
                 continue
-        distance = tree_edit_distance(target, group.skeleton, limit)
+        distance = tree_edit_distance(target, item.skeleton, limit)
         if distance > limit:
             if len(best) < n:  # limit + 1 is a lower bound: score it again under that key
-                heapq.heappush(heap, (distance, first_index, True, group))
+                heapq.heappush(heap, (distance, first_index, _TRAVERSAL_BOUNDED, item))
             continue
-        best.extend(
-            (distance, pair.pool_index, pair)
-            for pair in group.members
-            if pair.question != exclude_question
-        )
-        best.sort()
-        del best[n:]
+        _join(best, n, distance, item.members, exclude_question)
     return RetrievalResult([pair for _, _, pair in best])
+
+
+def _join(best: list, n: int, key, members: Sequence[ExamplePair], exclude: str | None) -> None:
+    """Merge ``members``, less any whose question is ``exclude``, under
+    ``key`` into ``best``: the n best (key, pool index, pair) in order."""
+    best.extend((key, pair.pool_index, pair) for pair in members if pair.question != exclude)
+    best.sort()
+    del best[n:]
 
 
 # ----------------------------------------------------------------------

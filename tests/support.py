@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 
 from solidql.gateway import ChatRequest
 from solidql.retrieval import PoolItem
@@ -297,19 +298,33 @@ def random_expression_statement(rng: random.Random) -> str:
 def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
     """Independent full scan: (similarity desc, pool_index asc) ordering;
     an entry whose cosine is undefined (a zero-norm side), or whose squared
-    norm is beyond float range, is skipped."""
+    norm is beyond float range, is skipped. A vector whose squared norm is
+    below the least normal float, though not all zeros, is first scaled by
+    a power of two, as cosines are scale-free."""
     ranked = []
+    target_vector = power_of_two_scaled(target_vector)
     target_norm = math.sqrt(sum(a * a for a in target_vector))
     for pair in pool:
         if exclude_question is not None and pair.question == exclude_question:
             continue
-        norm = math.sqrt(sum(b * b for b in pair.q_embedding))
+        row = power_of_two_scaled(pair.q_embedding)
+        norm = math.sqrt(sum(b * b for b in row))
         if target_norm == 0.0 or norm == 0.0 or norm == math.inf:
             continue
-        dot = sum(a * b for a, b in zip(target_vector, pair.q_embedding))
+        dot = sum(a * b for a, b in zip(target_vector, row))
         ranked.append((dot / (target_norm * norm), pair.pool_index))
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return [idx for _, idx in ranked[:n]]
+
+
+def power_of_two_scaled(vector):
+    """``vector``, times the power of two that brings its largest magnitude
+    into [0.5, 1) if its squared norm is below the least normal float and
+    some value is not zero."""
+    if sum(v * v for v in vector) >= sys.float_info.min or all(v == 0.0 for v in vector):
+        return list(vector)
+    exponent = math.frexp(max(abs(v) for v in vector))[1]
+    return [math.ldexp(v, -exponent) for v in vector]
 
 
 def brute_force_sql_ranking(distances, n, excluded_indices=()):

@@ -138,6 +138,17 @@ def test_cmd_index_refuses_provider_mismatch(workspace, capsys):
     assert "provider" in capsys.readouterr().err
 
 
+def test_cmd_run_refuses_an_index_of_another_embedder(workspace, tmp_path, monkeypatch, capsys):
+    # the remote embedder only needs an endpoint to be built; the mismatch stops the run first
+    monkeypatch.setenv("SOLIDQL_API_BASE", "http://127.0.0.1:9")
+    code = run_cli(workspace, "run", "--embedder", "remote:other-model",
+                   "--output", str(tmp_path / "results.jsonl"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "index provider 'hashed-bow-256-v1' does not match configured embedder 'remote:other-model'" in err
+    assert not (tmp_path / "results.jsonl").exists()
+
+
 def test_cmd_index_checks_existing_output_by_header_only(workspace, tmp_path, monkeypatch, capsys):
     path = tmp_path / "index.jsonl"
     shutil.copy(workspace / "index.jsonl", path)
@@ -598,6 +609,23 @@ def test_cmd_eval_malformed_predictions_exit_environment(
     assert f"{predictions}, line {number}: malformed record" in capsys.readouterr().err
 
 
+def test_cmd_eval_names_a_flag_that_is_not_a_string(workspace, databases_root, tmp_path, capsys):
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()
+    number = _edit_record(lines, 4, flags=[1])
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("\n".join(lines) + "\n")
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        "--predictions", str(predictions),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{predictions}, line {number}: malformed record" in err
+    assert "flags[0] is int, not str" in err
+
+
 def _main_on_dataset(command, dataset, workspace, databases_root, tmp_path):
     """``solidql eval`` or ``solidql index`` on ``dataset``, saved as JSON."""
     path = tmp_path / "dataset.json"
@@ -729,6 +757,15 @@ def test_cmd_eval_alignment_mismatch_is_fatal(workspace, databases_root, tmp_pat
     ])
     assert code == 2
     assert "--robustness file not found" in capsys.readouterr().err
+    code = main([
+        "eval",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--databases", str(databases_root),
+        "--predictions", str(workspace / "run_eval.jsonl"),
+        "--robustness", str(short),
+    ])
+    assert code == 2
+    assert "robustness alignment mismatch: 5 clean vs 2 perturbed" in capsys.readouterr().err
 
 
 # each damage to a whole results file: its text from the file's lines, and the line to name

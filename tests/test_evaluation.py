@@ -335,6 +335,15 @@ def test_null_and_float_conventions(concert_db):
     assert not tables_match([(0.31,)], [(0.3,)], False)
 
 
+def test_blob_cells_compare_by_their_bytes():
+    assert tables_match([(b"\x00\x01",), (None,)], [(None,), (b"\x00\x01",)], False)
+    assert not tables_match([(b"\x00\x01",)], [(b"\x00\x02",)], False)
+    # a BLOB equals no text or number, its hex digits and its value included
+    assert not tables_match([(b"\x00\x01",)], [("0001",)], False)
+    assert not tables_match([(b"a",)], [("a",)], False)
+    assert not tables_match([(b"\x01",)], [(1,)], False)
+
+
 def test_arity_mismatch_is_false():
     assert not tables_match([(1, 2)], [(1,)], False)
     assert not tables_match([(1, 2)], [(1,)], True)
@@ -526,6 +535,17 @@ def test_report_totals_equal_verdict_sums(databases_root):
     report = evaluate(dataset, preds, databases_root)
     assert sum(r.ex for r in report.records) == round(report.ex_pct * report.scored / 100)
     assert len(report.records) == report.scored + report.excluded
+
+
+def test_report_table_prints_a_line_per_flag(databases_root):
+    dataset = [{"question": f"q{i}", "db_id": "shop", "query": "SELECT name FROM employee"}
+               for i in range(3)]
+    flags = [("skeleton_rule_fallback", "round2_retrieval_fallback"), (), ("skeleton_rule_fallback",)]
+    report = evaluate(dataset, ["SELECT name FROM employee"] * 3, databases_root, flags=flags)
+    assert report.table().splitlines()[5:] == [
+        "round2_retrieval_fallback  1",
+        "  skeleton_rule_fallback  2",
+    ]
 
 
 def test_write_report_is_deterministic(databases_root, tmp_path):

@@ -115,6 +115,13 @@ def test_rule_masker_masks_schema_tokens_numbers_and_quotes():
     assert rule_based_question_skeleton("find 'pop' concerts", SchemaSubset()) == "find _ concerts"
 
 
+def test_rule_masker_collapses_adjacent_masks_and_strips_es():
+    # "singer name" and "class 3 'x'" are one mask each; "class" is "classes" less "-es"
+    linked = SchemaSubset.build(["classes"], ["singer.name"])
+    question = "Show singer name of classes , and class 3 'x'"
+    assert rule_based_question_skeleton(question, linked) == "Show _ of _, and _"
+
+
 def test_extract_question_skeleton_empty_passthrough():
     result = extract_question_skeleton("", SchemaSubset(), gateway=None)
     assert result.text == ""
@@ -261,8 +268,12 @@ def test_question_pool_row_whose_squared_norm_overflows_is_skipped():
         ({"target": (1e150, 1.0), "far": (1e10, 1.0), "unit": (1.0, 1.0)}, [0, 1]),
         # ... and underflows to 0.0 for the first row though both factors are positive
         ({"target": (1e-150, 0.0), "tiny": (1e-150, 0.0), "unit": (1.0, 0.0)}, [0, 1]),
-        # ‖target‖² is subnormal and has lost digits, so "unit" scores a little above 1
-        ({"target": (1e-160, 0.0), "tiny": (1e-160, 0.0), "unit": (1.0, 0.0)}, [1, 0]),
+        # ‖target‖² is subnormal and would lose digits: "unit" would score a little above 1
+        ({"target": (1e-160, 0.0), "tiny": (1e-160, 0.0), "unit": (1.0, 0.0)}, [0, 1]),
+        # ‖target‖² underflows to 0.0 though the target is not all zeros
+        ({"target": (1e-170, 0.0), "east": (1.0, 0.0), "north": (0.0, 1.0)}, [0, 1]),
+        # ... and so does a pool row's, whose cosine with the target is 1
+        ({"target": (1.0, 0.0), "tiny": (1e-170, 0.0), "diagonal": (1.0, 1.0)}, [0, 1]),
     ],
 )
 def test_question_norm_product_out_of_float_range(vectors, expected):
