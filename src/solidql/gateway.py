@@ -33,16 +33,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat completion; every request is made at temperature 0, which
+    its canonical form and the provider's payload both state."""
+
     model_id: str
     messages: tuple[tuple[str, str], ...]
-    temperature: float = 0.0
     max_tokens: int = 512
 
     def __post_init__(self) -> None:
         if not self.messages:
             raise ValueError("messages must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 def canonical_request(request: ChatRequest) -> dict:
@@ -50,7 +50,7 @@ def canonical_request(request: ChatRequest) -> dict:
         "max_tokens": request.max_tokens,
         "messages": [{"content": text, "role": role} for role, text in request.messages],
         "model_id": request.model_id,
-        "temperature": request.temperature,
+        "temperature": 0.0,
     }
 
 
@@ -193,7 +193,7 @@ class HttpChatProvider(HttpClient):
         reply = self.post("/chat/completions", {
             "model": request.model_id,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_tokens,
         })
         try:
@@ -240,4 +240,4 @@ class LlmGateway:
 
     def ask(self, model_id: str, prompt: str, max_tokens: int) -> str:
         """Complete ``prompt`` as one user message at temperature 0."""
-        return self.complete(ChatRequest(model_id, (("user", prompt),), 0.0, max_tokens))
+        return self.complete(ChatRequest(model_id, (("user", prompt),), max_tokens))

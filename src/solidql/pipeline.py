@@ -103,7 +103,6 @@ def _generate(
     request = ChatRequest(
         model_id=config.model_id,
         messages=(("system", prompt.system), ("user", prompt.user)),
-        temperature=0.0,
         max_tokens=config.max_tokens,
     )
     completion = gateway.complete(request)

@@ -92,14 +92,20 @@ def build_prompt(
 
 
 _FENCE_RE = re.compile(r"```(?:sql)?\s*\n?(.*?)```", re.IGNORECASE | re.DOTALL)
-_STATEMENT_RE = re.compile(r"\b(select|with)\b", re.IGNORECASE)
+# a statement's first word: ``select``, or a ``with`` that opens a common
+# table expression, ``WITH [RECURSIVE] name [(columns)] AS (``
+_STATEMENT_RE = re.compile(
+    r'\bselect\b|\bwith\s+(?:recursive\s+)?(?:\w+|"[^"]*")\s*(?:\([^)]*\)\s*)?as\s*\(',
+    re.IGNORECASE,
+)
 
 
 def parse_sql_from_completion(completion: str) -> str:
     """Extract the first SQL statement from an LLM completion.
 
     Strips code fences and leading prose. The statement starts at the
-    first ``select`` or ``with`` word and ends after its first ``;``
+    first ``select`` word or ``with`` that heads a common table expression
+    (a ``with`` in prose does not), and ends after its first ``;``
     (kept) or before its first blank line, both found with the SQL lexer,
     so that a ``;`` or a blank line inside a string, a quoted identifier
     or a comment does not end it. The returned text is not guaranteed to

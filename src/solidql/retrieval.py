@@ -17,7 +17,11 @@ are grouped by question skeleton text and equal embedding row, and a
 group's key is its negated cosine, which holds for every member. Each
 dot product is taken over the target's non-zero buckets only, and each
 row is one packed ``array('d')``, read as contiguous doubles, not as
-separately allocated float objects.
+separately allocated float objects. One range rule keeps every cosine
+in float range (``_scaled``): a vector that is not all zeros and whose
+squared norm is outside [2**-511, 2**511] is first scaled by a power of
+two, so that the product of any two squared norms is a normal, finite
+float and no partial dot product leaves float range.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue
@@ -49,7 +53,6 @@ import json
 import logging
 import math
 import re
-import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -100,7 +103,7 @@ class EmbeddingGroup(NamedTuple):
     """Pool entries that share one question skeleton text and one embedding row."""
 
     row: array  # the first member's q_embedding, ``_scaled``
-    squared_norm: float
+    squared_norm: float  # of ``row``; in [2**-511, 2**511]
     members: tuple[ExamplePair, ...]  # in pool order
 
 
@@ -158,8 +161,7 @@ class RetrievalIndex:
         by equal rows, so that equal texts whose rows differ stay apart.
         A group's row and squared norm are ``_scaled`` of the first
         member's row. Groups of norm 0 are left out, their cosine being
-        undefined, and so are groups of a squared norm beyond float range,
-        whose cosine would be NaN.
+        undefined.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -173,7 +175,7 @@ class RetrievalIndex:
                 same_text.append([pair])
                 groups.append(same_text[-1])
         scaled = (EmbeddingGroup(*_scaled(group[0].q_embedding), tuple(group)) for group in groups)
-        return [group for group in scaled if 0.0 < group.squared_norm < math.inf]
+        return [group for group in scaled if group.squared_norm]
 
 
 def _squared_norm(vector: Sequence[float]) -> float:
@@ -185,13 +187,16 @@ def _squared_norm(vector: Sequence[float]) -> float:
 
 
 def _scaled(vector: array) -> tuple[array, float]:
-    """``vector`` and its ``_squared_norm``, or, if that is below the least
-    normal float though ``vector`` is not all zeros, a copy scaled by a
-    power of two, exactly, so that its largest magnitude is in [0.5, 1),
-    and that copy's squared norm. Cosines are scale-free, and the squares
-    of so small a vector have lost digits or underflowed to 0.0."""
+    """``vector`` and its ``_squared_norm``, or, if that is outside
+    [2**-511, 2**511] though ``vector`` is not all zeros, a copy scaled by
+    a power of two so that its largest magnitude is in [0.5, 1), and that
+    copy's squared norm, which is then at least 0.25 and at most the
+    vector's length. The product of two squared norms in that range is a
+    normal, finite float (an overflow-free rescale after Blue, ACM TOMS
+    4(1), 1978). Cosines are scale-free; the scale is exact, and only
+    values far below the largest can lose digits to it."""
     norm = _squared_norm(vector)
-    if norm < sys.float_info.min and any(vector):
+    if not 2.0**-511 <= norm <= 2.0**511 and any(vector):
         _, exponent = math.frexp(max(map(abs, vector)))
         vector = array("d", [math.ldexp(value, -exponent) for value in vector])
         norm = _squared_norm(vector)
@@ -226,8 +231,11 @@ class QuestionSkeleton:
     used_fallback: bool = False
 
 
-_WORD_RE = re.compile(r"'[^']*'|\"[^\"]*\"|\w+|[^\w\s]")
-_NUMBER_RE = re.compile(r"\d[\d.,]*$")
+# a quoted value (a quote opens one only where no word character comes
+# before it, so an apostrophe does not), a number with its separators, a
+# word, or one punctuation character, a lone quote included
+_WORD_RE = re.compile(r"(?<!\w)'[^']*'|(?<!\w)\"[^\"]*\"|\d+(?:[.,]\d+)*(?!\w)|\w+|[^\w\s]")
+_VALUE_RE = re.compile(r"['\"].|\d[\d.,]*$")  # a quoted value or a number, not a lone quote
 _PUNCTUATION_RE = re.compile(r"[^\w\s]")  # joined to the token before it
 
 
@@ -252,12 +260,14 @@ def rule_based_question_skeleton(question: str, linked: SchemaSubset) -> str:
     """Deterministic masker used when no gateway is available.
 
     Masks tokens matching linked table/column names (plus naive
-    plural/singular forms) and all numeric or quoted tokens.
+    plural/singular forms) and all numeric or quoted tokens. A number
+    such as ``3.5`` or ``1,000`` is one token; an apostrophe inside a
+    word is punctuation, not the start of a quoted value.
     """
     vocab = _mask_vocabulary(linked)
     out: list[str] = []
     for token in _WORD_RE.findall(question):
-        if token.lower() in vocab or token[0] in "'\"" or _NUMBER_RE.match(token):
+        if token.lower() in vocab or _VALUE_RE.match(token):
             if out and out[-1] == "_":
                 continue  # collapse adjacent masks
             out.append("_")
@@ -320,50 +330,36 @@ def retrieve_by_question_skeleton(
     """Top-n pool entries by cosine similarity of skeleton embeddings.
 
     Ties break toward the lower pool index; candidates whose similarity
-    is undefined (zero-norm embedding) or whose squared norm is beyond
-    float range are skipped; the pool entry whose question equals
-    ``exclude_question`` is never returned. A target embedding whose
-    length is not the index's dimension, that ``_embedding_row`` refuses,
-    or whose squared norm is beyond float range raises ``ValueError``.
+    is undefined (zero-norm embedding) are skipped; the pool entry whose
+    question equals ``exclude_question`` is never returned. A target
+    embedding that ``_embedding_row`` refuses raises ``ValueError``.
 
-    A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), or
-    dot / (sqrt(‖target‖²) · sqrt(‖row‖²)) where that product underflows
-    to 0.0 or overflows. Both vectors are taken ``_scaled``: a vector
-    whose squared norm is below the least normal float, though it is not
-    all zeros, is first scaled by a power of two. Both squared norms are
-    ``_squared_norm`` sums, and the dot product sums
-    ``value * row[bucket]`` over the target's non-zero buckets in bucket
-    order, starting from 0.0. Each of the index's ``embedding_groups`` is
-    scored once, and its score holds for all its members.
+    A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), both
+    vectors taken ``_scaled``, so that the product is a normal, finite
+    float. Both squared norms are ``_squared_norm`` sums, and the dot
+    product sums ``value * row[bucket]`` over the target's non-zero
+    buckets in bucket order, starting from 0.0. Each of the index's
+    ``embedding_groups`` is scored once, and its score holds for all its
+    members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = embedder.embed([target_skeleton])[0]
-    if len(target) != index.dimension:
-        raise ValueError(f"dimension mismatch: {len(target)} vs index {index.dimension}")
     try:
-        target = _embedding_row(target)
+        target = _embedding_row(embedder.embed([target_skeleton])[0], index.dimension)
     except ValueError as exc:
         raise ValueError(f"target embedding {exc}") from None
     target, target_norm = _scaled(target)
-    if not math.isfinite(target_norm):
-        raise ValueError("target embedding has a squared norm beyond float range")
     if target_norm == 0.0:
         return RetrievalResult([])
     # a 0.0 target value adds ±0.0 against a finite row: leaving it out keeps the sum's bits
     terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
-    inf = math.inf
     # (negated similarity, first pool index, members); first pool indices are unique
     heap: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
     for vector, norm, members in index.embedding_groups:
         dot = 0.0
         for bucket, value in terms:
             dot += value * vector[bucket]
-        scale = math.sqrt(target_norm * norm)
-        if scale == 0.0 or scale == inf:
-            # the product of the squared norms left float range, their roots do not
-            scale = math.sqrt(target_norm) * math.sqrt(norm)
-        heap.append((-(dot / scale), members[0].pool_index, members))
+        heap.append((-(dot / math.sqrt(target_norm * norm)), members[0].pool_index, members))
     heapq.heapify(heap)
     best: list[tuple[float, int, ExamplePair]] = []
     while heap:
@@ -476,8 +472,8 @@ def build_index(
     are kept, so a generator that parses as it goes never holds more
     than one parse tree. Each embedding is packed into an ``array('d')``
     row and the embedder's vector dropped, so the two are never all held
-    at once. Embeddings of mixed lengths, or that ``_embedding_row``
-    refuses, raise ``ValueError``. Rebuilding from identical inputs
+    at once. An embedding that ``_embedding_row`` refuses, its length
+    included, raises ``ValueError``. Rebuilding from identical inputs
     yields an identical index.
     """
     kept = [
@@ -488,12 +484,10 @@ def build_index(
     ]
     embeddings = embedder.embed([q_skeleton for _, _, q_skeleton, _ in kept]) if kept else []
     dimension = embedder.dimension or (len(embeddings[0]) if embeddings else 0)
-    if any(len(vector) != dimension for vector in embeddings):
-        raise ValueError(f"embeddings of mixed lengths; expected {dimension}")
     pool: list[ExamplePair] = []
     for index, (question, sql, q_skeleton, s_skeleton) in enumerate(kept):
         try:
-            row = _embedding_row(embeddings[index])
+            row = _embedding_row(embeddings[index], dimension)
         except ValueError as exc:
             raise ValueError(f"embedding {index} {exc}") from None
         embeddings[index] = None
@@ -501,18 +495,22 @@ def build_index(
     return RetrievalIndex(pool=pool, provider_id=embedder.provider_id, dimension=dimension)
 
 
-def _embedding_row(values: Sequence[float]) -> array:
+def _embedding_row(values: Sequence[float], dimension: int) -> array:
     """``values`` packed as one ``array('d')`` row, as ``build_index`` and
-    ``load_index`` hold each pool embedding.
+    ``load_index`` hold each pool embedding and round 1 its target.
 
-    Raises ``ValueError`` naming the cause unless every value is a
-    finite number (a bool passes, as 0 or 1) and their sum is within
-    float range, so that an index ``save_index`` writes loads again.
+    Raises ``ValueError`` naming the cause unless there are ``dimension``
+    values, each a finite number (a bool passes, as 0 or 1), and their sum
+    is within float range, so that an index ``save_index`` writes loads
+    again. Its squared norm may be beyond float range: round 1 takes every
+    embedding ``_scaled``.
     """
     try:
         row = array("d", values)
     except (TypeError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise ValueError(f"is not numbers within float range ({exc})") from None
+    if len(row) != dimension:
+        raise ValueError(f"has {len(row)} values, not {dimension}")
     if math.isfinite(sum(row)):  # one C-level sum: not finite if any value is NaN or infinite
         return row
     if all(map(math.isfinite, row)):
@@ -562,8 +560,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
     format raises ``ConfigError``. ``CorruptFileError``, naming the file
     and the line, is raised for a header that ``read_index_header``
     refuses, and for any later line that does not decode, is not of shape
-    ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that is
-    not ``dimension`` values or that ``_embedding_row`` refuses, or skeleton
+    ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that
+    ``_embedding_row`` refuses for the header's ``dimension``, or skeleton
     arrays that do not describe a tree or differ between records of one
     text. Each ``q_embedding`` is held as an ``array('d')`` row.
     """
@@ -588,11 +586,8 @@ def load_index(path: str | Path) -> RetrievalIndex:
             raise ValueError(f"skeleton {text!r} is stored with two different trees")
         if record["pool_index"] != len(pool):
             raise ValueError(f"pool_index {record['pool_index']!r} at row {len(pool)}")
-        embedding = record["q_embedding"]
-        if len(embedding) != dimension:
-            raise ValueError(f"q_embedding has {len(embedding)} values, not {dimension}")
         try:
-            row = _embedding_row(embedding)
+            row = _embedding_row(record["q_embedding"], dimension)
         except ValueError as exc:
             raise ValueError(f"q_embedding {exc}") from None
         return ExamplePair(

@@ -3,9 +3,13 @@
 Walks a statement and collects every base table plus every
 table-qualified column it touches (SELECT, WHERE, JOIN ON, GROUP BY,
 HAVING, ORDER BY), resolving names per (sub)query scope against the
-database schema. ``SELECT *`` and bare ``COUNT(*)`` contribute the
-``<table>.*`` pseudo-column of each table in scope instead of expanding
-to all columns.
+database schema. ``SELECT *`` and bare ``COUNT(*)`` contribute, for each
+FROM source in scope, what ``*`` over it contributes: over a base table,
+its ``<table>.*`` pseudo-column, not its columns; over a subquery, every
+column the subquery exports plus what ``*`` contributes over each of its
+own FROM sources. So ``count(*)`` over ``(SELECT * FROM t)`` labels
+``t.*`` and every column of ``t``, since that subquery's ``*`` exports
+them all.
 
 A scope's FROM sources, base tables and subqueries aliased or not, are
 one list of ``_Source`` records. Names resolve against its base tables,

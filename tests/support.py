@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import re
-import sys
 
 from solidql.gateway import ChatRequest
 from solidql.retrieval import PoolItem
@@ -297,10 +296,9 @@ def random_expression_statement(rng: random.Random) -> str:
 
 def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
     """Independent full scan: (similarity desc, pool_index asc) ordering;
-    an entry whose cosine is undefined (a zero-norm side), or whose squared
-    norm is beyond float range, is skipped. A vector whose squared norm is
-    below the least normal float, though not all zeros, is first scaled by
-    a power of two, as cosines are scale-free."""
+    an entry whose cosine is undefined (a zero-norm side) is skipped. A
+    vector whose squared norm is outside [2**-511, 2**511], though not all
+    zeros, is first scaled by a power of two, as cosines are scale-free."""
     ranked = []
     target_vector = power_of_two_scaled(target_vector)
     target_norm = math.sqrt(sum(a * a for a in target_vector))
@@ -309,7 +307,7 @@ def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
             continue
         row = power_of_two_scaled(pair.q_embedding)
         norm = math.sqrt(sum(b * b for b in row))
-        if target_norm == 0.0 or norm == 0.0 or norm == math.inf:
+        if target_norm == 0.0 or norm == 0.0:
             continue
         dot = sum(a * b for a, b in zip(target_vector, row))
         ranked.append((dot / (target_norm * norm), pair.pool_index))
@@ -319,9 +317,9 @@ def brute_force_question_ranking(target_vector, pool, n, exclude_question=None):
 
 def power_of_two_scaled(vector):
     """``vector``, times the power of two that brings its largest magnitude
-    into [0.5, 1) if its squared norm is below the least normal float and
-    some value is not zero."""
-    if sum(v * v for v in vector) >= sys.float_info.min or all(v == 0.0 for v in vector):
+    into [0.5, 1) if its squared norm is outside [2**-511, 2**511] and some
+    value is not zero."""
+    if 2.0**-511 <= sum(v * v for v in vector) <= 2.0**511 or all(v == 0.0 for v in vector):
         return list(vector)
     exponent = math.frexp(max(abs(v) for v in vector))[1]
     return [math.ldexp(v, -exponent) for v in vector]

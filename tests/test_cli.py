@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import solidql
-from solidql.cli import main
+from solidql.cli import SUBCOMMANDS, main
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
 from solidql.gateway import TRANSCRIPT, LlmGateway, TranscriptStore
@@ -1080,20 +1080,17 @@ PIPELINE_FLAGS = {
     "--workers": ["8"], "--augmented-out": ["a.json"], "--no-augment": [], "--force": [],
     "--predictions": ["p.jsonl"], "--robustness": ["r.jsonl"],
 }
-# the flags each subcommand reads
-FLAGS_READ = {
-    "build-sft": "--dataset --tables --output --transcripts --mode --model --linking-model "
-                 "--augmented-out --no-augment",
-    "index": "--dataset --tables --output --embedder --transcripts --mode --model --linking-model "
-             "--force",
-    "run": "--dataset --tables --index --transcripts --output --model --linking-model --embedder "
-           "--predictor --examples --rounds --no-focus --mode --workers",
-    "eval": "--dataset --databases --output --predictions --robustness",
-}
+# the flags each subcommand reads, as README's subcommand/flags table lists them
+FLAGS_READ = dict(re.findall(
+    r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8"),
+    re.MULTILINE,
+))
 
 
 @pytest.mark.parametrize("command", FLAGS_READ)
 def test_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    assert list(FLAGS_READ) == list(SUBCOMMANDS)  # a row for each subcommand
     with pytest.raises(SystemExit) as stopped:
         main([command, "--help"])
     assert stopped.value.code == 0

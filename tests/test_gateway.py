@@ -26,14 +26,12 @@ from solidql.schema import SchemaSubset
 
 
 def make_request(text="hello", model="m1"):
-    return ChatRequest(model_id=model, messages=(("user", text),), temperature=0.0, max_tokens=64)
+    return ChatRequest(model_id=model, messages=(("user", text),), max_tokens=64)
 
 
 def test_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(model_id="m", messages=())
-    with pytest.raises(ValueError):
-        ChatRequest(model_id="m", messages=(("user", "x"),), temperature=-1)
 
 
 def test_hash_is_stable_and_ignores_serialization_order():

@@ -118,6 +118,13 @@ def test_prompt_ends_with_output_directive(shop_schema):
         ("SELECT a FROM t WHERE x = 'one\n\ntwo'\n\nDone.", "SELECT a FROM t WHERE x = 'one\n\ntwo'"),
         ("SELECT a FROM t -- pick a; then b\nWHERE b = 1", "SELECT a FROM t -- pick a; then b\nWHERE b = 1"),
         ("SELECT a FROM t\n\nThis works; trust me.", "SELECT a FROM t"),
+        # "with" starts a statement only where a common table expression follows it
+        ("Sure, starting with the singer table:\n\nSELECT name FROM singer",
+         "SELECT name FROM singer"),
+        ("Here is the query with a join:\nSELECT a FROM t;", "SELECT a FROM t;"),
+        ("WITH x AS (SELECT 1) SELECT * FROM x", "WITH x AS (SELECT 1) SELECT * FROM x"),
+        ("Use this:\nwith recursive c(n) as (select 1) select n from c;",
+         "with recursive c(n) as (select 1) select n from c;"),
     ],
 )
 def test_parse_sql_from_completion(completion, expected):
