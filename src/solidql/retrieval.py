@@ -2,8 +2,10 @@
 
 Round 1 ranks candidates by cosine similarity between question-skeleton
 embeddings; round 2 re-ranks by edit distance between SQL skeleton
-parse trees. Both rankings are exact and break ties by pool index, so
-they are total orders and stable across runs.
+parse trees. Both rankings break ties by pool index, so they are total
+orders and stable across runs; round 1's ties are those of equal float
+scores, which exactly equal cosines can miss (see
+``retrieve_by_question_skeleton``).
 
 Both rounds rank by one best-first rule. Pool entries are grouped, and
 the groups leave a min-heap in order of (key, first pool index), the
@@ -14,14 +16,28 @@ n-th best (key, pool index): every later member ranks behind it.
 
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
-group's key is its negated cosine, which holds for every member. Each
-dot product is taken over the target's non-zero buckets only, and each
-row is one packed ``array('d')``, read as contiguous doubles, not as
-separately allocated float objects. One range rule keeps every cosine
-in float range (``_scaled``): a vector that is not all zeros and whose
-squared norm is outside [2**-511, 2**511] is first scaled by a power of
-two, so that the product of any two squared norms is a normal, finite
-float and no partial dot product leaves float range.
+group's key is its negated cosine, which holds for every member. One
+range rule keeps every cosine in float range (``_scaled``): a vector
+that is not all zeros and whose squared norm is outside [2**-511,
+2**511] is first scaled by a power of two, so that the product of any
+two squared norms is a normal, finite float and no partial dot product
+leaves float range.
+
+Round 1 scores term at a time over posting lists (Turtle & Flood, IP&M
+1995; Zobel & Moffat, ACM Computing Surveys 2006). For each bucket the
+index holds the numbers of the groups whose row is non-zero there, and
+those values, in group order (``question_postings``); the first round-1
+retrieval builds them bucket-major, one column of the rows at a time.
+A query reads only the postings of its own non-zero buckets, in bucket
+order, and adds ``value * entry`` into each listed group's sum, which
+starts at 0.0. A group's sum so takes the terms of the full dot product
+in the same order, less those whose row value is zero. Each of those is
+a zero of either sign, and adding one changes no sum: a non-zero sum
+stays as it is, and a sum that starts at +0.0 never becomes -0.0, since
+only -0.0 + -0.0 is -0.0. So every score keeps the bits of the full
+loop. An entry costs about 20 bytes: a slot in a tuple of group
+numbers, one int object being shared by all of a group's entries, and a
+double in an ``array('d')`` of values.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue
@@ -56,7 +72,8 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, mul, neg, truediv
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -122,7 +139,12 @@ class RetrievalIndex:
 
     Each cached view is a function of the pool alone, so threads racing
     to build one build equal copies. The pool must not change once a
-    retrieval has run on the index.
+    retrieval has run on the index. The first round-1 retrieval builds
+    ``embedding_groups`` and then, bucket-major, their
+    ``question_postings``: per bucket, the groups whose row is non-zero
+    there and those values, about 20 bytes per entry. The first round-2
+    retrieval builds ``label_bags`` and ``skeleton_groups``;
+    ``load_index`` builds none of them.
     """
 
     pool: list[ExamplePair]
@@ -161,7 +183,9 @@ class RetrievalIndex:
         by equal rows, so that equal texts whose rows differ stay apart.
         A group's row and squared norm are ``_scaled`` of the first
         member's row. Groups of norm 0 are left out, their cosine being
-        undefined.
+        undefined. A group's number is its place in this list; round 1
+        reads the rows through ``question_postings``, which list only
+        their non-zero values.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -176,6 +200,22 @@ class RetrievalIndex:
                 groups.append(same_text[-1])
         scaled = (EmbeddingGroup(*_scaled(group[0].q_embedding), tuple(group)) for group in groups)
         return [group for group in scaled if group.squared_norm]
+
+    @cached_property
+    def question_postings(self) -> list[tuple[tuple[int, ...], array]]:
+        """Per bucket, the numbers of the ``embedding_groups`` whose row is
+        non-zero there, and those values, both in group order.
+
+        Built bucket-major, one column of the rows at a time, by C-level
+        iterators, and each bucket's values packed into one ``array('d')``
+        (a group-major build into lists of floats scattered the float
+        objects, and round 1 took twice as long on a dense pool). An entry
+        costs about 20 bytes: the double and a tuple slot, every group's
+        number being one shared int. Without groups there are no buckets.
+        """
+        numbers = list(range(len(self.embedding_groups)))
+        columns = zip(*(group.row for group in self.embedding_groups))
+        return [(tuple(compress(numbers, column)), array("d", filter(None, column))) for column in columns]
 
 
 def _squared_norm(vector: Sequence[float]) -> float:
@@ -329,16 +369,22 @@ def retrieve_by_question_skeleton(
 ) -> RetrievalResult:
     """Top-n pool entries by cosine similarity of skeleton embeddings.
 
-    Ties break toward the lower pool index; candidates whose similarity
+    Equal float scores rank by pool index; candidates whose similarity
     is undefined (zero-norm embedding) are skipped; the pool entry whose
     question equals ``exclude_question`` is never returned. A target
     embedding that ``_embedding_row`` refuses raises ``ValueError``.
+    Exactly equal cosines can still round to different floats, such as
+    those of a row and of its double, and then rank by their rounding,
+    not by pool index (ROADMAP item 4).
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), both
     vectors taken ``_scaled``, so that the product is a normal, finite
     float. Both squared norms are ``_squared_norm`` sums, and the dot
-    product sums ``value * row[bucket]`` over the target's non-zero
-    buckets in bucket order, starting from 0.0. Each of the index's
+    product sums ``value * row[bucket]`` in bucket order, starting from
+    0.0, over the buckets where neither vector is zero: term at a time,
+    the target's non-zero buckets each adding into the groups that the
+    index's ``question_postings`` list there. Leaving out a zero term
+    keeps the sum's bits (see the module docstring). Each of the index's
     ``embedding_groups`` is scored once, and its score holds for all its
     members.
     """
@@ -349,22 +395,25 @@ def retrieve_by_question_skeleton(
     except ValueError as exc:
         raise ValueError(f"target embedding {exc}") from None
     target, target_norm = _scaled(target)
-    if target_norm == 0.0:
+    groups = index.embedding_groups
+    if target_norm == 0.0 or not groups:
         return RetrievalResult([])
-    # a 0.0 target value adds ±0.0 against a finite row: leaving it out keeps the sum's bits
-    terms = [(bucket, value) for bucket, value in enumerate(target) if value != 0.0]
-    # (negated similarity, first pool index, members); first pool indices are unique
-    heap: list[tuple[float, int, tuple[ExamplePair, ...]]] = []
-    for vector, norm, members in index.embedding_groups:
-        dot = 0.0
-        for bucket, value in terms:
-            dot += value * vector[bucket]
-        heap.append((-(dot / math.sqrt(target_norm * norm)), members[0].pool_index, members))
+    postings = index.question_postings
+    dots = [0.0] * len(groups)
+    # only the terms where neither value is zero: the rest would add zeros that keep every sum's bits
+    for bucket, value in compress(enumerate(target), target):
+        numbers, entries = postings[bucket]
+        for number, entry in zip(numbers, entries):
+            dots[number] += value * entry
+    roots = map(math.sqrt, map(mul, repeat(target_norm), map(attrgetter("squared_norm"), groups)))
+    # (negated similarity, group number); group numbers rank as their first pool indices do
+    heap = list(zip(map(neg, map(truediv, dots, roots)), count()))
     heapq.heapify(heap)
     best: list[tuple[float, int, ExamplePair]] = []
     while heap:
-        key, first_index, members = heapq.heappop(heap)
-        if len(best) == n and (key, first_index) > best[-1][:2]:
+        key, number = heapq.heappop(heap)
+        members = groups[number].members
+        if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
             break  # every later member scores lower, or as high and later in the pool
         _join(best, n, key, members, exclude_question)
     return RetrievalResult([pair for _, _, pair in best])

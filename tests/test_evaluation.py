@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sqlite3
+import sys
 import threading
 from contextlib import closing
 
@@ -169,6 +170,14 @@ def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_
     report = evaluate(dataset, ["CREATE TEMP TABLE x(a)", "SELECT * FROM x"], databases_root)
     assert "not authorized" in report.records[0].error
     assert report.records[1].error == str(fresh.value)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Connection.setlimit, which caps a cell, came in 3.11")
+def test_cell_cap(concert_db, pool):
+    assert evaluation.MAX_CELL_BYTES == 1_000_000
+    with pytest.raises(ExecError, match="string or blob too big"):
+        execute_sql(concert_db, "SELECT hex(zeroblob(600000))", 30.0, pool)  # 1,200,000 bytes
+    assert execute_sql(concert_db, "SELECT length(hex(zeroblob(400000)))", 30.0, pool) == [(800000,)]
 
 
 def test_row_cap(databases_root, concert_db, pool, monkeypatch):

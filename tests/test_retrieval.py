@@ -394,6 +394,69 @@ def test_question_ranking_over_shared_embeddings_matches_brute_force(tmp_path):
                 assert [p.pool_index for p in got] == expected, (excluded, n, searched is loaded)
 
 
+def test_question_ranking_keeps_the_bits_of_a_dense_loop():
+    # Round 1 adds only the terms where neither vector is zero. Every
+    # other term is a zero of either sign, and so are the products below
+    # that underflow; none of them may change a score's bits. Rows three
+    # times another are collinear, so their cosines are equal and they rank
+    # by how their scores round: a changed summation order would show there.
+    rng = random.Random(2026)
+    dimension, tiny = 16, 1e-170  # tiny * tiny underflows to ±0.0
+
+    def value():
+        kind = rng.randrange(6)
+        if kind < 2:
+            return (0.0, -0.0)[kind]
+        if kind == 2:
+            return rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0) * tiny
+        return rng.gauss(0.0, 1.0)
+
+    rows = []
+    for i in range(300):
+        if i % 10 == 3:
+            row = array("d", rows[rng.randrange(i)])  # the same row under another text
+        elif i % 10 == 7:
+            row = array("d", [3.0 * v for v in rows[rng.randrange(i)]])
+        else:
+            row = array("d", [value() for _ in range(dimension - 1)] + [rng.gauss(0.0, 1.0)])
+        rows.append(row)
+    rows[150] = array("d", [0.0, -0.0] * (dimension // 2))  # norm 0: no cosine
+    target = [value() for _ in range(dimension - 1)] + [-0.5]
+    skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
+    pool = [ExamplePair(f"q{i}", "SELECT a FROM t", f"q{i}", row, skeleton, i) for i, row in enumerate(rows)]
+    index = RetrievalIndex(pool, "fixed", dimension)
+    embedder = FixedEmbedder({"target": target})
+
+    def squared_norm(vector):
+        total = 0.0
+        for v in vector:
+            total += v * v
+        return total
+
+    target_norm = squared_norm(target)
+    scores = []  # (negated cosine, pool index), every term summed in bucket order
+    for pair in pool:
+        norm = squared_norm(pair.q_embedding)
+        assert norm == 0.0 or 2.0**-511 <= norm <= 2.0**511  # no vector is rescaled
+        if norm:
+            dot = 0.0
+            for bucket in range(dimension):
+                dot += target[bucket] * pair.q_embedding[bucket]
+            scores.append((-(dot / math.sqrt(target_norm * norm)), pair.pool_index))
+    scores.sort()
+    products = [(v, e) for row in rows for v, e in zip(target, row)]
+    assert any(v and e and not v * e for v, e in products)  # an underflowing product
+    assert any(e == 0.0 and math.copysign(1.0, e) < 0 for row in rows for e in row)
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in target)
+    assert len(index.embedding_groups) == 299
+    assert len({key for key, _ in scores}) < 290  # equal scores, ranked by pool index
+    for excluded in (None, pool[scores[0][1]].question):
+        ranking = [i for _, i in scores if pool[i].question != excluded]
+        for n in range(1, len(pool) + 1):
+            got = retrieve_by_question_skeleton("target", index, n, embedder, exclude_question=excluded)
+            assert [p.pool_index for p in got] == ranking[:n], (excluded, n)
+
+
 def test_sql_identity_ranked_first(small_index):
     index, embedder = small_index
     result = retrieve_by_sql_skeleton("SELECT name FROM singer", index, 3)
@@ -779,6 +842,45 @@ def test_embedding_groups_hold_no_copy_of_the_rows():
         tracemalloc.stop()
     assert len(groups) == 1500
     assert peak < rows_bytes / 4, (peak, rows_bytes)
+
+
+def test_question_postings_hold_only_non_zero_entries():
+    # 2,000 sparse rows under 1,500 texts, about 14 non-zero buckets each,
+    # some of them negative, and a few stored zeros of either sign
+    dimension = 256
+    rng = random.Random(26)
+    skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
+    rows = {}
+    pool = []
+    for i in range(2000):
+        text = f"question {i % 1500}"
+        if text not in rows:
+            row = array("d", bytes(8 * dimension))
+            for bucket in rng.sample(range(dimension), 18):
+                row[bucket] = rng.choice((-0.0, 0.0, -1.0, 1.0, 2.0, 3.0, 0.5, -0.25))
+            rows[text] = row
+        pool.append(ExamplePair(text, "SELECT a FROM t", text, rows[text], skeleton, i))
+    index = RetrievalIndex(pool, "test", dimension)
+    groups = index.embedding_groups
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        postings = index.question_postings
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(postings) == dimension
+    entries = 0
+    for bucket, (numbers, values) in enumerate(postings):
+        held = [(number, group.row[bucket]) for number, group in enumerate(groups) if group.row[bucket]]
+        assert list(zip(numbers, values)) == held, bucket
+        entries += len(held)
+    assert 12 * len(groups) < entries < 15 * len(groups)
+    # held: 16 bytes per entry, a tuple slot for the group number, each
+    # group's number one shared int, and a packed double; with growth and
+    # one column of the rows in flight the peak measured 31 on Python 3.11.
+    # An int object per entry (28 bytes) or a float object (24) would not fit.
+    assert peak < 36 * entries, (peak, entries)
 
 
 def test_load_reads_embedding_booleans_as_numbers(tmp_path, small_index):
