@@ -12,8 +12,8 @@ whitespace, no trailing semicolon).
 Queries run on a ``Connections`` pool, which ``evaluate`` and
 ``robustness_check`` each keep for the length of the call, of read-only
 connections where only read statements are authorized, under a
-per-query deadline, a row cap and, on Python 3.11 and later, a cap on
-the bytes of one string or blob; LLM output can be pathological.
+per-query deadline, a row cap and a cap on the bytes of one string or
+blob; LLM output can be pathological.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ logger = logging.getLogger(__name__)
 FLOAT_DECIMALS = 6  # comparison tolerance convention
 PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
 MAX_ROWS = 100_000  # a larger result table is an execution error
-# a longer string or blob is an execution error; Python 3.10 has no setlimit, and so no cap
+# a longer string or blob is an execution error
 MAX_CELL_BYTES = 1_000_000
 
 
@@ -97,8 +96,7 @@ class Connections:
             except sqlite3.Error as exc:
                 raise ExecError(f"cannot open database {path}: {exc}") from exc
             connection.set_authorizer(_authorize_reads)
-            if sys.version_info >= (3, 11):
-                connection.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_CELL_BYTES)
+            connection.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_CELL_BYTES)
             self._open[db_path] = connection
         return connection
 
@@ -122,8 +120,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
     Raises:
         ExecError: missing database, a statement that is not a read, a
             result of more than ``MAX_ROWS`` rows, a string or blob of more
-            than ``MAX_CELL_BYTES`` bytes (Python 3.11 and later), syntax
-            or runtime failure.
+            than ``MAX_CELL_BYTES`` bytes, syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
     """
     connection = connections.get(db_path)

@@ -40,16 +40,23 @@ numbers, one int object being shared by all of a group's entries, and a
 double in an ``array('d')`` of values.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
-SIGMOD 1998) over the distinct skeletons, run as one best-first queue
-of lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the
-pool enters the heap once, keyed by its ring distance, the difference
-from the target's node count, which bounds the label-multiset bound of
-all its skeletons, and by index ``-1 - size``, so that it opens before
-any skeleton of equal key. When popped, it pushes its skeletons under
-their label bound. A skeleton's first pop replaces that by its
-traversal-string bound; if that is larger, it goes back into the heap
-under the larger key, and otherwise, as on a later pop, it is scored
-with the tree edit distance bounded by a limit.
+SIGMOD 1998) over the distinct skeletons, run as one best-first queue of
+lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the pool
+enters the heap once, keyed by its ring distance, the difference from
+the target's node count, which bounds the label-multiset bound of all
+its skeletons, and by index ``-1 - size``, so that it opens before any
+skeleton of equal key. When popped, it pushes its skeletons under their
+label bounds, taken for the whole bucket in one call, and their first
+pool indices: a first member that is the excluded question still comes
+before the others in the pool, so the pair stays a lower bound on the
+members that count. A popped skeleton whose members are all excluded is
+dropped. One of the target's shape whose relabel cost, an upper bound on
+its distance, equals the popped key, a lower bound, is at exactly that
+distance, and joins without a bound or a score. Otherwise a skeleton's
+first pop replaces its label bound by its traversal-string bound; if
+that is larger, it goes back into the heap under the larger key, and
+otherwise, as on a later pop, it is scored with the tree edit distance
+bounded by a limit.
 
 Both the traversal bound and the score take the same limit. Once n
 candidates are held, it is the cutoff a skeleton has to beat: the n-th
@@ -88,7 +95,8 @@ from .skeleton import (
     LabelBags,
     SqlSkeleton,
     compile_postorder,
-    label_lower_bound,
+    label_lower_bounds,
+    relabel_upper_bound,
     traversal_lower_bound,
     tree_edit_distance,
 )
@@ -129,8 +137,16 @@ class SkeletonGroup:
     """Pool entries that share one SQL skeleton text, in pool order."""
 
     skeleton: SqlSkeleton
-    labels: LabelBag
     members: tuple[ExamplePair, ...]
+
+
+class SizeBucket(NamedTuple):
+    """The skeleton groups of one node count, in order of first member,
+    with their label bags and first pool indices in the same order."""
+
+    groups: list[SkeletonGroup]
+    bags: list[LabelBag]
+    first_indices: list[int]
 
 
 @dataclass
@@ -160,19 +176,21 @@ class RetrievalIndex:
         return LabelBags(pair.s_skeleton.compiled.postorder for pair in self.pool)
 
     @cached_property
-    def skeleton_groups(self) -> dict[int, list[SkeletonGroup]]:
-        """The pool grouped by SQL skeleton text, keyed by the skeleton's
-        node count; each size's groups are in order of first member."""
+    def skeleton_groups(self) -> dict[int, SizeBucket]:
+        """The pool grouped by SQL skeleton text, bucketed by the skeleton's
+        node count."""
         groups: dict[str, list[ExamplePair]] = {}
         for pair in self.pool:
             groups.setdefault(pair.s_skeleton.text, []).append(pair)
         bag = self.label_bags.bag
-        by_size: dict[int, list[SkeletonGroup]] = {}
+        by_size: dict[int, SizeBucket] = {}
         for members in groups.values():
             skeleton = members[0].s_skeleton
             labels = bag(skeleton.compiled.postorder)
-            group = SkeletonGroup(skeleton, labels, tuple(members))
-            by_size.setdefault(labels.size, []).append(group)
+            bucket = by_size.setdefault(labels.size, SizeBucket([], [], []))
+            bucket.groups.append(SkeletonGroup(skeleton, tuple(members)))
+            bucket.bags.append(labels)
+            bucket.first_indices.append(members[0].pool_index)
         return by_size
 
     @cached_property
@@ -446,8 +464,8 @@ def retrieve_by_sql_skeleton(
         return RetrievalResult(list(fallback_examples), fallback="question")
     target_labels = index.label_bags.bag(target.compiled.postorder)
     # (lower bound, first pool index, stage, item); the first two are unique
-    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, groups)
-                         for size, groups in index.skeleton_groups.items()]
+    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, bucket)
+                         for size, bucket in index.skeleton_groups.items()]
     heapq.heapify(heap)
     best: list[tuple[int, int, ExamplePair]] = []
     while heap:
@@ -455,15 +473,14 @@ def retrieve_by_sql_skeleton(
         if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
         if stage == _SIZE:
-            for group in item:
-                first = group.members[0]
-                if first.question == exclude_question:
-                    kept = [p for p in group.members if p.question != exclude_question]
-                    if not kept:
-                        continue
-                    first = kept[0]
-                bound = label_lower_bound(target_labels, group.labels)
-                heapq.heappush(heap, (bound, first.pool_index, _LABEL_BOUNDED, group))
+            bounds = label_lower_bounds(target_labels, item.bags)
+            for entry in zip(bounds, item.first_indices, repeat(_LABEL_BOUNDED), item.groups):
+                heapq.heappush(heap, entry)
+            continue
+        if all(pair.question == exclude_question for pair in item.members):
+            continue
+        if relabel_upper_bound(target.compiled, item.skeleton.compiled) == key:
+            _join(best, n, key, item.members, exclude_question)  # an upper bound meets a lower one
             continue
         if len(best) == n:
             # a member ranks ahead of the n-th best only within this distance

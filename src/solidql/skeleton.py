@@ -15,14 +15,19 @@ uses: keyroot pairs whose leftmost leaves lie too far apart in
 postorder (Touzet, CPM 2005), and forest cells off a band of diagonals.
 The answer is exact up to the limit. Two cheap lower bounds on the
 distance let a search skip trees: the label-multiset bound, one popcount
-over bit masks, and the traversal-string bound, a string edit distance
-computed bit-parallel in a few integer operations per label.
+over bit masks per tree, taken for a list of trees in one call, and the
+traversal-string bound, a string edit distance computed bit-parallel in
+a few integer operations per label. One cheap upper bound lets it skip
+the dynamic program: two trees of one shape are at most their number of
+differing postorder labels apart, so when that count equals a lower
+bound in hand, it is the distance.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .sql.nodes import (
@@ -157,15 +162,20 @@ def _label_occurrences(labels: Iterable[str]) -> Iterator[tuple[str, int]]:
         yield label, k
 
 
-def label_lower_bound(a: LabelBag, b: LabelBag) -> int:
-    """max(|A∖B|, |B∖A|) over two trees' label multisets.
+def label_lower_bounds(a: LabelBag, bags: Iterable[LabelBag]) -> list[int]:
+    """max(|A∖B|, |B∖A|) of one tree's label multiset A against the
+    multiset B of each tree of ``bags``, in order.
 
-    A mapping between the trees pairs at most min(|A|, |B|) nodes and
+    A mapping between two trees pairs at most min(|A|, |B|) nodes and
     keeps at most |A ∩ B| of them unrelabeled, so the unit-cost edit
     distance is at least max(|A|, |B|) − |A ∩ B| (the histogram filter
-    of Kailing et al., EDBT 2004). It is never below ||A| − |B||.
+    of Kailing et al., EDBT 2004). It is never below ||A| − |B||. One
+    call bounds a whole list of trees, such as all the pool skeletons
+    of one node count.
     """
-    return max(a.size, b.size) - (a.mask & b.mask).bit_count()
+    size, mask = a
+    # a conditional expression, not max(): the call would double the cost per tree
+    return [(size if size > other else other) - (mask & other_mask).bit_count() for other, other_mask in bags]
 
 
 class CompiledTree(NamedTuple):
@@ -234,6 +244,27 @@ def compile_postorder(postorder: Sequence[str], leftmost: Sequence[int]) -> Comp
             raise ValueError(f"the subtrees under node {i} do not nest")
     keyroots.sort()
     return CompiledTree(preorder, postorder, leftmost, keyroots)
+
+
+def relabel_upper_bound(a: CompiledTree, b: CompiledTree) -> int:
+    """An upper bound on the tree edit distance: the number of postorder
+    positions whose labels differ, if the two trees have one shape, and
+    otherwise the sum of their node counts.
+
+    ``compile_postorder`` rebuilds a tree's shape from its ``leftmost``
+    array alone, so trees with equal arrays have one shape: node i is an
+    ancestor of node j in either tree exactly when leftmost[i] ≤ j < i.
+    Pairing postorder node i with postorder node i then keeps ancestry
+    and left-to-right order, so it is a valid ordered-tree mapping. It
+    maps every node, and costs one per pair of differing labels. Any two
+    trees are also at most the sum of their node counts apart: delete
+    every node of one and insert every node of the other. A search that
+    holds a lower bound equal to this bound has the exact distance
+    without running the dynamic program.
+    """
+    if a.leftmost != b.leftmost:
+        return len(a.postorder) + len(b.postorder)
+    return sum(map(ne, a.postorder, b.postorder))
 
 
 def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:

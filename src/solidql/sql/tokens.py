@@ -36,8 +36,9 @@ ERROR = "error"
 EOF = "eof"
 
 # Each group is named after the token type it yields. The lookahead after a
-# closing quote stands in for an atomic group, which Python 3.10 lacks: a
-# quoted span never ends at the first quote of a doubled pair.
+# closing quote keeps a quoted span from ending at the first quote of a
+# doubled pair. An atomic group would do the same; the lookahead is kept so
+# that every statement still tokenizes exactly as it did.
 TOKEN = re.compile(
     r"""(?P<skip>\s+|--[^\n]*|/\*.*?\*/)
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import sqlite3
-import sys
 import threading
 from contextlib import closing
 
@@ -172,7 +171,6 @@ def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_
     assert report.records[1].error == str(fresh.value)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="Connection.setlimit, which caps a cell, came in 3.11")
 def test_cell_cap(concert_db, pool):
     assert evaluation.MAX_CELL_BYTES == 1_000_000
     with pytest.raises(ExecError, match="string or blob too big"):

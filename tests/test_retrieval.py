@@ -585,14 +585,14 @@ def test_sql_ranking_across_size_rings(monkeypatch):
     sizes = {len(p.s_skeleton.compiled.postorder) for p in index.pool}
     assert max(sizes) - min(sizes) > 20
     groups = len({p.s_skeleton.text for p in index.pool})
-    label_lower_bound = retrieval.label_lower_bound
+    label_lower_bounds = retrieval.label_lower_bounds
     bounded = []
 
-    def counting(a, b):
-        bounded.append(b)
-        return label_lower_bound(a, b)
+    def counting(a, bags):
+        bounded.extend(bags)
+        return label_lower_bounds(a, bags)
 
-    monkeypatch.setattr(retrieval, "label_lower_bound", counting)
+    monkeypatch.setattr(retrieval, "label_lower_bounds", counting)
     targets = [(random_statement(rng), None) for _ in range(5)] + [(pool[3][1], pool[3][0])]
     for sql, excluded in targets:
         target = SqlSkeleton.from_sql(sql)
@@ -602,8 +602,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
             bounded.clear()
             got = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
-            assert len(bounded) < groups
-            assert len(bounded) < groups
+            assert 0 < len(bounded) < groups
 
 
 def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
@@ -639,16 +638,49 @@ def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
     assert [(limit, distance) for text, limit, distance in scores if text == far] == [(11, 12), (14, 12)]
 
 
+def test_sql_ranking_settles_only_pairs_whose_relabel_cost_meets_the_key(monkeypatch):
+    from solidql import retrieval
+
+    sql = "SELECT max(min(abs(a))) FROM t"
+    statements = [
+        "SELECT min(abs(round(b))) FROM u",  # the target's shape shifted: relabel cost 3, distance 2
+        "SELECT max(min(abs(c))) FROM v",  # the target's skeleton: relabel cost 0
+        "SELECT max(min(round(d))) FROM w",  # relabel cost 1 meets the label bound
+        "SELECT max(abs(a)) FROM t",  # another shape, distance 1
+        "SELECT abs(round(max(b))) FROM u",  # relabel cost 3 meets the traversal bound
+        "SELECT sum(avg(b)) FROM u",  # another shape, distance 3
+    ]
+    index = build_index(pool_items((f"question {i}", s) for i, s in enumerate(statements)), HashedBagOfTokens())
+    target = SqlSkeleton.from_sql(sql)
+    distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
+    assert [d for _, d in distances] == [2, 0, 1, 1, 3, 3]
+    scored = set()
+
+    def recording(a, b, limit):
+        scored.add(b.text)
+        return tree_edit_distance(a, b, limit)
+
+    monkeypatch.setattr(retrieval, "tree_edit_distance", recording)
+    for n in range(1, len(statements) + 1):
+        got = retrieve_by_sql_skeleton(sql, index, n)
+        assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n)
+    assert scored == {index.pool[i].s_skeleton.text for i in (0, 3, 5)}
+
+
 # tree_edit_distance calls of test_round2_work_gate's queries: the search
 # that sorted all groups by label bound and scanned them in that order
-# made 352; the ring search made 198 when this gate was set.
+# made 352, and the ring search made 198. The ring search that settles a
+# pair whose same-shape relabel cost meets its key made 147 calls when
+# this gate was set, and settled 51 pairs without one: 198 in all.
 SORTED_SCAN_CALLS = 352
-RING_SEARCH_CALLS = 198
+RING_SEARCH_CALLS = 147
+RING_SEARCH_DISTANCES = 198  # exact distances: dynamic programs run and pairs settled
 
 
 def test_round2_work_gate(monkeypatch):
     """Pruning guard without timing: the exact-distance calls that round 2
-    makes for fixed queries on a fixed 2,000-item pool at n = 7."""
+    makes for fixed queries on a fixed 2,000-item pool at n = 7, and the
+    pairs it settles without one."""
     from solidql import retrieval
 
     rng = random.Random(909)
@@ -656,18 +688,28 @@ def test_round2_work_gate(monkeypatch):
     index = build_index(pool_items(pool), HashedBagOfTokens())
     targets = [(random_statement(rng), None) for _ in range(20)]
     targets += [(sql, question) for question, sql in pool[::200]]  # self-excluded
-    tree_edit_distance = retrieval.tree_edit_distance
-    calls = 0
+    tree_edit_distance, join = retrieval.tree_edit_distance, retrieval._join
+    calls = scored = joined = 0
 
     def counting(a, b, limit):
-        nonlocal calls
+        nonlocal calls, scored
         calls += 1
-        return tree_edit_distance(a, b, limit)
+        distance = tree_edit_distance(a, b, limit)
+        scored += distance <= limit  # exact, so the group joins the n best
+        return distance
+
+    def joining(*args):
+        nonlocal joined
+        joined += 1
+        return join(*args)
 
     monkeypatch.setattr(retrieval, "tree_edit_distance", counting)
+    monkeypatch.setattr(retrieval, "_join", joining)
     for sql, excluded in targets:
         assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
+    settled = joined - scored  # groups that joined without a dynamic program
     assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
+    assert 0 < settled and calls + settled <= RING_SEARCH_DISTANCES
 
 
 def test_rankings_match_brute_force_on_an_8k_pool():

@@ -14,8 +14,9 @@ from solidql.skeleton import (
     bounded_string_distance,
     compile_postorder,
     compile_tree,
-    label_lower_bound,
+    label_lower_bounds,
     node_edit_distance,
+    relabel_upper_bound,
     traversal_lower_bound,
     tree_edit_distance,
 )
@@ -139,7 +140,7 @@ def test_metric_axioms_sample():
 def _bound_and_multiset_formula(a: Node, b: Node) -> tuple[int, int]:
     labels = [compile_tree(a).postorder, compile_tree(b).postorder]
     bags = LabelBags(labels)
-    bound = label_lower_bound(bags.bag(labels[0]), bags.bag(labels[1]))
+    [bound] = label_lower_bounds(bags.bag(labels[0]), [bags.bag(labels[1])])
     labels_a = Counter(node.label for node in a.walk())
     labels_b = Counter(node.label for node in b.walk())
     common = sum((labels_a & labels_b).values())
@@ -154,6 +155,16 @@ def test_label_lower_bound_below_oracle_on_random_trees():
         bound, formula = _bound_and_multiset_formula(a, b)
         assert bound == formula
         assert abs(a.size() - b.size()) <= bound <= oracle_tree_distance(a, b)
+
+
+def test_label_lower_bounds_of_a_list_are_those_of_each_pair():
+    rng = random.Random(49)
+    trees = [random_tree(rng, max_nodes=8) for _ in range(40)]
+    labels = [compile_tree(tree).postorder for tree in trees]
+    bags = LabelBags(labels)
+    bounds = label_lower_bounds(bags.bag(labels[0]), [bags.bag(tree) for tree in labels])
+    assert len({tree.size() for tree in trees}) > 4  # bags of several sizes in one call
+    assert bounds == [_bound_and_multiset_formula(trees[0], tree)[1] for tree in trees]
 
 
 def test_label_lower_bound_below_oracle_on_skeletons():
@@ -178,7 +189,7 @@ def test_label_bags_leave_out_unnumbered_occurrences():
     other = Node("n", "A", (Node("n", "C"), Node("n", "A")))
     bag = bags.bag(compile_tree(other).preorder)  # any order of the labels
     assert bag.size == 3
-    assert label_lower_bound(bags.bag(compile_tree(known).postorder), bag) == 2
+    assert label_lower_bounds(bags.bag(compile_tree(known).postorder), [bag]) == [2]
     assert node_edit_distance(known, other) == 2
 
 
@@ -195,6 +206,48 @@ def _string_distance(s, t) -> int:
 def _traversal_bound(a: Node, b: Node) -> int:
     ta, tb = compile_tree(a), compile_tree(b)
     return traversal_lower_bound(ta, tb, len(ta.preorder) + len(tb.preorder))
+
+
+def _relabeled(rng: random.Random, node: Node, alphabet: str = "ABC") -> Node:
+    """A tree of ``node``'s shape with labels drawn from ``alphabet``."""
+    return Node(node.kind, rng.choice(alphabet), tuple(_relabeled(rng, c, alphabet) for c in node.children))
+
+
+def test_relabel_upper_bound_above_oracle_on_trees_of_one_shape():
+    rng = random.Random(51)
+    for _ in range(300):
+        a = random_tree(rng, max_nodes=8)
+        b = _relabeled(rng, a)
+        ta, tb = compile_tree(a), compile_tree(b)
+        differing = sum(x.label != y.label for x, y in zip(a.walk(), b.walk()))
+        assert relabel_upper_bound(ta, tb) == differing >= oracle_tree_distance(a, b)
+
+
+def test_relabel_upper_bound_of_two_shapes_is_both_sizes():
+    rng = random.Random(52)
+    shapes = 0
+    for _ in range(300):
+        a = random_tree(rng, max_nodes=8)
+        b = random_tree(rng, max_nodes=8)
+        ta, tb = compile_tree(a), compile_tree(b)
+        bound = relabel_upper_bound(ta, tb)
+        assert bound >= oracle_tree_distance(a, b)
+        if ta.leftmost != tb.leftmost:
+            shapes += 1
+            assert bound == a.size() + b.size()
+    assert shapes > 200
+
+
+def test_relabel_upper_bound_exceeds_a_shifted_path():
+    def path(labels: str) -> Node:
+        node = Node("n", labels[-1])
+        for label in reversed(labels[:-1]):
+            node = Node("n", label, (node,))
+        return node
+
+    a, b = path("ABCD"), path("BCDE")  # delete A, insert E; every position differs
+    assert relabel_upper_bound(compile_tree(a), compile_tree(b)) == 4
+    assert node_edit_distance(a, b) == oracle_tree_distance(a, b) == 2
 
 
 def test_traversal_strings_are_the_tree_orders():
