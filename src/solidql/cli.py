@@ -214,12 +214,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     schemas = load_tables_json(config.tables)
     dataset = load_dataset(config.dataset)
     index = load_index(config.index_path)
-    embedder = make_embedder(config.embedder)
-    if index.provider_id != embedder.provider_id:
-        raise ConfigError(
-            f"index provider {index.provider_id!r} does not match configured "
-            f"embedder {embedder.provider_id!r}"
-        )
+    embedder = make_embedder(index.provider_id, f"embedding provider in index {config.index_path}")
     if config.predictor == "oracle":
         predictor = OracleLinkingPredictor.from_records(dataset)
     else:
@@ -291,7 +286,7 @@ SUBCOMMANDS = {
               "--dataset --tables --output --embedder --transcripts --mode --model --linking-model "
               "--force"),
     "run": (cmd_run, "run the generation pipeline",
-            "--dataset --tables --index --transcripts --output --model --linking-model --embedder "
+            "--dataset --tables --index --transcripts --output --model --linking-model "
             "--predictor --examples --rounds --no-focus --mode --workers"),
     "eval": (cmd_eval, "score predictions",
              "--dataset --databases --output --predictions --robustness"),

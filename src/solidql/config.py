@@ -26,7 +26,7 @@ class RunConfig:
     output: str | None = None
     model_id: str = "gpt-4o-mini"
     linking_model_id: str | None = None  # defaults to model_id
-    embedder: str = "hashed"
+    embedder: str = "hashed"  # read by index only; run takes the provider from the index header
     predictor: str = "gateway"
     n_examples: int = 7  # best average accuracy on the 1..9 grid
     rounds: int = 2

@@ -87,13 +87,15 @@ class RemoteEmbeddings:
         return out
 
 
-def make_embedder(spec: str) -> EmbeddingProvider:
-    """Build a provider from a config string: ``hashed`` or ``remote:<model>``."""
-    if spec == "hashed":
+def make_embedder(spec: str, what: str = "embedder") -> EmbeddingProvider:
+    """Build a provider from a config string, ``hashed`` or ``remote:<model>``,
+    or from the ``provider_id`` of one, which an index header names; the
+    ``ConfigError`` for any other string names it as ``what``."""
+    if spec in ("hashed", HashedBagOfTokens.provider_id):
         return HashedBagOfTokens()
-    if spec.startswith("remote:"):
+    if spec.startswith("remote:") and spec != "remote:":
         return RemoteEmbeddings(spec.split(":", 1)[1])
-    raise ConfigError(f"unknown embedder {spec!r}")
+    raise ConfigError(f"unknown {what}: {spec!r}")
 
 
 def cosine_similarity(u: Sequence[float], v: Sequence[float]) -> float:

@@ -118,9 +118,10 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
     in ``connections``.
 
     Raises:
-        ExecError: missing database, a statement that is not a read, a
-            result of more than ``MAX_ROWS`` rows, a string or blob of more
-            than ``MAX_CELL_BYTES`` bytes, syntax or runtime failure.
+        ExecError: missing database, a statement that is not a read or
+            returns no result table, a result of more than ``MAX_ROWS``
+            rows, a string or blob of more than ``MAX_CELL_BYTES`` bytes,
+            syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
     """
     connection = connections.get(db_path)
@@ -135,7 +136,9 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
     connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
     cursor = connection.cursor()
     try:
-        rows = cursor.execute(sql).fetchmany(MAX_ROWS + 1)
+        if cursor.execute(sql).description is None:  # empty or comment-only: nothing ran
+            raise ExecError("statement returns no result table")
+        rows = cursor.fetchmany(MAX_ROWS + 1)
     except sqlite3.Error as exc:
         if timed_out:
             raise ExecTimeout(f"query exceeded {timeout:g}s") from exc

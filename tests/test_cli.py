@@ -138,15 +138,19 @@ def test_cmd_index_refuses_provider_mismatch(workspace, capsys):
     assert "provider" in capsys.readouterr().err
 
 
-def test_cmd_run_refuses_an_index_of_another_embedder(workspace, tmp_path, monkeypatch, capsys):
-    # the remote embedder only needs an endpoint to be built; the mismatch stops the run first
-    monkeypatch.setenv("SOLIDQL_API_BASE", "http://127.0.0.1:9")
-    code = run_cli(workspace, "run", "--embedder", "remote:other-model",
-                   "--output", str(tmp_path / "results.jsonl"))
+# "remote:" names no model, so no provider is built for it either
+@pytest.mark.parametrize("provider_id", ["mystery-v0", "remote:"])
+def test_cmd_run_refuses_an_index_of_an_unknown_provider(workspace, tmp_path, capsys, provider_id):
+    path = tmp_path / "foreign_index.jsonl"
+    lines = (workspace / "index.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["provider_id"] = provider_id
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    code = run_cli(workspace, "run", "--index", str(path), "--output", str(tmp_path / "results.jsonl"))
     assert code == 2
     err = capsys.readouterr().err
-    assert "index provider 'hashed-bow-256-v1' does not match configured embedder 'remote:other-model'" in err
-    assert not (tmp_path / "results.jsonl").exists()
+    assert err == f"error: unknown embedding provider in index {path}: {provider_id!r}\n"
+    assert list(tmp_path.iterdir()) == [path]  # no results, no ledger
 
 
 def test_cmd_index_checks_existing_output_by_header_only(workspace, tmp_path, monkeypatch, capsys):

@@ -161,6 +161,37 @@ def test_non_read_predictions_are_execution_errors(databases_root):
         assert not record.ex and "not authorized" in record.error, record.pred_sql
 
 
+EMPTY_RESULT = "SELECT name FROM singer WHERE age > 100"
+
+
+@pytest.mark.parametrize("pred_sql", ["", "-- c", ";"])
+def test_a_statement_that_runs_nothing_misses_an_empty_gold_result(databases_root, pred_sql):
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": EMPTY_RESULT}]
+    [record] = evaluate(dataset, [pred_sql], databases_root).records
+    assert not record.ex
+    assert record.error == "statement returns no result table"
+
+
+def test_zero_row_reads_still_return_no_rows(concert_db, pool):
+    assert execute_sql(concert_db, EMPTY_RESULT, 30.0, pool) == []
+    assert execute_sql(concert_db, f"WITH old AS ({EMPTY_RESULT}) SELECT * FROM old", 30.0, pool) == []
+
+
+def test_an_empty_perturbed_statement_fails_robustness(databases_root, concert_db):
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": EMPTY_RESULT}]
+    report = evaluate(dataset, [EMPTY_RESULT], databases_root, perturbed=[""])
+    verdict = robustness_check(EMPTY_RESULT, "", concert_db)
+    assert report.robustness == [verdict]
+    assert verdict.reason == "perturbed SQL failed: statement returns no result table"
+
+
+def test_an_empty_gold_statement_is_excluded(databases_root):
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": ""}]
+    report = evaluate(dataset, [""], databases_root)
+    assert (report.excluded, report.scored) == (1, 0)
+    assert report.records[0].error == "gold execution failed: statement returns no result table"
+
+
 def test_a_denied_statement_leaves_nothing_for_the_next(databases_root, concert_db, pool):
     with pytest.raises(ExecError) as fresh:
         execute_sql(concert_db, "SELECT * FROM x", 30.0, pool)

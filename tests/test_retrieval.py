@@ -81,9 +81,18 @@ def test_hashed_embedder_matches_md5_bucket_counts():
     assert again[0] is not first[0] and again[0] is not second[-1]
 
 
-def test_make_embedder_rejects_unknown():
-    with pytest.raises(ConfigError):
-        make_embedder("quantum")
+def test_make_embedder_rejects_unknown(monkeypatch):
+    monkeypatch.setenv("SOLIDQL_API_BASE", "http://127.0.0.1:9")  # so that only the spec can fail
+    for spec in ("quantum", "remote:"):  # "remote:" names no model
+        with pytest.raises(ConfigError, match=f"unknown embedder: {spec!r}"):
+            make_embedder(spec)
+
+
+@pytest.mark.parametrize("spec", ["hashed", "remote:bge"])
+def test_make_embedder_builds_the_provider_its_id_names(spec, monkeypatch):
+    monkeypatch.setenv("SOLIDQL_API_BASE", "http://127.0.0.1:9")
+    provider_id = make_embedder(spec).provider_id
+    assert make_embedder(provider_id).provider_id == provider_id
 
 
 def test_cosine_identity_orthogonal_and_analytic():
