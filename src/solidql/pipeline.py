@@ -18,13 +18,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import RunConfig
+from .embeddings import EmbeddingProvider
 from .errors import ConfigError, ExtractError, ReplayMiss
 from .gateway import ChatRequest, LlmGateway
 from .jsonl import JsonLines, read_records, write_lines
 from .linking import LinkingPredictor, predict_linking
 from .prompting import build_prompt, parse_sql_from_completion
 from .retrieval import (
-    EmbeddingProvider,
     ExamplePair,
     RetrievalIndex,
     extract_question_skeleton,

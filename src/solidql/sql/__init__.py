@@ -1,16 +1,1 @@
 """SQL parsing, rendering, and schema-reference extraction."""
-
-from .nodes import Node, is_query_like, normalize_identifier, split_qualified
-from .parser import parse_sql
-from .refs import extract_schema_refs
-from .render import render_sql
-
-__all__ = [
-    "Node",
-    "extract_schema_refs",
-    "is_query_like",
-    "normalize_identifier",
-    "parse_sql",
-    "render_sql",
-    "split_qualified",
-]

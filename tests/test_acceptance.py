@@ -29,7 +29,9 @@ from solidql.retrieval import (
 )
 from solidql.schema import DatabaseSchema, SchemaSubset, Table, Column
 from solidql.skeleton import SqlSkeleton, node_edit_distance, tree_edit_distance
-from solidql.sql import extract_schema_refs, parse_sql, render_sql
+from solidql.sql.parser import parse_sql
+from solidql.sql.refs import extract_schema_refs
+from solidql.sql.render import render_sql
 
 from conftest import FIXTURES
 from support import (

@@ -1,16 +1,25 @@
-"""Every imported name is used: a stdlib-only scan of the package and its tests."""
+"""Imports: every imported name is used, every package name is imported from
+the module that defines it, and every module imports on its own. A
+stdlib-only scan of the package and its tests, and one fresh interpreter
+per module."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by an import that never appear as an ``ast.Name`` and
-    are not listed in a literal ``__all__``; ``__future__`` imports are skipped."""
+    """Names bound by an import that never appear as an ``ast.Name``;
+    ``__future__`` imports are skipped."""
     tree = ast.parse(source)
     bound: list[str] = []
     used: set[str] = set()
@@ -21,11 +30,45 @@ def unused_imports(source: str) -> list[str]:
             bound += [a.asname or a.name for a in node.names if a.name != "*"]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return [name for name in bound if name not in used]
+
+
+def top_level_names(source: str) -> set[str]:
+    """The names a module defines at top level by a def, a class or an assignment."""
+    names: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def package_modules() -> dict[str, set[str]]:
+    """Each module under ``src`` by dotted name, with its top-level names."""
+    modules = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules[name] = top_level_names(path.read_text(encoding="utf-8"))
+    return modules
+
+
+def indirect_imports(package: str, source: str, modules: dict[str, set[str]]) -> list[str]:
+    """``module.name`` for each ``from module import name`` in ``source`` (a
+    file of ``package``, or ``""`` outside one) where ``module`` is one of
+    ``modules`` and ``name`` is neither defined at its top level nor a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = package.split(".")[: package.count(".") + 2 - node.level] if node.level else []
+        module = ".".join(base + [node.module] * bool(node.module))
+        if module in modules:
+            found += [f"{module}.{a.name}" for a in node.names
+                      if a.name not in modules[module] and f"{module}.{a.name}" not in modules]
+    return found
 
 
 def test_rule_flags_only_unused_names():
@@ -37,7 +80,24 @@ def test_rule_flags_only_unused_names():
         "__all__ = ['Any']\n"
         "print(os.path.sep, parse)\n"
     )
-    assert unused_imports(source) == ["sys", "dumps"]
+    assert unused_imports(source) == ["sys", "dumps", "Any"]
+
+
+def test_rule_flags_only_names_imported_through_another_module():
+    modules = {"pkg": set(), "pkg.a": {"f", "X"}, "pkg.b": {"g"}, "pkg.sub": set(), "pkg.sub.c": {"h"}}
+    source = (
+        "from json import dumps\n"
+        "from . import a\n"
+        "from .a import f, g\n"
+        "from pkg.b import g\n"
+        "from pkg.b import X as Y\n"
+        "def later():\n"
+        "    from .a import X\n"
+        "    from .sub import h\n"
+    )
+    assert indirect_imports("pkg", source, modules) == ["pkg.a.g", "pkg.b.X", "pkg.sub.h"]
+    assert indirect_imports("pkg.sub", "from ..a import X, h\nfrom . import c\n", modules) == ["pkg.a.h"]
+    assert indirect_imports("", "from pkg.sub import c, h\n", modules) == ["pkg.sub.h"]
 
 
 def test_no_unused_imports_in_src_or_tests():
@@ -48,3 +108,30 @@ def test_no_unused_imports_in_src_or_tests():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_every_package_name_is_imported_from_its_module():
+    modules = package_modules()
+    found = []
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        package = ".".join(path.parent.relative_to(SRC).parts) if path.is_relative_to(SRC) else ""
+        found += [f"{path.relative_to(ROOT)}: {name}"
+                  for name in indirect_imports(package, path.read_text(encoding="utf-8"), modules)]
+    assert found == []
+
+
+def _import_in_fresh_interpreter(statement: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith('solidql.')))"
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def test_the_package_import_loads_no_submodule():
+    assert _import_in_fresh_interpreter("import solidql") == "[]\n"
+
+
+@pytest.mark.parametrize("module", sorted(package_modules()))
+def test_each_module_imports_on_its_own(module):
+    _import_in_fresh_interpreter(f"import {module}")

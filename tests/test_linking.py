@@ -17,7 +17,8 @@ from solidql.linking import (
     predict_linking,
 )
 from solidql.schema import SchemaSubset, parse_subset
-from solidql.sql import extract_schema_refs, parse_sql
+from solidql.sql.parser import parse_sql
+from solidql.sql.refs import extract_schema_refs
 
 from support import FakeChatProvider
 

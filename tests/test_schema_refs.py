@@ -6,7 +6,8 @@ import pytest
 
 from solidql.errors import ResolutionError
 from solidql.schema import SchemaSubset
-from solidql.sql import extract_schema_refs, parse_sql
+from solidql.sql.parser import parse_sql
+from solidql.sql.refs import extract_schema_refs
 
 
 def refs(schemas, db_id, sql) -> tuple[set[str], set[str]]:

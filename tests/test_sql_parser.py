@@ -12,8 +12,9 @@ from contextlib import closing
 import pytest
 
 from solidql.errors import ParseError
-from solidql.sql import normalize_identifier, parse_sql, render_sql, split_qualified
-from solidql.sql.nodes import CLAUSE, COLUMN_REF, SUBQUERY, TABLE_REF
+from solidql.sql.nodes import CLAUSE, COLUMN_REF, SUBQUERY, TABLE_REF, normalize_identifier, split_qualified
+from solidql.sql.parser import parse_sql
+from solidql.sql.render import render_sql
 from solidql.sql.tokens import tokenize
 
 from support import random_expression_statement, random_statement
