@@ -24,12 +24,6 @@ from typing import Iterator, Sequence
 
 from . import pipeline as pl
 from .config import MODES, PREDICTORS, RunConfig
-from .data import (
-    load_dataset,
-    triplets_from_dataset,
-    write_augmented_dataset,
-    write_sft_records,
-)
 from .embeddings import make_embedder
 from .errors import (
     ConfigError,
@@ -42,12 +36,16 @@ from .errors import (
 )
 from .evaluation import evaluate, write_report
 from .gateway import HttpChatProvider, LlmGateway, TranscriptStore
+from .jsonl import conform, read_json
 from .linking import (
     GatewayLinkingPredictor,
     OracleLinkingPredictor,
     QuestionRewriter,
     augment_dataset,
     build_sft_dataset,
+    triplets_from_dataset,
+    write_augmented_dataset,
+    write_sft_records,
 )
 from .retrieval import PoolItem, build_index, load_index, read_index_header, save_index
 from .schema import DatabaseSchema, SchemaSubset, item_schemas, load_tables_json
@@ -60,6 +58,9 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_ENVIRONMENT = 3
+
+# one item of a benchmark dataset (Spider format); an item keeps any other keys
+DATASET_ITEM = {"question": str, "db_id": str, "query": str}
 
 
 # Each flag once, with its add_argument options. A dest that names a
@@ -120,6 +121,21 @@ def require(values: RunConfig | argparse.Namespace, *names: str) -> None:
             continue  # created on first write
         if name != "output" and not Path(value).exists():  # every other value names an input
             raise ConfigError(f"{FLAG_OF[name]} file not found: {value}")
+
+
+def load_dataset(path: str | Path) -> list[dict]:
+    """The items of a benchmark dataset file: a JSON array of ``DATASET_ITEM`` objects.
+
+    ``ConfigError`` names the file when it cannot be read or decoded, and
+    for one that does not ``conform`` to ``[DATASET_ITEM]``, also the key
+    path of the first value at fault, such as ``dataset[1] has no 'query'``.
+    """
+    records = read_json(path, "dataset")
+    try:
+        conform(records, [DATASET_ITEM], "dataset")
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"dataset {path} is malformed: {exc.args[0]}") from None
+    return records
 
 
 def make_gateway(config: RunConfig) -> LlmGateway:

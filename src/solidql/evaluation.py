@@ -121,6 +121,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
         ExecError: missing database, a statement that is not a read or
             returns no result table, a result of more than ``MAX_ROWS``
             rows, a string or blob of more than ``MAX_CELL_BYTES`` bytes,
+            text that is not encodable as UTF-8 (a lone surrogate),
             syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
     """
@@ -139,7 +140,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
         if cursor.execute(sql).description is None:  # empty or comment-only: nothing ran
             raise ExecError("statement returns no result table")
         rows = cursor.fetchmany(MAX_ROWS + 1)
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, UnicodeEncodeError) as exc:  # the text is encoded as UTF-8 first
         if timed_out:
             raise ExecTimeout(f"query exceeded {timeout:g}s") from exc
         raise ExecError(str(exc)) from exc

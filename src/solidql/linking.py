@@ -1,23 +1,29 @@
 """Schema-linking data tooling, predictors, and accuracy scoring.
 
-``augment_dataset`` expands each training triplet with two LLM rewrites
-of its question (structure change + synonym substitution), leaving the
-schema and SQL untouched; ``build_sft_dataset`` turns triplets into
-instruction-tuning records whose labels come from parsing the gold SQL.
+``triplets_from_dataset`` reads training triplets from dataset items;
+``augment_dataset`` expands each with two LLM rewrites of its question
+(structure change + synonym substitution), leaving the schema and SQL
+untouched, and ``write_augmented_dataset`` writes them in the dataset
+format; ``build_sft_dataset`` turns triplets into instruction-tuning
+records whose labels come from parsing the gold SQL, and
+``write_sft_records`` writes those as JSON lines.
 Predictors are pluggable; the trained model itself lives outside this
 package, behind the gateway.
 """
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .errors import ParseError, PredictorError, ProviderError, ResolutionError, RewriteError
 from .gateway import LlmGateway
+from .jsonl import write_lines
 from .prompting import load_template
-from .schema import DatabaseSchema, SchemaSubset, format_subset, parse_subset, render_ddl
+from .schema import DatabaseSchema, SchemaSubset, format_subset, item_schemas, parse_subset, render_ddl
 from .sql.parser import parse_sql
 from .sql.refs import extract_schema_refs
 
@@ -43,6 +49,20 @@ class SftRecord:
 
 class LinkingPredictor(Protocol):
     def predict(self, question: str, schema: DatabaseSchema) -> SchemaSubset: ...
+
+
+def triplets_from_dataset(
+    dataset: Sequence[dict], schemas: dict[str, DatabaseSchema]
+) -> list[Triplet]:
+    return [
+        Triplet(
+            question=record["question"],
+            schema=schema,
+            gold_sql=record["query"],
+            origin=record.get("origin", "original"),
+        )
+        for record, schema in zip(dataset, item_schemas(dataset, schemas))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +120,20 @@ def augment_dataset(triplets: Sequence[Triplet], rewriter: Rewriter) -> list[Tri
     return out
 
 
+def write_augmented_dataset(triplets: Sequence[Triplet], path: str | Path) -> None:
+    """Benchmark dataset format plus the augmentation origin field."""
+    records = [
+        {
+            "question": t.question,
+            "db_id": t.schema.db_id,
+            "query": t.gold_sql,
+            "origin": t.origin,
+        }
+        for t in triplets
+    ]
+    write_lines(path, [json.dumps(records, indent=1)])
+
+
 # ----------------------------------------------------------------------
 # SFT dataset
 # ----------------------------------------------------------------------
@@ -141,6 +175,11 @@ def build_sft_dataset(triplets: Sequence[Triplet]) -> list[SftRecord]:
     if skipped:
         logger.info("sft build: %d records, %d skipped", len(records), skipped)
     return records
+
+
+def write_sft_records(records: Sequence[SftRecord], path: str | Path) -> None:
+    """One JSON object per line: instruction, input, output."""
+    write_lines(path, (json.dumps(asdict(record)) for record in records))
 
 
 # ----------------------------------------------------------------------

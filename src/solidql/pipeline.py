@@ -125,13 +125,14 @@ def run_item(
 
     Round 1 links the schema, masks the question and retrieves by
     question skeleton; round 2 re-retrieves by SQL-skeleton distance to
-    the round-1 SQL, or reuses round 1's examples when that SQL does not
-    parse. A round-1 extraction failure leaves empty SQL; a round-2
-    extraction failure or a hard round-2 failure (provider down after
-    retries) keeps the round-1 SQL. Each of these sets a flag. A replay
-    miss on the question-skeleton call gives the rule-based skeleton and
-    the skeleton flag; any other replay miss propagates, since a replayed
-    run is expected to be hermetic.
+    the round-1 SQL. When that SQL does not parse, round 2 ranks nothing
+    and its prompt keeps round 1's examples. A round-1 extraction
+    failure leaves empty SQL; a round-2 extraction failure or a hard
+    round-2 failure (provider down after retries) keeps the round-1 SQL.
+    Each of these sets a flag. A replay miss on the question-skeleton
+    call gives the rule-based skeleton and the skeleton flag; any other
+    replay miss propagates, since a replayed run is expected to be
+    hermetic.
     """
     flags: set[str] = set()
     linked = predict_linking(question, schema, predictor)
@@ -141,23 +142,21 @@ def run_item(
     examples = retrieve_by_question_skeleton(
         skeleton.text, index, config.n_examples, embedder, exclude_question=question
     )
-    round1_sql = _generate(question, schema, linked, examples.pairs, gateway, config)
+    round1_sql = _generate(question, schema, linked, examples, gateway, config)
     if round1_sql is None:
         flags.add(FLAG_ROUND1_EXTRACT)
         round1_sql = ""
     round2_sql = ""
     if config.rounds == 2:
         try:
-            examples = retrieve_by_sql_skeleton(
-                round1_sql,
-                index,
-                config.n_examples,
-                fallback_examples=examples.pairs,
-                exclude_question=question,
+            ranked = retrieve_by_sql_skeleton(
+                round1_sql, index, config.n_examples, exclude_question=question
             )
-            if examples.fallback is not None:
+            if ranked.fallback is not None:
                 flags.add(FLAG_ROUND2_RETRIEVAL_FALLBACK)
-            round2_sql = _generate(question, schema, linked, examples.pairs, gateway, config)
+            else:
+                examples = ranked.pairs
+            round2_sql = _generate(question, schema, linked, examples, gateway, config)
             if round2_sql is None:
                 flags.add(FLAG_ROUND2_EXTRACT)
                 round2_sql = round1_sql

@@ -263,7 +263,8 @@ def _scaled(vector: array) -> tuple[array, float]:
 
 @dataclass
 class RetrievalResult(Sequence):
-    """Ranked examples plus how they were obtained."""
+    """Round 2's ranked examples; ``fallback="question"``, with no
+    examples, when the round-1 SQL it ranks by does not parse."""
 
     pairs: list[ExamplePair]
     fallback: str | None = None
@@ -384,7 +385,7 @@ def retrieve_by_question_skeleton(
     embedder: EmbeddingProvider,
     *,
     exclude_question: str | None = None,
-) -> RetrievalResult:
+) -> list[ExamplePair]:
     """Top-n pool entries by cosine similarity of skeleton embeddings.
 
     Equal float scores rank by pool index; candidates whose similarity
@@ -415,7 +416,7 @@ def retrieve_by_question_skeleton(
     target, target_norm = _scaled(target)
     groups = index.embedding_groups
     if target_norm == 0.0 or not groups:
-        return RetrievalResult([])
+        return []
     postings = index.question_postings
     dots = [0.0] * len(groups)
     # only the terms where neither value is zero: the rest would add zeros that keep every sum's bits
@@ -434,7 +435,7 @@ def retrieve_by_question_skeleton(
         if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
             break  # every later member scores lower, or as high and later in the pool
         _join(best, n, key, members, exclude_question)
-    return RetrievalResult([pair for _, _, pair in best])
+    return [pair for _, _, pair in best]
 
 
 # round-2 heap entry stages: a node count's bucket, then a skeleton group
@@ -447,21 +448,20 @@ def retrieve_by_sql_skeleton(
     index: RetrievalIndex,
     n: int,
     *,
-    fallback_examples: Sequence[ExamplePair] = (),
     exclude_question: str | None = None,
 ) -> RetrievalResult:
     """Top-n pool entries by ascending parse-tree edit distance.
 
-    If the round-1 SQL does not parse, returns ``fallback_examples``
-    (the caller's question-skeleton retrieval) tagged with
-    ``fallback="question"``.
+    If the round-1 SQL does not parse, ranks nothing: the result is
+    empty and tagged ``fallback="question"``, and the caller keeps its
+    question-skeleton examples.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     try:
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
-        return RetrievalResult(list(fallback_examples), fallback="question")
+        return RetrievalResult([], fallback="question")
     target_labels = index.label_bags.bag(target.compiled.postorder)
     # (lower bound, first pool index, stage, item); the first two are unique
     heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, bucket)

@@ -11,7 +11,8 @@ Clauses are read by recursive descent, expressions by one
 precedence-climbing loop (Pratt, POPL 1973) over the operator levels
 of :mod:`.nodes`. The produced tree is rendered back to text by
 :mod:`.render`; parsing the rendering yields a structurally identical
-tree.
+tree, unless the rendering, which parenthesizes a sign's signed operand,
+nests past ``MAX_NESTING``.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ RESERVED = frozenset(
 # words that start a join connective other than a bare JOIN
 _JOIN_WORDS = ("inner", "left", "right", "full", "cross")
 
+# nested expressions and queries past this many levels make a statement
+# unparseable, which keeps the parser's recursion within Python's stack
+MAX_NESTING = 100
+
 
 def parse_sql(text: str) -> Node:
     """Parse a single SELECT statement into a syntax tree.
 
     Raises:
         ParseError: on malformed input, with the byte offset of the
-            offending token.
+            offending token, and on a statement whose expressions and
+            queries nest more than ``MAX_NESTING`` levels deep.
     """
     if not text or not text.strip():
         raise ParseError("empty statement", 0)
@@ -75,6 +81,7 @@ class _Parser:
     def __init__(self, toks: list[tk.Token]) -> None:
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # expressions and queries being read
 
     # ------------------------------------------------------------------
     # token helpers
@@ -123,6 +130,12 @@ class _Parser:
             items.append(item())
         return items
 
+    def nest(self) -> None:
+        """Enter one more expression or query; ``ParseError`` past ``MAX_NESTING``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("statement nests too deeply", self.peek().offset)
+
     def expect_name(self) -> tk.Token:
         tok = self.peek()
         if tok.type == tk.QIDENT:
@@ -136,6 +149,7 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def query_expr(self, is_sub: bool) -> Node:
+        self.nest()
         node = self.select_core(is_sub)
         while self.at("union", "intersect", "except"):
             word = self.advance().lower
@@ -143,6 +157,7 @@ class _Parser:
                 word = "union all"
             right = self.select_core(is_sub)
             node = Node(OPERATOR, word, (node, right))
+        self.depth -= 1
         return node
 
     def select_core(self, is_sub: bool) -> Node:
@@ -272,20 +287,23 @@ class _Parser:
         that, a predicate only if it binds more loosely, so that
         predicates do not chain.
         """
+        self.nest()
         node, level = self.prefix(min_level)
         while True:
             tok = self.peek()
             binding = LEFT_ASSOCIATIVE.get(tok.lower)
             if binding is not None:
                 if not min_level <= binding <= level:
-                    return node
+                    break
                 self.advance()
                 node = Node(OPERATOR, tok.lower, (node, self.expr(binding + 1)))
                 level = binding
             elif min_level <= PREDICATE_LEVEL < level and (predicate := self.predicate(node)) is not None:
                 node, level = predicate, PREDICATE_LEVEL
             else:
-                return node
+                break
+        self.depth -= 1
+        return node
 
     def prefix(self, min_level: int) -> tuple[Node, int]:
         """The operand that starts an expression, and the level it binds at."""

@@ -72,8 +72,7 @@ def test_observed_attributes_exist():
     index = build_index(pool_items([("How many shops?", "SELECT count(*) FROM shop")]),
                         HashedBagOfTokens())
     assert retrieve_by_sql_skeleton("SELECT name FROM shop", index, 1).fallback is None
-    unparsed = retrieve_by_sql_skeleton("SELECT FROM", index, 1, fallback_examples=index.pool)
-    assert unparsed.fallback == "question"
+    assert retrieve_by_sql_skeleton("SELECT FROM", index, 1).fallback == "question"
 
     schema = load_tables_json(FIXTURES / "tables.json")["shop"]
     prompt = build_prompt("How many shops?", schema, SchemaSubset(), index.pool)

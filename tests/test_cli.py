@@ -21,11 +21,15 @@ from solidql.cli import SUBCOMMANDS, main
 from solidql.config import RunConfig
 from solidql.embeddings import HashedBagOfTokens
 from solidql.gateway import TRANSCRIPT, LlmGateway, TranscriptStore
-from solidql.linking import GatewayLinkingPredictor, QuestionRewriter, augment_dataset
+from solidql.linking import (
+    GatewayLinkingPredictor,
+    QuestionRewriter,
+    augment_dataset,
+    triplets_from_dataset,
+)
 from solidql.pipeline import LEDGER_ENTRY, run_batch
 from solidql.retrieval import INDEX_HEADER, INDEX_RECORD, load_index
 from solidql.schema import load_tables_json
-from solidql.data import triplets_from_dataset
 
 from conftest import FIXTURES
 from support import FakeChatProvider
@@ -585,6 +589,31 @@ def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_
     assert code == 1
 
 
+# predictions that no step of eval may let escape as an exception: each is
+# scored as a failed item with an execution error
+PATHOLOGICAL_PREDICTIONS = {
+    "400 nested parentheses": "SELECT " + "(" * 400 + "name" + ")" * 400 + " FROM employee",
+    "a lone surrogate": "SELECT name FROM employee WHERE name = '\ud83d'",
+}
+
+
+@pytest.mark.parametrize("prediction", PATHOLOGICAL_PREDICTIONS)
+def test_cmd_eval_scores_a_pathological_prediction_as_an_error(
+        workspace, databases_root, tmp_path, prediction):
+    lines = (workspace / "run_eval.jsonl").read_text().splitlines()
+    _edit_record(lines, 2, final_sql=PATHOLOGICAL_PREDICTIONS[prediction])
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "report.json"
+    code = main(["eval", "--dataset", str(workspace / "shop_dataset.json"),
+                 "--databases", str(databases_root), "--predictions", str(predictions),
+                 "--output", str(report)])
+    assert code == 1
+    verdicts = [json.loads(line) for line in report.read_text().splitlines()[1:]]
+    assert [v["error"] is not None for v in verdicts] == [False, True, False, False, False]
+    assert [v["ex"] or v["em"] for v in verdicts] == [True, False, True, True, True]
+
+
 # each edit of a results file returns the line number the error must name
 PREDICTION_CORRUPTIONS = {
     "undecodable line": lambda lines: _replace_line(lines, 3, "{broken"),
@@ -631,55 +660,77 @@ def test_cmd_eval_names_a_flag_that_is_not_a_string(workspace, databases_root, t
 
 
 def _main_on_dataset(command, dataset, workspace, databases_root, tmp_path):
-    """``solidql eval`` or ``solidql index`` on ``dataset``, saved as JSON."""
+    """``command`` on ``dataset``, saved as ``dataset.json``; return its exit code
+    and the file's path."""
     path = tmp_path / "dataset.json"
     path.write_text(json.dumps(dataset))
-    if command == "eval":
-        argv = ["eval", "--databases", str(databases_root),
-                "--predictions", str(workspace / "run_eval.jsonl")]
-    else:
-        argv = ["index", "--tables", str(workspace / "tables.json"),
-                "--output", str(tmp_path / "index.jsonl")]
-    return main([*argv, "--dataset", str(path)])
-
-
-@pytest.mark.parametrize("command", ["eval", "index"])
-def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_path, capsys, command):
-    dataset = json.loads((workspace / "shop_dataset.json").read_text())
-    del dataset[1]["query"]
-    assert _main_on_dataset(command, dataset, workspace, databases_root, tmp_path) == 2
-    assert "dataset item 1 is missing 'query'" in capsys.readouterr().err
+    tables = ["--tables", str(workspace / "tables.json")]
+    argv = {
+        "eval": ["--databases", str(databases_root), "--predictions", str(workspace / "run_eval.jsonl")],
+        "index": [*tables, "--output", str(tmp_path / "index.jsonl")],
+        "run": [*tables, "--index", str(workspace / "index.jsonl"),
+                "--transcripts", str(workspace / "transcripts.jsonl"),
+                "--output", str(tmp_path / "out.jsonl")],
+        "build-sft": [*tables, "--no-augment", "--output", str(tmp_path / "sft.jsonl")],
+    }[command]
+    return main([command, *argv, "--dataset", str(path)]), path
 
 
 def _set_item_field(number, key, value):
     def edit(dataset):
         dataset[number][key] = value
-        return dataset, f"dataset item {number} has a {key!r} that is not a string"
+        return dataset, f"dataset[{number}].{key} is {type(value).__name__}, not str"
 
     return edit
 
 
 def _item_not_an_object(dataset):
     dataset[2] = "SELECT 1"
-    return dataset, "dataset item 2 is a JSON str, not an object"
+    return dataset, "dataset[2] is str, not dict"
 
 
-# each edit of a dataset returns the edited value and the error it must raise
+def _item_without_query(dataset):
+    del dataset[1]["query"]
+    return dataset, "dataset[1] has no 'query'"
+
+
+# each edit of a dataset returns the edited value and the key path the error must name
 DATASET_CORRUPTIONS = {
     "query null": _set_item_field(1, "query", None),
     "question a number": _set_item_field(0, "question", 5),
     "item not an object": _item_not_an_object,
-    "top level a number": lambda dataset: (5, "dataset.json holds a JSON int, not an array of items"),
+    "top level a number": lambda dataset: (5, "dataset is int, not list"),
 }
+DATASET_COMMANDS = ["eval", "index", "run", "build-sft"]
 
 
-@pytest.mark.parametrize("command", ["eval", "index"])
+@pytest.mark.parametrize("command", DATASET_COMMANDS)
+def test_dataset_item_without_query_exits_two(workspace, databases_root, tmp_path, capsys, command):
+    dataset, expected = _item_without_query(json.loads((workspace / "shop_dataset.json").read_text()))
+    code, path = _main_on_dataset(command, dataset, workspace, databases_root, tmp_path)
+    assert code == 2
+    assert f"error: dataset {path} is malformed: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", DATASET_COMMANDS)
 @pytest.mark.parametrize("corruption", DATASET_CORRUPTIONS)
 def test_malformed_dataset_exits_two(workspace, databases_root, tmp_path, capsys, command, corruption):
     dataset = json.loads((workspace / "shop_dataset.json").read_text())
     dataset, expected = DATASET_CORRUPTIONS[corruption](dataset)
-    assert _main_on_dataset(command, dataset, workspace, databases_root, tmp_path) == 2
-    assert expected in capsys.readouterr().err
+    code, path = _main_on_dataset(command, dataset, workspace, databases_root, tmp_path)
+    assert code == 2
+    assert f"error: dataset {path} is malformed: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", DATASET_COMMANDS)
+def test_dataset_items_keep_extra_spider_keys(workspace, databases_root, tmp_path, command):
+    """Spider's own dataset files carry ``query_toks`` and a parsed ``sql``
+    beside the keys the commands read; each command takes such items."""
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    for item in dataset:
+        item.update(query_toks=item["query"].split(), sql={"select": [False, []], "from": {}})
+    code, _ = _main_on_dataset(command, dataset, workspace, databases_root, tmp_path)
+    assert code == 0
 
 
 def test_cmd_eval_robustness_pairing(workspace, databases_root, capsys):
@@ -866,6 +917,28 @@ def test_cmd_build_sft_live_needs_no_transcripts(workspace, tmp_path, monkeypatc
     assert provider.calls == ["rewrite"] * 5
 
 
+def test_cmd_build_sft_no_augment_keeps_the_original_items(workspace, tmp_path, monkeypatch, capsys):
+    provider = make_provider()
+    monkeypatch.setattr("solidql.cli.HttpChatProvider.from_env", lambda: provider)
+    code = main([
+        "build-sft",
+        "--dataset", str(workspace / "shop_dataset.json"),
+        "--tables", str(workspace / "tables.json"),
+        "--mode", "live",
+        "--no-augment",
+        "--output", str(tmp_path / "sft.jsonl"),
+        "--augmented-out", str(tmp_path / "augmented.json"),
+    ])
+    assert code == 0
+    assert "triplets in: 5  augmented: 5  sft records: 5  skipped: 0" in capsys.readouterr().out
+    assert provider.calls == []
+    dataset = json.loads((workspace / "shop_dataset.json").read_text())
+    augmented = json.loads((tmp_path / "augmented.json").read_text())
+    assert augmented == [{**item, "origin": "original"} for item in dataset]
+    records = [json.loads(line) for line in (tmp_path / "sft.jsonl").read_text().splitlines()]
+    assert [item["question"] in record["input"] for item, record in zip(dataset, records)] == [True] * 5
+
+
 def test_cmd_index_refuses_a_missing_transcript_store(workspace, tmp_path, capsys):
     code = main([
         "index",
@@ -957,6 +1030,22 @@ def test_cmd_index_parses_each_pool_item_once(workspace, tmp_path, monkeypatch, 
     assert [(r["pool_index"], r["question"]) for r in lines] == [
         (0, "question 0"), (1, "question 2"), (2, "question 3"),
     ]
+
+
+def test_cmd_index_skips_a_statement_nested_past_the_bound(workspace, tmp_path, caplog):
+    deep = "SELECT name FROM singer WHERE age > " + "(" * 400 + "1" + ")" * 400
+    records = [{"question": f"question {i}", "db_id": "concert_singer", "query": sql}
+               for i, sql in enumerate(["SELECT name FROM singer", deep, "SELECT count(*) FROM singer"])]
+    dataset = tmp_path / "pool.json"
+    dataset.write_text(json.dumps(records))
+    out = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        code = main(["index", "--dataset", str(dataset), "--tables", str(workspace / "tables.json"),
+                     "--output", str(out)])
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping pool item 1 (unparseable SQL): statement nests too deeply (at offset 134)"]
+    assert [p.question for p in load_index(out).pool] == ["question 0", "question 2"]
 
 
 def test_cmd_index_masks_an_alias_cycle_by_rule(workspace, tmp_path, capsys):
@@ -1143,6 +1232,7 @@ WRONG_CONFIG_TYPES = {
 # config values of the right type that the run cannot use
 OUT_OF_RANGE_CONFIG = [
     ("n_examples", 0), ("workers", 0), ("max_tokens", 0),
+    ("rounds", 3), ("mode", "offline"), ("predictor", "magic"),
     ("timeout", -1), ("timeout", 0), ("timeout", float("nan")), ("timeout", float("inf")),
     ("timeout", 10**400),
 ]

@@ -43,6 +43,13 @@ def test_execute_missing_table(concert_db, pool):
         execute_sql(concert_db, "SELECT x FROM nonexistent", 30.0, pool)
 
 
+def test_a_lone_surrogate_is_an_execution_error(concert_db, pool):
+    # valid in a JSON string, so a results file can carry it, but not encodable as UTF-8
+    with pytest.raises(ExecError, match="surrogates not allowed"):
+        execute_sql(concert_db, "SELECT name FROM singer WHERE name = '\ud83d'", 30.0, pool)
+    assert execute_sql(concert_db, "SELECT 1", 30.0, pool) == [(1,)]
+
+
 def test_execute_missing_database(tmp_path, pool):
     with pytest.raises(ExecError):
         execute_sql(tmp_path / "nope.sqlite", "SELECT 1", 30.0, pool)

@@ -137,6 +137,7 @@ def test_round2_falls_back_to_question_retrieval_on_bad_sql(components, provider
     assert result.flags == (FLAG_ROUND2_RETRIEVAL_FALLBACK,)
     assert result.final_sql == "SELECT count(*) FROM shop"
     assert rankings == ["How many _ are there?"]  # round 2 reuses round 1's examples
+    assert provider.prompts[-1] == provider.prompts[-2]
 
 
 def test_round2_extract_error_keeps_round1_sql(components, provider):

@@ -474,15 +474,18 @@ def test_sql_identity_ranked_first(small_index):
 
 
 def test_sql_malformed_falls_back_to_question_mode(small_index):
-    index, embedder = small_index
-    round1 = retrieve_by_question_skeleton("what are the _ of _", index, 3, embedder)
-    result = retrieve_by_sql_skeleton(
-        "SELEC name FORM singer", index, 3, fallback_examples=round1.pairs
-    )
+    index, _ = small_index
+    result = retrieve_by_sql_skeleton("SELEC name FORM singer", index, 3)
     assert result.fallback == "question"
-    assert len(result) == 3
-    assert result.pairs == round1.pairs
-    assert retrieve_by_sql_skeleton("SELEC name FORM singer", index, 3).pairs == []
+    assert result.pairs == []
+
+
+def test_both_rounds_refuse_fewer_than_one_example(small_index):
+    index, embedder = small_index
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        retrieve_by_question_skeleton("what are the _ of _", index, 0, embedder)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        retrieve_by_sql_skeleton("SELECT name FROM singer", index, 0)
 
 
 def test_sql_ranking_matches_brute_force(small_index):

@@ -126,6 +126,36 @@ def test_malformed_statements_raise(bad):
         parse_sql(bad)
 
 
+def _nested(template, levels):
+    """``SELECT a FROM t`` placed into ``template``'s ``{}`` ``levels`` times."""
+    sql = "SELECT a FROM t"
+    for _ in range(levels):
+        sql = template.format(sql)
+    return sql
+
+
+# each nesting shape and the most levels of it that parse, MAX_NESTING (100)
+# levels in all: the query, its select item and 98 parenthesized or signed
+# expressions; 50 queries, each but the last with the WHERE expression that
+# holds the next, and the last one's select item; 99 queries, each but the
+# last selecting from the next, and the last one's select item
+NESTINGS = {
+    "parentheses": (lambda k: "SELECT " + "(" * k + "1" + ")" * k + " FROM t", 98),
+    "signs": (lambda k: "SELECT " + "- " * k + "1 FROM t", 98),
+    "IN subqueries": (lambda k: _nested("SELECT a FROM t WHERE a IN ({})", k), 49),
+    "derived tables": (lambda k: _nested("SELECT a FROM ({})", k), 98),
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_past_the_bound_is_a_parse_error(shape):
+    statement, deepest = NESTINGS[shape]
+    parse_sql(statement(deepest))
+    for levels in (deepest + 1, 400):
+        with pytest.raises(ParseError, match="statement nests too deeply"):
+            parse_sql(statement(levels))
+
+
 def test_parse_error_reports_offset_of_bad_token():
     statement = "SELECT a FROM t WHERE ^"
     with pytest.raises(ParseError) as err:
