@@ -94,7 +94,7 @@ def _mask(node: Node) -> Node:
         return Node(COLUMN_REF, COLUMN_PLACEHOLDER)
     if kind == LITERAL:
         return Node(LITERAL, VALUE_PLACEHOLDER)
-    children = tuple(_mask(child) for child in node.children)
+    children = tuple(map(_mask, node.children))
     if kind == TABLE_ALIAS:
         return Node(TABLE_ALIAS, TABLE_PLACEHOLDER, children)
     if kind == COLUMN_ALIAS:

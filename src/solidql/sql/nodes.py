@@ -3,6 +3,10 @@
 A statement is represented as an ordered tree of immutable :class:`Node`
 values. Node identity for structural comparison and for tree edit distance
 is the ``(kind, text)`` label plus the ordered children, nothing else.
+A ``Node`` is a ``NamedTuple`` of exactly those three fields, so that
+building, comparing and hashing trees run at tuple speed; a node
+therefore also equals the bare tuple of its fields, which no code
+compares it with.
 
 Kinds
 -----
@@ -48,8 +52,7 @@ A predicate's operands are arithmetic, so predicates do not chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .tokens import TOKEN
 
@@ -79,8 +82,7 @@ UNARY_LEVEL = 7
 COMPARISONS = ("=", "!=", "<>", "<", ">", "<=", ">=")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str
     text: str = ""
     children: tuple["Node", ...] = ()

@@ -9,10 +9,21 @@ UNION / UNION ALL / INTERSECT / EXCEPT.
 
 Clauses are read by recursive descent, expressions by one
 precedence-climbing loop (Pratt, POPL 1973) over the operator levels
-of :mod:`.nodes`. The produced tree is rendered back to text by
-:mod:`.render`; parsing the rendering yields a structurally identical
-tree, unless the rendering, which parenthesizes a sign's signed operand,
-nests past ``MAX_NESTING``.
+of :mod:`.nodes`. The parser reads the parallel token lists of
+:func:`.tokens.scan` by position and decides on the lowercase text of
+the current token, read once per decision and tested against one word
+or a prebuilt ``frozenset``.
+
+One depth rule bounds every tree: a statement that nests more than
+``MAX_NESTING`` levels is a ``ParseError``. Each expression and query is
+a level, each link of an ``AND``/``OR``/arithmetic or set-operation
+chain pushes its left operand one level down, as the left-deep tree
+does, and a sign whose operand is a sign takes two levels. So the
+parser's recursion and every recursive walk over a tree it returns
+stay within Python's stack. The produced tree is rendered back to text
+by :mod:`.render`; parsing the rendering yields a structurally identical
+tree, since the rendering nests no deeper under this rule than the
+statement did.
 """
 
 from __future__ import annotations
@@ -52,11 +63,20 @@ RESERVED = frozenset(
     end""".split()
 )
 
-# words that start a join connective other than a bare JOIN
-_JOIN_WORDS = ("inner", "left", "right", "full", "cross")
+# the lowercase words each decision point of the parser tests
+_SET_OPS = frozenset(("union", "intersect", "except"))
+_JOIN_WORDS = frozenset(("inner", "left", "right", "full", "cross"))  # besides a bare JOIN
+_OUTER_JOIN_WORDS = frozenset(("left", "right", "full"))
+_DIRECTIONS = frozenset(("asc", "desc"))
+_SIGNS = frozenset(("-", "+"))
+_PREFIX_WORDS = _SIGNS | {"not", "exists"}
+_COMPARISONS = frozenset(COMPARISONS)
+_NEGATED_PREDICATES = frozenset(("between", "in", "like"))
+_PREDICATE_WORDS = _COMPARISONS | _NEGATED_PREDICATES | {"not", "is"}
 
-# nested expressions and queries past this many levels make a statement
-# unparseable, which keeps the parser's recursion within Python's stack
+# trees nesting past this many levels make a statement unparseable, which
+# keeps the parser's recursion, and every recursive walk over the trees it
+# builds, within Python's stack (see "Nesting" in _Parser)
 MAX_NESTING = 100
 
 
@@ -65,12 +85,12 @@ def parse_sql(text: str) -> Node:
 
     Raises:
         ParseError: on malformed input, with the byte offset of the
-            offending token, and on a statement whose expressions and
-            queries nest more than ``MAX_NESTING`` levels deep.
+            offending token, and on a statement that nests more than
+            ``MAX_NESTING`` levels deep.
     """
     if not text or not text.strip():
         raise ParseError("empty statement", 0)
-    parser = _Parser(tk.tokenize(text))
+    parser = _Parser(text)
     node = parser.query_expr(is_sub=False)
     parser.accept(";")
     parser.expect_eof()
@@ -78,50 +98,72 @@ def parse_sql(text: str) -> Node:
 
 
 class _Parser:
-    def __init__(self, toks: list[tk.Token]) -> None:
-        self.toks = toks
+    """Reads one statement from the token lists of :func:`.tokens.scan`.
+
+    ``pos`` indexes the current token in every list. Decisions read its
+    lowercase text, ``lowers[pos]``, and test it against one word or a
+    prebuilt ``frozenset``: keywords and operators match alike, since no
+    keyword is spelled like an operator and quoted tokens keep their
+    quotes. Only the ``EOF`` token has the empty text, which no word
+    matches, so a matched token is never ``EOF`` and ``pos`` never moves
+    past it.
+
+    Nesting. ``depth`` counts the levels the parse is inside: each
+    expression and each query read is one level. ``peak`` is the deepest
+    level of the expression or query being read, where each link of an
+    ``AND``/``OR``/arithmetic or set-operation chain pushes what it has
+    read so far one level down, as the left-deep tree it builds does, and
+    reads its right operand one level down. A sign whose operand is
+    another sign takes one more level, since the renderer parenthesizes
+    the inner sign. Past ``MAX_NESTING`` the statement is refused, at the
+    token where the level is entered.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.types, self.texts, self.lowers, self.offsets = tk.scan(text)
         self.pos = 0
-        self.depth = 0  # expressions and queries being read
+        self.depth = 0
+        self.peak = 0
 
     # ------------------------------------------------------------------
     # token helpers
     # ------------------------------------------------------------------
 
-    def peek(self) -> tk.Token:
-        return self.toks[self.pos]  # advance never moves past EOF
+    def at(self, words: frozenset[str]) -> bool:
+        """The current token's lowercase text is one of ``words``."""
+        return self.lowers[self.pos] in words
 
-    def advance(self) -> tk.Token:
-        tok = self.toks[self.pos]
-        if tok.type != tk.EOF:
-            self.pos += 1
-        return tok
+    def accept(self, word: str) -> bool:
+        """Move past the current token if its lowercase text is ``word``."""
+        if self.lowers[self.pos] != word:
+            return False
+        self.pos += 1
+        return True
 
-    def at(self, *words: str) -> bool:
-        """The next token's lowercase text is one of ``words``.
-
-        Keywords and operators match alike: no keyword is spelled like an
-        operator, and quoted tokens keep their quotes.
-        """
-        return self.toks[self.pos].lower in words
-
-    def accept(self, *words: str) -> tk.Token | None:
-        tok = self.toks[self.pos]
-        if tok.lower not in words:
-            return None
-        self.pos += 1  # not EOF, whose text no word matches
-        return tok
-
-    def expect(self, word: str) -> tk.Token:
-        tok = self.peek()
-        if not self.at(word):
+    def expect(self, word: str) -> None:
+        if self.lowers[self.pos] != word:
             wanted = word.upper() if word.isalpha() else repr(word)
-            raise ParseError(f"expected {wanted}, found {tok.text or 'end of input'!r}", tok.offset)
-        return self.advance()
+            raise self.error(f"expected {wanted}, found {self.found()!r}")
+        self.pos += 1
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.type != tk.EOF:
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+        if self.types[self.pos] != tk.EOF:
+            raise self.error(f"unexpected trailing input {self.texts[self.pos]!r}")
+
+    def expect_name(self) -> str:
+        pos = self.pos
+        kind = self.types[pos]
+        if kind != tk.QIDENT and (kind != tk.IDENT or self.lowers[pos] in RESERVED):
+            raise self.error(f"expected identifier, found {self.found()!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
+
+    def found(self) -> str:
+        """The current token's text, as error messages name it."""
+        return self.texts[self.pos] or "end of input"
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.offsets[self.pos])
 
     def comma_list(self, item: Callable[[], Node]) -> list[Node]:
         """One or more ``item``s separated by commas."""
@@ -130,49 +172,61 @@ class _Parser:
             items.append(item())
         return items
 
-    def nest(self) -> None:
-        """Enter one more expression or query; ``ParseError`` past ``MAX_NESTING``."""
+    def enter(self) -> int:
+        """Enter one more level; the enclosing peak, for :meth:`leave`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("statement nests too deeply", self.peek().offset)
+            raise self.error("statement nests too deeply")
+        peak = self.peak
+        self.peak = self.depth
+        return peak
 
-    def expect_name(self) -> tk.Token:
-        tok = self.peek()
-        if tok.type == tk.QIDENT:
-            return self.advance()
-        if tok.type != tk.IDENT or tok.lower in RESERVED:
-            raise ParseError(f"expected identifier, found {tok.text or 'end of input'!r}", tok.offset)
-        return self.advance()
+    def leave(self, peak: int) -> None:
+        """Leave the level entered by the :meth:`enter` that returned ``peak``."""
+        self.depth -= 1
+        if self.peak < peak:
+            self.peak = peak
+
+    def link(self) -> None:
+        """Push what the current expression or query has read one level down."""
+        self.peak += 1
+        if self.peak > MAX_NESTING:
+            raise self.error("statement nests too deeply")
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def query_expr(self, is_sub: bool) -> Node:
-        self.nest()
+        peak = self.enter()
         node = self.select_core(is_sub)
-        while self.at("union", "intersect", "except"):
-            word = self.advance().lower
+        while self.at(_SET_OPS):
+            self.link()
+            word = self.lowers[self.pos]
+            self.pos += 1
             if word == "union" and self.accept("all"):
                 word = "union all"
+            self.depth += 1  # the right operand one level down, as in expr
             right = self.select_core(is_sub)
+            self.depth -= 1
             node = Node(OPERATOR, word, (node, right))
-        self.depth -= 1
+        self.leave(peak)
         return node
 
     def select_core(self, is_sub: bool) -> Node:
+        lowers = self.lowers
         clauses = [self.select_clause()]
-        if self.at("from"):
+        if lowers[self.pos] == "from":
             clauses.append(self.from_clause())
         if self.accept("where"):
             clauses.append(Node(CLAUSE, "where", (self.expr(),)))
-        if self.at("group"):
+        if lowers[self.pos] == "group":
             clauses.append(self.group_by_clause())
         if self.accept("having"):
             clauses.append(Node(CLAUSE, "having", (self.expr(),)))
-        if self.at("order"):
+        if lowers[self.pos] == "order":
             clauses.append(self.order_by_clause())
-        if self.at("limit"):
+        if lowers[self.pos] == "limit":
             clauses.append(self.limit_clause())
         return Node(SUBQUERY if is_sub else QUERY, "", tuple(clauses))
 
@@ -209,35 +263,39 @@ class _Parser:
         return Node(CLAUSE, "from", tuple(children))
 
     def join_connective(self) -> str | None:
-        if self.accept("join"):
+        word = self.lowers[self.pos]
+        if word == "join":
+            self.pos += 1
             return "join"
-        if not self.at(*_JOIN_WORDS):
+        if word not in _JOIN_WORDS:
             return None
-        word = self.advance().lower
-        if word in ("left", "right", "full") and self.accept("outer"):
+        self.pos += 1
+        if word in _OUTER_JOIN_WORDS and self.accept("outer"):
             word += " outer"
         self.expect("join")
         return f"{word} join"
 
     def table_source(self) -> Node:
         if self.accept("("):
-            if not self.at("select"):
-                raise ParseError("expected SELECT in derived table", self.peek().offset)
+            if self.lowers[self.pos] != "select":
+                raise self.error("expected SELECT in derived table")
             source = self.query_expr(is_sub=True)
             self.expect(")")
         else:
-            source = Node(TABLE_REF, self.expect_name().text)
+            source = Node(TABLE_REF, self.expect_name())
         return self.alias(TABLE_ALIAS, source)
 
     def alias(self, kind: str, node: Node) -> Node:
         """``node`` under the ``AS name`` or bare-name alias that follows, if any."""
-        if self.accept("as"):
-            return Node(kind, self.expect_name().text, (node,))
-        tok = self.peek()
-        if tok.type != tk.IDENT or tok.lower in RESERVED:
+        pos = self.pos
+        word = self.lowers[pos]
+        if word == "as":
+            self.pos = pos + 1
+            return Node(kind, self.expect_name(), (node,))
+        if self.types[pos] != tk.IDENT or word in RESERVED:
             return node
-        self.advance()
-        return Node(kind, tok.text, (node,))
+        self.pos = pos + 1
+        return Node(kind, self.texts[pos], (node,))
 
     def group_by_clause(self) -> Node:
         self.expect("group")
@@ -251,9 +309,10 @@ class _Parser:
 
     def order_item(self) -> Node:
         item = self.expr()
-        direction = self.accept("asc", "desc")
-        if direction is not None:
-            return Node(OPERATOR, direction.lower, (item,))
+        direction = self.lowers[self.pos]
+        if direction in _DIRECTIONS:
+            self.pos += 1
+            return Node(OPERATOR, direction, (item,))
         return item
 
     def limit_clause(self) -> Node:
@@ -268,11 +327,11 @@ class _Parser:
         return Node(CLAUSE, "limit", (first,))
 
     def limit_value(self) -> Node:
-        tok = self.peek()
-        if tok.type in (tk.NUMBER, tk.IDENT):
-            self.advance()
-            return Node(LITERAL, tok.text)
-        raise ParseError(f"expected limit count, found {tok.text or 'end of input'!r}", tok.offset)
+        pos = self.pos
+        if self.types[pos] not in (tk.NUMBER, tk.IDENT):
+            raise self.error(f"expected limit count, found {self.found()!r}")
+        self.pos = pos + 1
+        return Node(LITERAL, self.texts[pos])
 
     # ------------------------------------------------------------------
     # expressions
@@ -287,108 +346,140 @@ class _Parser:
         that, a predicate only if it binds more loosely, so that
         predicates do not chain.
         """
-        self.nest()
+        depth = self.depth + 1  # self.enter(), inlined on the hot path
+        if depth > MAX_NESTING:
+            raise self.error("statement nests too deeply")
+        self.depth = depth
+        peak = self.peak
+        self.peak = depth
         node, level = self.prefix(min_level)
+        lowers = self.lowers
         while True:
-            tok = self.peek()
-            binding = LEFT_ASSOCIATIVE.get(tok.lower)
+            word = lowers[self.pos]
+            binding = LEFT_ASSOCIATIVE.get(word)
             if binding is not None:
                 if not min_level <= binding <= level:
                     break
-                self.advance()
-                node = Node(OPERATOR, tok.lower, (node, self.expr(binding + 1)))
+                self.link()
+                self.pos += 1
+                node = Node(OPERATOR, word, (node, self.expr(binding + 1)))
                 level = binding
-            elif min_level <= PREDICATE_LEVEL < level and (predicate := self.predicate(node)) is not None:
-                node, level = predicate, PREDICATE_LEVEL
+            elif word in _PREDICATE_WORDS and min_level <= PREDICATE_LEVEL < level:
+                node = self.predicate(node)
+                level = PREDICATE_LEVEL
             else:
                 break
-        self.depth -= 1
+        self.depth = depth - 1  # self.leave(peak)
+        if self.peak < peak:
+            self.peak = peak
         return node
 
     def prefix(self, min_level: int) -> tuple[Node, int]:
         """The operand that starts an expression, and the level it binds at."""
-        if min_level <= NOT_LEVEL and self.accept("not"):
+        word = self.lowers[self.pos]
+        if word not in _PREFIX_WORDS:
+            return self.primary(), UNARY_LEVEL
+        if word == "not" and min_level <= NOT_LEVEL:
+            self.pos += 1
             return Node(OPERATOR, "not", (self.expr(NOT_LEVEL),)), NOT_LEVEL
-        if min_level <= PREDICATE_LEVEL and self.accept("exists"):
+        if word == "exists" and min_level <= PREDICATE_LEVEL:
+            self.pos += 1
             self.expect("(")
             inner = self.query_expr(is_sub=True)
             self.expect(")")
             return Node(OPERATOR, "exists", (inner,)), PREDICATE_LEVEL
-        if self.at("-", "+"):
-            op = self.advance().text
-            return Node(OPERATOR, op, (self.expr(UNARY_LEVEL),)), UNARY_LEVEL
+        if word in _SIGNS:
+            self.pos += 1
+            nested = self.at(_SIGNS)  # rendered in parentheses: one more level
+            self.depth += nested
+            node = Node(OPERATOR, word, (self.expr(UNARY_LEVEL),))
+            self.depth -= nested
+            return node, UNARY_LEVEL
         return self.primary(), UNARY_LEVEL
 
-    def predicate(self, lhs: Node) -> Node | None:
-        """The predicate on ``lhs`` that starts at the next token, if any."""
-        tok = self.peek()
-        if tok.lower in COMPARISONS:
-            self.advance()
-            op = "!=" if tok.text == "<>" else tok.text
+    def predicate(self, lhs: Node) -> Node:
+        """The predicate on ``lhs`` that starts at the current token.
+
+        The caller has checked that the token's lowercase text is one of
+        ``_PREDICATE_WORDS``.
+        """
+        word = self.lowers[self.pos]
+        self.pos += 1
+        if word in _COMPARISONS:
+            op = "!=" if word == "<>" else word
             return Node(OPERATOR, op, (lhs, self.expr(OPERAND_LEVEL)))
-        negated = self.accept("not") is not None
-        if self.accept("between"):
+        negated = word == "not"
+        if negated:
+            word = self.lowers[self.pos]
+            if word not in _NEGATED_PREDICATES:
+                raise self.error("expected BETWEEN, IN or LIKE after NOT")
+            self.pos += 1
+        if word == "between":
             low = self.expr(OPERAND_LEVEL)
             self.expect("and")
             high = self.expr(OPERAND_LEVEL)
             return Node(OPERATOR, "not between" if negated else "between", (lhs, low, high))
-        if self.accept("in"):
+        if word == "in":
             self.expect("(")
-            items = [self.query_expr(is_sub=True)] if self.at("select") else self.comma_list(self.expr)
+            if self.lowers[self.pos] == "select":
+                items = [self.query_expr(is_sub=True)]
+            else:
+                items = self.comma_list(self.expr)
             self.expect(")")
             return Node(OPERATOR, "not in" if negated else "in", (lhs, *items))
-        if self.accept("like"):
-            op = "not like" if negated else "like"
-            return Node(OPERATOR, op, (lhs, self.expr(OPERAND_LEVEL)))
-        if negated:
-            raise ParseError("expected BETWEEN, IN or LIKE after NOT", self.peek().offset)
-        if self.accept("is"):
-            negated = self.accept("not") is not None
-            if not self.accept("null"):
-                raise ParseError("expected NULL after IS", self.peek().offset)
-            return Node(OPERATOR, "is not null" if negated else "is null", (lhs,))
-        return None
+        if word == "like":
+            return Node(OPERATOR, "not like" if negated else "like", (lhs, self.expr(OPERAND_LEVEL)))
+        # IS [NOT] NULL
+        negated = self.accept("not")
+        if not self.accept("null"):
+            raise self.error("expected NULL after IS")
+        return Node(OPERATOR, "is not null" if negated else "is null", (lhs,))
 
     def primary(self) -> Node:
-        tok = self.peek()
-        if tok.type == tk.NUMBER or tok.type == tk.STRING:
-            self.advance()
-            return Node(LITERAL, tok.text)
-        if self.accept("("):
-            inner = self.query_expr(is_sub=True) if self.at("select") else self.expr()
-            self.expect(")")
-            return inner
-        if tok.type == tk.QIDENT:
-            return self.name_expr()
-        if tok.type == tk.IDENT:
-            if tok.lower == "null":
-                self.advance()
-                return Node(LITERAL, tok.text)
-            if tok.lower in RESERVED:
-                raise ParseError(f"expected expression, found {tok.text!r}", tok.offset)
-            if self.toks[self.pos + 1].lower == "(":  # the name is not EOF
+        pos = self.pos
+        kind = self.types[pos]
+        if kind == tk.IDENT:
+            word = self.lowers[pos]
+            if word in RESERVED:
+                if word != "null":
+                    raise self.error(f"expected expression, found {self.texts[pos]!r}")
+                self.pos = pos + 1
+                return Node(LITERAL, self.texts[pos])
+            if self.lowers[pos + 1] == "(":  # the name is not EOF
                 return self.function_call()
             return self.name_expr()
-        raise ParseError(f"expected expression, found {tok.text or 'end of input'!r}", tok.offset)
+        if kind == tk.NUMBER or kind == tk.STRING:
+            self.pos = pos + 1
+            return Node(LITERAL, self.texts[pos])
+        if kind == tk.QIDENT:
+            return self.name_expr()
+        if self.accept("("):
+            inner = self.query_expr(is_sub=True) if self.lowers[self.pos] == "select" else self.expr()
+            self.expect(")")
+            return inner
+        raise self.error(f"expected expression, found {self.found()!r}")
 
     def function_call(self) -> Node:
-        name = self.advance()
-        self.expect("(")
+        name = self.texts[self.pos]
+        self.pos += 2  # the name and "("
         children: list[Node] = []
         if self.accept("distinct"):
             children.append(Node(KEYWORD, "distinct"))
         if self.accept("*"):
             children.append(Node(STAR, "*"))
-        elif not self.at(")"):
+        elif self.lowers[self.pos] != ")":
             children += self.comma_list(self.expr)
         self.expect(")")
-        return Node(FUNCTION, name.text, tuple(children))
+        return Node(FUNCTION, name, tuple(children))
 
     def name_expr(self) -> Node:
-        first = self.expect_name()
-        if self.accept("."):
-            if self.accept("*"):
-                return Node(COLUMN_REF, f"{first.text}.*")
-            column = self.expect_name()
-            return Node(COLUMN_REF, f"{first.text}.{column.text}")
-        return Node(COLUMN_REF, first.text)
+        """A column reference; the current token is a name."""
+        pos = self.pos
+        first = self.texts[pos]
+        if self.lowers[pos + 1] != ".":
+            self.pos = pos + 1
+            return Node(COLUMN_REF, first)
+        self.pos = pos + 2
+        if self.accept("*"):
+            return Node(COLUMN_REF, f"{first}.*")
+        return Node(COLUMN_REF, f"{first}.{self.expect_name()}")

@@ -4,11 +4,15 @@
 skipped text (whitespace and closed comments), a string, a quoted
 identifier, a number, an identifier, an operator, or an error: an
 unterminated comment or quote, which swallows the rest of the text, or a
-stray character. :func:`tokenize` turns the matches into a token list
-with character offsets and raises ``ParseError`` on an error match; the
-ORDER BY scan in :mod:`solidql.evaluation` iterates the same pattern and
-never raises. Keyword classification is left to the parser so that
-identifiers that collide with soft keywords keep working.
+stray character. :func:`scan` turns the matches into four parallel
+lists, the token types, texts, lowercase texts and character offsets,
+ending with an ``EOF`` token, and raises ``ParseError`` on an error
+match; the parser reads these lists by position, most often the
+lowercase texts. :func:`tokenize` gives the same tokens as
+:class:`Token` tuples. The ORDER BY scan in :mod:`solidql.evaluation`
+iterates the same pattern and never raises. Keyword classification is
+left to the parser so that identifiers that collide with soft keywords
+keep working.
 
 As in SQLite, a doubled quote inside a string (``''``) or a quoted
 identifier (``""``, or two backquotes inside backquotes) stands for the
@@ -23,6 +27,7 @@ as every non-ASCII character is in SQLite.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -66,22 +71,41 @@ class Token(NamedTuple):
     lower: str
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with an ``EOF`` token.
+def scan(text: str) -> tuple[list[str], list[str], list[str], list[int]]:
+    """The types, texts, lowercase texts and offsets of the tokens of ``text``.
+
+    Four parallel lists, each ending with the ``EOF`` token's entry.
 
     Raises:
         ParseError: on an unterminated comment or quote, or a stray
             character, at its offset.
     """
-    tokens = []
+    types: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    add_type, add_text, add_offset = types.append, texts.append, offsets.append
     for match in TOKEN.finditer(text):
         kind = match.lastgroup
-        if kind == SKIP:
-            continue
-        word = match.group()
-        if kind == ERROR:
-            first = word[0]
-            raise ParseError(_UNTERMINATED.get(first, f"unexpected character {first!r}"), match.start())
-        tokens.append(Token(kind, word, match.start(), word.lower()))
-    tokens.append(Token(EOF, "", len(text), ""))
-    return tokens
+        if kind != SKIP:
+            add_type(kind)
+            add_text(match[0])
+            add_offset(match.start())
+    if ERROR in types:
+        i = types.index(ERROR)
+        first = texts[i][0]
+        raise ParseError(_UNTERMINATED.get(first, f"unexpected character {first!r}"), offsets[i])
+    types.append(EOF)
+    texts.append("")
+    offsets.append(len(text))
+    return types, texts, list(map(str.lower, texts)), offsets
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an ``EOF`` token.
+
+    Raises:
+        ParseError: as :func:`scan` does.
+    """
+    types, texts, lowers, offsets = scan(text)
+    # tuple.__new__ builds each Token without a Python-level call
+    return list(map(tuple.__new__, repeat(Token), zip(types, texts, offsets, lowers)))

@@ -594,6 +594,7 @@ def test_cmd_eval_detects_failures_and_exits_one(workspace, databases_root, tmp_
 PATHOLOGICAL_PREDICTIONS = {
     "400 nested parentheses": "SELECT " + "(" * 400 + "name" + ")" * 400 + " FROM employee",
     "a lone surrogate": "SELECT name FROM employee WHERE name = '\ud83d'",
+    "a 10,000-term AND chain": "SELECT name FROM employee WHERE " + " AND ".join(["age > 1"] * 10_000),
 }
 
 
@@ -1046,6 +1047,26 @@ def test_cmd_index_skips_a_statement_nested_past_the_bound(workspace, tmp_path, 
     assert [r.getMessage() for r in caplog.records] == [
         "skipping pool item 1 (unparseable SQL): statement nests too deeply (at offset 134)"]
     assert [p.question for p in load_index(out).pool] == ["question 0", "question 2"]
+
+
+def test_cmd_index_skips_a_chain_past_the_bound(workspace, tmp_path, caplog, capsys):
+    first = "SELECT name FROM singer WHERE age > 1"
+    chain = first + " AND age > 1" * 9_999
+    records = [{"question": f"question {i}", "db_id": "concert_singer", "query": sql}
+               for i, sql in enumerate(["SELECT name FROM singer", chain])]
+    dataset = tmp_path / "pool.json"
+    dataset.write_text(json.dumps(records))
+    out = tmp_path / "index.jsonl"
+    with caplog.at_level("WARNING"):
+        code = main(["index", "--dataset", str(dataset), "--tables", str(workspace / "tables.json"),
+                     "--output", str(out)])
+    assert code == 0
+    # the 98th AND pushes the first comparison's right operand, at level 3, past 100
+    offset = len(first) + 97 * len(" AND age > 1") + 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping pool item 1 (unparseable SQL): statement nests too deeply (at offset {offset})"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert [p.question for p in load_index(out).pool] == ["question 0"]
 
 
 def test_cmd_index_masks_an_alias_cycle_by_rule(workspace, tmp_path, capsys):

@@ -12,7 +12,18 @@ from contextlib import closing
 import pytest
 
 from solidql.errors import ParseError
-from solidql.sql.nodes import CLAUSE, COLUMN_REF, SUBQUERY, TABLE_REF, normalize_identifier, split_qualified
+from solidql.evaluation import canonical_sql
+from solidql.skeleton import SqlSkeleton
+from solidql.sql.nodes import (
+    CLAUSE,
+    COLUMN_REF,
+    LITERAL,
+    SUBQUERY,
+    TABLE_REF,
+    Node,
+    normalize_identifier,
+    split_qualified,
+)
 from solidql.sql.parser import parse_sql
 from solidql.sql.render import render_sql
 from solidql.sql.tokens import tokenize
@@ -88,6 +99,23 @@ def test_simple_select_structure():
     assert from_clause.children[0].text == "singer"
 
 
+def test_node_is_an_immutable_value():
+    tree = parse_sql("SELECT a FROM t")
+    with pytest.raises(AttributeError):
+        tree.kind = SUBQUERY
+    same = parse_sql("select a  from t;")
+    assert same == tree and same is not tree and hash(same) == hash(tree)
+    # trees differing only in a kind or a text differ
+    assert Node(SUBQUERY, "", tree.children) != tree
+    assert Node(LITERAL, "a") != Node(COLUMN_REF, "a")
+    assert parse_sql("SELECT b FROM t") != tree
+    assert repr(tree) == (
+        "Node(kind='query', text='', children=("
+        "Node(kind='clause', text='select', children=(Node(kind='column-ref', text='a', children=()),)), "
+        "Node(kind='clause', text='from', children=(Node(kind='table-ref', text='t', children=()),))))"
+    )
+
+
 def test_subquery_node_under_where():
     tree = parse_sql("SELECT a FROM t WHERE b IN (SELECT c FROM u)")
     where = tree.clause("where")
@@ -135,22 +163,36 @@ def _nested(template, levels):
 
 
 # each nesting shape and the most levels of it that parse, MAX_NESTING (100)
-# levels in all: the query, its select item and 98 parenthesized or signed
-# expressions; 50 queries, each but the last with the WHERE expression that
-# holds the next, and the last one's select item; 99 queries, each but the
-# last selecting from the next, and the last one's select item
+# levels in all: the query and its select item or WHERE expression take two
+# of them; each parenthesis, derived table and chain link one more; each
+# sign two, but the innermost one, since the renderer parenthesizes a sign's
+# signed operand; each IN subquery two, its query and its WHERE expression;
+# the AND chain's first comparison reads its right operand one level down;
+# and a parenthesized chain link takes its parenthesis and its link
 NESTINGS = {
     "parentheses": (lambda k: "SELECT " + "(" * k + "1" + ")" * k + " FROM t", 98),
-    "signs": (lambda k: "SELECT " + "- " * k + "1 FROM t", 98),
+    "signs": (lambda k: "SELECT " + "- " * k + "1 FROM t", 49),
     "IN subqueries": (lambda k: _nested("SELECT a FROM t WHERE a IN ({})", k), 49),
     "derived tables": (lambda k: _nested("SELECT a FROM ({})", k), 98),
+    "AND chains": (lambda k: "SELECT a FROM t WHERE " + " AND ".join(["a = 1"] * (k + 1)), 97),
+    "+ chains": (lambda k: "SELECT " + " + ".join(["a"] * (k + 1)) + " FROM t", 98),
+    "UNION chains": (lambda k: " UNION ".join(["SELECT a FROM t"] * (k + 1)), 98),
+    "parenthesized AND chains": (lambda k: "SELECT a FROM t WHERE " + "(" * k + "a" + " AND a)" * k, 49),
 }
 
 
 @pytest.mark.parametrize("shape", NESTINGS)
 def test_nesting_past_the_bound_is_a_parse_error(shape):
     statement, deepest = NESTINGS[shape]
-    parse_sql(statement(deepest))
+    sql = statement(deepest)
+    tree = parse_sql(sql)
+    # every walk over the deepest tree stays within the stack
+    assert parse_sql(render_sql(tree)) == tree
+    canonical = render_sql(tree, canonical=True)
+    assert render_sql(parse_sql(canonical), canonical=True) == canonical
+    assert canonical_sql(sql) == canonical
+    skeleton = SqlSkeleton.from_sql(sql)
+    assert SqlSkeleton.from_sql(skeleton.text) == skeleton
     for levels in (deepest + 1, 400):
         with pytest.raises(ParseError, match="statement nests too deeply"):
             parse_sql(statement(levels))
