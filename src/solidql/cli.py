@@ -47,7 +47,7 @@ from .linking import (
     write_augmented_dataset,
     write_sft_records,
 )
-from .retrieval import PoolItem, build_index, load_index, read_index_header, save_index
+from .retrieval import PoolItem, build_index, load_index, save_index
 from .schema import DatabaseSchema, SchemaSubset, item_schemas, load_tables_json
 from .sql.parser import parse_sql
 from .sql.refs import extract_schema_refs
@@ -84,8 +84,6 @@ FLAGS = {
     "--workers": {"type": int, "help": "parallel workers"},
     "--augmented-out": {"help": "augmented triplets output (JSON)"},
     "--no-augment": {"action": "store_true", "help": "skip question rewriting"},
-    "--force": {"action": "store_true",
-                "help": "also rebuild an index built with another embedding provider"},
     "--predictions": {"help": "pipeline results file (JSONL)"},
     "--robustness": {"help": "paired perturbed-run results file (JSONL)"},
 }
@@ -204,21 +202,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     dataset = load_dataset(config.dataset)
     schemas = item_schemas(dataset, load_tables_json(config.tables))
     embedder = make_embedder(config.embedder)
-
-    out_path = Path(config.output)
-    if out_path.exists() and not args.force:
-        existing = read_index_header(out_path)["provider_id"]
-        if existing != embedder.provider_id:
-            raise ConfigError(
-                f"index {out_path} was built with provider {existing!r}, "
-                f"current provider is {embedder.provider_id!r}; use --force to rebuild"
-            )
-
     gateway = make_gateway(config) if config.transcripts else None
     index = build_index(
         parsed_pool(dataset, schemas), embedder, gateway=gateway, model_id=config.linking_model
     )
-    save_index(index, out_path)
+    save_index(index, config.output)
     print(f"pool size: {len(index)}  provider: {index.provider_id}")
     return EXIT_OK
 
@@ -299,8 +287,7 @@ SUBCOMMANDS = {
                   "--dataset --tables --output --transcripts --mode --model --linking-model "
                   "--augmented-out --no-augment"),
     "index": (cmd_index, "build the retrieval index",
-              "--dataset --tables --output --embedder --transcripts --mode --model --linking-model "
-              "--force"),
+              "--dataset --tables --output --embedder --transcripts --mode --model --linking-model"),
     "run": (cmd_run, "run the generation pipeline",
             "--dataset --tables --index --transcripts --output --model --linking-model "
             "--predictor --examples --rounds --no-focus --mode --workers"),

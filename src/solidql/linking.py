@@ -1,4 +1,4 @@
-"""Schema-linking data tooling, predictors, and accuracy scoring.
+"""Schema-linking data tooling and predictors.
 
 ``triplets_from_dataset`` reads training triplets from dataset items;
 ``augment_dataset`` expands each with two LLM rewrites of its question
@@ -241,53 +241,3 @@ def predict_linking(
     tables = [t for t in raw.tables if schema.has_table(t)]
     columns = [c for c in raw.columns if schema.has_column(c)]
     return SchemaSubset.build(tables, columns)
-
-
-# ----------------------------------------------------------------------
-# accuracy
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinkingReport:
-    size: int
-    column_recall: float  # mean per-item recall, percent
-    table_recall: float
-    exact_match_rate: float
-
-
-def _recall(pred: frozenset[str], gold: frozenset[str]) -> float:
-    if not gold:
-        return 1.0 if not pred else 0.0
-    return len(pred & gold) / len(gold)
-
-
-def linking_accuracy(
-    predictions: Sequence[SchemaSubset], golds: Sequence[SchemaSubset]
-) -> LinkingReport:
-    """Mean column/table recall and exact-set match rate, in percent.
-
-    A fully trained predictor lands near 89.7 / 84.2 / 85.1 column
-    accuracy on the clean and perturbed benchmark families; those runs
-    need the trained model and full corpora, so they are context, not
-    assertions.
-    """
-    if len(predictions) != len(golds):
-        raise ValueError("predictions and golds must be aligned")
-    if not golds:
-        return LinkingReport(0, 0.0, 0.0, 0.0)
-    column_total = 0.0
-    table_total = 0.0
-    exact = 0
-    for pred, gold in zip(predictions, golds):
-        column_total += _recall(pred.columns, gold.columns)
-        table_total += _recall(pred.tables, gold.tables)
-        if pred.columns == gold.columns and pred.tables == gold.tables:
-            exact += 1
-    n = len(golds)
-    return LinkingReport(
-        size=n,
-        column_recall=100.0 * column_total / n,
-        table_recall=100.0 * table_total / n,
-        exact_match_rate=100.0 * exact / n,
-    )

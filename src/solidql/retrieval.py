@@ -607,33 +607,25 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     write_lines(path, (json.dumps(d, sort_keys=True) for d in chain([header], records)))
 
 
-def read_index_header(path: str | Path) -> dict:
-    """The header line of a saved index: ``provider_id``, ``dimension`` and ``format``.
-
-    Raises ``CorruptFileError``, naming the file and line 1, unless it is
-    a JSON object of shape ``INDEX_HEADER``; an empty file has no header.
-    """
-    for header in read_records(path, INDEX_HEADER, dict, "index record"):
-        return header
-    raise CorruptFileError(f"{path}, line 1: malformed index record (empty file)")
-
-
 def load_index(path: str | Path) -> RetrievalIndex:
     """Read an index that ``save_index`` wrote.
 
     Records with equal skeleton texts share one ``SqlSkeleton``, built
     from the stored arrays without parsing SQL. An index of another
     format raises ``ConfigError``. ``CorruptFileError``, naming the file
-    and the line, is raised for a header that ``read_index_header``
-    refuses, and for any later line that does not decode, is not of shape
-    ``INDEX_RECORD``, is out of pool order, has a ``q_embedding`` that
-    ``_embedding_row`` refuses for the header's ``dimension``, or skeleton
-    arrays that do not describe a tree or differ between records of one
-    text. Each ``q_embedding`` is held as an ``array('d')`` row.
+    and the line, is raised for an empty file, a header line that is not
+    of shape ``INDEX_HEADER``, and any later line that does not decode,
+    is not of shape ``INDEX_RECORD``, is out of pool order, has a
+    ``q_embedding`` that ``_embedding_row`` refuses for the header's
+    ``dimension``, or skeleton arrays that do not describe a tree or
+    differ between records of one text. Each ``q_embedding`` is held as
+    an ``array('d')`` row.
     """
     skeletons: dict[str, SqlSkeleton] = {}
     pool: list[ExamplePair] = []
-    header = read_index_header(path)
+    header = next(read_records(path, INDEX_HEADER, dict, "index record"), None)
+    if header is None:
+        raise CorruptFileError(f"{path}, line 1: malformed index record (empty file)")
     if header.get("format") != INDEX_FORMAT:
         raise ConfigError(
             f"{path} is a retrieval index of format {header.get('format', 1)!r}, "

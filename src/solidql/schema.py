@@ -193,7 +193,8 @@ def schema_from_tables_record(record: Mapping) -> DatabaseSchema:
 def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
     """Load every schema of a ``tables.json`` file, keyed by db_id.
 
-    ``ConfigError`` names the file, and the record if one describes no schema.
+    ``ConfigError`` names the file, and the record if one describes no
+    schema, or both records if two describe one db_id.
     """
     records = read_json(path, "tables")
     if not isinstance(records, list):
@@ -202,9 +203,13 @@ def load_tables_json(path: str | Path) -> dict[str, DatabaseSchema]:
     for i, record in enumerate(records):
         try:
             schema = schema_from_tables_record(record)
-            schemas[schema.db_id] = schema  # a db_id that is a list or object is unhashable
+            seen = schema.db_id in schemas  # a db_id that is a list or object is unhashable
         except (AttributeError, IndexError, KeyError, TypeError, ValueError, SchemaError) as exc:
             raise ConfigError(f"{path}, record {i}: malformed schema ({exc!r})") from None
+        if seen:  # each earlier record added one key, so a key's position is its record's
+            first = list(schemas).index(schema.db_id)
+            raise ConfigError(f"{path}, records {first} and {i}: both describe db_id {schema.db_id!r}")
+        schemas[schema.db_id] = schema
     logger.info("loaded %d schemas from %s", len(schemas), path)
     return schemas
 

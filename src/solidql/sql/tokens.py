@@ -8,8 +8,7 @@ stray character. :func:`scan` turns the matches into four parallel
 lists, the token types, texts, lowercase texts and character offsets,
 ending with an ``EOF`` token, and raises ``ParseError`` on an error
 match; the parser reads these lists by position, most often the
-lowercase texts. :func:`tokenize` gives the same tokens as
-:class:`Token` tuples. The ORDER BY scan in :mod:`solidql.evaluation`
+lowercase texts. The ORDER BY scan in :mod:`solidql.evaluation`
 iterates the same pattern and never raises. Keyword classification is
 left to the parser so that identifiers that collide with soft keywords
 keep working.
@@ -27,8 +26,6 @@ as every non-ASCII character is in SQLite.
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -64,13 +61,6 @@ _UNTERMINATED = {
 }
 
 
-class Token(NamedTuple):
-    type: str
-    text: str
-    offset: int
-    lower: str
-
-
 def scan(text: str) -> tuple[list[str], list[str], list[str], list[int]]:
     """The types, texts, lowercase texts and offsets of the tokens of ``text``.
 
@@ -99,13 +89,3 @@ def scan(text: str) -> tuple[list[str], list[str], list[str], list[int]]:
     offsets.append(len(text))
     return types, texts, list(map(str.lower, texts)), offsets
 
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with an ``EOF`` token.
-
-    Raises:
-        ParseError: as :func:`scan` does.
-    """
-    types, texts, lowers, offsets = scan(text)
-    # tuple.__new__ builds each Token without a Python-level call
-    return list(map(tuple.__new__, repeat(Token), zip(types, texts, offsets, lowers)))

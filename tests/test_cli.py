@@ -126,20 +126,44 @@ def test_cmd_index_reports_and_is_idempotent(workspace, capsys):
     assert (workspace / "index2.jsonl").read_bytes() == first
 
 
-def test_cmd_index_refuses_provider_mismatch(workspace, capsys):
-    path = workspace / "foreign_index.jsonl"
-    lines = (workspace / "index.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    header["provider_id"] = "remote:other-model"
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    code = main([
-        "index",
-        "--dataset", str(workspace / "shop_pool.json"),
-        "--tables", str(workspace / "tables.json"),
-        "--output", str(path),
-    ])
+# what an existing output of ``index`` may hold, as a function of the fixture index's lines
+EXISTING_OUTPUTS = {
+    "empty file": lambda lines: "",
+    "torn header": lambda lines: lines[0][: len(lines[0]) // 2],
+    "foreign provider": lambda lines: "".join(
+        [json.dumps({**json.loads(lines[0]), "provider_id": "remote:other-model"}) + "\n", *lines[1:]]
+    ),
+}
+
+
+@pytest.mark.parametrize("existing", EXISTING_OUTPUTS)
+def test_cmd_index_replaces_whatever_its_output_holds(workspace, tmp_path, capsys, existing):
+    built = (workspace / "index.jsonl").read_text()
+    path = tmp_path / "index.jsonl"
+    path.write_text(EXISTING_OUTPUTS[existing](built.splitlines(keepends=True)))
+    code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
+                 "--tables", str(workspace / "tables.json"), "--output", str(path)])
+    assert code == 0
+    assert "pool size: 5" in capsys.readouterr().out
+    assert path.read_bytes() == built.encode()
+
+
+def test_cmd_index_output_that_is_a_directory_exits_two(workspace, tmp_path, capsys):
+    path = tmp_path / "index.jsonl"
+    path.mkdir()
+    code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
+                 "--tables", str(workspace / "tables.json"), "--output", str(path)])
     assert code == 2
-    assert "provider" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [path]  # no .partial file is left
+    assert list(path.iterdir()) == []
+
+
+def test_cmd_index_takes_no_force_flag(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["index", "--force"])
+    assert stopped.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 # "remote:" names no model, so no provider is built for it either
@@ -155,26 +179,6 @@ def test_cmd_run_refuses_an_index_of_an_unknown_provider(workspace, tmp_path, ca
     err = capsys.readouterr().err
     assert err == f"error: unknown embedding provider in index {path}: {provider_id!r}\n"
     assert list(tmp_path.iterdir()) == [path]  # no results, no ledger
-
-
-def test_cmd_index_checks_existing_output_by_header_only(workspace, tmp_path, monkeypatch, capsys):
-    path = tmp_path / "index.jsonl"
-    shutil.copy(workspace / "index.jsonl", path)
-
-    def refuse_full_load(*args, **kwargs):
-        raise AssertionError("the existing index was loaded in full")
-
-    monkeypatch.setattr("solidql.cli.load_index", refuse_full_load)
-    monkeypatch.setattr("solidql.retrieval.load_index", refuse_full_load)
-    code = main([
-        "index",
-        "--dataset", str(workspace / "shop_pool.json"),
-        "--tables", str(workspace / "tables.json"),
-        "--output", str(path),
-    ])
-    assert code == 0
-    assert "pool size: 5" in capsys.readouterr().out
-    assert path.read_bytes() == (workspace / "index.jsonl").read_bytes()
 
 
 def test_cmd_run_replay_twice_is_byte_identical(workspace):
@@ -503,19 +507,14 @@ BAD_INDEX_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("command", ["index", "run"])
 @pytest.mark.parametrize("header", BAD_INDEX_HEADERS)
-def test_malformed_index_header_exits_environment(workspace, tmp_path, capsys, command, header):
+def test_malformed_index_header_exits_environment(workspace, tmp_path, capsys, header):
     lines = (workspace / "index.jsonl").read_text().splitlines(keepends=True)
     index = tmp_path / "index.jsonl"
     text = BAD_INDEX_HEADERS[header]
     index.write_text(text and text + "\n" + "".join(lines[1:]))
-    if command == "index":  # the existing output is checked before it is overwritten
-        code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
-                     "--tables", str(workspace / "tables.json"), "--output", str(index)])
-    else:
-        code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
-                       "--output", str(tmp_path / "out.jsonl"))
+    code = run_cli(workspace, "run", "--mode", "replay", "--index", str(index),
+                   "--output", str(tmp_path / "out.jsonl"))
     assert code == 3
     assert f"{index}, line 1: malformed index record" in capsys.readouterr().err
 
@@ -1121,6 +1120,7 @@ def _column_of_table(index):
 
 
 # each edit of the fixture tables.json returns the edited value; the record named is 1
+# unless the test expects another message
 TABLES_CORRUPTIONS = {
     "empty record": lambda records: [records[0], {}],
     "record a number": lambda records: [records[0], 5],
@@ -1134,6 +1134,7 @@ TABLES_CORRUPTIONS = {
     "primary key the star column": _set_schema_field("primary_keys", [0]),
     "column_types one short": lambda records: [
         records[0], {**records[1], "column_types": records[1]["column_types"][:-1]}],
+    "one db_id twice": lambda records: records + records[:1],
 }
 
 
@@ -1147,6 +1148,8 @@ def test_malformed_tables_file_exits_two(workspace, tmp_path, capsys, corruption
     assert code == 2
     if corruption == "top level an object":
         expected = f"{tables} holds a JSON dict, not an array of schemas"
+    elif corruption == "one db_id twice":
+        expected = f"{tables}, records 0 and 3: both describe db_id 'concert_singer'"
     else:
         expected = f"{tables}, record 1: malformed schema"
     assert expected in capsys.readouterr().err
@@ -1191,7 +1194,7 @@ PIPELINE_FLAGS = {
     "--transcripts": ["t.jsonl"], "--output": ["o.jsonl"], "--model": ["m"],
     "--linking-model": ["m"], "--embedder": ["hashed"], "--predictor": ["oracle"],
     "--examples": ["3"], "--rounds": ["1"], "--no-focus": [], "--mode": ["live"],
-    "--workers": ["8"], "--augmented-out": ["a.json"], "--no-augment": [], "--force": [],
+    "--workers": ["8"], "--augmented-out": ["a.json"], "--no-augment": [],
     "--predictions": ["p.jsonl"], "--robustness": ["r.jsonl"],
 }
 # the flags each subcommand reads, as README's subcommand/flags table lists them
@@ -1341,8 +1344,7 @@ def test_fuzzed_inputs_exit_with_a_documented_code(workspace, tmp_path):
             except Exception as exc:
                 pytest.fail(f"{trace}: {exc!r} escaped main")
             assert code in (0, 2, 3), trace  # run and index never exit 1
-            # index reads the transcripts and the header of the index it replaces
-            reads = command == "run" or name == "transcripts.jsonl" or (name, path[0]) == (
-                "index.jsonl", 0)
+            # index reads the transcripts, not the index it replaces
+            reads = command == "run" or name == "transcripts.jsonl"
             if wrong_type and reads:
                 assert code == 3, trace

@@ -1,5 +1,6 @@
-"""Imports: every imported name is used, every package name is imported from
-the module that defines it, and every module imports on its own. A
+"""Imports and callers: every imported name is used, every package name is
+imported from the module that defines it, every function, class and method
+of the package has a caller in it, and every module imports on its own. A
 stdlib-only scan of the package and its tests, and one fresh interpreter
 per module."""
 
@@ -7,9 +8,11 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -55,6 +58,43 @@ def package_modules() -> dict[str, set[str]]:
     return modules
 
 
+def uncalled_definitions(sources: Iterable[str]) -> list[str]:
+    """The functions, classes and methods defined in ``sources`` whose name
+    appears as no ``ast.Name`` or ``ast.Attribute`` outside a definition of
+    that name, so a recursive call does not count; dunders are skipped.
+
+    Names are matched, not bindings: a method counts as called when any
+    attribute of its name is read, on whatever object, and a function when
+    any variable of its name is.
+    """
+    defined: set[str] = set()
+    used: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+            enclosing |= {node.name}
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(name for name in defined - used if not (name.startswith("__") and name.endswith("__")))
+
+
+# package names with no caller in the package, each with the file that still binds it
+KEPT = {
+    "robustness_check": "bench/run.py",
+    "cosine_similarity": "bench/spans.py",
+    "from_text": "bench/spans.py",
+    "node_edit_distance": "tests/test_acceptance.py",
+}
+
+
 def indirect_imports(package: str, source: str, modules: dict[str, set[str]]) -> list[str]:
     """``module.name`` for each ``from module import name`` in ``source`` (a
     file of ``package``, or ``""`` outside one) where ``module`` is one of
@@ -98,6 +138,31 @@ def test_rule_flags_only_names_imported_through_another_module():
     assert indirect_imports("pkg", source, modules) == ["pkg.a.g", "pkg.b.X", "pkg.sub.h"]
     assert indirect_imports("pkg.sub", "from ..a import X, h\nfrom . import c\n", modules) == ["pkg.a.h"]
     assert indirect_imports("", "from pkg.sub import c, h\n", modules) == ["pkg.sub.h"]
+
+
+def test_rule_flags_only_definitions_without_a_caller():
+    source = (
+        "class A:\n"
+        "    def __init__(self): self.m()\n"
+        "    def m(self): return helper()\n"
+        "    def unused(self): pass\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+        "    return inner() or A\n"
+    )
+    assert uncalled_definitions([source]) == ["outer", "recursive", "unused"]
+    assert uncalled_definitions([source, "outer()\nx.unused\n"]) == ["recursive"]
+
+
+def test_every_package_definition_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in sorted((SRC / "solidql").rglob("*.py"))]
+    uncalled = uncalled_definitions(sources)
+    assert [name for name in uncalled if name not in KEPT] == []
+    assert set(KEPT) <= set(uncalled)  # a name the package calls again leaves KEPT
+    for name, where in KEPT.items():
+        assert re.search(rf"\b{name}\b", (ROOT / where).read_text(encoding="utf-8")), (name, where)
 
 
 def test_no_unused_imports_in_src_or_tests():

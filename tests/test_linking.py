@@ -1,4 +1,4 @@
-"""Augmentation, SFT dataset building, predictors, accuracy metric."""
+"""Augmentation, SFT dataset building and predictors."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from solidql.linking import (
     Triplet,
     augment_dataset,
     build_sft_dataset,
-    linking_accuracy,
     predict_linking,
 )
 from solidql.schema import SchemaSubset, parse_subset
@@ -157,33 +156,3 @@ def test_gateway_predictor_unparseable_degrades_to_empty(schemas):
     predictor = GatewayLinkingPredictor(gateway, "linker-model")
     assert predict_linking("q", schemas["concert_singer"], predictor).is_empty
 
-
-def test_linking_accuracy_identity():
-    subsets = [
-        SchemaSubset.build(["a"], ["a.x", "a.y"]),
-        SchemaSubset.build(["b"], ["b.z"]),
-    ]
-    report = linking_accuracy(subsets, subsets)
-    assert report.column_recall == 100.0
-    assert report.table_recall == 100.0
-    assert report.exact_match_rate == 100.0
-
-
-def test_linking_accuracy_half_columns():
-    golds = [SchemaSubset.build(["a"], ["a.x", "a.y"]) for _ in range(4)]
-    preds = [SchemaSubset.build(["a"], ["a.x"]) for _ in range(4)]
-    report = linking_accuracy(preds, golds)
-    assert report.column_recall == 50.0
-    assert report.exact_match_rate == 0.0
-
-
-def test_linking_accuracy_empty_gold_rule():
-    empty = SchemaSubset()
-    nonempty = SchemaSubset.build(["a"], ["a.x"])
-    report = linking_accuracy([empty, nonempty], [empty, empty])
-    assert report.column_recall == 50.0  # 1.0 for matching empties, 0.0 otherwise
-
-
-def test_linking_accuracy_length_mismatch():
-    with pytest.raises(ValueError):
-        linking_accuracy([SchemaSubset()], [])

@@ -26,7 +26,7 @@ from solidql.sql.nodes import (
 )
 from solidql.sql.parser import parse_sql
 from solidql.sql.render import render_sql
-from solidql.sql.tokens import tokenize
+from solidql.sql.tokens import scan
 
 from support import random_expression_statement, random_statement
 
@@ -71,10 +71,12 @@ def test_tokenize_pins_the_lexer(text):
     expected = LEXER_CASES[text]
     if isinstance(expected, int):
         with pytest.raises(ParseError) as err:
-            tokenize(text)
+            scan(text)
         assert err.value.offset == expected
     else:
-        assert [(t.type, t.text, t.offset) for t in tokenize(text)] == expected
+        types, texts, lowers, offsets = scan(text)
+        assert list(zip(types, texts, offsets)) == expected
+        assert lowers == [t.lower() for t in texts]
 
 
 def test_character_classes_are_the_str_predicates():
@@ -84,8 +86,9 @@ def test_character_classes_are_the_str_predicates():
     assert set(re.findall(r"\w", everything)) == {c for c in everything if c.isalnum() or c == "_"}
     # a digit is a decimal digit; any other numeral is an identifier character
     assert "²".isdigit() and not "²".isdecimal()
-    tokens = [(t.type, t.text, t.offset) for t in tokenize("²x 1²")]
-    assert tokens == [("ident", "²x", 0), ("number", "1", 3), ("ident", "²", 4), ("eof", "", 5)]
+    types, texts, _, offsets = scan("²x 1²")
+    assert list(zip(types, texts, offsets)) == [
+        ("ident", "²x", 0), ("number", "1", 3), ("ident", "²", 4), ("eof", "", 5)]
 
 
 def test_simple_select_structure():
