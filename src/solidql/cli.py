@@ -110,14 +110,18 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def require(values: RunConfig | argparse.Namespace, *names: str) -> None:
-    """Refuse a missing value, or an input file that does not exist, naming its flag."""
+    """Refuse a missing value, an input file that does not exist, or an
+    output that is a directory, naming its flag, before any input is read."""
     for name in names:
         value = getattr(values, name)
         if not value:
             raise ConfigError(f"{FLAG_OF[name]} is required for this command")
-        if name == "transcripts" and values.mode == "record":
+        if name == "output":
+            if Path(value).is_dir():
+                raise ConfigError(f"{FLAG_OF[name]} is a directory: {value}")
+        elif name == "transcripts" and values.mode == "record":
             continue  # created on first write
-        if name != "output" and not Path(value).exists():  # every other value names an input
+        elif not Path(value).exists():  # every other value names an input
             raise ConfigError(f"{FLAG_OF[name]} file not found: {value}")
 
 
@@ -239,6 +243,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = make_config(args)
     require(config, "dataset", "databases")
     require(args, "predictions")
+    if config.output:
+        require(config, "output")
     dataset = load_dataset(config.dataset)
     results = pl.read_results(args.predictions)
     if len(results) != len(dataset):

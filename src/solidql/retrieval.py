@@ -39,6 +39,23 @@ loop. An entry costs about 20 bytes: a slot in a tuple of group
 numbers, one int object being shared by all of a group's entries, and a
 double in an ``array('d')`` of values.
 
+Round 1 has a faster path for integer counts, which every hashed
+embedding's rows are. When every ``_scaled`` row value is a
+non-negative integer below 2**W (W = ``_FIELD_BITS``, 32), the first
+round-1 retrieval packs each bucket's column of the group rows into one
+Python int, group g's value at bits g·W and up (``question_columns``).
+A target whose non-zero values are positive integers t_b, with
+Σ t_b · max_b below 2**W over its buckets b (max_b: the bucket's
+largest value), is scored by summing t_b · column_b in integers: about
+one C-level multiply-add per non-zero target bucket, in place of one
+Python step per posting entry. Every group's dot product is then below
+2**W, so no field carries into the next, and the sum's fields are the
+groups' integer dot products. They equal the term-at-a-time sums bit
+for bit: every product and partial sum there is an integer below
+2**W < 2**53, so every float operation is exact, and a dot product of 0
+is +0.0 either way. Any other target or pool reads the postings, which
+only such a query builds.
+
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue of
 lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the pool
@@ -76,6 +93,7 @@ import json
 import logging
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,6 +128,9 @@ INDEX_FORMAT = 2
 INDEX_HEADER = {"provider_id": str, "dimension": int}
 INDEX_RECORD = {"question": str, "sql": str, "q_skeleton": str, "q_embedding": list,
                 "s_skeleton": str, "s_postorder": list, "s_leftmost": list, "pool_index": int}
+# round 1's packed integer fields: W bits each, W <= 53 so that their sums are exact in floats
+_FIELD, _FIELD_BITS = "I", 32
+assert array(_FIELD).itemsize * 8 == _FIELD_BITS
 
 
 @dataclass(frozen=True)
@@ -140,6 +161,33 @@ class SkeletonGroup:
     members: tuple[ExamplePair, ...]
 
 
+class QuestionColumns(NamedTuple):
+    """The ``embedding_groups``' integer rows, packed column by column."""
+
+    columns: list[int]  # per bucket: group g's value at bits g * _FIELD_BITS and up
+    maxima: list[int]  # per bucket: the largest value
+    norms: list[float]  # each group's squared_norm, in group order
+
+    def dots(self, target: array) -> array | None:
+        """Each group's dot product with ``target``, as an array of
+        ``_FIELD`` integers in group order; ``None`` unless every non-zero
+        target value is a positive integer and the sum over the target's
+        buckets of value times the bucket's largest value is below
+        2**_FIELD_BITS, so that no field can carry into the next."""
+        total = bound = 0
+        for bucket, value in compress(enumerate(target), target):
+            if value < 0.0 or not value.is_integer():
+                return None
+            weight = int(value)
+            bound += weight * self.maxima[bucket]
+            total += weight * self.columns[bucket]
+        if bound >> _FIELD_BITS:
+            return None
+        dots = array(_FIELD)
+        dots.frombytes(total.to_bytes(len(self.norms) * dots.itemsize, sys.byteorder))
+        return dots
+
+
 class SizeBucket(NamedTuple):
     """The skeleton groups of one node count, in order of first member,
     with their label bags and first pool indices in the same order."""
@@ -156,9 +204,13 @@ class RetrievalIndex:
     Each cached view is a function of the pool alone, so threads racing
     to build one build equal copies. The pool must not change once a
     retrieval has run on the index. The first round-1 retrieval builds
-    ``embedding_groups`` and then, bucket-major, their
-    ``question_postings``: per bucket, the groups whose row is non-zero
-    there and those values, about 20 bytes per entry. The first round-2
+    ``embedding_groups`` and then ``question_columns``: per bucket, the
+    groups' values packed into one int, W = 32 bits a field, or ``None``
+    unless every row value is a non-negative integer below 2**W. The
+    first round-1 retrieval that the columns cannot score (see
+    ``QuestionColumns.dots``) builds, bucket-major, ``question_postings``:
+    per bucket, the groups whose row is non-zero there and those values,
+    about 20 bytes per entry. The first round-2
     retrieval builds ``label_bags`` and ``skeleton_groups``;
     ``load_index`` builds none of them.
     """
@@ -202,8 +254,8 @@ class RetrievalIndex:
         A group's row and squared norm are ``_scaled`` of the first
         member's row. Groups of norm 0 are left out, their cosine being
         undefined. A group's number is its place in this list; round 1
-        reads the rows through ``question_postings``, which list only
-        their non-zero values.
+        reads the rows through ``question_columns`` or
+        ``question_postings``, which list only their non-zero values.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -218,6 +270,29 @@ class RetrievalIndex:
                 groups.append(same_text[-1])
         scaled = (EmbeddingGroup(*_scaled(group[0].q_embedding), tuple(group)) for group in groups)
         return [group for group in scaled if group.squared_norm]
+
+    @cached_property
+    def question_columns(self) -> QuestionColumns | None:
+        """Per bucket, the ``embedding_groups``' values packed into one
+        int, group g's at bits g * ``_FIELD_BITS`` and up, and the largest
+        value; ``None`` unless every row value is a non-negative integer
+        below 2**_FIELD_BITS. A field costs 4 bytes, less the zero fields
+        above a column's last non-zero one.
+        """
+        groups = self.embedding_groups
+        columns: list[int] = []
+        maxima: list[int] = []
+        for column in zip(*(group.row for group in groups)):
+            values = array("d", filter(None, column))  # a stored zero of either sign is 0
+            try:
+                fields = array(_FIELD, map(int, column) if values else ())
+            except OverflowError:  # a value below 0, or of 2**_FIELD_BITS or more
+                return None
+            if array("d", filter(None, fields)) != values:  # int() dropped a fraction
+                return None
+            columns.append(int.from_bytes(fields, sys.byteorder))
+            maxima.append(max(fields, default=0))
+        return QuestionColumns(columns, maxima, [group.squared_norm for group in groups])
 
     @cached_property
     def question_postings(self) -> list[tuple[tuple[int, ...], array]]:
@@ -394,7 +469,7 @@ def retrieve_by_question_skeleton(
     embedding that ``_embedding_row`` refuses raises ``ValueError``.
     Exactly equal cosines can still round to different floats, such as
     those of a row and of its double, and then rank by their rounding,
-    not by pool index (ROADMAP item 4).
+    not by pool index (ROADMAP item 5).
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), both
     vectors taken ``_scaled``, so that the product is a normal, finite
@@ -403,9 +478,14 @@ def retrieve_by_question_skeleton(
     0.0, over the buckets where neither vector is zero: term at a time,
     the target's non-zero buckets each adding into the groups that the
     index's ``question_postings`` list there. Leaving out a zero term
-    keeps the sum's bits (see the module docstring). Each of the index's
-    ``embedding_groups`` is scored once, and its score holds for all its
-    members.
+    keeps the sum's bits (see the module docstring). When the index has
+    ``question_columns`` and every non-zero target value is a positive
+    integer t_b with Σ t_b · max_b below 2**32, the dot products are
+    taken from the packed columns instead, in integers; every float
+    product and partial sum would then be an integer below 2**32, so
+    exact, and the integer dot product has the same bits. Each of the
+    index's ``embedding_groups`` is scored once, and its score holds for
+    all its members.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -417,14 +497,20 @@ def retrieve_by_question_skeleton(
     groups = index.embedding_groups
     if target_norm == 0.0 or not groups:
         return []
-    postings = index.question_postings
-    dots = [0.0] * len(groups)
-    # only the terms where neither value is zero: the rest would add zeros that keep every sum's bits
-    for bucket, value in compress(enumerate(target), target):
-        numbers, entries = postings[bucket]
-        for number, entry in zip(numbers, entries):
-            dots[number] += value * entry
-    roots = map(math.sqrt, map(mul, repeat(target_norm), map(attrgetter("squared_norm"), groups)))
+    columns = index.question_columns
+    dots = None if columns is None else columns.dots(target)
+    if dots is None:
+        postings = index.question_postings
+        dots = [0.0] * len(groups)
+        # only the terms where neither value is zero: the rest would add zeros that keep every sum's bits
+        for bucket, value in compress(enumerate(target), target):
+            numbers, entries = postings[bucket]
+            for number, entry in zip(numbers, entries):
+                dots[number] += value * entry
+        norms = map(attrgetter("squared_norm"), groups)
+    else:
+        norms = columns.norms
+    roots = map(math.sqrt, map(mul, repeat(target_norm), norms))
     # (negated similarity, group number); group numbers rank as their first pool indices do
     heap = list(zip(map(neg, map(truediv, dots, roots)), count()))
     heapq.heapify(heap)

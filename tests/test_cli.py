@@ -148,14 +148,31 @@ def test_cmd_index_replaces_whatever_its_output_holds(workspace, tmp_path, capsy
     assert path.read_bytes() == built.encode()
 
 
-def test_cmd_index_output_that_is_a_directory_exits_two(workspace, tmp_path, capsys):
+def refuse_to_read(*args):
+    raise AssertionError(f"read an input before refusing the output: {args!r}")
+
+
+def test_cmd_index_output_that_is_a_directory_exits_two(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("solidql.cli.parse_sql", refuse_to_read)  # refused before any work
     path = tmp_path / "index.jsonl"
     path.mkdir()
     code = main(["index", "--dataset", str(workspace / "shop_pool.json"),
                  "--tables", str(workspace / "tables.json"), "--output", str(path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: --output is a directory: {path}\n"
     assert list(tmp_path.iterdir()) == [path]  # no .partial file is left
+    assert list(path.iterdir()) == []
+
+
+def test_cmd_run_output_that_is_a_directory_exits_two(workspace, tmp_path, capsys, monkeypatch):
+    for name in ("load_dataset", "load_index", "load_tables_json"):
+        monkeypatch.setattr(f"solidql.cli.{name}", refuse_to_read)
+    path = tmp_path / "results.jsonl"
+    path.mkdir()
+    code = run_cli(workspace, "run", "--mode", "replay", "--output", str(path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --output is a directory: {path}\n"
+    assert list(tmp_path.iterdir()) == [path]  # no ledger, no .partial file
     assert list(path.iterdir()) == []
 
 
@@ -244,6 +261,19 @@ def test_cmd_eval_all_gold_is_perfect(workspace, databases_root, capsys):
     assert code == 0
     assert "EX  100.0" in out
     assert "EM  100.0" in out
+
+
+def test_cmd_eval_output_that_is_a_directory_exits_two(workspace, databases_root, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr("solidql.cli.load_dataset", refuse_to_read)
+    path = tmp_path / "report.json"
+    path.mkdir()
+    code = main(["eval", "--dataset", str(workspace / "shop_dataset.json"),
+                 "--databases", str(databases_root),
+                 "--predictions", str(workspace / "run_eval.jsonl"), "--output", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --output is a directory: {path}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cmd_run_corrupt_ledger_exits_environment(workspace, tmp_path, capsys):
