@@ -92,7 +92,8 @@ class Connections:
             if not path.exists():
                 raise ExecError(f"database not found: {path}")
             try:
-                connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
+                # as_uri percent-encodes the path, so a '#', '%' or '?' in it stays in the path
+                connection = sqlite3.connect(path.resolve().as_uri() + "?mode=ro", uri=True, cached_statements=0)
             except sqlite3.Error as exc:
                 raise ExecError(f"cannot open database {path}: {exc}") from exc
             connection.set_authorizer(_authorize_reads)

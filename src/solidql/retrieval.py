@@ -13,6 +13,9 @@ key being a lower bound on every member's ranking key. A popped group's
 members, less the excluded question, join the n best, and the search
 stops at the first head whose (key, first pool index) is beyond the
 n-th best (key, pool index): every later member ranks behind it.
+Round 1 heaps only the groups scoring at or above the k-th best score,
+ties included, k = n at first; when they hold fewer than n members that
+count, k doubles.
 
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
@@ -62,18 +65,22 @@ lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the pool
 enters the heap once, keyed by its ring distance, the difference from
 the target's node count, which bounds the label-multiset bound of all
 its skeletons, and by index ``-1 - size``, so that it opens before any
-skeleton of equal key. When popped, it pushes its skeletons under their
-label bounds, taken for the whole bucket in one call, and their first
-pool indices: a first member that is the excluded question still comes
-before the others in the pool, so the pair stays a lower bound on the
-members that count. A popped skeleton whose members are all excluded is
-dropped. One of the target's shape whose relabel cost, an upper bound on
-its distance, equals the popped key, a lower bound, is at exactly that
-distance, and joins without a bound or a score. Otherwise a skeleton's
-first pop replaces its label bound by its traversal-string bound; if
-that is larger, it goes back into the heap under the larger key, and
-otherwise, as on a later pop, it is scored with the tree edit distance
-bounded by a limit.
+skeleton of equal key. When popped, it takes the label bounds of all its
+skeletons at once, in one sum of packed label columns (``SizeBucket``),
+and hands its skeletons out lazily, in order of (label bound, first pool
+index): the heap holds the next skeleton of each open bucket, and each
+one popped first pushes its successor, so skeletons leave the heap as
+they would if all were pushed on opening. A first member that is the
+excluded question still comes before the others in the pool, so the pair
+stays a lower bound on the members that count. A popped skeleton whose
+members are all excluded is dropped. One of the target's shape whose
+relabel cost, an upper bound on its distance, equals the popped key, a
+lower bound, is at exactly that distance, and joins without a bound or a
+score. Otherwise a skeleton's first pop replaces its label bound by its
+traversal-string bound, read against label masks of the target built
+once per query; if that is larger, it goes back into the heap under the
+larger key, and otherwise, as on a later pop, it is scored with the tree
+edit distance bounded by a limit.
 
 Both the traversal bound and the score take the same limit. Once n
 candidates are held, it is the cutoff a skeleton has to beat: the n-th
@@ -97,7 +104,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, mul, neg, truediv
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -113,9 +120,9 @@ from .skeleton import (
     LabelBags,
     SqlSkeleton,
     compile_postorder,
-    label_lower_bounds,
     relabel_upper_bound,
     traversal_lower_bound,
+    traversal_patterns,
     tree_edit_distance,
 )
 from .sql.nodes import Node
@@ -128,9 +135,11 @@ INDEX_FORMAT = 2
 INDEX_HEADER = {"provider_id": str, "dimension": int}
 INDEX_RECORD = {"question": str, "sql": str, "q_skeleton": str, "q_embedding": list,
                 "s_skeleton": str, "s_postorder": list, "s_leftmost": list, "pool_index": int}
-# round 1's packed integer fields: W bits each, W <= 53 so that their sums are exact in floats
-_FIELD, _FIELD_BITS = "I", 32
-assert array(_FIELD).itemsize * 8 == _FIELD_BITS
+# packed integer fields: round 1's are W bits each, W <= 53 so that their sums are exact in
+# floats; round 2's label counts take 8 bits in a bucket of fewer than 256 nodes, and W otherwise
+_FIELD, _FIELD_BITS, _NARROW_FIELD = "I", 32, "B"
+if array(_FIELD).itemsize * 8 != _FIELD_BITS or array(_NARROW_FIELD).itemsize != 1:
+    raise ImportError(f"array items {_FIELD!r} and {_NARROW_FIELD!r} are not {_FIELD_BITS} and 8 bits wide")
 
 
 @dataclass(frozen=True)
@@ -190,11 +199,64 @@ class QuestionColumns(NamedTuple):
 
 class SizeBucket(NamedTuple):
     """The skeleton groups of one node count, in order of first member,
-    with their label bags and first pool indices in the same order."""
+    with their first pool indices in the same order, and their label bags
+    packed into columns, one per label-occurrence bit of the pool's
+    ``LabelBags``: an int holding one field per group, group g's at bits
+    g·W and up, 1 if the group's bag holds the bit and 0 otherwise. W is 8
+    when the node count is below 256, and 32 otherwise (no tree that fits
+    in memory has 2**32 nodes). A bit that no group holds has no column.
+    """
 
+    size: int  # the node count
     groups: list[SkeletonGroup]
-    bags: list[LabelBag]
     first_indices: list[int]
+    fields: str  # the array typecode of W-bit fields
+    columns: dict[int, int]  # by label-occurrence bit
+
+    def release(self, target: LabelBag) -> Iterator[tuple[int, int, SkeletonGroup]]:
+        """The groups under their label bounds against ``target`` and
+        their first pool indices, in order of (bound, first pool index),
+        one at a time.
+
+        The sum of the columns of the target's bits holds in group g's
+        field |A ∩ B|, the bits the target's bag A shares with the group's
+        bag B: at most the node count, so no field carries into the next.
+        The bound is max(|A|, |B|) − |A ∩ B|; |B| is the node count, so the
+        groups come in order of shared bits, most first, and of position.
+        """
+        total = sum(map(self.columns.get, target.bits, repeat(0)))
+        shared = array(self.fields)
+        shared.frombytes(total.to_bytes(len(self.groups) * shared.itemsize, sys.byteorder))
+        top = max(target.size, self.size)
+        for common in sorted(set(shared), reverse=True):
+            position = -1
+            for _ in range(shared.count(common)):
+                position = shared.index(common, position + 1)
+                yield top - common, self.first_indices[position], self.groups[position]
+
+
+class SkeletonGroups(NamedTuple):
+    """The pool's distinct SQL skeletons as round 2 reads them."""
+
+    label_bags: LabelBags  # numbering of the label occurrences of the pool's skeletons
+    buckets: dict[int, SizeBucket]  # by node count
+
+
+def _size_bucket(size: int, groups: list[SkeletonGroup], label_bags: LabelBags) -> SizeBucket:
+    """The bucket of these groups of ``size`` nodes, their label
+    occurrences numbered in ``label_bags`` and packed into columns as they
+    are numbered."""
+    fields = _NARROW_FIELD if size < 256 else _FIELD
+    empty = bytes(len(groups) * array(fields).itemsize)
+    columns: dict[int, array] = {}
+    for position, group in enumerate(groups):
+        for bit in label_bags.number(group.skeleton.compiled.postorder).bits:
+            column = columns.get(bit)
+            if column is None:
+                column = columns[bit] = array(fields, empty)
+            column[position] = 1
+    return SizeBucket(size, groups, [group.members[0].pool_index for group in groups], fields,
+                      {bit: int.from_bytes(column, sys.byteorder) for bit, column in columns.items()})
 
 
 @dataclass
@@ -210,9 +272,14 @@ class RetrievalIndex:
     first round-1 retrieval that the columns cannot score (see
     ``QuestionColumns.dots``) builds, bucket-major, ``question_postings``:
     per bucket, the groups whose row is non-zero there and those values,
-    about 20 bytes per entry. The first round-2
-    retrieval builds ``label_bags`` and ``skeleton_groups``;
-    ``load_index`` builds none of them.
+    about 20 bytes per entry. The first round-2 retrieval builds
+    ``skeleton_groups``: the numbering of the skeletons' label
+    occurrences, and the distinct skeletons by node count, each bucket
+    with its label bags packed into columns, one field of 8 bits or more
+    per skeleton and bit. A query takes the label bounds of a whole bucket
+    from one sum of columns, and the bucket releases its skeletons one at
+    a time, in bound order (``SizeBucket.release``). ``load_index`` builds
+    none of them.
     """
 
     pool: list[ExamplePair]
@@ -223,27 +290,20 @@ class RetrievalIndex:
         return len(self.pool)
 
     @cached_property
-    def label_bags(self) -> LabelBags:
-        """Bit numbering of the label occurrences in the pool's skeletons."""
-        return LabelBags(pair.s_skeleton.compiled.postorder for pair in self.pool)
-
-    @cached_property
-    def skeleton_groups(self) -> dict[int, SizeBucket]:
+    def skeleton_groups(self) -> SkeletonGroups:
         """The pool grouped by SQL skeleton text, bucketed by the skeleton's
-        node count."""
+        node count, and the numbering of the skeletons' label occurrences,
+        which the buckets' columns are packed from as it is made."""
         groups: dict[str, list[ExamplePair]] = {}
         for pair in self.pool:
             groups.setdefault(pair.s_skeleton.text, []).append(pair)
-        bag = self.label_bags.bag
-        by_size: dict[int, SizeBucket] = {}
+        by_size: dict[int, list[SkeletonGroup]] = {}
         for members in groups.values():
             skeleton = members[0].s_skeleton
-            labels = bag(skeleton.compiled.postorder)
-            bucket = by_size.setdefault(labels.size, SizeBucket([], [], []))
-            bucket.groups.append(SkeletonGroup(skeleton, tuple(members)))
-            bucket.bags.append(labels)
-            bucket.first_indices.append(members[0].pool_index)
-        return by_size
+            by_size.setdefault(len(skeleton.compiled.postorder), []).append(SkeletonGroup(skeleton, tuple(members)))
+        label_bags = LabelBags()
+        buckets = {size: _size_bucket(size, same_size, label_bags) for size, same_size in by_size.items()}
+        return SkeletonGroups(label_bags, buckets)
 
     @cached_property
     def embedding_groups(self) -> list[EmbeddingGroup]:
@@ -485,7 +545,9 @@ def retrieve_by_question_skeleton(
     product and partial sum would then be an integer below 2**32, so
     exact, and the integer dot product has the same bits. Each of the
     index's ``embedding_groups`` is scored once, and its score holds for
-    all its members.
+    all its members. Only the groups scoring at or above the k-th best
+    score enter the heap, k = n at first; k doubles while they hold fewer
+    than n members besides the excluded question's.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -511,17 +573,26 @@ def retrieve_by_question_skeleton(
     else:
         norms = columns.norms
     roots = map(math.sqrt, map(mul, repeat(target_norm), norms))
-    # (negated similarity, group number); group numbers rank as their first pool indices do
-    heap = list(zip(map(neg, map(truediv, dots, roots)), count()))
-    heapq.heapify(heap)
-    best: list[tuple[float, int, ExamplePair]] = []
-    while heap:
-        key, number = heapq.heappop(heap)
-        members = groups[number].members
-        if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
-            break  # every later member scores lower, or as high and later in the pool
-        _join(best, n, key, members, exclude_question)
-    return [pair for _, _, pair in best]
+    keys = list(map(neg, map(truediv, dots, roots)))  # negated similarities, in group order
+    k = n
+    while True:
+        # the groups at or above the k-th best score: one left out scores
+        # below all of them, so it could rank only if they held fewer than
+        # n members, and then k doubles
+        threshold = heapq.nsmallest(k, keys)[-1]
+        # (negated similarity, group number); group numbers rank as their first pool indices do
+        heap = [(key, number) for number, key in enumerate(keys) if key <= threshold]
+        heapq.heapify(heap)
+        best: list[tuple[float, int, ExamplePair]] = []
+        while heap:
+            key, number = heapq.heappop(heap)
+            members = groups[number].members
+            if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
+                break  # every later member scores lower, or as high and later in the pool
+            _join(best, n, key, members, exclude_question)
+        if len(best) == n or k >= len(keys):
+            return [pair for _, _, pair in best]
+        k *= 2
 
 
 # round-2 heap entry stages: a node count's bucket, then a skeleton group
@@ -548,20 +619,25 @@ def retrieve_by_sql_skeleton(
         target = SqlSkeleton.from_sql(round1_sql)
     except ParseError:
         return RetrievalResult([], fallback="question")
-    target_labels = index.label_bags.bag(target.compiled.postorder)
-    # (lower bound, first pool index, stage, item); the first two are unique
-    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, bucket)
-                         for size, bucket in index.skeleton_groups.items()]
+    label_bags, buckets = index.skeleton_groups
+    target_labels = label_bags.bag(target.compiled.postorder)
+    patterns = traversal_patterns(target.compiled)
+    # (lower bound, first pool index, stage, item, the release of a
+    # label-bounded item's bucket); the first two are unique
+    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, bucket, None)
+                         for size, bucket in buckets.items()]
     heapq.heapify(heap)
     best: list[tuple[int, int, ExamplePair]] = []
     while heap:
-        key, first_index, stage, item = heapq.heappop(heap)
+        key, first_index, stage, item, released = heapq.heappop(heap)
         if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
         if stage == _SIZE:
-            bounds = label_lower_bounds(target_labels, item.bags)
-            for entry in zip(bounds, item.first_indices, repeat(_LABEL_BOUNDED), item.groups):
-                heapq.heappush(heap, entry)
+            released = item.release(target_labels)
+        if released is not None:  # the bucket's next group takes the popped one's place
+            for bound, index_of_first, group in islice(released, 1):
+                heapq.heappush(heap, (bound, index_of_first, _LABEL_BOUNDED, group, released))
+        if stage == _SIZE:
             continue
         if all(pair.question == exclude_question for pair in item.members):
             continue
@@ -574,16 +650,16 @@ def retrieve_by_sql_skeleton(
         else:
             limit = key + 2  # min(limit + 1, distance) is still a lower bound
         if stage == _LABEL_BOUNDED:
-            bound = traversal_lower_bound(target.compiled, item.skeleton.compiled, limit)
+            bound = traversal_lower_bound(patterns, item.skeleton.compiled, limit)
             if len(best) == n and bound > limit:
                 continue
             if bound > key:
-                heapq.heappush(heap, (bound, first_index, _TRAVERSAL_BOUNDED, item))
+                heapq.heappush(heap, (bound, first_index, _TRAVERSAL_BOUNDED, item, None))
                 continue
         distance = tree_edit_distance(target, item.skeleton, limit)
         if distance > limit:
             if len(best) < n:  # limit + 1 is a lower bound: score it again under that key
-                heapq.heappush(heap, (distance, first_index, _TRAVERSAL_BOUNDED, item))
+                heapq.heappush(heap, (distance, first_index, _TRAVERSAL_BOUNDED, item, None))
             continue
         _join(best, n, distance, item.members, exclude_question)
     return RetrievalResult([pair for _, _, pair in best])

@@ -6,21 +6,25 @@ column name, and literal value replaced by a placeholder leaf (``_T_``,
 tree shape. Placeholders are parser-legal identifiers, so a skeleton's
 text rendering can be parsed back into an equal tree.
 
-Structural similarity is the edit distance between skeleton trees:
-the minimum number of node insertions, deletions, and relabelings that
-turns one ordered tree into the other (Zhang–Shasha dynamic program,
-unit costs). Given a limit, the one dynamic program answers
-min(distance, limit + 1) and skips what no mapping within the limit
-uses: keyroot pairs whose leftmost leaves lie too far apart in
-postorder (Touzet, CPM 2005), and forest cells off a band of diagonals.
-The answer is exact up to the limit. Two cheap lower bounds on the
-distance let a search skip trees: the label-multiset bound, one popcount
-over bit masks per tree, taken for a list of trees in one call, and the
+Structural similarity is the edit distance between skeleton trees: the
+minimum number of node insertions, deletions, and relabelings that turns
+one ordered tree into the other (Zhang–Shasha dynamic program, unit
+costs). Given a limit, the one dynamic program answers min(distance,
+limit + 1) and skips what no mapping within the limit uses: keyroot
+pairs whose leftmost leaves lie too far apart in postorder (Touzet, CPM
+2005), and forest cells off a band of diagonals. The answer is exact up
+to the limit. Two cheap lower bounds on the distance let a search skip
+trees: the label-multiset bound, the larger node count less the label
+occurrences two trees share, which ``LabelBags`` numbers as bits, so
+that a search can count the shared ones for many trees at once
+(``retrieval.SizeBucket`` packs them into columns); and the
 traversal-string bound, a string edit distance computed bit-parallel in
-a few integer operations per label. One cheap upper bound lets it skip
-the dynamic program: two trees of one shape are at most their number of
-differing postorder labels apart, so when that count equals a lower
-bound in hand, it is the distance.
+a few integer operations per label, against label masks of one tree
+built once for all the trees it is bounded against
+(``traversal_patterns``). One cheap upper bound lets it skip the dynamic
+program: two trees of one shape are at most their number of differing
+postorder labels apart, so when that count equals a lower bound in hand,
+it is the distance.
 """
 
 from __future__ import annotations
@@ -119,39 +123,40 @@ def tree_edit_distance(a: SqlSkeleton, b: SqlSkeleton, limit: int | None = None)
 
 
 class LabelBag(NamedTuple):
-    """A tree's node-label multiset: its size and a bit mask (see ``LabelBags``)."""
+    """A tree's node-label multiset: its size and the bits of its label
+    occurrences (see ``LabelBags``), in the order of its labels."""
 
     size: int
-    mask: int
+    bits: list[int]
 
 
 class LabelBags:
-    """Numbers label occurrences so that label multisets become bit masks.
+    """Numbers label occurrences so that label multisets become sets of bits.
 
     A tree is given as the sequence of its node labels, in any order.
-    The k-th node carrying a label, for every k and label found in the
-    trees given, gets its own bit. The size of the intersection of two
-    multisets is then the popcount of the AND of their masks. ``bag``
-    leaves out occurrences that have no bit, but counts them in the
-    size; no mask of the given trees has them either, so intersections
-    with those masks are exact.
+    ``number`` gives the k-th node carrying a label, for every k and label
+    of the tree, its own bit unless an earlier tree already gave that
+    occurrence one. The size of the intersection of two multisets is then
+    the number of bits their bags share, and max(|A|, |B|) − |A ∩ B| is
+    a lower bound on the tree edit distance: a mapping keeps at most
+    |A ∩ B| nodes unrelabeled (the histogram filter of Kailing et al.,
+    EDBT 2004). ``bag`` numbers nothing: it leaves out occurrences that
+    have no bit, but counts them in the size, and no numbered tree holds
+    them, so intersections with the numbered trees stay exact.
     """
 
-    def __init__(self, trees: Iterable[Sequence[str]]) -> None:
+    def __init__(self) -> None:
         self._bits: dict[tuple[str, int], int] = {}
-        for labels in trees:
-            for occurrence in _label_occurrences(labels):
-                self._bits.setdefault(occurrence, len(self._bits))
+
+    def number(self, labels: Sequence[str]) -> LabelBag:
+        bits = self._bits
+        numbered = [bits.setdefault(occurrence, len(bits)) for occurrence in _label_occurrences(labels)]
+        return LabelBag(len(numbered), numbered)
 
     def bag(self, labels: Sequence[str]) -> LabelBag:
-        mask = 0
-        size = 0
-        for occurrence in _label_occurrences(labels):
-            size += 1
-            bit = self._bits.get(occurrence)
-            if bit is not None:
-                mask |= 1 << bit
-        return LabelBag(size, mask)
+        occurrences = list(_label_occurrences(labels))
+        bits = self._bits
+        return LabelBag(len(occurrences), [bits[occurrence] for occurrence in occurrences if occurrence in bits])
 
 
 def _label_occurrences(labels: Iterable[str]) -> Iterator[tuple[str, int]]:
@@ -160,22 +165,6 @@ def _label_occurrences(labels: Iterable[str]) -> Iterator[tuple[str, int]]:
         k = seen.get(label, 0)
         seen[label] = k + 1
         yield label, k
-
-
-def label_lower_bounds(a: LabelBag, bags: Iterable[LabelBag]) -> list[int]:
-    """max(|A∖B|, |B∖A|) of one tree's label multiset A against the
-    multiset B of each tree of ``bags``, in order.
-
-    A mapping between two trees pairs at most min(|A|, |B|) nodes and
-    keeps at most |A ∩ B| of them unrelabeled, so the unit-cost edit
-    distance is at least max(|A|, |B|) − |A ∩ B| (the histogram filter
-    of Kailing et al., EDBT 2004). It is never below ||A| − |B||. One
-    call bounds a whole list of trees, such as all the pool skeletons
-    of one node count.
-    """
-    size, mask = a
-    # a conditional expression, not max(): the call would double the cost per tree
-    return [(size if size > other else other) - (mask & other_mask).bit_count() for other, other_mask in bags]
 
 
 class CompiledTree(NamedTuple):
@@ -267,9 +256,35 @@ def relabel_upper_bound(a: CompiledTree, b: CompiledTree) -> int:
     return sum(map(ne, a.postorder, b.postorder))
 
 
-def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
+class StringPattern(NamedTuple):
+    """A label sequence as ``bounded_string_distance`` reads it: its
+    length, and per label the mask of the positions that hold it."""
+
+    length: int
+    masks: dict[str, int]  # bit i set where position i holds the label
+
+
+def string_pattern(s: Sequence[str]) -> StringPattern:
+    """The masks of ``s``'s positions, label by label."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for label in s:
+        masks[label] = masks.get(label, 0) | bit
+        bit <<= 1
+    return StringPattern(len(s), masks)
+
+
+def traversal_patterns(tree: CompiledTree) -> tuple[StringPattern, StringPattern]:
+    """The patterns of a tree's postorder and preorder label sequences, as
+    ``traversal_lower_bound`` takes them, so that one tree bounded against
+    many builds them once."""
+    return string_pattern(tree.postorder), string_pattern(tree.preorder)
+
+
+def traversal_lower_bound(a: tuple[StringPattern, StringPattern], b: CompiledTree, limit: int) -> int:
     """min(limit + 1, the larger unit-cost string edit distance of the
-    two trees' preorder label sequences and of their postorder ones).
+    two trees' preorder label sequences and of their postorder ones); the
+    first tree is given by its ``traversal_patterns``.
 
     An edit of a tree is at most one edit of each traversal string, so
     either string distance is a lower bound on the tree edit distance
@@ -277,39 +292,37 @@ def traversal_lower_bound(a: CompiledTree, b: CompiledTree, limit: int) -> int:
     by ``bounded_string_distance``; the preorder one is skipped when the
     postorder one already exceeds ``limit``.
     """
+    postorder, preorder = a
     # postorder first: on generated skeletons it rules out more pairs
-    distance = bounded_string_distance(a.postorder, b.postorder, limit)
+    distance = bounded_string_distance(postorder, b.postorder, limit)
     if distance > limit:
         return distance
-    return max(distance, bounded_string_distance(a.preorder, b.preorder, limit))
+    return max(distance, bounded_string_distance(preorder, b.preorder, limit))
 
 
-def bounded_string_distance(s: Sequence[str], t: Sequence[str], limit: int) -> int:
-    """min(limit + 1, unit-cost edit distance between ``s`` and ``t``).
+def bounded_string_distance(s: StringPattern, t: Sequence[str], limit: int) -> int:
+    """min(limit + 1, unit-cost edit distance between the sequence of
+    pattern ``s`` and ``t``).
 
     Bit-parallel (Myers, JACM 1999, in Hyyrö's form for the distance
-    of whole strings). Column j of the dynamic program D over ``s`` and
+    of whole strings). Column j of the dynamic program D over s and
     t[:j] is held as two masks of its vertical differences: bit i is set
     in ``plus`` when D[i + 1][j] − D[i][j] = +1 and in ``minus`` when it
     is −1. The next column follows from them and from the mask of the
-    positions of ``s`` that hold t[j] by a fixed number of integer
-    operations, however long ``s`` is (Python integers have no word
+    positions of s that hold t[j] by a fixed number of integer
+    operations, however long s is (Python integers have no word
     size). The last row's value D[len(s)][j] is carried along, so the
     result is the exact distance, capped at ``limit + 1`` at the end.
     """
     cap = limit + 1
-    m, n = len(s), len(t)
+    m, n = s.length, len(t)
     if abs(m - n) >= cap:
         return cap
     if not m:
         return n
-    masks: dict[str, int] = {}
-    bit = 1
-    for label in s:
-        masks[label] = masks.get(label, 0) | bit
-        bit <<= 1
-    column = bit - 1
-    last = bit >> 1
+    masks = s.masks
+    last = 1 << (m - 1)
+    column = (last << 1) - 1
     plus, minus = column, 0  # D[i][0] = i: every vertical difference is +1
     score = m
     for label in t:

@@ -289,6 +289,14 @@ def random_expression_statement(rng: random.Random) -> str:
     return sql
 
 
+def label_lower_bounds(a, bags):
+    """max(|A|, |B|) − |A ∩ B| of one tree's ``LabelBags`` bag A against
+    each bag B of ``bags``, in order, over the bits they share: round 2's
+    label-multiset bound (Kailing et al., EDBT 2004), pair by pair."""
+    bits = set(a.bits)
+    return [max(a.size, b.size) - len(bits.intersection(b.bits)) for b in bags]
+
+
 # ----------------------------------------------------------------------
 # retrieval oracle
 # ----------------------------------------------------------------------

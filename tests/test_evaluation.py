@@ -338,6 +338,24 @@ def ex_verdicts(pairs, databases_root):
     return [record.ex for record in report.records]
 
 
+@pytest.mark.parametrize("root_name", ["uri#test", "uri%41test", "uri?test"])
+def test_a_databases_root_of_uri_characters_opens_read_only(tmp_path, root_name):
+    root = tmp_path / root_name
+    database = root / "db" / "db.sqlite"
+    database.parent.mkdir(parents=True)
+    with closing(sqlite3.connect(database)) as connection:
+        connection.executescript("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);")
+    dataset = [{"question": "q", "db_id": "db", "query": "SELECT a FROM t"}]
+    [record] = evaluate(dataset, ["SELECT a FROM t ORDER BY a DESC"], root).records
+    assert (record.ex, record.error, record.excluded) == (True, None, False)
+    assert sorted(tmp_path.rglob("*")) == [root, root / "db", database]  # nothing opened elsewhere
+    with evaluation.Connections() as connections:
+        connection = connections.get(database)
+        connection.set_authorizer(None)  # below the authorizer, the file itself is opened read-only
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            connection.execute("INSERT INTO t VALUES (3)")
+
+
 def test_ex_identity(databases_root):
     assert ex_verdicts([("SELECT name FROM singer", "SELECT name FROM singer")], databases_root) == [True]
 

@@ -39,6 +39,7 @@ from support import (
     FakeChatProvider,
     brute_force_question_ranking,
     brute_force_sql_ranking,
+    label_lower_bounds,
     pool_items,
     random_statement,
 )
@@ -616,6 +617,45 @@ def test_question_columns_hold_four_bytes_a_field():
     assert peak < 7 * fields, (peak, fields)
 
 
+@pytest.mark.parametrize("values", [(0.0, 1.0, 2.0), (0.0, 0.5, 1.5)], ids=["counts", "fractions"])
+def test_question_ranking_widens_past_an_excluded_question_and_ties(values):
+    # Round 1 heaps only the groups at or above the k-th best score,
+    # k = n at first. Here the excluded question's entries hold every
+    # group of the two best rows, so the n best groups leave fewer than n
+    # members and k must grow. Each row is held by groups of several
+    # texts, whose equal scores straddle each threshold, and groups of
+    # several members spread over the pool.
+    rng = random.Random(62)
+    target = (2.0, 1.0, 1.0) if values[1] == 1.0 else (1.5, 0.5, 0.5)
+    rows = {}  # by exact squared cosine: equal cosines of two rows can round apart (ROADMAP item 5)
+    for row in sorted({tuple(rng.choice(values) for _ in range(3)) for _ in range(40)} - {(0.0, 0.0, 0.0)}):
+        dot = sum(map(Fraction.__mul__, map(Fraction, target), map(Fraction, row)))
+        rows.setdefault(dot * dot / sum(Fraction(v) ** 2 for v in row), row)
+    rows = list(rows.values())
+    best_rows = sorted(rows, key=lambda row: cosine_similarity(target, row), reverse=True)[:2]
+    skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
+    pool = []
+    for i in range(90):
+        row = rng.choice(rows)
+        text = "abcde"[rng.randrange(5)]  # a group is one text and one row
+        question = "same" if row in best_rows else f"q{i}"
+        pool.append(ExamplePair(question, "SELECT a FROM t", text, array("d", row), skeleton, i))
+    index = RetrievalIndex(pool, "fixed", 3)
+    embedder = FixedEmbedder({"target": target})
+    ranked = [pool[i] for i in brute_force_question_ranking(target, pool, len(pool))]
+    leading = next(i for i, pair in enumerate(ranked) if pair.question != "same")
+    assert len({(pair.q_skeleton, tuple(pair.q_embedding)) for pair in ranked[:leading]}) >= 3  # groups
+    groups = index.embedding_groups
+    assert len({tuple(group.row) for group in groups}) * 2 < len(groups)  # equal scores
+    assert any(len(group.members) > 2 for group in groups)
+    assert (index.question_columns is None) == (values[1] == 0.5)  # both scoring paths
+    for excluded in (None, "same"):
+        for n in range(1, len(pool) + 1):
+            got = retrieve_by_question_skeleton("target", index, n, embedder, exclude_question=excluded)
+            expected = brute_force_question_ranking(target, pool, n, exclude_question=excluded)
+            assert [p.pool_index for p in got] == expected, (excluded, n)
+
+
 def test_sql_identity_ranked_first(small_index):
     index, embedder = small_index
     result = retrieve_by_sql_skeleton("SELECT name FROM singer", index, 3)
@@ -704,7 +744,6 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
 
 
 def test_sql_ranking_across_size_rings(monkeypatch):
-    from solidql import retrieval
     from solidql.skeleton import SqlSkeleton, tree_edit_distance
 
     # The target has 6 nodes. At each distance, the candidate in the
@@ -747,24 +786,64 @@ def test_sql_ranking_across_size_rings(monkeypatch):
     sizes = {len(p.s_skeleton.compiled.postorder) for p in index.pool}
     assert max(sizes) - min(sizes) > 20
     groups = len({p.s_skeleton.text for p in index.pool})
-    label_lower_bounds = retrieval.label_lower_bounds
-    bounded = []
-
-    def counting(a, bags):
-        bounded.extend(bags)
-        return label_lower_bounds(a, bags)
-
-    monkeypatch.setattr(retrieval, "label_lower_bounds", counting)
+    handed = counting_handouts(monkeypatch)
     targets = [(random_statement(rng), None) for _ in range(5)] + [(pool[3][1], pool[3][0])]
     for sql, excluded in targets:
         target = SqlSkeleton.from_sql(sql)
         distances = [(p.pool_index, tree_edit_distance(target, p.s_skeleton)) for p in index.pool]
         skip = {p.pool_index for p in index.pool if p.question == excluded}
         for n in (1, 3, 7):
-            bounded.clear()
+            handed.clear()
             got = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
-            assert 0 < len(bounded) < groups
+            assert 0 < len(handed) < groups
+
+
+def counting_handouts(monkeypatch) -> list:
+    """The list to which round 2's size buckets add each group they hand
+    out: the group's first pool index."""
+    from solidql import retrieval
+
+    release = retrieval.SizeBucket.release
+    handed = []
+
+    def counting(bucket, target):
+        for entry in release(bucket, target):
+            handed.append(entry[1])
+            yield entry
+
+    monkeypatch.setattr(retrieval.SizeBucket, "release", counting)
+    return handed
+
+
+def test_packed_label_bounds_equal_the_oracle_in_release_order():
+    rng = random.Random(43)
+    pool = [(f"question {i}", random_statement(rng)) for i in range(300)]
+
+    def long_statement(operators):  # 80 predicates: more than 255 nodes
+        return "SELECT a FROM t WHERE " + " AND ".join(f"c{i} {op} {i}" for i, op in enumerate(operators))
+
+    long = [long_statement(rng.choices("=<>", k=80)) for _ in range(6)]
+    pool += [(f"long question {i}", sql) for i, sql in enumerate(long + long[:2])]  # two share a skeleton
+    index = build_index(pool_items(pool), HashedBagOfTokens())
+    label_bags, buckets = index.skeleton_groups
+    wide = [size for size in buckets if size > 255]
+    assert len(wide) == 1 and len(buckets[wide[0]].groups) == 6
+    for size, bucket in buckets.items():
+        assert array(bucket.fields).itemsize == (1 if size < 256 else 4)
+        assert [group.members[0].pool_index for group in bucket.groups] == bucket.first_indices
+        assert bucket.first_indices == sorted(bucket.first_indices)
+    own = label_bags.bag(SqlSkeleton.from_sql(long[0]).compiled.postorder)
+    assert len(own.bits) > 255  # all shared with its own skeleton: more than 8 bits can count
+    for sql in [random_statement(rng) for _ in range(8)] + long[:2] + [pool[5][1]]:
+        target = label_bags.bag(SqlSkeleton.from_sql(sql).compiled.postorder)
+        for bucket in buckets.values():
+            bags = [label_bags.bag(group.skeleton.compiled.postorder) for group in bucket.groups]
+            expected = sorted(zip(label_lower_bounds(target, bags), bucket.first_indices))
+            released = list(bucket.release(target))
+            assert [(bound, first) for bound, first, _ in released] == expected
+            assert [group.members[0].pool_index for _, _, group in released] == [first for _, first in expected]
+    assert retrieve_by_sql_skeleton(long[0], index, 1)[0].pool_index == 300
 
 
 def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
@@ -837,12 +916,18 @@ def test_sql_ranking_settles_only_pairs_whose_relabel_cost_meets_the_key(monkeyp
 SORTED_SCAN_CALLS = 352
 RING_SEARCH_CALLS = 147
 RING_SEARCH_DISTANCES = 198  # exact distances: dynamic programs run and pairs settled
+# Skeleton groups that the same queries take out of their size buckets:
+# pushing every group of each bucket it opens, the ring search pushed
+# 16,476; releasing them one at a time in bound order, it hands out 1,050.
+BUCKET_PUSHES = 16476
+RING_SEARCH_HANDOUTS = 1050
 
 
 def test_round2_work_gate(monkeypatch):
     """Pruning guard without timing: the exact-distance calls that round 2
-    makes for fixed queries on a fixed 2,000-item pool at n = 7, and the
-    pairs it settles without one."""
+    makes for fixed queries on a fixed 2,000-item pool at n = 7, the
+    pairs it settles without one, and the groups its size buckets hand
+    out."""
     from solidql import retrieval
 
     rng = random.Random(909)
@@ -867,11 +952,13 @@ def test_round2_work_gate(monkeypatch):
 
     monkeypatch.setattr(retrieval, "tree_edit_distance", counting)
     monkeypatch.setattr(retrieval, "_join", joining)
+    handed = counting_handouts(monkeypatch)
     for sql, excluded in targets:
         assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
     settled = joined - scored  # groups that joined without a dynamic program
     assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
     assert 0 < settled and calls + settled <= RING_SEARCH_DISTANCES
+    assert len(handed) <= RING_SEARCH_HANDOUTS < BUCKET_PUSHES
 
 
 def test_rankings_match_brute_force_on_an_8k_pool():

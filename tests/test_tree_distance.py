@@ -14,15 +14,16 @@ from solidql.skeleton import (
     bounded_string_distance,
     compile_postorder,
     compile_tree,
-    label_lower_bounds,
     node_edit_distance,
     relabel_upper_bound,
+    string_pattern,
     traversal_lower_bound,
+    traversal_patterns,
     tree_edit_distance,
 )
 from solidql.sql.nodes import Node
 
-from support import oracle_tree_distance, random_statement, random_tree
+from support import label_lower_bounds, oracle_tree_distance, random_statement, random_tree
 
 
 def test_identity_is_zero():
@@ -139,8 +140,10 @@ def test_metric_axioms_sample():
 
 def _bound_and_multiset_formula(a: Node, b: Node) -> tuple[int, int]:
     labels = [compile_tree(a).postorder, compile_tree(b).postorder]
-    bags = LabelBags(labels)
-    [bound] = label_lower_bounds(bags.bag(labels[0]), [bags.bag(labels[1])])
+    bags = LabelBags()
+    bag_a, bag_b = map(bags.number, labels)
+    assert bags.bag(labels[0]) == bag_a  # a numbered tree's bag is the one numbering gave
+    [bound] = label_lower_bounds(bag_a, [bag_b])
     labels_a = Counter(node.label for node in a.walk())
     labels_b = Counter(node.label for node in b.walk())
     common = sum((labels_a & labels_b).values())
@@ -161,8 +164,9 @@ def test_label_lower_bounds_of_a_list_are_those_of_each_pair():
     rng = random.Random(49)
     trees = [random_tree(rng, max_nodes=8) for _ in range(40)]
     labels = [compile_tree(tree).postorder for tree in trees]
-    bags = LabelBags(labels)
-    bounds = label_lower_bounds(bags.bag(labels[0]), [bags.bag(tree) for tree in labels])
+    bags = LabelBags()
+    numbered = [bags.number(tree) for tree in labels]
+    bounds = label_lower_bounds(numbered[0], numbered)
     assert len({tree.size() for tree in trees}) > 4  # bags of several sizes in one call
     assert bounds == [_bound_and_multiset_formula(trees[0], tree)[1] for tree in trees]
 
@@ -185,11 +189,13 @@ def test_label_lower_bound_below_oracle_on_skeletons():
 
 def test_label_bags_leave_out_unnumbered_occurrences():
     known = Node("n", "A", (Node("n", "B"),))
-    bags = LabelBags([compile_tree(known).postorder])
+    bags = LabelBags()
+    numbered = bags.number(compile_tree(known).postorder)
     other = Node("n", "A", (Node("n", "C"), Node("n", "A")))
     bag = bags.bag(compile_tree(other).preorder)  # any order of the labels
-    assert bag.size == 3
-    assert label_lower_bounds(bags.bag(compile_tree(known).postorder), [bag]) == [2]
+    assert bag.size == 3 and len(bag.bits) == 1
+    assert bags.bag(compile_tree(other).postorder) == bag  # bag numbers nothing
+    assert label_lower_bounds(numbered, [bag]) == [2]
     assert node_edit_distance(known, other) == 2
 
 
@@ -205,7 +211,7 @@ def _string_distance(s, t) -> int:
 
 def _traversal_bound(a: Node, b: Node) -> int:
     ta, tb = compile_tree(a), compile_tree(b)
-    return traversal_lower_bound(ta, tb, len(ta.preorder) + len(tb.preorder))
+    return traversal_lower_bound(traversal_patterns(ta), tb, len(ta.preorder) + len(tb.preorder))
 
 
 def _relabeled(rng: random.Random, node: Node, alphabet: str = "ABC") -> Node:
@@ -278,7 +284,7 @@ def test_traversal_lower_bound_below_tree_edit_distance_on_skeletons():
         ta, tb = a.compiled, b.compiled
         assert (ta, tb) == (compile_tree(a.tree), compile_tree(b.tree))
         for limit in range(-1, 7):
-            assert traversal_lower_bound(ta, tb, limit) == min(_traversal_bound(a.tree, b.tree), limit + 1)
+            assert traversal_lower_bound(traversal_patterns(ta), tb, limit) == min(_traversal_bound(a.tree, b.tree), limit + 1)
 
 
 def test_compile_postorder_rebuilds_the_compiled_tree():
@@ -314,7 +320,7 @@ def test_banded_string_distance_agrees_with_full_distance():
         t = [rng.choice("ABC") for _ in range(rng.randint(0, 10))]
         full = _string_distance(s, t)
         for limit in range(-1, 7):
-            banded = bounded_string_distance(s, t, limit)
+            banded = bounded_string_distance(string_pattern(s), t, limit)
             assert (banded > limit) == (full > limit)
             assert banded == min(full, limit + 1)
 
@@ -330,7 +336,7 @@ def test_string_distance_across_word_boundaries():
             t = [rng.choice(alphabet) for _ in range(m)]
             full = _string_distance(s, t)
             for limit in range(-1, n + m + 1):
-                assert bounded_string_distance(s, t, limit) == min(full, limit + 1), (s, t, limit)
+                assert bounded_string_distance(string_pattern(s), t, limit) == min(full, limit + 1), (s, t, limit)
 
 
 def test_traversal_lower_bound_on_skeletons_of_more_than_64_nodes():
@@ -350,5 +356,5 @@ def test_traversal_lower_bound_on_skeletons_of_more_than_64_nodes():
             _string_distance(ta.preorder, tb.preorder), _string_distance(ta.postorder, tb.postorder)
         )
         for limit in range(-1, len(ta.postorder) + len(tb.postorder) + 1):
-            assert traversal_lower_bound(ta, tb, limit) == min(exact, limit + 1)
+            assert traversal_lower_bound(traversal_patterns(ta), tb, limit) == min(exact, limit + 1)
         assert tree_edit_distance(a, b, exact) >= exact  # the bound is at most the distance
