@@ -12,8 +12,9 @@ whitespace, no trailing semicolon).
 Queries run on a ``Connections`` pool, which ``evaluate`` and
 ``robustness_check`` each keep for the length of the call, of read-only
 connections where only read statements are authorized, under a
-per-query deadline, a row cap and a cap on the bytes of one string or
-blob; LLM output can be pathological.
+per-query deadline, a row cap, a cap on the bytes of one string or blob
+and one on those of all a result's strings and blobs; LLM output can be
+pathological.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +42,8 @@ PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
 MAX_ROWS = 100_000  # a larger result table is an execution error
 # a longer string or blob is an execution error
 MAX_CELL_BYTES = 1_000_000
+# a result whose strings and blobs are longer in all is an execution error
+MAX_RESULT_BYTES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
         ExecError: missing database, a statement that is not a read or
             returns no result table, a result of more than ``MAX_ROWS``
             rows, a string or blob of more than ``MAX_CELL_BYTES`` bytes,
+            strings and blobs longer than ``MAX_RESULT_BYTES`` in all,
             text that is not encodable as UTF-8 (a lone surrogate),
             syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
@@ -137,10 +141,23 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
 
     connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
     cursor = connection.cursor()
+    size = 0  # the lengths of the strings and blobs fetched, once a second batch is due
     try:
-        if cursor.execute(sql).description is None:  # empty or comment-only: nothing ran
+        description = cursor.execute(sql).description
+        if description is None:  # empty or comment-only: nothing ran
             raise ExecError("statement returns no result table")
-        rows = cursor.fetchmany(MAX_ROWS + 1)
+        # one batch of cells of at most MAX_CELL_BYTES each cannot pass the
+        # byte cap, so a result that fits in one batch is not counted
+        batch = max(1, MAX_RESULT_BYTES // (MAX_CELL_BYTES * len(description)))
+        rows = cursor.fetchmany(batch)
+        if len(rows) == batch:
+            size = _text_length(rows)
+            while size <= MAX_RESULT_BYTES and len(rows) <= MAX_ROWS:
+                fetched = cursor.fetchmany(batch)
+                rows += fetched
+                size += _text_length(fetched)
+                if len(fetched) < batch:
+                    break
     except (sqlite3.Error, UnicodeEncodeError) as exc:  # the text is encoded as UTF-8 first
         if timed_out:
             raise ExecTimeout(f"query exceeded {timeout:g}s") from exc
@@ -149,7 +166,15 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
         cursor.close()
     if len(rows) > MAX_ROWS:
         raise ExecError(f"result exceeds the cap of {MAX_ROWS} rows")
+    if size > MAX_RESULT_BYTES:
+        raise ExecError(f"result exceeds the cap of {MAX_RESULT_BYTES} bytes of strings and blobs")
     return rows
+
+
+def _text_length(rows: list[tuple]) -> int:
+    """The summed lengths of the strings and blobs in ``rows``."""
+    cells = list(chain.from_iterable(rows))
+    return sum(map(len, compress(cells, map(isinstance, cells, repeat((str, bytes))))))
 
 
 def has_top_level_order_by(sql: str) -> bool:

@@ -221,10 +221,11 @@ def run_batch(
 ) -> list[PipelineResult]:
     """Process items independently; output order equals input order.
 
-    Items run on ``config.workers`` threads. Per-item failures are
-    recorded as flags and never abort the batch; a :class:`ReplayMiss`
-    (a replay run is expected to be hermetic) or an interrupt does
-    abort, and items not yet started then never start.
+    Items run on ``config.workers`` threads, or on one per pending item
+    when fewer are pending, and on none when the ledger holds them all.
+    Per-item failures are recorded as flags and never abort the batch; a
+    :class:`ReplayMiss` (a replay run is expected to be hermetic) or an
+    interrupt does abort, and items not yet started then never start.
     Completed items found in the ledger are not re-run. A dataset with
     a ``db_id`` missing from ``schemas``, and a ledger entry whose index
     is outside the dataset or whose result is for another ``(db_id,
@@ -244,7 +245,9 @@ def run_batch(
     # Each worker takes the next pending index until none is left, so a batch
     # holds one future per worker, not one per item. Under the GIL, a list
     # iterator hands each index to one thread.
-    pending = iter([i for i in range(len(dataset)) if i not in results])
+    todo = [i for i in range(len(dataset)) if i not in results]
+    workers = min(config.workers, len(todo))
+    pending = iter(todo)
     # Set once the batch is aborting; later items never start. A worker sets
     # it for what it lets escape, because the waiting thread may be waiting
     # on another worker's future.
@@ -283,14 +286,15 @@ def run_batch(
             stop.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(work) for _ in range(config.workers)]
-        try:
-            for future in futures:
-                future.result()
-        except BaseException:
-            stop.set()
-            raise
+    if workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+            try:
+                for future in futures:
+                    future.result()
+            except BaseException:
+                stop.set()
+                raise
 
     ordered = [results[i] for i in range(len(dataset))]
     flag_totals: dict[str, int] = {}

@@ -26,38 +26,26 @@ that is not all zeros and whose squared norm is outside [2**-511,
 two squared norms is a normal, finite float and no partial dot product
 leaves float range.
 
-Round 1 scores term at a time over posting lists (Turtle & Flood, IP&M
-1995; Zobel & Moffat, ACM Computing Surveys 2006). For each bucket the
-index holds the numbers of the groups whose row is non-zero there, and
-those values, in group order (``question_postings``); the first round-1
-retrieval builds them bucket-major, one column of the rows at a time.
-A query reads only the postings of its own non-zero buckets, in bucket
-order, and adds ``value * entry`` into each listed group's sum, which
-starts at 0.0. A group's sum so takes the terms of the full dot product
-in the same order, less those whose row value is zero. Each of those is
-a zero of either sign, and adding one changes no sum: a non-zero sum
-stays as it is, and a sum that starts at +0.0 never becomes -0.0, since
-only -0.0 + -0.0 is -0.0. So every score keeps the bits of the full
-loop. An entry costs about 20 bytes: a slot in a tuple of group
-numbers, one int object being shared by all of a group's entries, and a
-double in an ``array('d')`` of values.
-
-Round 1 has a faster path for integer counts, which every hashed
-embedding's rows are. When every ``_scaled`` row value is a
-non-negative integer below 2**W (W = ``_FIELD_BITS``, 32), the first
-round-1 retrieval packs each bucket's column of the group rows into one
-Python int, group g's value at bits g·W and up (``question_columns``).
-A target whose non-zero values are positive integers t_b, with
-Σ t_b · max_b below 2**W over its buckets b (max_b: the bucket's
-largest value), is scored by summing t_b · column_b in integers: about
-one C-level multiply-add per non-zero target bucket, in place of one
-Python step per posting entry. Every group's dot product is then below
-2**W, so no field carries into the next, and the sum's fields are the
-groups' integer dot products. They equal the term-at-a-time sums bit
-for bit: every product and partial sum there is an integer below
-2**W < 2**53, so every float operation is exact, and a dot product of 0
-is +0.0 either way. Any other target or pool reads the postings, which
-only such a query builds.
+Round 1 takes each group's dot product with the target by one loop,
+``value * row[bucket]`` summed in bucket order from 0.0 over the full
+row (``_dot``), the same loop that gives every squared norm. Round 1 has
+a faster path for integer counts, which every hashed embedding's rows
+are. When every ``_scaled`` row value is a non-negative integer below
+2**W (W = ``_FIELD_BITS``, 32), the first round-1 retrieval packs each
+bucket's column of the group rows into one Python int, group g's value
+at bits g·W and up (``question_columns``). A target whose non-zero
+values are positive integers t_b, with Σ t_b · max_b below 2**W over its
+buckets b (max_b: the bucket's largest value), is scored by summing
+t_b · column_b in integers: about one C-level multiply-add per non-zero
+target bucket, in place of one Python step per bucket and group. Every
+group's dot product is then below 2**W, so no field carries into the
+next, and the sum's fields are the groups' integer dot products. They
+equal the loop's sums bit for bit: every product and partial sum there
+is an integer below 2**W < 2**53, so every float operation is exact; a
+zero product, of either sign, adds nothing, and a sum that starts at
++0.0 stays +0.0 until a non-zero term arrives, since only -0.0 + -0.0 is
+-0.0; so a dot product of 0 is +0.0 either way. Any other target or pool
+takes the loop.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue of
@@ -268,11 +256,10 @@ class RetrievalIndex:
     retrieval has run on the index. The first round-1 retrieval builds
     ``embedding_groups`` and then ``question_columns``: per bucket, the
     groups' values packed into one int, W = 32 bits a field, or ``None``
-    unless every row value is a non-negative integer below 2**W. The
-    first round-1 retrieval that the columns cannot score (see
-    ``QuestionColumns.dots``) builds, bucket-major, ``question_postings``:
-    per bucket, the groups whose row is non-zero there and those values,
-    about 20 bytes per entry. The first round-2 retrieval builds
+    unless every row value is a non-negative integer below 2**W. A
+    round-1 retrieval that the columns cannot score (see
+    ``QuestionColumns.dots``) takes each group's dot product by one loop
+    over its row, and builds nothing. The first round-2 retrieval builds
     ``skeleton_groups``: the numbering of the skeletons' label
     occurrences, and the distinct skeletons by node count, each bucket
     with its label bags packed into columns, one field of 8 bits or more
@@ -313,9 +300,8 @@ class RetrievalIndex:
         by equal rows, so that equal texts whose rows differ stay apart.
         A group's row and squared norm are ``_scaled`` of the first
         member's row. Groups of norm 0 are left out, their cosine being
-        undefined. A group's number is its place in this list; round 1
-        reads the rows through ``question_columns`` or
-        ``question_postings``, which list only their non-zero values.
+        undefined. A group's number is its place in this list, and its
+        field in each of the ``question_columns``.
         """
         by_text: dict[str, list[list[ExamplePair]]] = {}
         groups: list[list[ExamplePair]] = []
@@ -354,45 +340,30 @@ class RetrievalIndex:
             maxima.append(max(fields, default=0))
         return QuestionColumns(columns, maxima, [group.squared_norm for group in groups])
 
-    @cached_property
-    def question_postings(self) -> list[tuple[tuple[int, ...], array]]:
-        """Per bucket, the numbers of the ``embedding_groups`` whose row is
-        non-zero there, and those values, both in group order.
 
-        Built bucket-major, one column of the rows at a time, by C-level
-        iterators, and each bucket's values packed into one ``array('d')``
-        (a group-major build into lists of floats scattered the float
-        objects, and round 1 took twice as long on a dense pool). An entry
-        costs about 20 bytes: the double and a tuple slot, every group's
-        number being one shared int. Without groups there are no buckets.
-        """
-        numbers = list(range(len(self.embedding_groups)))
-        columns = zip(*(group.row for group in self.embedding_groups))
-        return [(tuple(compress(numbers, column)), array("d", filter(None, column))) for column in columns]
-
-
-def _squared_norm(vector: Sequence[float]) -> float:
-    """‖v‖²: ``value * value`` summed over ``vector`` in order, starting from 0.0."""
+def _dot(left: Sequence[float], right: Sequence[float]) -> float:
+    """``a * b`` summed over the two vectors' values in order, starting
+    from 0.0; ``_dot(v, v)`` is ‖v‖²."""
     total = 0.0
-    for value in vector:
-        total += value * value
+    for a, b in zip(left, right):
+        total += a * b
     return total
 
 
 def _scaled(vector: array) -> tuple[array, float]:
-    """``vector`` and its ``_squared_norm``, or, if that is outside
-    [2**-511, 2**511] though ``vector`` is not all zeros, a copy scaled by
-    a power of two so that its largest magnitude is in [0.5, 1), and that
-    copy's squared norm, which is then at least 0.25 and at most the
-    vector's length. The product of two squared norms in that range is a
-    normal, finite float (an overflow-free rescale after Blue, ACM TOMS
-    4(1), 1978). Cosines are scale-free; the scale is exact, and only
-    values far below the largest can lose digits to it."""
-    norm = _squared_norm(vector)
+    """``vector`` and its squared norm ``_dot(vector, vector)``, or, if
+    that is outside [2**-511, 2**511] though ``vector`` is not all zeros,
+    a copy scaled by a power of two so that its largest magnitude is in
+    [0.5, 1), and that copy's squared norm, which is then at least 0.25
+    and at most the vector's length. The product of two squared norms in
+    that range is a normal, finite float (an overflow-free rescale after
+    Blue, ACM TOMS 4(1), 1978). Cosines are scale-free; the scale is
+    exact, and only values far below the largest can lose digits to it."""
+    norm = _dot(vector, vector)
     if not 2.0**-511 <= norm <= 2.0**511 and any(vector):
         _, exponent = math.frexp(max(map(abs, vector)))
         vector = array("d", [math.ldexp(value, -exponent) for value in vector])
-        norm = _squared_norm(vector)
+        norm = _dot(vector, vector)
     return vector, norm
 
 
@@ -533,21 +504,18 @@ def retrieve_by_question_skeleton(
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), both
     vectors taken ``_scaled``, so that the product is a normal, finite
-    float. Both squared norms are ``_squared_norm`` sums, and the dot
-    product sums ``value * row[bucket]`` in bucket order, starting from
-    0.0, over the buckets where neither vector is zero: term at a time,
-    the target's non-zero buckets each adding into the groups that the
-    index's ``question_postings`` list there. Leaving out a zero term
-    keeps the sum's bits (see the module docstring). When the index has
-    ``question_columns`` and every non-zero target value is a positive
-    integer t_b with Σ t_b · max_b below 2**32, the dot products are
-    taken from the packed columns instead, in integers; every float
-    product and partial sum would then be an integer below 2**32, so
-    exact, and the integer dot product has the same bits. Each of the
-    index's ``embedding_groups`` is scored once, and its score holds for
-    all its members. Only the groups scoring at or above the k-th best
-    score enter the heap, k = n at first; k doubles while they hold fewer
-    than n members besides the excluded question's.
+    float. The squared norms and the dot product are ``_dot`` sums:
+    ``value * row[bucket]`` summed in bucket order, starting from 0.0.
+    When the index has ``question_columns`` and every non-zero target
+    value is a positive integer t_b with Σ t_b · max_b below 2**32, the
+    dot products are taken from the packed columns instead, in integers;
+    every float product and partial sum would then be an integer below
+    2**32, so exact, and the integer dot product has the same bits (see
+    the module docstring). Each of the index's ``embedding_groups`` is
+    scored once, and its score holds for all its members. Only the groups
+    scoring at or above the k-th best score enter the heap, k = n at
+    first; k doubles while they hold fewer than n members besides the
+    excluded question's.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -562,13 +530,7 @@ def retrieve_by_question_skeleton(
     columns = index.question_columns
     dots = None if columns is None else columns.dots(target)
     if dots is None:
-        postings = index.question_postings
-        dots = [0.0] * len(groups)
-        # only the terms where neither value is zero: the rest would add zeros that keep every sum's bits
-        for bucket, value in compress(enumerate(target), target):
-            numbers, entries = postings[bucket]
-            for number, entry in zip(numbers, entries):
-                dots[number] += value * entry
+        dots = [_dot(target, group.row) for group in groups]
         norms = map(attrgetter("squared_norm"), groups)
     else:
         norms = columns.norms

@@ -228,6 +228,23 @@ def test_row_cap(databases_root, concert_db, pool, monkeypatch):
     assert "cap of 4 rows" in report.records[0].error
 
 
+def test_result_byte_cap(concert_db, pool, monkeypatch):
+    assert evaluation.MAX_RESULT_BYTES == 100_000_000
+    # 300 rows of a 10,000-byte blob and a 1-character string: 3,000,300 in all
+    many = ("WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 300) "
+            "SELECT zeroblob(10000), 'x' FROM r")
+    assert len(execute_sql(concert_db, many, 30.0, pool)) == 300
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", 3_000_300)
+    assert len(execute_sql(concert_db, many, 30.0, pool)) == 300
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", 3_000_299)
+    with pytest.raises(ExecError, match="cap of 3000299 bytes"):
+        execute_sql(concert_db, many, 30.0, pool)
+    # a result of one batch cannot reach the cap, and is not counted
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", 100_000_000)
+    monkeypatch.setattr(evaluation, "_text_length", None)
+    assert len(execute_sql(concert_db, "SELECT name, country FROM singer", 30.0, pool)) == 5
+
+
 def test_order_by_detection():
     assert has_top_level_order_by("SELECT a FROM t ORDER BY a")
     assert has_top_level_order_by("select a from t order\n  by a")

@@ -349,6 +349,26 @@ def test_ledger_resume_skips_completed_items(components, schemas, shop_dataset, 
     assert [r.to_dict() for r in again] == [r.to_dict() for r in results]
 
 
+def test_batch_starts_no_thread_beyond_its_pending_items(components, schemas, shop_dataset, tmp_path, monkeypatch):
+    _, predictor, index, gateway, embedder, config = components
+    ledger = ProgressLedger(tmp_path / "progress.jsonl")
+    run_batch(shop_dataset[:-1], schemas, predictor, index, gateway, embedder, config, ledger=ledger)
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    eight = RunConfig(mode="live", workers=8)
+    for pending in (1, 0):  # the last item, then none: the ledger holds them all
+        started.clear()
+        results = run_batch(shop_dataset, schemas, predictor, index, gateway, embedder, eight, ledger=ledger)
+        assert len(started) == pending
+        assert results[-1].final_sql == QUESTIONS[shop_dataset[-1]["question"]]
+
+
 def _ledger_result(sql: str) -> PipelineResult:
     return PipelineResult(
         question="q", db_id="shop", linked=SchemaSubset(), q_skeleton="",

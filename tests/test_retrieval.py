@@ -520,7 +520,22 @@ def integer_count_pool(dimension=12):
     return pool
 
 
-def test_packed_round1_keeps_the_bits_of_a_dense_loop():
+def recorded_dots(monkeypatch) -> list:
+    """Every ``QuestionColumns.dots`` result, in call order: ``None`` where
+    round 1 took the dense loop."""
+    returned = []
+    dots = solidql.retrieval.QuestionColumns.dots
+
+    def recording(columns, target):
+        returned.append(dots(columns, target))
+        return returned[-1]
+
+    monkeypatch.setattr(solidql.retrieval.QuestionColumns, "dots", recording)
+    return returned
+
+
+def test_packed_round1_keeps_the_bits_of_a_dense_loop(monkeypatch):
+    returned = recorded_dots(monkeypatch)
     pool = integer_count_pool()
     index = RetrievalIndex(pool, "fixed", 12)
     target = [2.0, 0.0, 1.0, -0.0, 3.0, 1.0, 0.0, 0.0, 4.0, 1.0, 0.0, 2.0]
@@ -543,22 +558,25 @@ def test_packed_round1_keeps_the_bits_of_a_dense_loop():
         for n in range(1, len(pool) + 1):
             got = retrieve_by_question_skeleton("target", index, n, embedder, exclude_question=excluded)
             assert [p.pool_index for p in got] == ranking[:n], (excluded, n)
-    assert index.question_columns is not None and "question_postings" not in vars(index)
+    assert index.question_columns is not None
+    assert returned and None not in returned
 
-    # Three targets the packed columns cannot score: they read the postings.
+    # Three targets the packed columns cannot score: they take the dense loop.
     bounded = [2.0**28] + [0.0] * 11  # Σ t_b · max_b is 2**32, and so is row 101's dot product
     assert sum(t * m for t, m in zip(bounded, index.question_columns.maxima)) == 2**32
     for fallback in (bounded, target[:2] + [0.5] + target[3:], target[:2] + [-1.0] + target[3:]):
         index = RetrievalIndex(pool, "fixed", 12)
         embedder = FixedEmbedder({"target": fallback})
         scores = dense_float_scores(fallback, pool)
+        returned.clear()
         for n in (1, 2, 7, len(pool)):
             got = retrieve_by_question_skeleton("target", index, n, embedder)
             assert [p.pool_index for p in got] == [i for _, i in scores[:n]], (fallback, n)
-        assert index.question_columns is not None and "question_postings" in vars(index)
+        assert index.question_columns is not None and returned == [None] * 4
 
 
-def test_question_columns_pack_every_group_row():
+def test_question_columns_pack_every_group_row(monkeypatch):
+    returned = recorded_dots(monkeypatch)
     rng = random.Random(34)
     words = ["how", "many", "the", "of", "_", "are", "what", "list", "each", "with"]
     pairs = [(" ".join(rng.choices(words, k=rng.randint(2, 9))), "SELECT a FROM t") for _ in range(300)]
@@ -577,7 +595,7 @@ def test_question_columns_pack_every_group_row():
         got = retrieve_by_question_skeleton(question, index, 7, embedder, exclude_question=question)
         scores = dense_float_scores(embedder.embed([question])[0], index.pool)
         assert [p.pool_index for p in got] == [i for _, i in scores if index.pool[i].question != question][:7]
-    assert "question_postings" not in vars(index)
+    assert len(returned) == 20 and None not in returned
 
 
 @pytest.mark.parametrize("value", [0.5, 2.5, -1.0, -0.5, 2.0**32])
@@ -1135,43 +1153,30 @@ def test_embedding_groups_hold_no_copy_of_the_rows():
     assert peak < rows_bytes / 4, (peak, rows_bytes)
 
 
-def test_question_postings_hold_only_non_zero_entries():
-    # 2,000 sparse rows under 1,500 texts, about 14 non-zero buckets each,
-    # some of them negative, and a few stored zeros of either sign
+def test_dense_round1_builds_no_view_of_the_rows():
+    # 2,000 Gaussian rows of 256 floats, which no packed column can hold:
+    # a per-bucket copy of the rows' values would take about rows_bytes
     dimension = 256
-    rng = random.Random(26)
+    rng = random.Random(35)
     skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
-    rows = {}
     pool = []
     for i in range(2000):
-        text = f"question {i % 1500}"
-        if text not in rows:
-            row = array("d", bytes(8 * dimension))
-            for bucket in rng.sample(range(dimension), 18):
-                row[bucket] = rng.choice((-0.0, 0.0, -1.0, 1.0, 2.0, 3.0, 0.5, -0.25))
-            rows[text] = row
-        pool.append(ExamplePair(text, "SELECT a FROM t", text, rows[text], skeleton, i))
-    index = RetrievalIndex(pool, "test", dimension)
-    groups = index.embedding_groups
+        row = array("d", [rng.gauss(0.0, 1.0) for _ in range(dimension)])
+        pool.append(ExamplePair(f"q{i}", "SELECT a FROM t", f"q{i}", row, skeleton, i))
+    index = RetrievalIndex(pool, "fixed", dimension)
+    embedder = FixedEmbedder({"target": [rng.gauss(0.0, 1.0) for _ in range(dimension)]})
+    assert len(index.embedding_groups) == 2000
+    rows_bytes = sum(sys.getsizeof(pair.q_embedding) for pair in pool)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        postings = index.question_postings
+        got = retrieve_by_question_skeleton("target", index, 7, embedder)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len(postings) == dimension
-    entries = 0
-    for bucket, (numbers, values) in enumerate(postings):
-        held = [(number, group.row[bucket]) for number, group in enumerate(groups) if group.row[bucket]]
-        assert list(zip(numbers, values)) == held, bucket
-        entries += len(held)
-    assert 12 * len(groups) < entries < 15 * len(groups)
-    # held: 16 bytes per entry, a tuple slot for the group number, each
-    # group's number one shared int, and a packed double; with growth and
-    # one column of the rows in flight the peak measured 31 on Python 3.11.
-    # An int object per entry (28 bytes) or a float object (24) would not fit.
-    assert peak < 36 * entries, (peak, entries)
+    assert index.question_columns is None
+    assert [p.pool_index for p in got] == [i for _, i in dense_float_scores(embedder.vectors["target"], pool)[:7]]
+    assert peak < rows_bytes / 4, (peak, rows_bytes)
 
 
 def test_load_reads_embedding_booleans_as_numbers(tmp_path, small_index):
