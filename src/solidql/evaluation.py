@@ -42,8 +42,11 @@ PROGRESS_STEPS = 1000  # SQLite VM steps between deadline checks
 MAX_ROWS = 100_000  # a larger result table is an execution error
 # a longer string or blob is an execution error
 MAX_CELL_BYTES = 1_000_000
-# a result whose strings and blobs are longer in all is an execution error
+# a result whose cells count more bytes in all is an execution error
 MAX_RESULT_BYTES = 100_000_000
+# what a cell that is not a string or blob (a number or NULL) counts: as
+# much as an int cell holds in memory, its object and its slot in the row
+NUMBER_CELL_BYTES = 40
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,9 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
         ExecError: missing database, a statement that is not a read or
             returns no result table, a result of more than ``MAX_ROWS``
             rows, a string or blob of more than ``MAX_CELL_BYTES`` bytes,
-            strings and blobs longer than ``MAX_RESULT_BYTES`` in all,
+            cells of more than ``MAX_RESULT_BYTES`` bytes in all, each
+            string and blob counted at its length and every other cell at
+            ``NUMBER_CELL_BYTES``,
             text that is not encodable as UTF-8 (a lone surrogate),
             syntax or runtime failure.
         ExecTimeout: the query exceeded ``timeout`` seconds.
@@ -141,21 +146,21 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
 
     connection.set_progress_handler(past_deadline, PROGRESS_STEPS)
     cursor = connection.cursor()
-    size = 0  # the lengths of the strings and blobs fetched, once a second batch is due
+    size = 0  # the bytes of the cells fetched (``_result_bytes``), once a second batch is due
     try:
         description = cursor.execute(sql).description
         if description is None:  # empty or comment-only: nothing ran
             raise ExecError("statement returns no result table")
-        # one batch of cells of at most MAX_CELL_BYTES each cannot pass the
-        # byte cap, so a result that fits in one batch is not counted
+        # no cell counts more than MAX_CELL_BYTES (NUMBER_CELL_BYTES is below
+        # it), so one batch cannot pass the byte cap and is not counted alone
         batch = max(1, MAX_RESULT_BYTES // (MAX_CELL_BYTES * len(description)))
         rows = cursor.fetchmany(batch)
         if len(rows) == batch:
-            size = _text_length(rows)
+            size = _result_bytes(rows)
             while size <= MAX_RESULT_BYTES and len(rows) <= MAX_ROWS:
                 fetched = cursor.fetchmany(batch)
                 rows += fetched
-                size += _text_length(fetched)
+                size += _result_bytes(fetched)
                 if len(fetched) < batch:
                     break
     except (sqlite3.Error, UnicodeEncodeError) as exc:  # the text is encoded as UTF-8 first
@@ -167,14 +172,16 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float,
     if len(rows) > MAX_ROWS:
         raise ExecError(f"result exceeds the cap of {MAX_ROWS} rows")
     if size > MAX_RESULT_BYTES:
-        raise ExecError(f"result exceeds the cap of {MAX_RESULT_BYTES} bytes of strings and blobs")
+        raise ExecError(f"result exceeds the cap of {MAX_RESULT_BYTES} bytes")
     return rows
 
 
-def _text_length(rows: list[tuple]) -> int:
-    """The summed lengths of the strings and blobs in ``rows``."""
+def _result_bytes(rows: list[tuple]) -> int:
+    """The summed lengths of the strings and blobs in ``rows``, plus
+    ``NUMBER_CELL_BYTES`` for each other cell."""
     cells = list(chain.from_iterable(rows))
-    return sum(map(len, compress(cells, map(isinstance, cells, repeat((str, bytes))))))
+    texts = list(compress(cells, map(isinstance, cells, repeat((str, bytes)))))
+    return sum(map(len, texts)) + (len(cells) - len(texts)) * NUMBER_CELL_BYTES
 
 
 def has_top_level_order_by(sql: str) -> bool:

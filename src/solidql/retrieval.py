@@ -8,14 +8,14 @@ scores, which exactly equal cosines can miss (see
 ``retrieve_by_question_skeleton``).
 
 Both rounds rank by one best-first rule. Pool entries are grouped, and
-the groups leave a min-heap in order of (key, first pool index), the
-key being a lower bound on every member's ranking key. A popped group's
-members, less the excluded question, join the n best, and the search
-stops at the first head whose (key, first pool index) is beyond the
-n-th best (key, pool index): every later member ranks behind it.
-Round 1 heaps only the groups scoring at or above the k-th best score,
-ties included, k = n at first; when they hold fewer than n members that
-count, k doubles.
+the groups are taken in order of (key, first pool index), the key being
+a lower bound on every member's ranking key. A group's members, less
+the excluded question, join the n best, and the search stops at the
+first group whose (key, first pool index) is beyond the n-th best (key,
+pool index): every later member ranks behind it. Round 1 sorts only the
+groups scoring at or above the k-th best score, ties included, k = n at
+first; when they hold fewer than n members that count, k doubles. Round
+2 takes its groups from a min-heap.
 
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
@@ -50,15 +50,18 @@ takes the loop.
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue of
 lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the pool
-enters the heap once, keyed by its ring distance, the difference from
-the target's node count, which bounds the label-multiset bound of all
-its skeletons, and by index ``-1 - size``, so that it opens before any
-skeleton of equal key. When popped, it takes the label bounds of all its
-skeletons at once, in one sum of packed label columns (``SizeBucket``),
-and hands its skeletons out lazily, in order of (label bound, first pool
-index): the heap holds the next skeleton of each open bucket, and each
-one popped first pushes its successor, so skeletons leave the heap as
-they would if all were pushed on opening. A first member that is the
+enters the heap once, as its bucket's release (``SizeBucket.release``),
+created but not yet started, keyed by its ring distance, the difference
+from the target's node count, which bounds the label-multiset bound of
+all its skeletons, and by index ``-1 - size``, so that it opens before
+any skeleton of equal key. A release hands the bucket's skeletons out
+one at a time, in order of (label bound, first pool index), and its
+first step takes the label bounds of all of them at once, in one sum of
+packed label columns, so a bucket never popped is never summed. Every
+entry popped advances its release by one, pushing the bucket's next
+skeleton, so skeletons leave the heap as they would if all were pushed
+on opening; the bucket's own entry holds no skeleton and is then
+skipped. A first member that is the
 excluded question still comes before the others in the pool, so the pair
 stays a lower bound on the members that count. A popped skeleton whose
 members are all excluded is dropped. One of the target's shape whose
@@ -130,6 +133,12 @@ if array(_FIELD).itemsize * 8 != _FIELD_BITS or array(_NARROW_FIELD).itemsize !=
     raise ImportError(f"array items {_FIELD!r} and {_NARROW_FIELD!r} are not {_FIELD_BITS} and 8 bits wide")
 
 
+def _unpacked(fields: str, count: int, total: int) -> array:
+    """The ``count`` fields packed in ``total``, field g at bits g·W and
+    up, as an array of typecode ``fields``, whose items are W bits wide."""
+    return array(fields, total.to_bytes(count * array(fields).itemsize, sys.byteorder))
+
+
 @dataclass(frozen=True)
 class ExamplePair:
     """One candidate of the retrieval pool with its precomputed views."""
@@ -180,31 +189,29 @@ class QuestionColumns(NamedTuple):
             total += weight * self.columns[bucket]
         if bound >> _FIELD_BITS:
             return None
-        dots = array(_FIELD)
-        dots.frombytes(total.to_bytes(len(self.norms) * dots.itemsize, sys.byteorder))
-        return dots
+        return _unpacked(_FIELD, len(self.norms), total)
 
 
 class SizeBucket(NamedTuple):
     """The skeleton groups of one node count, in order of first member,
-    with their first pool indices in the same order, and their label bags
-    packed into columns, one per label-occurrence bit of the pool's
-    ``LabelBags``: an int holding one field per group, group g's at bits
-    g·W and up, 1 if the group's bag holds the bit and 0 otherwise. W is 8
-    when the node count is below 256, and 32 otherwise (no tree that fits
-    in memory has 2**32 nodes). A bit that no group holds has no column.
+    and their label bags packed into columns, one per label-occurrence bit
+    of the pool's ``LabelBags``: an int holding one field per group, group
+    g's at bits g·W and up, 1 if the group's bag holds the bit and 0
+    otherwise. W is 8 when the node count is below 256, and 32 otherwise
+    (no tree that fits in memory has 2**32 nodes). A bit that no group
+    holds has no column. A group's first pool index is that of its first
+    member.
     """
 
     size: int  # the node count
     groups: list[SkeletonGroup]
-    first_indices: list[int]
     fields: str  # the array typecode of W-bit fields
     columns: dict[int, int]  # by label-occurrence bit
 
     def release(self, target: LabelBag) -> Iterator[tuple[int, int, SkeletonGroup]]:
         """The groups under their label bounds against ``target`` and
         their first pool indices, in order of (bound, first pool index),
-        one at a time.
+        one at a time. Nothing is computed before the first is asked for.
 
         The sum of the columns of the target's bits holds in group g's
         field |A ∩ B|, the bits the target's bag A shares with the group's
@@ -213,21 +220,14 @@ class SizeBucket(NamedTuple):
         groups come in order of shared bits, most first, and of position.
         """
         total = sum(map(self.columns.get, target.bits, repeat(0)))
-        shared = array(self.fields)
-        shared.frombytes(total.to_bytes(len(self.groups) * shared.itemsize, sys.byteorder))
+        shared = _unpacked(self.fields, len(self.groups), total)
         top = max(target.size, self.size)
         for common in sorted(set(shared), reverse=True):
             position = -1
             for _ in range(shared.count(common)):
                 position = shared.index(common, position + 1)
-                yield top - common, self.first_indices[position], self.groups[position]
-
-
-class SkeletonGroups(NamedTuple):
-    """The pool's distinct SQL skeletons as round 2 reads them."""
-
-    label_bags: LabelBags  # numbering of the label occurrences of the pool's skeletons
-    buckets: dict[int, SizeBucket]  # by node count
+                group = self.groups[position]
+                yield top - common, group.members[0].pool_index, group
 
 
 def _size_bucket(size: int, groups: list[SkeletonGroup], label_bags: LabelBags) -> SizeBucket:
@@ -243,7 +243,7 @@ def _size_bucket(size: int, groups: list[SkeletonGroup], label_bags: LabelBags) 
             if column is None:
                 column = columns[bit] = array(fields, empty)
             column[position] = 1
-    return SizeBucket(size, groups, [group.members[0].pool_index for group in groups], fields,
+    return SizeBucket(size, groups, fields,
                       {bit: int.from_bytes(column, sys.byteorder) for bit, column in columns.items()})
 
 
@@ -263,9 +263,10 @@ class RetrievalIndex:
     ``skeleton_groups``: the numbering of the skeletons' label
     occurrences, and the distinct skeletons by node count, each bucket
     with its label bags packed into columns, one field of 8 bits or more
-    per skeleton and bit. A query takes the label bounds of a whole bucket
-    from one sum of columns, and the bucket releases its skeletons one at
-    a time, in bound order (``SizeBucket.release``). ``load_index`` builds
+    per skeleton and bit. A query makes each bucket's release
+    (``SizeBucket.release``), which on its first step takes the label
+    bounds of the whole bucket from one sum of columns, and then hands the
+    skeletons out one at a time, in bound order. ``load_index`` builds
     none of them.
     """
 
@@ -277,10 +278,11 @@ class RetrievalIndex:
         return len(self.pool)
 
     @cached_property
-    def skeleton_groups(self) -> SkeletonGroups:
-        """The pool grouped by SQL skeleton text, bucketed by the skeleton's
-        node count, and the numbering of the skeletons' label occurrences,
-        which the buckets' columns are packed from as it is made."""
+    def skeleton_groups(self) -> tuple[LabelBags, dict[int, SizeBucket]]:
+        """The numbering of the label occurrences of the pool's SQL
+        skeletons, and the pool grouped by skeleton text and bucketed by
+        the skeleton's node count, the buckets' columns packed from the
+        numbering as it is made."""
         groups: dict[str, list[ExamplePair]] = {}
         for pair in self.pool:
             groups.setdefault(pair.s_skeleton.text, []).append(pair)
@@ -290,7 +292,7 @@ class RetrievalIndex:
             by_size.setdefault(len(skeleton.compiled.postorder), []).append(SkeletonGroup(skeleton, tuple(members)))
         label_bags = LabelBags()
         buckets = {size: _size_bucket(size, same_size, label_bags) for size, same_size in by_size.items()}
-        return SkeletonGroups(label_bags, buckets)
+        return label_bags, buckets
 
     @cached_property
     def embedding_groups(self) -> list[EmbeddingGroup]:
@@ -513,8 +515,8 @@ def retrieve_by_question_skeleton(
     2**32, so exact, and the integer dot product has the same bits (see
     the module docstring). Each of the index's ``embedding_groups`` is
     scored once, and its score holds for all its members. Only the groups
-    scoring at or above the k-th best score enter the heap, k = n at
-    first; k doubles while they hold fewer than n members besides the
+    scoring at or above the k-th best score are sorted, k = n at first;
+    k doubles while they hold fewer than n members besides the
     excluded question's.
     """
     if n < 1:
@@ -542,12 +544,9 @@ def retrieve_by_question_skeleton(
         # below all of them, so it could rank only if they held fewer than
         # n members, and then k doubles
         threshold = heapq.nsmallest(k, keys)[-1]
-        # (negated similarity, group number); group numbers rank as their first pool indices do
-        heap = [(key, number) for number, key in enumerate(keys) if key <= threshold]
-        heapq.heapify(heap)
         best: list[tuple[float, int, ExamplePair]] = []
-        while heap:
-            key, number = heapq.heappop(heap)
+        # (negated similarity, group number); group numbers rank as their first pool indices do
+        for key, number in sorted((key, number) for number, key in enumerate(keys) if key <= threshold):
             members = groups[number].members
             if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
                 break  # every later member scores lower, or as high and later in the pool
@@ -557,9 +556,9 @@ def retrieve_by_question_skeleton(
         k *= 2
 
 
-# round-2 heap entry stages: a node count's bucket, then a skeleton group
-# under its label bound, then under its traversal bound
-_SIZE, _LABEL_BOUNDED, _TRAVERSAL_BOUNDED = range(3)
+# round-2 heap entry stages: a skeleton group, or a node count's bucket
+# with no group, under its label bound, then a group under its traversal bound
+_LABEL_BOUNDED, _TRAVERSAL_BOUNDED = range(2)
 
 
 def retrieve_by_sql_skeleton(
@@ -584,24 +583,21 @@ def retrieve_by_sql_skeleton(
     label_bags, buckets = index.skeleton_groups
     target_labels = label_bags.bag(target.compiled.postorder)
     patterns = traversal_patterns(target.compiled)
-    # (lower bound, first pool index, stage, item, the release of a
-    # label-bounded item's bucket); the first two are unique
-    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _SIZE, bucket, None)
-                         for size, bucket in buckets.items()]
+    # (lower bound, first pool index, stage, group, the release of a
+    # label-bounded entry's bucket); the first two are unique. A bucket
+    # enters under its ring distance with no group, its release unstarted.
+    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _LABEL_BOUNDED, None,
+                          bucket.release(target_labels)) for size, bucket in buckets.items()]
     heapq.heapify(heap)
     best: list[tuple[int, int, ExamplePair]] = []
     while heap:
         key, first_index, stage, item, released = heapq.heappop(heap)
         if len(best) == n and (key, first_index) > best[-1][:2]:
             break  # every later member is farther, or as far and later in the pool
-        if stage == _SIZE:
-            released = item.release(target_labels)
-        if released is not None:  # the bucket's next group takes the popped one's place
+        if released is not None:  # the bucket's next group takes the popped entry's place
             for bound, index_of_first, group in islice(released, 1):
                 heapq.heappush(heap, (bound, index_of_first, _LABEL_BOUNDED, group, released))
-        if stage == _SIZE:
-            continue
-        if all(pair.question == exclude_question for pair in item.members):
+        if item is None or all(pair.question == exclude_question for pair in item.members):
             continue
         if relabel_upper_bound(target.compiled, item.skeleton.compiled) == key:
             _join(best, n, key, item.members, exclude_question)  # an upper bound meets a lower one

@@ -241,8 +241,28 @@ def test_result_byte_cap(concert_db, pool, monkeypatch):
         execute_sql(concert_db, many, 30.0, pool)
     # a result of one batch cannot reach the cap, and is not counted
     monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", 100_000_000)
-    monkeypatch.setattr(evaluation, "_text_length", None)
+    monkeypatch.setattr(evaluation, "_result_bytes", None)
     assert len(execute_sql(concert_db, "SELECT name, country FROM singer", 30.0, pool)) == 5
+
+
+def test_result_byte_cap_counts_numbers_and_nulls(concert_db, pool, monkeypatch):
+    cell = evaluation.NUMBER_CELL_BYTES
+    assert cell < evaluation.MAX_CELL_BYTES  # so one batch still cannot pass the cap
+    # 300 rows of an integer, a real, a NULL, a 2-character string and a 1-byte blob
+    mixed = ("WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 300) "
+             "SELECT i, i * 1.5, NULL, 'ab', x'00' FROM r")
+    size = 300 * (3 * cell + 3)
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", size)
+    assert len(execute_sql(concert_db, mixed, 30.0, pool)) == 300
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", size - 1)
+    with pytest.raises(ExecError, match=f"cap of {size - 1} bytes"):
+        execute_sql(concert_db, mixed, 30.0, pool)
+    # 2,000 rows of 200 integers hold about 16 MB, and no string or blob
+    wide = ("WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < 2000) SELECT "
+            + ", ".join(f"i * 1000 + {k}" for k in range(200)) + " FROM r")
+    monkeypatch.setattr(evaluation, "MAX_RESULT_BYTES", 1_000_000)
+    with pytest.raises(ExecError, match="cap of 1000000 bytes"):
+        execute_sql(concert_db, wide, 30.0, pool)
 
 
 def test_order_by_detection():

@@ -847,17 +847,17 @@ def test_packed_label_bounds_equal_the_oracle_in_release_order():
     label_bags, buckets = index.skeleton_groups
     wide = [size for size in buckets if size > 255]
     assert len(wide) == 1 and len(buckets[wide[0]].groups) == 6
+    first_indices = {size: [group.members[0].pool_index for group in bucket.groups] for size, bucket in buckets.items()}
     for size, bucket in buckets.items():
         assert array(bucket.fields).itemsize == (1 if size < 256 else 4)
-        assert [group.members[0].pool_index for group in bucket.groups] == bucket.first_indices
-        assert bucket.first_indices == sorted(bucket.first_indices)
+        assert first_indices[size] == sorted(first_indices[size])
     own = label_bags.bag(SqlSkeleton.from_sql(long[0]).compiled.postorder)
     assert len(own.bits) > 255  # all shared with its own skeleton: more than 8 bits can count
     for sql in [random_statement(rng) for _ in range(8)] + long[:2] + [pool[5][1]]:
         target = label_bags.bag(SqlSkeleton.from_sql(sql).compiled.postorder)
-        for bucket in buckets.values():
+        for size, bucket in buckets.items():
             bags = [label_bags.bag(group.skeleton.compiled.postorder) for group in bucket.groups]
-            expected = sorted(zip(label_lower_bounds(target, bags), bucket.first_indices))
+            expected = sorted(zip(label_lower_bounds(target, bags), first_indices[size]))
             released = list(bucket.release(target))
             assert [(bound, first) for bound, first, _ in released] == expected
             assert [group.members[0].pool_index for _, _, group in released] == [first for _, first in expected]
@@ -941,18 +941,26 @@ BUCKET_PUSHES = 16476
 RING_SEARCH_HANDOUTS = 1050
 
 
-def test_round2_work_gate(monkeypatch):
+@pytest.fixture(scope="module")
+def work_gate_queries():
+    """A fixed 2,000-item pool's index and 30 round-2 queries on it: (SQL,
+    excluded question)."""
+    rng = random.Random(909)
+    pool = [(f"question {i}", random_statement(rng)) for i in range(2000)]
+    index = build_index(pool_items(pool), HashedBagOfTokens())
+    targets = [(random_statement(rng), None) for _ in range(20)]
+    targets += [(sql, question) for question, sql in pool[::200]]  # self-excluded
+    return index, targets
+
+
+def test_round2_work_gate(monkeypatch, work_gate_queries):
     """Pruning guard without timing: the exact-distance calls that round 2
     makes for fixed queries on a fixed 2,000-item pool at n = 7, the
     pairs it settles without one, and the groups its size buckets hand
     out."""
     from solidql import retrieval
 
-    rng = random.Random(909)
-    pool = [(f"question {i}", random_statement(rng)) for i in range(2000)]
-    index = build_index(pool_items(pool), HashedBagOfTokens())
-    targets = [(random_statement(rng), None) for _ in range(20)]
-    targets += [(sql, question) for question, sql in pool[::200]]  # self-excluded
+    index, targets = work_gate_queries
     tree_edit_distance, join = retrieval.tree_edit_distance, retrieval._join
     calls = scored = joined = 0
 
@@ -977,6 +985,32 @@ def test_round2_work_gate(monkeypatch):
     assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
     assert 0 < settled and calls + settled <= RING_SEARCH_DISTANCES
     assert len(handed) <= RING_SEARCH_HANDOUTS < BUCKET_PUSHES
+
+
+# Size buckets that test_round2_work_gate's queries open, summing their
+# label columns: 220 when this gate was set, of 37 buckets in each of 30
+# queries.
+RING_SEARCH_OPENINGS = 220
+
+
+def test_round2_opens_buckets_lazily(monkeypatch, work_gate_queries):
+    """A size bucket's label columns are summed only when the search
+    reaches its ring: round 2 unpacks no sum for a bucket it never pops."""
+    from solidql import retrieval
+
+    index, targets = work_gate_queries
+    unpacked = retrieval._unpacked
+    opened = []
+
+    def counting(fields, count, total):
+        opened.append(count)
+        return unpacked(fields, count, total)
+
+    monkeypatch.setattr(retrieval, "_unpacked", counting)
+    for sql, excluded in targets:
+        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
+    _, buckets = index.skeleton_groups
+    assert 0 < len(opened) <= RING_SEARCH_OPENINGS < len(buckets) * len(targets)
 
 
 def test_rankings_match_brute_force_on_an_8k_pool():
