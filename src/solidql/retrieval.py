@@ -13,9 +13,8 @@ a lower bound on every member's ranking key. A group's members, less
 the excluded question, join the n best, and the search stops at the
 first group whose (key, first pool index) is beyond the n-th best (key,
 pool index): every later member ranks behind it. Round 1 sorts only the
-groups scoring at or above the k-th best score, ties included, k = n at
-first; when they hold fewer than n members that count, k doubles. Round
-2 takes its groups from a min-heap.
+groups at or above a threshold score, which falls while they hold fewer
+than n members that count. Round 2 takes its groups from a min-heap.
 
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
@@ -26,9 +25,25 @@ that is not all zeros and whose squared norm is outside [2**-511,
 two squared norms is a normal, finite float and no partial dot product
 leaves float range.
 
+Round 1 ranks by norm class, the norm bucketing of LEMP (Teflioudi,
+Gemulla & Mykytiuk, SIGMOD 2015) stopped at a threshold in the manner
+of Fagin, Lotem & Naor (PODS 2001). The groups are numbered by (squared
+norm, first pool index), and the groups of one squared norm form a class
+(``norm_classes``), whose cosines with a target share one denominator,
+its root sqrt(‖target‖² · ‖row‖²). Division by one positive float is
+monotone, so a class's key, its largest dot product over its root,
+negated, is exactly the key of its best group. The threshold T is the
+k-th smallest class key, k = n at first, and infinity once k reaches the
+number of classes. Only the classes keyed at or below T have their
+groups scored one by one, and their groups keyed at or below T are
+sorted; while those hold fewer than n members that count, k doubles.
+Every class keyed at or below T holds a group keyed at or below T, so a
+group left out ranks behind k groups that were taken.
+
 Round 1 takes each group's dot product with the target by one loop,
 ``value * row[bucket]`` summed in bucket order from 0.0 over the full
-row (``_dot``), the same loop that gives every squared norm. Round 1 has
+row (``_dot``). Squared norms are summed the same way over the non-zero
+values only (``_squared_norm``), which keeps the bits. Round 1 has
 a faster path for integer counts, which every hashed embedding's rows
 are. When every ``_scaled`` row value is a non-negative integer below
 2**W (W = ``_FIELD_BITS``, 32), the first round-1 retrieval packs each
@@ -93,6 +108,7 @@ import math
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
@@ -168,11 +184,13 @@ class SkeletonGroup:
 
 
 class QuestionColumns(NamedTuple):
-    """The ``embedding_groups``' integer rows, packed column by column."""
+    """The ``embedding_groups``' integer rows, packed column by column in
+    group order, so that each norm class's dot products are one slice of
+    those that ``dots`` unpacks."""
 
     columns: list[int]  # per bucket: group g's value at bits g * _FIELD_BITS and up
     maxima: list[int]  # per bucket: the largest value
-    norms: list[float]  # each group's squared_norm, in group order
+    count: int  # of groups
 
     def dots(self, target: array) -> array | None:
         """Each group's dot product with ``target``, as an array of
@@ -186,10 +204,19 @@ class QuestionColumns(NamedTuple):
                 return None
             weight = int(value)
             bound += weight * self.maxima[bucket]
-            total += weight * self.columns[bucket]
+            column = self.columns[bucket]
+            total += column if weight == 1 else weight * column  # most counts are 1
         if bound >> _FIELD_BITS:
             return None
-        return _unpacked(_FIELD, len(self.norms), total)
+        return _unpacked(_FIELD, self.count, total)
+
+
+class NormClasses(NamedTuple):
+    """The ``embedding_groups`` cut into runs of one squared norm, whose
+    groups share the denominator of their cosines with any target."""
+
+    norms: list[float]  # per class: its groups' squared norm, ascending
+    spans: list[slice]  # per class: its groups' numbers
 
 
 class SizeBucket(NamedTuple):
@@ -254,12 +281,14 @@ class RetrievalIndex:
     Each cached view is a function of the pool alone, so threads racing
     to build one build equal copies. The pool must not change once a
     retrieval has run on the index. The first round-1 retrieval builds
-    ``embedding_groups`` and then ``question_columns``: per bucket, the
-    groups' values packed into one int, W = 32 bits a field, or ``None``
-    unless every row value is a non-negative integer below 2**W. A
-    round-1 retrieval that the columns cannot score (see
-    ``QuestionColumns.dots``) takes each group's dot product by one loop
-    over its row, and builds nothing. The first round-2 retrieval builds
+    ``embedding_groups``, numbered by (squared norm, first pool index);
+    then ``question_columns``: per bucket, the groups' values packed into
+    one int in that order, W = 32 bits a field, or ``None`` unless every
+    row value is a non-negative integer below 2**W; and ``norm_classes``,
+    the runs of groups of one squared norm. A round-1 retrieval that the
+    columns cannot score (see ``QuestionColumns.dots``) takes each group's
+    dot product by one loop over its row, and builds nothing more; both
+    ways rank through the norm classes. The first round-2 retrieval builds
     ``skeleton_groups``: the numbering of the skeletons' label
     occurrences, and the distinct skeletons by node count, each bucket
     with its label bags packed into columns, one field of 8 bits or more
@@ -296,7 +325,9 @@ class RetrievalIndex:
 
     @cached_property
     def embedding_groups(self) -> list[EmbeddingGroup]:
-        """The pool's distinct question embeddings, in order of first member.
+        """The pool's distinct question embeddings, in order of (squared
+        norm, first member), so that each of the ``norm_classes`` is one
+        run of this list.
 
         Entries are grouped by question skeleton text, and within one text
         by equal rows, so that equal texts whose rows differ stay apart.
@@ -317,7 +348,15 @@ class RetrievalIndex:
                 same_text.append([pair])
                 groups.append(same_text[-1])
         scaled = (EmbeddingGroup(*_scaled(group[0].q_embedding), tuple(group)) for group in groups)
-        return [group for group in scaled if group.squared_norm]
+        return sorted((group for group in scaled if group.squared_norm), key=attrgetter("squared_norm"))
+
+    @cached_property
+    def norm_classes(self) -> NormClasses:
+        """The ``embedding_groups``' runs of one squared norm, in group order."""
+        squared_norms = [group.squared_norm for group in self.embedding_groups]
+        norms = sorted(set(squared_norms))
+        starts = [*map(bisect_left, repeat(squared_norms), norms), len(squared_norms)]
+        return NormClasses(norms, list(map(slice, starts, starts[1:])))
 
     @cached_property
     def question_columns(self) -> QuestionColumns | None:
@@ -340,7 +379,7 @@ class RetrievalIndex:
                 return None
             columns.append(int.from_bytes(fields, sys.byteorder))
             maxima.append(max(fields, default=0))
-        return QuestionColumns(columns, maxima, [group.squared_norm for group in groups])
+        return QuestionColumns(columns, maxima, len(groups))
 
 
 def _dot(left: Sequence[float], right: Sequence[float]) -> float:
@@ -361,12 +400,22 @@ def _scaled(vector: array) -> tuple[array, float]:
     that range is a normal, finite float (an overflow-free rescale after
     Blue, ACM TOMS 4(1), 1978). Cosines are scale-free; the scale is
     exact, and only values far below the largest can lose digits to it."""
-    norm = _dot(vector, vector)
+    norm = _squared_norm(vector)
     if not 2.0**-511 <= norm <= 2.0**511 and any(vector):
         _, exponent = math.frexp(max(map(abs, vector)))
         vector = array("d", [math.ldexp(value, -exponent) for value in vector])
-        norm = _dot(vector, vector)
+        norm = _squared_norm(vector)
     return vector, norm
+
+
+def _squared_norm(vector: array) -> float:
+    """``_dot(vector, vector)``, bit for bit, summed over the non-zero
+    values only: every other square is +0.0, which adds nothing to a sum
+    of squares that starts at +0.0."""
+    total = 0.0
+    for value in filter(None, vector):
+        total += value * value
+    return total
 
 
 @dataclass
@@ -506,18 +555,17 @@ def retrieve_by_question_skeleton(
 
     A candidate's similarity is dot / sqrt(‖target‖² · ‖row‖²), both
     vectors taken ``_scaled``, so that the product is a normal, finite
-    float. The squared norms and the dot product are ``_dot`` sums:
-    ``value * row[bucket]`` summed in bucket order, starting from 0.0.
+    float. The dot product is a ``_dot`` sum, ``value * row[bucket]``
+    summed in bucket order from 0.0, and each squared norm has the bits
+    of one (``_squared_norm``).
     When the index has ``question_columns`` and every non-zero target
     value is a positive integer t_b with Σ t_b · max_b below 2**32, the
     dot products are taken from the packed columns instead, in integers;
     every float product and partial sum would then be an integer below
     2**32, so exact, and the integer dot product has the same bits (see
     the module docstring). Each of the index's ``embedding_groups`` is
-    scored once, and its score holds for all its members. Only the groups
-    scoring at or above the k-th best score are sorted, k = n at first;
-    k doubles while they hold fewer than n members besides the
-    excluded question's.
+    scored once, and its score holds for all its members. Either way the
+    groups are ranked by norm class, as the module docstring sets out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -533,27 +581,33 @@ def retrieve_by_question_skeleton(
     dots = None if columns is None else columns.dots(target)
     if dots is None:
         dots = [_dot(target, group.row) for group in groups]
-        norms = map(attrgetter("squared_norm"), groups)
-    else:
-        norms = columns.norms
-    roots = map(math.sqrt, map(mul, repeat(target_norm), norms))
-    keys = list(map(neg, map(truediv, dots, roots)))  # negated similarities, in group order
+    classes = index.norm_classes
+    roots = list(map(math.sqrt, map(mul, repeat(target_norm), classes.norms)))
+    # each class's best score, negated: its largest dot product over its one root
+    keys = list(map(neg, map(truediv, map(max, map(dots.__getitem__, classes.spans)), roots)))
     k = n
     while True:
-        # the groups at or above the k-th best score: one left out scores
-        # below all of them, so it could rank only if they held fewer than
-        # n members, and then k doubles
-        threshold = heapq.nsmallest(k, keys)[-1]
+        # T, the k-th smallest class key: see the module docstring
+        threshold = heapq.nsmallest(k, keys)[-1] if k < len(keys) else math.inf
+        candidates: list[tuple[float, int, EmbeddingGroup]] = []
+        for root, span in compress(zip(roots, classes.spans), map(threshold.__ge__, keys)):
+            scores = _class_scores(dots[span], root)
+            for key, group in compress(zip(scores, groups[span]), map(threshold.__ge__, scores)):
+                candidates.append((key, group.members[0].pool_index, group))
         best: list[tuple[float, int, ExamplePair]] = []
-        # (negated similarity, group number); group numbers rank as their first pool indices do
-        for key, number in sorted((key, number) for number, key in enumerate(keys) if key <= threshold):
-            members = groups[number].members
-            if len(best) == n and (key, members[0].pool_index) > best[-1][:2]:
+        for key, first_index, group in sorted(candidates):
+            if len(best) == n and (key, first_index) > best[-1][:2]:
                 break  # every later member scores lower, or as high and later in the pool
-            _join(best, n, key, members, exclude_question)
+            _join(best, n, key, group.members, exclude_question)
         if len(best) == n or k >= len(keys):
             return [pair for _, _, pair in best]
         k *= 2
+
+
+def _class_scores(dots: Sequence[float], root: float) -> list[float]:
+    """The negated cosines of one norm class's groups: their dot products
+    with the target over the class's root, sqrt(‖target‖² · ‖row‖²)."""
+    return list(map(neg, map(truediv, dots, repeat(root))))
 
 
 # round-2 heap entry stages: a skeleton group, or a node count's bucket

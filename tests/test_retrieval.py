@@ -283,7 +283,7 @@ def test_question_pool_row_whose_squared_norm_overflows_is_ranked():
     assert got == [3, 0, 1, 2]
     assert got == brute_force_question_ranking(vectors["target"], index.pool, 4)
     firsts = [group.members[0].question for group in index.embedding_groups]
-    assert firsts == ["huge", "unit", "tall", "wide"]
+    assert firsts == ["wide", "huge", "unit", "tall"]  # by squared norm, the two huge rows scaled
 
 
 @pytest.mark.parametrize(
@@ -585,7 +585,7 @@ def test_question_columns_pack_every_group_row(monkeypatch):
     groups = index.embedding_groups
     packed = index.question_columns
     assert len(packed.columns) == len(packed.maxima) == index.dimension == 256
-    assert packed.norms == [group.squared_norm for group in groups]
+    assert packed.count == len(groups)
     for bucket, (column, maximum) in enumerate(zip(packed.columns, packed.maxima)):
         fields = [column >> (32 * number) & 0xFFFFFFFF for number in range(len(groups))]
         assert fields == [group.row[bucket] for group in groups], bucket
@@ -672,6 +672,104 @@ def test_question_ranking_widens_past_an_excluded_question_and_ties(values):
             got = retrieve_by_question_skeleton("target", index, n, embedder, exclude_question=excluded)
             expected = brute_force_question_ranking(target, pool, n, exclude_question=excluded)
             assert [p.pool_index for p in got] == expected, (excluded, n)
+
+
+def row_pool(rows, excluded=()):
+    """A pool of ``rows``, entry i under text ``q{i}`` and question
+    ``q{i}``, or ``same`` when i is in ``excluded``."""
+    skeleton = SqlSkeleton.from_sql("SELECT a FROM t")
+    return [ExamplePair("same" if i in excluded else f"q{i}", "SELECT a FROM t", f"q{i}",
+                        array("d", row), skeleton, i) for i, row in enumerate(rows)]
+
+
+def assert_ranks_as_brute_force(pool, target):
+    """Round 1 over ``pool`` equals the oracle at every n up to two past
+    the pool's size, with no question excluded and with ``same``."""
+    index = RetrievalIndex(pool, "fixed", len(target))
+    embedder = FixedEmbedder({"target": target})
+    for excluded in (None, "same"):
+        for n in range(1, len(pool) + 3):
+            got = retrieve_by_question_skeleton("target", index, n, embedder, exclude_question=excluded)
+            expected = brute_force_question_ranking(target, pool, n, exclude_question=excluded)
+            assert [p.pool_index for p in got] == expected, (excluded, n)
+    return index
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["counts", "fractions"])
+def test_question_tie_across_squared_norms_ranks_by_pool_index(scale):
+    # cosines of exactly 1.0 under two squared norms, and a lower one between them
+    pool = row_pool([(2.0 * scale, 0.0), (scale, scale), (scale, 0.0)])
+    index = assert_ranks_as_brute_force(pool, (1.0, 0.0))
+    got = retrieve_by_question_skeleton("target", index, 2, FixedEmbedder({"target": (1.0, 0.0)}))
+    assert [p.pool_index for p in got] == [0, 2]
+    assert (index.question_columns is None) == (scale == 0.5)  # both scoring paths
+    # a cosine of 0.8 under squared norms 100 and 25 ties for second place:
+    # the second best class's score, which row 2 of the best class meets;
+    # row 4 makes a third class, below both
+    pool = row_pool([(8.0 * scale, 6.0 * scale), (5.0 * scale, 0.0), (4.0 * scale, 3.0 * scale),
+                     (3.0 * scale, 4.0 * scale), (0.0, scale)])
+    index = assert_ranks_as_brute_force(pool, (1.0, 0.0))
+    got = retrieve_by_question_skeleton("target", index, 2, FixedEmbedder({"target": (1.0, 0.0)}))
+    assert [p.pool_index for p in got] == [1, 0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["counts", "fractions"])
+def test_question_norm_class_whose_best_group_is_excluded(scale):
+    # rows 1 and 5 are the best of squared norm 2, both the excluded
+    # question's; rows 0 and 2 share that norm and score lower than rows
+    # 3 and 7 of other norms
+    rows = [(0, 1, 1), (1, 1, 0), (1, 0, 1), (2, 1, 0), (1, 0, 0), (1, 1, 0), (0, 2, 1), (2, 2, 1)]
+    pool = row_pool([[scale * v for v in row] for row in rows], excluded={1, 5})
+    assert_ranks_as_brute_force(pool, (1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["counts", "fractions"])
+def test_question_ranking_widens_past_norms_held_by_the_excluded_question(scale):
+    # rows 0-4 score 1.0 under five squared norms, all the excluded
+    # question's; rows 5-7 score lower under two more, so that with the
+    # excluded question left out, every n widens until it takes them all
+    rows = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (1, 1), (1, 2), (2, 1)]
+    pool = row_pool([[scale * v for v in row] for row in rows], excluded=range(5))
+    assert len({sum(v * v for v in pair.q_embedding) for pair in pool}) == 7
+    assert brute_force_question_ranking((1.0, 0.0), pool, 5) == [0, 1, 2, 3, 4]
+    assert_ranks_as_brute_force(pool, (1.0, 0.0))
+
+
+def test_question_ranking_over_a_dense_pool_of_distinct_squared_norms():
+    rng = random.Random(71)
+    rows = [[rng.gauss(0.0, 1.0) for _ in range(8)] for _ in range(60)]
+    pool = row_pool(rows, excluded={rng.randrange(60) for _ in range(4)})
+    assert len({sum(v * v for v in row) for row in rows}) == len(rows)  # one group to each norm
+    index = assert_ranks_as_brute_force(pool, [rng.gauss(0.0, 1.0) for _ in range(8)])
+    assert index.question_columns is None
+
+
+def test_squared_norms_keep_the_bits_of_a_full_loop():
+    # _scaled sums the squares of the non-zero values only; every other
+    # square is +0.0, and so is each underflowing one, which adds nothing
+    # to a sum that starts at +0.0
+    rng = random.Random(37)
+
+    def value():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.choice((0.0, -0.0))
+        if kind == 1:
+            return float(rng.randrange(6))
+        if kind == 2:
+            return rng.choice((-1.0, 1.0)) * rng.randrange(1, 2**20) * 5e-324  # subnormal
+        if kind == 3:
+            return rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) * 1e150
+        return rng.gauss(0.0, 1.0)
+
+    for _ in range(5000):
+        vector = array("d", [value() for _ in range(rng.randint(1, 12))])
+        scaled, norm = solidql.retrieval._scaled(vector)
+        total = 0.0
+        for v in scaled:
+            total += v * v
+        assert norm.hex() == total.hex(), list(vector)  # hex keeps the sign of a zero
+        assert scaled == vector or 0.25 <= norm <= len(vector)
 
 
 def test_sql_identity_ranked_first(small_index):
@@ -1013,9 +1111,11 @@ def test_round2_opens_buckets_lazily(monkeypatch, work_gate_queries):
     assert 0 < len(opened) <= RING_SEARCH_OPENINGS < len(buckets) * len(targets)
 
 
-def test_rankings_match_brute_force_on_an_8k_pool():
-    """Both rounds equal their brute-force oracles on an 8,000-item pool,
-    in which items share question skeletons and SQL statements."""
+@pytest.fixture(scope="module")
+def pool_8k():
+    """An 8,000-item pool's index, in which items share question skeletons
+    and SQL statements; its embedder; three (question skeleton, SQL,
+    excluded question) targets; and the question stems and vocabulary."""
     rng = random.Random(808)
     statements = [random_statement(rng) for _ in range(2000)]
     trees = {sql: parse_sql(sql) for sql in statements}
@@ -1024,14 +1124,21 @@ def test_rankings_match_brute_force_on_an_8k_pool():
     pool = [(f"{rng.choice(stems)} {i}", rng.choice(statements)) for i in range(8000)]
     embedder = HashedBagOfTokens()
     index = build_index((PoolItem(q, sql, trees[sql]) for q, sql in pool), embedder)
-    assert len(index) == 8000 and len(index.embedding_groups) < 3000
-
     own_question, own_sql = pool[4321]
     targets = [
         (" ".join(rng.choices(vocabulary, k=4)), random_statement(rng), None),
         (rng.choice(stems) + " _", random_statement(rng), None),
         (index.pool[4321].q_skeleton, own_sql, own_question),
     ]
+    return index, embedder, targets, stems, vocabulary
+
+
+def test_rankings_match_brute_force_on_an_8k_pool(pool_8k):
+    """Both rounds equal their brute-force oracles on an 8,000-item pool,
+    in which items share question skeletons and SQL statements."""
+    index, embedder, targets, _, _ = pool_8k
+    assert len(index) == 8000 and len(index.embedding_groups) < 3000
+
     for question, sql, excluded in targets:
         expected_q = brute_force_question_ranking(
             embedder.embed([question])[0], index.pool, 7, exclude_question=excluded
@@ -1048,6 +1155,38 @@ def test_rankings_match_brute_force_on_an_8k_pool():
             assert [p.pool_index for p in got_q] == expected_q[:n], (question, n)
             got_s = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
             assert [p.pool_index for p in got_s] == brute_force_sql_ranking(distances, n, skip), (sql, n)
+
+
+# Groups that test_round1_work_gate's queries score one by one, inside
+# the squared-norm classes whose best score can still rank: 81,195 when
+# this gate was set, of 2,802 groups in each of 30 queries (84,060). The
+# pool's questions are 3-6 words of 40 and a mask, so its groups hold only
+# 12 squared norms, and most classes can still rank at n = 7.
+ROUND1_SCORED = 81195
+
+
+def test_round1_work_gate(monkeypatch, pool_8k):
+    """Pruning guard without timing: the groups that round 1 scores one by
+    one for fixed queries on the 8,000-item pool at n = 7."""
+    from solidql import retrieval
+
+    index, embedder, _, stems, vocabulary = pool_8k
+    rng = random.Random(818)
+    queries = [(" ".join(rng.choices(vocabulary, k=rng.randint(3, 6))), None) for _ in range(10)]
+    queries += [(rng.choice(stems) + " _", None) for _ in range(10)]
+    queries += [(pair.q_skeleton, pair.question) for pair in index.pool[::800]]  # self-excluded
+    class_scores = retrieval._class_scores
+    scored = 0
+
+    def counting(dots, root):
+        nonlocal scored
+        scored += len(dots)
+        return class_scores(dots, root)
+
+    monkeypatch.setattr(retrieval, "_class_scores", counting)
+    for question, excluded in queries:
+        assert len(retrieve_by_question_skeleton(question, index, 7, embedder, exclude_question=excluded)) == 7
+    assert 0 < scored <= ROUND1_SCORED < len(index.embedding_groups) * len(queries)
 
 
 # ----------------------------------------------------------------------
