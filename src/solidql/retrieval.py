@@ -12,9 +12,10 @@ the groups are taken in order of (key, first pool index), the key being
 a lower bound on every member's ranking key. A group's members, less
 the excluded question, join the n best, and the search stops at the
 first group whose (key, first pool index) is beyond the n-th best (key,
-pool index): every later member ranks behind it. Round 1 sorts only the
-groups at or above a threshold score, which falls while they hold fewer
-than n members that count. Round 2 takes its groups from a min-heap.
+pool index): every later member ranks behind it. Both rounds pop their
+groups from a min-heap through that one stop rule (``_popped``). Round
+1's heap is the sorted list of the groups at or above a threshold score,
+which falls while they hold fewer than n members that count.
 
 Round 1 scores each distinct pool embedding once: the pool's entries
 are grouped by question skeleton text and equal embedding row, and a
@@ -64,39 +65,43 @@ takes the loop.
 
 Round 2 is a multi-step k-nearest-neighbour search (Seidl & Kriegel,
 SIGMOD 1998) over the distinct skeletons, run as one best-first queue of
-lower bounds (Hjaltason & Samet, TODS 1999). Each node count of the pool
-enters the heap once, as its bucket's release (``SizeBucket.release``),
-created but not yet started, keyed by its ring distance, the difference
-from the target's node count, which bounds the label-multiset bound of
-all its skeletons, and by index ``-1 - size``, so that it opens before
-any skeleton of equal key. A release hands the bucket's skeletons out
-one at a time, in order of (label bound, first pool index), and its
-first step takes the label bounds of all of them at once, in one sum of
-packed label columns, so a bucket never popped is never summed. Every
-entry popped advances its release by one, pushing the bucket's next
-skeleton, so skeletons leave the heap as they would if all were pushed
-on opening; the bucket's own entry holds no skeleton and is then
-skipped. A first member that is the
-excluded question still comes before the others in the pool, so the pair
-stays a lower bound on the members that count. A popped skeleton whose
-members are all excluded is dropped. One of the target's shape whose
-relabel cost, an upper bound on its distance, equals the popped key, a
-lower bound, is at exactly that distance, and joins without a bound or a
-score. Otherwise a skeleton's first pop replaces its label bound by its
-traversal-string bound, read against label masks of the target built
-once per query; if that is larger, it goes back into the heap under the
-larger key, and otherwise, as on a later pop, it is scored with the tree
-edit distance bounded by a limit.
+lower bounds (Hjaltason & Samet, TODS 1999). A heap entry is (lower
+bound, first pool index, skeleton group, release). Each node count of
+the pool enters the heap once, with no group, as its bucket's release
+(``SizeBucket.release``), created but not yet started, keyed by its ring
+distance, the difference from the target's node count, which bounds the
+label-multiset bound of all its skeletons, and by index ``-1 - size``,
+so that it opens before any skeleton of equal key. A release hands the
+bucket's skeletons out one at a time, in order of (label bound, first
+pool index), and its first step takes the label bounds of all of them at
+once, in one sum of packed label columns, so a bucket never popped is
+never summed. Each skeleton it hands out enters the heap under its label
+bound, carrying the release; an entry carries a release exactly when it
+is so keyed. Every entry popped advances its release by one, pushing the
+bucket's next skeleton, so skeletons leave the heap as they would if all
+were pushed on opening; the bucket's own entry is then skipped. A first
+member that is the excluded question still comes before the others in
+the pool, so the pair stays a lower bound on the members that count. A
+popped skeleton whose members are all excluded is dropped. One of the
+target's shape whose relabel cost, an upper bound on its distance,
+equals the popped key, a lower bound, is at exactly that distance, and
+joins without a bound or a score. Otherwise a label-bounded skeleton
+takes its traversal-string bound, read against label masks of the target
+built once per query. If that is no larger than the key, or the entry
+carries no release, the skeleton is scored with the tree edit distance
+bounded by a limit, and joins if the score is within it.
 
-Both the traversal bound and the score take the same limit. Once n
-candidates are held, it is the cutoff a skeleton has to beat: the n-th
-best distance, or one less when all its members come after the n-th
-best in the pool; a skeleton whose bound or score exceeds it is dropped.
-Before that, it is the key plus 2, and a score above it re-queues the
-skeleton under limit + 1, a lower bound on its distance. The bounded
-score is exact whenever it is within the limit, and skips most of the
-dynamic program otherwise (see ``skeleton``), so the ranking is the one
-exact distances give.
+One re-queue rule covers the rest: a traversal bound above the key, or a
+score above the limit, is a lower bound on the distance that is larger
+than the key, and the skeleton goes back into the heap under it, with
+no release. Both the traversal bound and the score take the same limit.
+Once n candidates are held, it is the cutoff a skeleton has to beat: the
+n-th best distance, or one less when all its members come after the n-th
+best in the pool, so a skeleton re-queued past it sorts after the n-th
+best and the search stops before popping it again. Before that, it is
+the key plus 2. The bounded score is exact whenever it is within the
+limit, and skips most of the dynamic program otherwise (see
+``skeleton``), so the ranking is the one exact distances give.
 """
 
 from __future__ import annotations
@@ -142,17 +147,18 @@ INDEX_FORMAT = 2
 INDEX_HEADER = {"provider_id": str, "dimension": int}
 INDEX_RECORD = {"question": str, "sql": str, "q_skeleton": str, "q_embedding": list,
                 "s_skeleton": str, "s_postorder": list, "s_leftmost": list, "pool_index": int}
-# packed integer fields: round 1's are W bits each, W <= 53 so that their sums are exact in
-# floats; round 2's label counts take 8 bits in a bucket of fewer than 256 nodes, and W otherwise
-_FIELD, _FIELD_BITS, _NARROW_FIELD = "I", 32, "B"
-if array(_FIELD).itemsize * 8 != _FIELD_BITS or array(_NARROW_FIELD).itemsize != 1:
-    raise ImportError(f"array items {_FIELD!r} and {_NARROW_FIELD!r} are not {_FIELD_BITS} and 8 bits wide")
+# packed integer fields of both rounds, W bits each: W <= 53, so that round 1's sums are exact
+# in floats, and 2**W is more than the node count of any tree that fits in memory, so that
+# round 2's label counts never carry
+_FIELD, _FIELD_BITS = "I", 32
+if array(_FIELD).itemsize * 8 != _FIELD_BITS:
+    raise ImportError(f"array items {_FIELD!r} are not {_FIELD_BITS} bits wide")
 
 
-def _unpacked(fields: str, count: int, total: int) -> array:
+def _unpacked(count: int, total: int) -> array:
     """The ``count`` fields packed in ``total``, field g at bits g·W and
-    up, as an array of typecode ``fields``, whose items are W bits wide."""
-    return array(fields, total.to_bytes(count * array(fields).itemsize, sys.byteorder))
+    up, as an array of ``_FIELD`` integers."""
+    return array(_FIELD, total.to_bytes(count * _FIELD_BITS // 8, sys.byteorder))
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,7 @@ class QuestionColumns(NamedTuple):
             total += column if weight == 1 else weight * column  # most counts are 1
         if bound >> _FIELD_BITS:
             return None
-        return _unpacked(_FIELD, self.count, total)
+        return _unpacked(self.count, total)
 
 
 class NormClasses(NamedTuple):
@@ -223,16 +229,13 @@ class SizeBucket(NamedTuple):
     """The skeleton groups of one node count, in order of first member,
     and their label bags packed into columns, one per label-occurrence bit
     of the pool's ``LabelBags``: an int holding one field per group, group
-    g's at bits g·W and up, 1 if the group's bag holds the bit and 0
-    otherwise. W is 8 when the node count is below 256, and 32 otherwise
-    (no tree that fits in memory has 2**32 nodes). A bit that no group
-    holds has no column. A group's first pool index is that of its first
-    member.
+    g's at bits g·W and up (W = ``_FIELD_BITS``), 1 if the group's bag
+    holds the bit and 0 otherwise. A bit that no group holds has no
+    column. A group's first pool index is that of its first member.
     """
 
     size: int  # the node count
     groups: list[SkeletonGroup]
-    fields: str  # the array typecode of W-bit fields
     columns: dict[int, int]  # by label-occurrence bit
 
     def release(self, target: LabelBag) -> Iterator[tuple[int, int, SkeletonGroup]]:
@@ -247,7 +250,7 @@ class SizeBucket(NamedTuple):
         groups come in order of shared bits, most first, and of position.
         """
         total = sum(map(self.columns.get, target.bits, repeat(0)))
-        shared = _unpacked(self.fields, len(self.groups), total)
+        shared = _unpacked(len(self.groups), total)
         top = max(target.size, self.size)
         for common in sorted(set(shared), reverse=True):
             position = -1
@@ -261,16 +264,14 @@ def _size_bucket(size: int, groups: list[SkeletonGroup], label_bags: LabelBags) 
     """The bucket of these groups of ``size`` nodes, their label
     occurrences numbered in ``label_bags`` and packed into columns as they
     are numbered."""
-    fields = _NARROW_FIELD if size < 256 else _FIELD
-    empty = bytes(len(groups) * array(fields).itemsize)
     columns: dict[int, array] = {}
     for position, group in enumerate(groups):
         for bit in label_bags.number(group.skeleton.compiled.postorder).bits:
             column = columns.get(bit)
             if column is None:
-                column = columns[bit] = array(fields, empty)
+                column = columns[bit] = array(_FIELD, [0]) * len(groups)
             column[position] = 1
-    return SizeBucket(size, groups, fields,
+    return SizeBucket(size, groups,
                       {bit: int.from_bytes(column, sys.byteorder) for bit, column in columns.items()})
 
 
@@ -291,8 +292,8 @@ class RetrievalIndex:
     ways rank through the norm classes. The first round-2 retrieval builds
     ``skeleton_groups``: the numbering of the skeletons' label
     occurrences, and the distinct skeletons by node count, each bucket
-    with its label bags packed into columns, one field of 8 bits or more
-    per skeleton and bit. A query makes each bucket's release
+    with its label bags packed into columns, one W-bit field per skeleton
+    and bit. A query makes each bucket's release
     (``SizeBucket.release``), which on its first step takes the label
     bounds of the whole bucket from one sum of columns, and then hands the
     skeletons out one at a time, in bound order. ``load_index`` builds
@@ -419,18 +420,13 @@ def _squared_norm(vector: array) -> float:
 
 
 @dataclass
-class RetrievalResult(Sequence):
+class RetrievalResult:
     """Round 2's ranked examples; ``fallback="question"``, with no
-    examples, when the round-1 SQL it ranks by does not parse."""
+    examples, when the round-1 SQL it ranks by does not parse. Iterating
+    it iterates ``pairs``, as the benchmark's ranking checks do."""
 
     pairs: list[ExamplePair]
     fallback: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, item):
-        return self.pairs[item]
 
     def __iter__(self) -> Iterator[ExamplePair]:
         return iter(self.pairs)
@@ -595,9 +591,7 @@ def retrieve_by_question_skeleton(
             for key, group in compress(zip(scores, groups[span]), map(threshold.__ge__, scores)):
                 candidates.append((key, group.members[0].pool_index, group))
         best: list[tuple[float, int, ExamplePair]] = []
-        for key, first_index, group in sorted(candidates):
-            if len(best) == n and (key, first_index) > best[-1][:2]:
-                break  # every later member scores lower, or as high and later in the pool
+        for key, _, group in _popped(sorted(candidates), best, n):  # a sorted list is a heap
             _join(best, n, key, group.members, exclude_question)
         if len(best) == n or k >= len(keys):
             return [pair for _, _, pair in best]
@@ -608,11 +602,6 @@ def _class_scores(dots: Sequence[float], root: float) -> list[float]:
     """The negated cosines of one norm class's groups: their dot products
     with the target over the class's root, sqrt(‖target‖² · ‖row‖²)."""
     return list(map(neg, map(truediv, dots, repeat(root))))
-
-
-# round-2 heap entry stages: a skeleton group, or a node count's bucket
-# with no group, under its label bound, then a group under its traversal bound
-_LABEL_BOUNDED, _TRAVERSAL_BOUNDED = range(2)
 
 
 def retrieve_by_sql_skeleton(
@@ -637,20 +626,17 @@ def retrieve_by_sql_skeleton(
     label_bags, buckets = index.skeleton_groups
     target_labels = label_bags.bag(target.compiled.postorder)
     patterns = traversal_patterns(target.compiled)
-    # (lower bound, first pool index, stage, group, the release of a
-    # label-bounded entry's bucket); the first two are unique. A bucket
-    # enters under its ring distance with no group, its release unstarted.
-    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, _LABEL_BOUNDED, None,
-                          bucket.release(target_labels)) for size, bucket in buckets.items()]
+    # (lower bound, first pool index, group, the release of a label-bounded
+    # entry's bucket); the first two are unique. A bucket enters under its
+    # ring distance with no group, its release unstarted.
+    heap: list[tuple] = [(abs(size - target_labels.size), -1 - size, None, bucket.release(target_labels))
+                         for size, bucket in buckets.items()]
     heapq.heapify(heap)
     best: list[tuple[int, int, ExamplePair]] = []
-    while heap:
-        key, first_index, stage, item, released = heapq.heappop(heap)
-        if len(best) == n and (key, first_index) > best[-1][:2]:
-            break  # every later member is farther, or as far and later in the pool
+    for key, first_index, item, released in _popped(heap, best, n):
         if released is not None:  # the bucket's next group takes the popped entry's place
             for bound, index_of_first, group in islice(released, 1):
-                heapq.heappush(heap, (bound, index_of_first, _LABEL_BOUNDED, group, released))
+                heapq.heappush(heap, (bound, index_of_first, group, released))
         if item is None or all(pair.question == exclude_question for pair in item.members):
             continue
         if relabel_upper_bound(target.compiled, item.skeleton.compiled) == key:
@@ -661,20 +647,25 @@ def retrieve_by_sql_skeleton(
             limit = best[-1][0] - (first_index > best[-1][1])
         else:
             limit = key + 2  # min(limit + 1, distance) is still a lower bound
-        if stage == _LABEL_BOUNDED:
-            bound = traversal_lower_bound(patterns, item.skeleton.compiled, limit)
-            if len(best) == n and bound > limit:
+        # a label-bounded entry takes its traversal bound, and is scored unless that is above the key
+        bound = key if released is None else traversal_lower_bound(patterns, item.skeleton.compiled, limit)
+        if bound <= key:
+            bound = tree_edit_distance(target, item.skeleton, limit)
+            if bound <= limit:  # exact
+                _join(best, n, bound, item.members, exclude_question)
                 continue
-            if bound > key:
-                heapq.heappush(heap, (bound, first_index, _TRAVERSAL_BOUNDED, item, None))
-                continue
-        distance = tree_edit_distance(target, item.skeleton, limit)
-        if distance > limit:
-            if len(best) < n:  # limit + 1 is a lower bound: score it again under that key
-                heapq.heappush(heap, (distance, first_index, _TRAVERSAL_BOUNDED, item, None))
-            continue
-        _join(best, n, distance, item.members, exclude_question)
+        heapq.heappush(heap, (bound, first_index, item, None))  # a lower bound above the key
     return RetrievalResult([pair for _, _, pair in best])
+
+
+def _popped(heap: list[tuple], best: list[tuple], n: int) -> Iterator[tuple]:
+    """Pop ``heap``'s entries, (key, first pool index, ...), in order,
+    until n are held in ``best``, the (key, pool index, pair) in order,
+    and the head's (key, first pool index) is beyond the n-th: every later
+    member then ranks behind it, by a larger key, or an equal one and a
+    later place in the pool."""
+    while heap and (len(best) < n or heap[0][:2] <= best[-1][:2]):
+        yield heapq.heappop(heap)
 
 
 def _join(best: list, n: int, key, members: Sequence[ExamplePair], exclude: str | None) -> None:

@@ -174,7 +174,7 @@ def test_criterion_05_retrieval_oracle(tmp_path):
             expected = brute_force_sql_ranking(distances_by_sql[sql], n, excluded_indices)
             for searched in (index, loaded):
                 got = [p.pool_index for p in retrieve_by_sql_skeleton(
-                    sql, searched, n, exclude_question=excluded)]
+                    sql, searched, n, exclude_question=excluded).pairs]
                 assert got == expected, (n, sql, excluded, searched is loaded)
                 checks += 1
     report("retrieval-oracle", f"{checks} rankings agree, N in {{1,3,7,9}}, pool 2000, built and loaded")

@@ -775,7 +775,7 @@ def test_squared_norms_keep_the_bits_of_a_full_loop():
 def test_sql_identity_ranked_first(small_index):
     index, embedder = small_index
     result = retrieve_by_sql_skeleton("SELECT name FROM singer", index, 3)
-    assert result[0].sql == "SELECT name FROM singer"
+    assert result.pairs[0].sql == "SELECT name FROM singer"
     assert result.fallback is None
 
 
@@ -804,7 +804,7 @@ def test_sql_ranking_matches_brute_force(small_index):
         for pair in index.pool
     ]
     expected = brute_force_sql_ranking(distances, 4)
-    got = retrieve_by_sql_skeleton("SELECT count(*) FROM singer WHERE age > 20", index, 4)
+    got = retrieve_by_sql_skeleton("SELECT count(*) FROM singer WHERE age > 20", index, 4).pairs
     assert [p.pool_index for p in got] == expected
 
 
@@ -832,6 +832,7 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
     distinct = len({p.s_skeleton.text for p in index.pool})
 
     visited = set()  # the compiled skeletons bounded by traversal strings or scored
+    scored = set()  # (skeleton, limit): a skeleton scored again is scored under a larger limit
 
     def counting(fn, compiled):
         def wrapper(target, other, *rest):
@@ -840,9 +841,13 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        retrieval, "tree_edit_distance", counting(tree_edit_distance, lambda skeleton: skeleton.compiled)
-    )
+    def scoring(target, other, limit):
+        # a stop rule that let a skeleton past the cutoff be popped would score it here forever
+        assert (id(other), limit) not in scored, (other.text, limit)
+        scored.add((id(other), limit))
+        return tree_edit_distance(target, other, limit)
+
+    monkeypatch.setattr(retrieval, "tree_edit_distance", counting(scoring, lambda skeleton: skeleton.compiled))
     monkeypatch.setattr(
         retrieval, "traversal_lower_bound", counting(retrieval.traversal_lower_bound, lambda tree: tree)
     )
@@ -851,12 +856,29 @@ def test_sql_ranking_with_ties_at_the_cutoff(monkeypatch):
         skip = () if excluded is None else (excluded,)
         for n in range(1, len(statements) + 1):
             visited.clear()
-            got = retrieve_by_sql_skeleton("SELECT c FROM v", index, n, exclude_question=exclude)
+            scored.clear()
+            got = retrieve_by_sql_skeleton("SELECT c FROM v", index, n, exclude_question=exclude).pairs
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
             if n == 2:
                 # The second best is at distance 1 or better, so the seven
                 # distance-1 skeletons after it are neither scored nor checked.
                 assert len(visited) <= 2 < distinct
+
+
+def test_stop_rule_pops_up_to_the_nth_best_inclusive():
+    """Both rounds stop by ``_popped``: every entry while fewer than n are
+    held, then each whose (key, first pool index) is at or before the n-th
+    best's (key, pool index). A search never pops an entry equal to a held
+    candidate, so only this direct check pins the equal case."""
+    from solidql.retrieval import _popped
+
+    entries = [(1, 4, "a"), (2, 3, "b"), (2, 5, "c"), (2, 6, "d"), (3, 0, "e")]
+    assert list(_popped(list(entries), [], 1)) == entries
+    heap = list(entries)  # a sorted list is a heap
+    best = [(0, 9, "p"), (2, 5, "q")]
+    assert list(_popped(heap, best, 2)) == entries[:3]  # (2, 6) is past (2, 5)
+    assert heap[0] == entries[3]  # and stays unpopped
+    assert list(_popped(list(entries), best, 3)) == entries  # fewer than n held
 
 
 def test_sql_ranking_across_size_rings(monkeypatch):
@@ -892,7 +914,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
         exclude = None if excluded is None else f"question {excluded}"
         skip = () if excluded is None else (excluded,)
         for n in range(1, len(statements) + 1):
-            got = retrieve_by_sql_skeleton("SELECT x, y FROM v", index, n, exclude_question=exclude)
+            got = retrieve_by_sql_skeleton("SELECT x, y FROM v", index, n, exclude_question=exclude).pairs
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
 
     # On a pool of wide size spread, the rings leave groups unbounded.
@@ -910,7 +932,7 @@ def test_sql_ranking_across_size_rings(monkeypatch):
         skip = {p.pool_index for p in index.pool if p.question == excluded}
         for n in (1, 3, 7):
             handed.clear()
-            got = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
+            got = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded).pairs
             assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n, skip)
             assert 0 < len(handed) < groups
 
@@ -947,8 +969,10 @@ def test_packed_label_bounds_equal_the_oracle_in_release_order():
     assert len(wide) == 1 and len(buckets[wide[0]].groups) == 6
     first_indices = {size: [group.members[0].pool_index for group in bucket.groups] for size, bucket in buckets.items()}
     for size, bucket in buckets.items():
-        assert array(bucket.fields).itemsize == (1 if size < 256 else 4)
         assert first_indices[size] == sorted(first_indices[size])
+        bags = [label_bags.bag(group.skeleton.compiled.postorder) for group in bucket.groups]
+        for bit, column in bucket.columns.items():  # one 32-bit field per group, in every bucket
+            assert column == sum(1 << 32 * position for position, bag in enumerate(bags) if bit in bag.bits)
     own = label_bags.bag(SqlSkeleton.from_sql(long[0]).compiled.postorder)
     assert len(own.bits) > 255  # all shared with its own skeleton: more than 8 bits can count
     for sql in [random_statement(rng) for _ in range(8)] + long[:2] + [pool[5][1]]:
@@ -959,7 +983,7 @@ def test_packed_label_bounds_equal_the_oracle_in_release_order():
             released = list(bucket.release(target))
             assert [(bound, first) for bound, first, _ in released] == expected
             assert [group.members[0].pool_index for _, _, group in released] == [first for _, first in expected]
-    assert retrieve_by_sql_skeleton(long[0], index, 1)[0].pool_index == 300
+    assert retrieve_by_sql_skeleton(long[0], index, 1).pairs[0].pool_index == 300
 
 
 def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
@@ -988,7 +1012,7 @@ def test_sql_ranking_rescores_a_group_scored_past_its_limit(monkeypatch):
     monkeypatch.setattr(retrieval, "tree_edit_distance", recording)
     for n in range(1, len(statements) + 1):
         scores.clear()
-        got = retrieve_by_sql_skeleton(sql, index, n)
+        got = retrieve_by_sql_skeleton(sql, index, n).pairs
         assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n)
     # with every group wanted, the far one is scored past key + 2, then again under limit + 1
     far = index.pool[0].s_skeleton.text
@@ -1019,7 +1043,7 @@ def test_sql_ranking_settles_only_pairs_whose_relabel_cost_meets_the_key(monkeyp
 
     monkeypatch.setattr(retrieval, "tree_edit_distance", recording)
     for n in range(1, len(statements) + 1):
-        got = retrieve_by_sql_skeleton(sql, index, n)
+        got = retrieve_by_sql_skeleton(sql, index, n).pairs
         assert [p.pool_index for p in got] == brute_force_sql_ranking(distances, n)
     assert scored == {index.pool[i].s_skeleton.text for i in (0, 3, 5)}
 
@@ -1078,7 +1102,7 @@ def test_round2_work_gate(monkeypatch, work_gate_queries):
     monkeypatch.setattr(retrieval, "_join", joining)
     handed = counting_handouts(monkeypatch)
     for sql, excluded in targets:
-        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
+        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded).pairs) == 7
     settled = joined - scored  # groups that joined without a dynamic program
     assert calls <= RING_SEARCH_CALLS < SORTED_SCAN_CALLS
     assert 0 < settled and calls + settled <= RING_SEARCH_DISTANCES
@@ -1100,13 +1124,13 @@ def test_round2_opens_buckets_lazily(monkeypatch, work_gate_queries):
     unpacked = retrieval._unpacked
     opened = []
 
-    def counting(fields, count, total):
+    def counting(count, total):
         opened.append(count)
-        return unpacked(fields, count, total)
+        return unpacked(count, total)
 
     monkeypatch.setattr(retrieval, "_unpacked", counting)
     for sql, excluded in targets:
-        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded)) == 7
+        assert len(retrieve_by_sql_skeleton(sql, index, 7, exclude_question=excluded).pairs) == 7
     _, buckets = index.skeleton_groups
     assert 0 < len(opened) <= RING_SEARCH_OPENINGS < len(buckets) * len(targets)
 
@@ -1153,7 +1177,7 @@ def test_rankings_match_brute_force_on_an_8k_pool(pool_8k):
         for n in (1, 7):
             got_q = retrieve_by_question_skeleton(question, index, n, embedder, exclude_question=excluded)
             assert [p.pool_index for p in got_q] == expected_q[:n], (question, n)
-            got_s = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded)
+            got_s = retrieve_by_sql_skeleton(sql, index, n, exclude_question=excluded).pairs
             assert [p.pool_index for p in got_s] == brute_force_sql_ranking(distances, n, skip), (sql, n)
 
 
@@ -1168,13 +1192,54 @@ ROUND1_SCORED = 81195
 def test_round1_work_gate(monkeypatch, pool_8k):
     """Pruning guard without timing: the groups that round 1 scores one by
     one for fixed queries on the 8,000-item pool at n = 7."""
-    from solidql import retrieval
-
     index, embedder, _, stems, vocabulary = pool_8k
     rng = random.Random(818)
     queries = [(" ".join(rng.choices(vocabulary, k=rng.randint(3, 6))), None) for _ in range(10)]
     queries += [(rng.choice(stems) + " _", None) for _ in range(10)]
     queries += [(pair.q_skeleton, pair.question) for pair in index.pool[::800]]  # self-excluded
+    scored = round1_scored(monkeypatch, index, embedder, queries)
+    assert 0 < scored <= ROUND1_SCORED < len(index.embedding_groups) * len(queries)
+
+
+# The same count on a 2,000-item pool whose questions are 3-25 words of
+# 300 and a mask: its 2,000 groups hold 37 squared norms, so that a class
+# left out takes many groups with it. 17,427 when this gate was set, of
+# 60,000 in 30 queries.
+SPREAD_NORMS_SCORED = 17427
+
+
+def test_round1_work_gate_over_a_spread_of_squared_norms(monkeypatch):
+    """Round 1 scores few groups one by one when the pool's squared norms
+    spread over many classes, and still ranks as the brute-force oracle."""
+    rng = random.Random(828)
+    vocabulary = [f"w{i}" for i in range(300)]
+
+    def question():
+        return " ".join(rng.choices(vocabulary, k=rng.randint(3, 25)))
+
+    tree = parse_sql("SELECT a FROM t")
+    embedder = HashedBagOfTokens()
+    index = build_index((PoolItem(f"{question()} {i}", "SELECT a FROM t", tree) for i in range(2000)), embedder)
+    assert len(index.embedding_groups) == 2000 and len(index.norm_classes.norms) > 30
+    queries = [(question(), None) for _ in range(10)]
+    queries += [(rng.choice(index.pool).q_skeleton, None) for _ in range(10)]
+    queries += [(pair.q_skeleton, pair.question) for pair in index.pool[::200]]  # self-excluded
+    for question_skeleton, excluded in queries[::5]:
+        expected = brute_force_question_ranking(
+            embedder.embed([question_skeleton])[0], index.pool, 7, exclude_question=excluded
+        )
+        got = retrieve_by_question_skeleton(question_skeleton, index, 7, embedder, exclude_question=excluded)
+        assert [p.pool_index for p in got] == expected, question_skeleton
+    scored = round1_scored(monkeypatch, index, embedder, queries)
+    assert 0 < scored <= SPREAD_NORMS_SCORED < len(index.embedding_groups) * len(queries)
+
+
+def round1_scored(monkeypatch, index, embedder, queries) -> int:
+    """The groups that round 1 scores one by one, through
+    ``retrieval._class_scores``, for ``queries``, (question skeleton,
+    excluded question), at n = 7; each query must return 7 examples."""
+    from solidql import retrieval
+
     class_scores = retrieval._class_scores
     scored = 0
 
@@ -1186,7 +1251,7 @@ def test_round1_work_gate(monkeypatch, pool_8k):
     monkeypatch.setattr(retrieval, "_class_scores", counting)
     for question, excluded in queries:
         assert len(retrieve_by_question_skeleton(question, index, 7, embedder, exclude_question=excluded)) == 7
-    assert 0 < scored <= ROUND1_SCORED < len(index.embedding_groups) * len(queries)
+    return scored
 
 
 # ----------------------------------------------------------------------
