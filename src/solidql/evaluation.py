@@ -15,6 +15,11 @@ connections where only read statements are authorized, under a
 per-query deadline, a row cap, a cap on the bytes of one string or blob
 and one on those of all a result's strings and blobs; LLM output can be
 pathological.
+
+Within one item of ``evaluate``, or one ``robustness_check``, each
+distinct statement text runs once: gold, prediction and perturbed
+statement of equal text share one outcome, so a nondeterministic
+statement gets one result per item and a timed-out one is not run again.
 """
 
 from __future__ import annotations
@@ -240,13 +245,26 @@ def tables_match(pred_rows: Sequence[tuple], gold_rows: Sequence[tuple], ordered
     return sorted(pred) == sorted(gold)
 
 
-def _run(db_path: str | Path, sql: str, timeout: float,
-         connections: Connections) -> tuple[list[tuple] | None, str | None]:
-    """The statement's rows, or None and the execution error."""
-    try:
-        return execute_sql(db_path, sql, timeout, connections), None
-    except ExecError as exc:
-        return None, str(exc)
+Outcome = tuple[list[tuple] | None, str | None]
+
+
+def _run(db_path: str | Path, sql: str, timeout: float, connections: Connections,
+         outcomes: dict[str, Outcome]) -> Outcome:
+    """The statement's rows, or None and the execution error, kept in
+    ``outcomes`` so that each text executes once."""
+    outcome = outcomes.get(sql)
+    if outcome is None:
+        try:
+            outcome = execute_sql(db_path, sql, timeout, connections), None
+        except ExecError as exc:
+            outcome = None, str(exc)
+        outcomes[sql] = outcome
+    return outcome
+
+
+def _rows_match(rows: list[tuple], reference: list[tuple], reference_sql: str) -> bool:
+    """``tables_match`` under the reference statement's ORDER BY; one run's rows match unscanned."""
+    return rows is reference or tables_match(rows, reference, has_top_level_order_by(reference_sql))
 
 
 def canonical_sql(sql: str) -> str:
@@ -282,21 +300,20 @@ def robustness_check(final_sql_clean: str, final_sql_perturbed: str,
     """True iff the clean and perturbed runs, on one connection, access the
     database identically: in order if the clean statement has a top-level ORDER BY."""
     with Connections() as connections:
-        clean, error = _run(db_path, final_sql_clean, timeout, connections)
-        return _robustness_verdict(clean, error, final_sql_clean, final_sql_perturbed,
-                                   db_path, timeout, connections)
+        return _robustness_verdict(final_sql_clean, final_sql_perturbed, db_path, timeout, connections, {})
 
 
-def _robustness_verdict(clean: list[tuple] | None, clean_error: str | None, final_sql_clean: str,
-                        final_sql_perturbed: str, db_path: str | Path, timeout: float,
-                        connections: Connections) -> RobustnessVerdict:
-    """Verdict for a perturbed statement against the clean run's outcome."""
+def _robustness_verdict(final_sql_clean: str, final_sql_perturbed: str, db_path: str | Path,
+                        timeout: float, connections: Connections,
+                        outcomes: dict[str, Outcome]) -> RobustnessVerdict:
+    """Verdict for a perturbed statement against the clean one."""
+    clean, error = _run(db_path, final_sql_clean, timeout, connections, outcomes)
     if clean is None:
-        return RobustnessVerdict(False, f"clean SQL failed: {clean_error}")
-    perturbed, error = _run(db_path, final_sql_perturbed, timeout, connections)
+        return RobustnessVerdict(False, f"clean SQL failed: {error}")
+    perturbed, error = _run(db_path, final_sql_perturbed, timeout, connections, outcomes)
     if perturbed is None:
         return RobustnessVerdict(False, f"perturbed SQL failed: {error}")
-    if tables_match(perturbed, clean, has_top_level_order_by(final_sql_clean)):
+    if _rows_match(perturbed, clean, final_sql_clean):
         return RobustnessVerdict(True)
     return RobustnessVerdict(False, "result tables differ")
 
@@ -381,7 +398,9 @@ def evaluate(
 ) -> EvalReport:
     """Score aligned (dataset, predictions); length mismatch is fatal.
 
-    Each item runs its gold statement and its prediction once. Items
+    Each item runs each distinct text among its gold statement, its
+    prediction and its perturbed statement once, so equal texts share
+    one outcome (one result, or one timeout) and match uncompared. Items
     whose gold SQL fails to execute are excluded from the percentages
     and counted separately. With ``perturbed`` (the final SQL of a
     paired run on perturbed questions), each item also gets the
@@ -395,22 +414,25 @@ def evaluate(
         raise ValueError(f"{len(predictions)} predictions vs {len(perturbed)} perturbed")
     robustness: list[RobustnessVerdict] | None = [] if perturbed is not None else None
     records: list[EvalRecord] = []
+    db_paths: dict[str, Path] = {}
     with Connections() as connections:
         for i, (item, pred_sql) in enumerate(zip(dataset, predictions)):
-            db_path = database_path(databases_root, item["db_id"])
-            gold_rows, gold_error = _run(db_path, item["query"], timeout, connections)
-            pred_rows, error = _run(db_path, pred_sql, timeout, connections)
+            db_path = db_paths.get(item["db_id"])
+            if db_path is None:
+                db_path = db_paths[item["db_id"]] = database_path(databases_root, item["db_id"])
+            outcomes: dict[str, Outcome] = {}
+            gold_rows, gold_error = _run(db_path, item["query"], timeout, connections, outcomes)
+            pred_rows, error = _run(db_path, pred_sql, timeout, connections, outcomes)
             if robustness is not None:
-                robustness.append(_robustness_verdict(pred_rows, error, pred_sql, perturbed[i],
-                                                      db_path, timeout, connections))
+                robustness.append(_robustness_verdict(pred_sql, perturbed[i], db_path, timeout,
+                                                      connections, outcomes))
             excluded = gold_rows is None
             if excluded:
                 logger.warning("excluding item %d (gold SQL failed): %s", i, gold_error)
                 ex = em = False
                 error = f"gold execution failed: {gold_error}"
             else:
-                ex = pred_rows is not None and tables_match(
-                    pred_rows, gold_rows, has_top_level_order_by(item["query"]))
+                ex = pred_rows is not None and _rows_match(pred_rows, gold_rows, item["query"])
                 em = exact_match(pred_sql, item["query"])
             records.append(
                 EvalRecord(

@@ -356,15 +356,104 @@ def test_evaluate_scans_only_reference_statements_for_order_by(databases_root, m
     scanned = count_order_by_scans(monkeypatch)
     report = evaluate(dataset, clean, databases_root)
     assert [record.ex for record in report.records] == [True, True, False, False, True]
-    # gold statements, and only those that are compared: not an excluded item's or a failed prediction's
-    assert scanned == [triples[i][0] for i in (0, 1, 4)]
+    # gold statements, and only those that are compared: not an excluded item's, a failed
+    # prediction's or one whose prediction is the same text
+    assert scanned == [triples[1][0]]
     assert len(scanned) <= len(dataset)
     scanned.clear()
     report = evaluate(dataset, clean, databases_root, perturbed=perturbed)
     assert [bool(verdict) for verdict in report.robustness] == [False, True, True, False, False]
-    # each clean prediction whose rows meet a perturbed statement's, then the gold statement
-    assert scanned == [clean[0], triples[0][0], clean[1], triples[1][0], clean[2], triples[4][0]]
+    # each clean prediction whose rows meet a perturbed statement of other text, then the gold
+    # statement when it differs from the prediction
+    assert scanned == [clean[0], clean[1], triples[1][0]]
     assert len(scanned) <= 2 * len(dataset)
+
+
+def count_executions(monkeypatch) -> list[str]:
+    """Every statement ``evaluation`` executes from now on, in order."""
+    executed: list[str] = []
+
+    def counting(db_path, sql, timeout, connections):
+        executed.append(sql)
+        return execute_sql(db_path, sql, timeout, connections)
+
+    monkeypatch.setattr(evaluation, "execute_sql", counting)
+    return executed
+
+
+def run_alone(db, sql, timeout=30.0):
+    """One statement's rows, or None and its error, on a fresh connection."""
+    with evaluation.Connections() as connections:
+        try:
+            return execute_sql(db, sql, timeout, connections), None
+        except ExecError as exc:
+            return None, str(exc)
+
+
+def oracle(item, clean, perturbed, db):
+    """The record and verdict of one item, each statement run alone, nothing reused."""
+    gold, gold_error = run_alone(db, item["query"])
+    pred, error = run_alone(db, clean)
+    scored = gold is not None
+    record = evaluation.EvalRecord(
+        question=item["question"], db_id=item["db_id"], gold_sql=item["query"], pred_sql=clean,
+        ex=scored and pred is not None and tables_match(pred, gold, has_top_level_order_by(item["query"])),
+        em=scored and exact_match(clean, item["query"]),
+        error=error if scored else f"gold execution failed: {gold_error}",
+        excluded=not scored,
+    )
+    if pred is None:
+        return record, evaluation.RobustnessVerdict(False, f"clean SQL failed: {error}")
+    rows, error = run_alone(db, perturbed)
+    if rows is None:
+        return record, evaluation.RobustnessVerdict(False, f"perturbed SQL failed: {error}")
+    if tables_match(rows, pred, has_top_level_order_by(clean)):
+        return record, evaluation.RobustnessVerdict(True)
+    return record, evaluation.RobustnessVerdict(False, "result tables differ")
+
+
+OVER_30 = "SELECT name FROM singer WHERE age > 30"
+FROM_31 = "SELECT name FROM singer WHERE age >= 31"
+BY_AGE = "SELECT name FROM singer ORDER BY age"
+FAILS = "SELECT zzz FROM singer"
+
+
+@pytest.mark.parametrize("gold, clean, perturbed, executions", [
+    (OVER_30, OVER_30, OVER_30, 1),
+    (OVER_30, OVER_30, FROM_31, 2),
+    (OVER_30, FROM_31, FROM_31, 2),
+    (OVER_30, FROM_31, OVER_30, 2),
+    (OVER_30, FROM_31, BY_AGE, 3),
+    (FAILS, FAILS, OVER_30, 1),  # a failed clean statement leaves the perturbed one unrun
+    (OVER_30, FAILS, FAILS, 2),
+])
+def test_evaluate_runs_each_distinct_statement_once(databases_root, concert_db, monkeypatch,
+                                                     gold, clean, perturbed, executions):
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": gold}]
+    record, verdict = oracle(dataset[0], clean, perturbed, concert_db)
+    executed = count_executions(monkeypatch)
+    report = evaluate(dataset, [clean], databases_root, perturbed=[perturbed])
+    assert len(executed) == executions
+    assert report.records == [record] and report.robustness == [verdict]
+
+
+def test_one_text_runs_once_and_shares_its_outcome(databases_root, concert_db, monkeypatch):
+    executed = count_executions(monkeypatch)
+    assert robustness_check(OVER_30, OVER_30, concert_db) and executed == [OVER_30]
+    # one run per text: a nondeterministic statement matches itself
+    executed.clear()
+    random_row = "SELECT random()"
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": random_row}]
+    [record] = evaluate(dataset, [random_row], databases_root).records
+    assert record.ex and executed == [random_row]
+    # a timed-out text is not run again, under a second deadline, for the equal prediction
+    executed.clear()
+    dataset = [{"question": "q", "db_id": "concert_singer", "query": SLOW}]
+    report = evaluate(dataset, [SLOW], databases_root, timeout=0.2, perturbed=[SLOW])
+    assert executed == [SLOW]
+    [record], [verdict] = report.records, report.robustness
+    assert record.excluded and "query exceeded" in record.error
+    assert not verdict and "query exceeded" in verdict.reason
 
 
 def ex_verdicts(pairs, databases_root):
